@@ -12,14 +12,14 @@ from .rootdata import (RootDatum, build_root_datum, with_cochar_lattice,
 from .fundgroup import FundGroupData, fundamental_group, p_value
 from .repcalc import (weyl_dim, casimir_value, two_delta_pairing, classify,
                       RepClassification, WeightMultiplicityTable,
-                      freudenthal_multiplicities, L_phi, s_phi,
+                      freudenthal_multiplicities, L_phi,
                       dynkin_index, dynkin_index_orth,
                       FREUDENTHAL_GUARD_DEFAULT)
 from .spinor import (OrthRep, orth_rep, Verdict, q_irreducible, q_rep,
-                     q_tensor, is_spinorial, is_spinorial_irreducible,
-                     adjoint_spinorial, q_via_weyl_sum, oracle_compare,
-                     descent_check, dominant_orthogonal_weights,
-                     scan_periodicity, WEYL_GUARD_DEFAULT)
+                     q_tensor, is_spinorial, adjoint_spinorial,
+                     q_via_weyl_sum, oracle_compare, descent_check,
+                     dominant_orthogonal_weights, scan_periodicity,
+                     WEYL_GUARD_DEFAULT)
 from .catalog import (GroupSpec, Group, make_group, parse_group_name,
                       group_by_name, summary_check, known_aspinorial_witness,
                       sweep_all_spinorial, type_d_weight, type_d_table,
@@ -33,10 +33,10 @@ __all__ = [
     "FundGroupData", "fundamental_group", "p_value",
     "weyl_dim", "casimir_value", "two_delta_pairing", "classify",
     "RepClassification", "WeightMultiplicityTable",
-    "freudenthal_multiplicities", "L_phi", "s_phi",
+    "freudenthal_multiplicities", "L_phi",
     "dynkin_index", "dynkin_index_orth", "FREUDENTHAL_GUARD_DEFAULT",
     "OrthRep", "orth_rep", "Verdict", "q_irreducible", "q_rep", "q_tensor",
-    "is_spinorial", "is_spinorial_irreducible", "adjoint_spinorial",
+    "is_spinorial", "adjoint_spinorial",
     "q_via_weyl_sum", "oracle_compare", "descent_check",
     "dominant_orthogonal_weights", "scan_periodicity", "WEYL_GUARD_DEFAULT",
     "GroupSpec", "Group", "make_group", "parse_group_name", "group_by_name",

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import ratlin as rl
-from .ratlin import dot
 from .errors import SpecificationError
 from .rootdata import RootDatum, build_root_datum, with_cochar_lattice, simple_system
 from .fundgroup import fundamental_group, p_value
@@ -51,14 +50,11 @@ class Group:
     weight_basis: tuple
 
     def weight_from_coords(self, coords):
-        lam = rl.zero(self.rd.dim)
-        for c, b in zip(coords, self.weight_basis):
-            lam = rl.add(lam, rl.scale(c, b))
         if len(coords) != len(self.weight_basis):
             raise SpecificationError(
                 f"{self.name} expects {len(self.weight_basis)} weight "
                 f"coordinates, got {len(coords)}")
-        return lam
+        return rl.combo(coords, self.weight_basis, dim=self.rd.dim)
 
 
 def _e(n, i):
@@ -167,7 +163,7 @@ def make_group(spec):
         lt = tuple(p)
         name = "x".join(f"{f}{r}" for f, r in lt) + "adj"
         rd = build_root_datum(lt, label=name)
-        rd = with_cochar_lattice(rd, _fundamental_coweights(rd))
+        rd = with_cochar_lattice(rd, rd.fundamental_coweights)
         return Group(name, spec, rd, fundamental_group(rd),
                      rd.fundamental_weights)
 
@@ -180,23 +176,6 @@ def _sl_name(n, d):
     if d == n:
         return f"PGL{n}"
     return f"SL{n}/mu{d}"
-
-
-def _fundamental_coweights(rd):
-    """Basis of the coweight lattice: dual basis to the simple roots inside
-    the coroot span, one vector per simple root."""
-    out = []
-    for f in rd.factors:
-        idx = f.indices
-        block = tuple(tuple(dot(rd.simple_roots[a], rd.simple_coroots[b])
-                            for b in idx) for a in idx)
-        binv = rl.mat_inv(block)
-        for j in range(len(idx)):
-            w = rl.zero(rd.dim)
-            for b in range(len(idx)):
-                w = rl.add(w, rl.scale(binv[b][j], rd.simple_coroots[idx[b]]))
-            out.append(w)
-    return tuple(out)
 
 
 def highest_root(rd):
@@ -213,8 +192,10 @@ _NAME_PATTERNS = [
     (re.compile(r"^SL(\d+)$"), lambda n: GroupSpec("SL_quot", (n, 1))),
     (re.compile(r"^PGL(\d+)$"), lambda n: GroupSpec("SL_quot", (n, n))),
     (re.compile(r"^GL(\d+)$"), lambda n: GroupSpec("GL", (n,))),
-    (re.compile(r"^Sp(\d+)$"), lambda m: GroupSpec("Sp", (m // 2,))),
-    (re.compile(r"^PSp(\d+)$"), lambda m: GroupSpec("Sp_quot", (m // 2,))),
+    (re.compile(r"^Sp(\d+)$"),
+     lambda m: GroupSpec("Sp", (_symplectic_rank(m),))),
+    (re.compile(r"^PSp(\d+)$"),
+     lambda m: GroupSpec("Sp_quot", (_symplectic_rank(m),))),
     (re.compile(r"^SO(\d+)$"), lambda m: GroupSpec("SO", (m,))),
     (re.compile(r"^Spin(\d+)$"), lambda m: GroupSpec("Spin", (m,))),
     (re.compile(r"^PSO(\d+)$"), lambda m: GroupSpec("PSO", (m,))),
@@ -226,6 +207,12 @@ _NAME_PATTERNS = [
     (re.compile(r"^F4$"), lambda: GroupSpec("simplyConnected", (("F", 4),))),
     (re.compile(r"^G2$"), lambda: GroupSpec("simplyConnected", (("G", 2),))),
 ]
+
+
+def _symplectic_rank(m):
+    if m % 2:
+        raise SpecificationError(f"the symplectic dimension must be even, got {m}")
+    return m // 2
 
 
 def parse_group_name(name):

@@ -18,7 +18,7 @@ from fractions import Fraction
 import click
 
 from . import ratlin as rl
-from . import catalog, repcalc, spinor
+from . import catalog, spinor
 from .errors import (SpecificationError, IntegralityError, GuardExceededError)
 from .fundgroup import fundamental_group, p_value
 from .rootdata import RootDatum, with_cochar_lattice, _from_cartan
@@ -82,9 +82,16 @@ def _group_from_root_datum(entry, origin):
     if den < 1:
         raise SpecificationError(f"{origin}: denominator must be >= 1")
     gens = entry.get("cocharGenerators", [])
+    if not isinstance(gens, list):
+        raise SpecificationError(f"{origin}: cocharGenerators must be a list")
     rows = list(rd.simple_coroots)
-    for g in gens:
-        rows.append(tuple(Fraction(int(x), den) for x in g))
+    for i, g in enumerate(gens):
+        if not (isinstance(g, list) and len(g) == width
+                and all(type(x) is int for x in g)):
+            raise SpecificationError(
+                f"{origin}: cocharGenerators[{i}] = {g!r} must be a list of "
+                f"{width} integers, one per simple coroot")
+        rows.append(tuple(Fraction(x, den) for x in g))
     rd = with_cochar_lattice(rd, rl.row_lattice_basis(rows), label="custom")
     fg = fundamental_group(rd)
     return catalog.Group("custom", catalog.GroupSpec("rootDatum", ()),

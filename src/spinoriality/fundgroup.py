@@ -7,8 +7,7 @@ generator lifts with their traditional representatives (which are validated to
 generate), so certificates are reported against the familiar cocharacters.
 """
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
 from . import ratlin as rl
 from .errors import SpecificationError
@@ -77,8 +76,6 @@ def fundamental_group(rd, generators=None):
     else:
         d, u, v = rl.smith_normal_form(rows)
         diag_all = [d[i][i] if i < len(d) else 0 for i in range(n)]
-        for i in range(min(len(d), n), n):
-            diag_all[i] = 0
         v_inv = rl.mat_inv(v)
 
     factors, gens = [], []
@@ -86,11 +83,7 @@ def fundamental_group(rd, generators=None):
         if di == 1:
             continue
         factors.append(di)
-        coords = tuple(Fraction(x) for x in (v_inv[i] if rows else rl.unit(n, i)))
-        lift = rl.zero(rd.dim)
-        for c, b in zip(coords, rd.cochar_basis):
-            lift = rl.add(lift, rl.scale(c, b))
-        gens.append(lift)
+        gens.append(rl.combo(v_inv[i], rd.cochar_basis))
 
     if generators is not None:
         gens = tuple(rl.vec(g) for g in generators)

@@ -67,6 +67,47 @@ def transpose(m):
     return tuple(zip(*m))
 
 
+def combo(coeffs, vectors, dim=None):
+    """The exact linear combination sum_i coeffs[i] * vectors[i].
+
+    Entries are Fractions; ``dim`` gives the length of the (zero) result
+    when ``vectors`` is empty.
+    """
+    total = [Fraction(0)] * (len(vectors[0]) if vectors else dim or 0)
+    for c, v in zip(coeffs, vectors):
+        if c:
+            total = [t + c * x for t, x in zip(total, v)]
+    return tuple(total)
+
+
+def _row_reduce(rows, ncols):
+    """Gauss-Jordan elimination on the first ``ncols`` columns of ``rows``.
+
+    Extra columns ride along (an augmented right-hand side).  Returns the
+    reduced rows, as lists of Fractions, and the pivot columns; pivot row i
+    has a 1 in column ``pivots[i]`` and zeros there in every other row, and
+    the rows past the last pivot are zero in the first ``ncols`` columns.
+    """
+    m = [list(map(Fraction, row)) for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(m):
+            break
+        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return m, pivots
+
+
 def solve(a_rows, b):
     """Solve ``A x = b`` exactly; return the solution vector or None.
 
@@ -74,70 +115,42 @@ def solve(a_rows, b):
     particular solution is returned (free variables set to 0); when it is
     inconsistent, None.
     """
-    nrows = len(a_rows)
-    ncols = len(a_rows[0]) if nrows else 0
-    m = [list(map(Fraction, row)) + [Fraction(bi)] for row, bi in zip(a_rows, b)]
-    piv_cols = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        piv_cols.append(c)
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if m[i][ncols] != 0:
-            return None
+    ncols = len(a_rows[0]) if a_rows else 0
+    m, pivots = _row_reduce([list(row) + [bi] for row, bi in zip(a_rows, b)],
+                            ncols)
+    if any(row[ncols] != 0 for row in m[len(pivots):]):
+        return None
     sol = [Fraction(0)] * ncols
-    for i, c in enumerate(piv_cols):
-        sol[c] = m[i][ncols]
+    for row, c in zip(m, pivots):
+        sol[c] = row[ncols]
     return tuple(sol)
 
 
 def mat_inv(m):
     """Exact inverse of a square rational matrix (raises on singular input)."""
     n = len(m)
-    aug = [list(map(Fraction, m[i])) + list(unit(n, i)) for i in range(n)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if aug[i][c] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("matrix is singular")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = 1 / aug[c][c]
-        aug[c] = [x * inv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return tuple(tuple(row[n:]) for row in aug)
+    red, pivots = _row_reduce([list(row) + list(unit(n, i))
+                               for i, row in enumerate(m)], n)
+    if len(pivots) < n:
+        raise ZeroDivisionError("matrix is singular")
+    return tuple(tuple(row[n:]) for row in red)
 
 
 def rank(m):
-    if not m:
-        return 0
-    rows = [list(map(Fraction, r)) for r in m]
-    ncols = len(rows[0])
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        for i in range(r + 1, len(rows)):
-            if rows[i][c] != 0:
-                f = rows[i][c] / rows[r][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-    return r
+    return len(_row_reduce(m, len(m[0]))[1]) if m else 0
+
+
+def nullspace(m, ncols):
+    """Basis of the kernel {x : m x = 0}, x of length ``ncols``."""
+    red, pivots = _row_reduce(m, ncols)
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        x = [Fraction(0)] * ncols
+        x[free] = Fraction(1)
+        for row, c in zip(red, pivots):
+            x[c] = -row[free]
+        basis.append(tuple(x))
+    return basis
 
 
 def lattice_coords(basis_rows, v):

@@ -1,9 +1,9 @@
 """Per-irreducible numerics: dimension, Casimir eigenvalue, self-dual and
 orthogonal classification, weight multiplicities, and the combinatorial
-quantities L_phi and s_phi.
+quantity L_phi.
 
 The multiplicity table is the package's brute-force oracle: everything it
-feeds (L_phi, s_phi, descent checks) is computed straight from the definition
+feeds (L_phi, descent checks) is computed straight from the definition
 with no closed forms, so it can cross-check the closed-form engine.
 """
 
@@ -13,7 +13,7 @@ from functools import cached_property
 from math import lcm
 
 from . import ratlin as rl
-from .ratlin import add, sub, dot, scale
+from .ratlin import add, dot, scale
 from .errors import SpecificationError, IntegralityError, GuardExceededError
 
 FREUDENTHAL_GUARD_DEFAULT = 10 ** 6
@@ -181,7 +181,7 @@ class _IntWeightEngine:
     def weight_set(self):
         """Saturated weight set below lam by simple-root subtraction, pruned
         to the dominance polytope lam - (nonnegative root combinations)."""
-        solver = self.rd._root_coord_solver
+        solver = self.rd.fundamental_coweights
         sq = lcm(*(x.denominator for row in solver for x in row)) \
             if solver else 1
         int_solver = [tuple(int(x * sq) for x in row) for row in solver]
@@ -223,10 +223,8 @@ class WeightMultiplicityTable:
     tuples internally (see :class:`_IntWeightEngine`).
     """
 
-    def __init__(self, engine, highest, dominant_mults, all_weights):
+    def __init__(self, engine, dominant_mults, all_weights):
         self._engine = engine
-        self.rd = engine.rd
-        self.highest = engine.unscale(highest)
         self._dom = dominant_mults      # scaled dominant weight -> multiplicity
         self._weights = all_weights     # frozenset of every scaled weight
 
@@ -303,7 +301,7 @@ def freudenthal_multiplicities(rd, lam, guard=FREUDENTHAL_GUARD_DEFAULT):
 
     # recurse downward from lam ordered by the height of lam - mu in the
     # simple-root basis (every positive root has positive height)
-    solver = rd._root_coord_solver
+    solver = rd.fundamental_coweights
     height_fn = tuple(sum(col) for col in zip(*solver)) if solver else ()
 
     def height(mu):
@@ -339,7 +337,7 @@ def freudenthal_multiplicities(rd, lam, guard=FREUDENTHAL_GUARD_DEFAULT):
                 f"Freudenthal multiplicity 2*{num}/{den} at {eng.unscale(mu)} "
                 "is not a positive integer")
         mults[mu] = m
-    table = WeightMultiplicityTable(eng, eng.lam, mults, weights)
+    table = WeightMultiplicityTable(eng, mults, weights)
     if table.total_dim != dim:
         raise IntegralityError(
             f"multiplicity total {table.total_dim} != Weyl dimension {dim}")
@@ -352,40 +350,28 @@ def _as_tables(mults):
     return tuple(mults)
 
 
-def _table_pair_sums(table, nu):
-    """(sum of m<mu,nu> over <mu,nu> > 0, sum over all mu), exactly."""
+def _table_pair_sum(table, nu):
+    """Sum of m<mu,nu> over the weights with <mu,nu> > 0, exactly."""
     nu = rl.vec(nu)
     q = lcm(*(x.denominator for x in nu)) if nu else 1
     nu_int = tuple(int(x * q) for x in nu)
-    unit = table.scale * q
-    pos = total = 0
+    pos = 0
     for mu, m in table.int_items():
         p = sum(a * b for a, b in zip(mu, nu_int))
-        total += m * p
         if p > 0:
             pos += m * p
-    return Fraction(pos, unit), Fraction(total, unit)
+    return Fraction(pos, table.scale * q)
 
 
 def L_phi(rd, mults, nu):
     """L(nu) = sum over weights with <mu,nu> > 0 of m(mu) <mu,nu>."""
     total = Fraction(0)
     for table in _as_tables(mults):
-        total += _table_pair_sums(table, nu)[0]
+        total += _table_pair_sum(table, nu)
     if total.denominator != 1:
         raise IntegralityError(
             f"L(nu) = {total} is not an integer; nu is not a cocharacter "
             "of the group this representation lives on")
-    return int(total)
-
-
-def s_phi(rd, mults, nu):
-    """s(nu) = sum over all weights of m(mu) <mu,nu> (the determinant weight)."""
-    total = Fraction(0)
-    for table in _as_tables(mults):
-        total += _table_pair_sums(table, nu)[1]
-    if total.denominator != 1:
-        raise IntegralityError(f"s(nu) = {total} is not an integer")
     return int(total)
 
 

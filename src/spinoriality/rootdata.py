@@ -23,7 +23,7 @@ from math import factorial
 
 from .errors import SpecificationError, GuardExceededError
 from . import ratlin as rl
-from .ratlin import vec, add, sub, neg, scale, dot, is_zero
+from .ratlin import vec, add, sub, neg, scale, dot
 
 _CHAIN_CARTAN = {
     # exceptional types as adjacency lists (Bourbaki numbering, 0-based)
@@ -250,34 +250,15 @@ class RootDatum:
     @cached_property
     def delta(self):
         """Half-sum of the positive roots."""
-        total = rl.zero(self.dim)
-        for root, _ in self.positive_roots:
-            total = add(total, root)
-        return scale(Fraction(1, 2), total)
-
-    @cached_property
-    def _root_coord_solver(self):
-        # left inverse of the simple-root matrix: coords = P v on the root span
-        s = self.simple_roots
-        gram = tuple(tuple(dot(a, b) for b in s) for a in s)
-        return rl.mat_mul(rl.mat_inv(gram), s)
+        roots = [root for root, _ in self.positive_roots]
+        return rl.combo([Fraction(1, 2)] * len(roots), roots, dim=self.dim)
 
     def root_span_coords(self, v, check=True):
         """Coordinates of v in the simple-root basis, or None if off the span."""
-        coords = rl.mat_vec(self._root_coord_solver, v)
-        if check:
-            recon = rl.zero(self.dim)
-            for c, a in zip(coords, self.simple_roots):
-                recon = add(recon, scale(c, a))
-            if recon != tuple(v):
-                return None
+        coords = rl.mat_vec(self.fundamental_coweights, v)
+        if check and rl.combo(coords, self.simple_roots) != tuple(v):
+            return None
         return coords
-
-    def factor_of_root_index(self, i):
-        for fi, f in enumerate(self.factors):
-            if i in f.indices:
-                return fi
-        raise SpecificationError(f"no factor contains simple root {i}")
 
     @cached_property
     def _roots_by_factor(self):
@@ -306,9 +287,6 @@ class RootDatum:
 
     # ------------------------------------------------------------------
     # pairings and forms
-
-    def pairing(self, mu, nu):
-        return dot(mu, nu)
 
     @cached_property
     def _factor_gram_inv(self):
@@ -375,27 +353,33 @@ class RootDatum:
     def is_dominant(self, mu):
         return all(dot(mu, c) >= 0 for c in self.simple_coroots)
 
-    def dominant_conjugate(self, mu):
-        """The dominant Weyl conjugate of mu, with the sign of the chamber map."""
+    def _dominant_walk(self, mu):
+        """Reflect mu into the dominant chamber, always through the first
+        simple root it pairs negatively with; returns the dominant conjugate
+        and the word of simple-root indices applied."""
         cur = tuple(vec(mu))
-        sign = 1
+        word = []
         while True:
-            for alpha, alpha_v in zip(self.simple_roots, self.simple_coroots):
+            for i, (alpha, alpha_v) in enumerate(zip(self.simple_roots,
+                                                     self.simple_coroots)):
                 k = dot(cur, alpha_v)
                 if k < 0:
                     cur = sub(cur, scale(k, alpha))
-                    sign = -sign
+                    word.append(i)
                     break
             else:
-                return cur, sign
+                return cur, word
+
+    def dominant_conjugate(self, mu):
+        """The dominant Weyl conjugate of mu, with the sign of the chamber map."""
+        cur, word = self._dominant_walk(mu)
+        return cur, (-1) ** len(word)
 
     @cached_property
     def two_delta_coroot(self):
         """Sum of the positive coroots."""
-        total = rl.zero(self.dim)
-        for _, coroot in self.positive_roots:
-            total = add(total, coroot)
-        return total
+        coroots = [coroot for _, coroot in self.positive_roots]
+        return rl.combo([1] * len(coroots), coroots, dim=self.dim)
 
     @cached_property
     def minus_w0_matrix(self):
@@ -405,17 +389,7 @@ class RootDatum:
         back to the dominant chamber (that sequence is w0); mu is self-dual
         iff this matrix fixes mu.
         """
-        seq = []
-        cur = neg(self.delta)
-        while True:
-            for i, alpha_v in enumerate(self.simple_coroots):
-                k = dot(cur, alpha_v)
-                if k < 0:
-                    cur = sub(cur, scale(k, self.simple_roots[i]))
-                    seq.append(i)
-                    break
-            else:
-                break
+        _, seq = self._dominant_walk(neg(self.delta))
         cols = []
         for j in range(self.dim):
             v = rl.unit(self.dim, j)
@@ -470,22 +444,6 @@ class RootDatum:
                     queue.append(nxt)
         return orbit
 
-    def weyl_orbit(self, v):
-        """Full Weyl orbit of any vector (character side)."""
-        v = tuple(vec(v))
-        orbit = {v}
-        queue = [v]
-        while queue:
-            cur = queue.pop()
-            for alpha, alpha_v in zip(self.simple_roots, self.simple_coroots):
-                k = dot(cur, alpha_v)
-                if k != 0:
-                    nxt = sub(cur, scale(k, alpha))
-                    if nxt not in orbit:
-                        orbit.add(nxt)
-                        queue.append(nxt)
-        return orbit
-
     # ------------------------------------------------------------------
     # lattices
 
@@ -496,22 +454,6 @@ class RootDatum:
         if not self.is_cocharacter(nu):
             raise SpecificationError(f"{nu} is not in the cocharacter lattice")
 
-    def project_character(self, mu):
-        """Orthogonal projection of mu away from the central quotient directions.
-
-        Characters of a quotient-realized group (type A) pair well-definedly
-        with cocharacter representatives only through this projection.
-        """
-        mu = tuple(vec(mu))
-        if not self.central_cochars:
-            return mu
-        z = self.central_cochars
-        gram = tuple(tuple(dot(a, b) for b in z) for a in z)
-        coeffs = rl.mat_vec(rl.mat_inv(gram), tuple(dot(mu, b) for b in z))
-        for c, b in zip(coeffs, z):
-            mu = sub(mu, scale(c, b))
-        return mu
-
     def is_character(self, mu):
         mu = tuple(vec(mu))
         for z in self.central_cochars:
@@ -520,27 +462,25 @@ class RootDatum:
         return all(dot(mu, b).denominator == 1 for b in self.cochar_basis)
 
     @cached_property
+    def cartan_inverse(self):
+        """Inverse of the Cartan matrix <alpha_i, alpha_j^v>."""
+        return rl.mat_inv(self.cartan_matrix)
+
+    @cached_property
     def fundamental_weights(self):
         """Fundamental weights (in the derived group's span), per simple root."""
-        ainv_blocks = {}
-        out = []
-        for i in range(len(self.simple_roots)):
-            fi = self.factor_of_root_index(i)
-            if fi not in ainv_blocks:
-                idx = self.factors[fi].indices
-                block = tuple(tuple(Fraction(self.cartan_matrix[a][b]))
-                              for a in idx for b in ())  # placeholder
-                block = tuple(tuple(Fraction(self.cartan_matrix[a][b]) for b in idx)
-                              for a in idx)
-                ainv_blocks[fi] = rl.mat_inv(block)
-            idx = self.factors[fi].indices
-            j = idx.index(i)
-            row = ainv_blocks[fi][j]
-            w = rl.zero(self.dim)
-            for c, k in zip(row, idx):
-                w = add(w, scale(c, self.simple_roots[k]))
-            out.append(w)
-        return tuple(out)
+        return tuple(rl.combo(row, self.simple_roots)
+                     for row in self.cartan_inverse)
+
+    @cached_property
+    def fundamental_coweights(self):
+        """The basis of the coroot span dual to the simple roots.
+
+        <v, omega_i^v> is the i-th simple-root coordinate of any v in the
+        root span.
+        """
+        return tuple(rl.combo(col, self.simple_coroots)
+                     for col in rl.transpose(self.cartan_inverse))
 
     @cached_property
     def center_directions(self):
@@ -550,37 +490,14 @@ class RootDatum:
         in; characters of irreducible orthogonal representations must vanish
         on them.  Quotiented-out ambient directions are excluded.
         """
-        # nullspace of the simple-root pairing restricted to span(cochar_basis)
-        out = []
-        rows = [tuple(dot(a, b) for a in self.simple_roots)
-                for b in self.cochar_basis]
-        # solve x . rows = 0 for combinations x of the cochar basis
-        n = len(self.cochar_basis)
-        system = rl.transpose(rows) if rows else ()
-        # kernel of system (as matrix acting on x)
-        kernel = _nullspace(system, n)
-        for x in kernel:
-            v = rl.zero(self.dim)
-            for c, b in zip(x, self.cochar_basis):
-                v = add(v, scale(c, b))
-            if not is_zero(v):
-                out.append(v)
-        # drop components along the quotiented central directions
-        if self.central_cochars:
-            filtered = []
-            for v in out:
-                if rl.rank(tuple(self.central_cochars) + (v,)) > len(self.central_cochars):
-                    filtered.append(v)
-            out = filtered
-        return tuple(out)
-
-    @cached_property
-    def _coroot_span_solver(self):
-        """Inverse of the pairing matrix <alpha_i, alpha_j^v>."""
-        r = len(self.simple_roots)
-        a = tuple(tuple(dot(self.simple_roots[i], self.simple_coroots[j])
-                        for j in range(r)) for i in range(r))
-        return rl.mat_inv(a)
+        # combinations of the cochar basis that every simple root kills
+        system = tuple(tuple(dot(a, b) for b in self.cochar_basis)
+                       for a in self.simple_roots)
+        kernel = [rl.combo(x, self.cochar_basis)
+                  for x in rl.nullspace(system, len(self.cochar_basis))]
+        # drop those along the quotiented central directions
+        z = self.central_cochars
+        return tuple(v for v in kernel if rl.rank(z + (v,)) > len(z))
 
     def coroot_span_decomposition(self, nu):
         """Split nu = nu' + nu^z with nu' in the coroot span and nu^z central.
@@ -592,52 +509,12 @@ class RootDatum:
         cache = self.__dict__.setdefault("_span_cache", {})
         if nu in cache:
             return cache[nu]
-        r = len(self.simple_roots)
-        if r == 0:
-            return rl.zero(self.dim), nu
-        rhs = tuple(dot(self.simple_roots[i], nu) for i in range(r))
-        x = rl.mat_vec(self._coroot_span_solver, rhs)
-        prime = rl.zero(self.dim)
-        for c, co in zip(x, self.simple_coroots):
-            prime = add(prime, scale(c, co))
+        rhs = tuple(dot(alpha, nu) for alpha in self.simple_roots)
+        prime = rl.combo(rl.mat_vec(self.cartan_inverse, rhs),
+                         self.simple_coroots, dim=self.dim)
         out = (prime, sub(nu, prime))
         cache[nu] = out
         return out
-
-
-def _nullspace(mat_rows, n):
-    """Kernel basis of the linear map x -> x . mat (x of length n)."""
-    if not mat_rows:
-        return [rl.unit(n, i) for i in range(n)]
-    # mat_rows: m rows of length n? here rows are length-n? transpose handling:
-    # we receive the matrix with rows indexed by output coords; kernel of
-    # x |-> mat_rows . x
-    rows = [list(map(Fraction, r)) for r in mat_rows]
-    ncols = n
-    piv_cols = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        piv_cols.append(c)
-        r += 1
-    free = [c for c in range(ncols) if c not in piv_cols]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(piv_cols):
-            v[pc] = -rows[i][fc]
-        basis.append(tuple(v))
-    return basis
 
 
 # ----------------------------------------------------------------------

@@ -14,11 +14,11 @@ from functools import lru_cache
 from math import factorial
 
 from . import ratlin as rl
-from .ratlin import add, sub, dot, scale
+from .ratlin import add, dot, scale
 from . import repcalc
 from .errors import SpecificationError, IntegralityError
 from .repcalc import (weyl_dim, casimir_value, classify,
-                      freudenthal_multiplicities, L_phi, s_phi,
+                      freudenthal_multiplicities, L_phi,
                       FREUDENTHAL_GUARD_DEFAULT)
 
 WEYL_GUARD_DEFAULT = 10 ** 5
@@ -146,10 +146,6 @@ def is_spinorial(rd, fg, rep):
     return Verdict(spinorial=ok, certificate=tuple(cert), method="closed-form")
 
 
-def is_spinorial_irreducible(rd, fg, lam):
-    return is_spinorial(rd, fg, orth_rep(rd, irreducible=[lam]))
-
-
 def adjoint_spinorial(rd):
     """The adjoint representation is spinorial iff delta is a character."""
     return rd.is_character(rd.delta)
@@ -172,13 +168,7 @@ def make_regular(rd, nu):
     if d_nu(rd, nu) != 0:
         return nu
     # rho_v: <alpha_i, rho_v> = 1 for every simple root
-    r = len(rd.simple_roots)
-    a = tuple(tuple(dot(rd.simple_roots[i], rd.simple_coroots[j])
-                    for j in range(r)) for i in range(r))
-    x = rl.mat_vec(rl.mat_inv(a), (Fraction(1),) * r)
-    rho_v = rl.zero(rd.dim)
-    for c, co in zip(x, rd.simple_coroots):
-        rho_v = add(rho_v, scale(c, co))
+    rho_v = rl.combo((1,) * len(rd.simple_roots), rd.fundamental_coweights)
     t = 1
     while True:
         cand = add(nu, scale(t, rho_v))
@@ -269,6 +259,15 @@ def descent_check(rd, lam, nu, d, guard=FREUDENTHAL_GUARD_DEFAULT):
 # ----------------------------------------------------------------------
 # sweeps
 
+def is_dominant_orthogonal(rd, lam):
+    """Is lam the highest weight of an irreducible orthogonal representation:
+    a dominant character, killing the connected center, with orthogonal
+    Frobenius-Schur type?"""
+    return (rd.is_character(lam) and rd.is_dominant(lam)
+            and all(dot(lam, z) == 0 for z in rd.center_directions)
+            and classify(rd, lam).orthogonal)
+
+
 def dominant_orthogonal_weights(rd, box, basis=None):
     """All dominant orthogonal characters with coordinates in [0, box].
 
@@ -286,16 +285,8 @@ def dominant_orthogonal_weights(rd, box, basis=None):
                 sum(dual_map[i][j] * c[j] for j in range(r))
                 for i in range(r)) != c:
             continue
-        lam = rl.zero(rd.dim)
-        for k, b in zip(c, basis):
-            lam = add(lam, scale(k, b))
-        if not rd.is_character(lam):
-            continue
-        if not rd.is_dominant(lam):
-            continue
-        if any(dot(lam, z) != 0 for z in rd.center_directions):
-            continue
-        if classify(rd, lam).orthogonal:
+        lam = rl.combo(c, basis, dim=rd.dim)
+        if is_dominant_orthogonal(rd, lam):
             yield c, lam
 
 
@@ -329,12 +320,8 @@ def scan_periodicity(rd, fg, box, k, basis=None):
 
     @lru_cache(maxsize=None)
     def verdict(coords):
-        lam = rl.zero(rd.dim)
-        for c, b in zip(coords, basis):
-            lam = add(lam, scale(c, b))
-        if not (rd.is_character(lam) and rd.is_dominant(lam)
-                and not any(dot(lam, z) != 0 for z in rd.center_directions)
-                and classify(rd, lam).orthogonal):
+        lam = rl.combo(coords, basis, dim=rd.dim)
+        if not is_dominant_orthogonal(rd, lam):
             return None
         rep = OrthRep(irreducible=(tuple(lam),))
         return all(q_rep(rd, rep, nu) % 2 == 0 for nu in fg.generators)

@@ -16,12 +16,12 @@ from spinoriality.catalog import (CATALOG_RANK_LE_4, group_by_name,
                                   known_aspinorial_witness, summary_check,
                                   summary_suite_specs, sweep_all_spinorial,
                                   type_d_table)
-from spinoriality.repcalc import (L_phi, classify, freudenthal_multiplicities,
-                                  weyl_dim)
+from spinoriality.repcalc import L_phi, freudenthal_multiplicities, weyl_dim
 from spinoriality.spinor import (OrthRep, adjoint_spinorial, descent_check,
-                                 dominant_orthogonal_weights, is_spinorial,
-                                 is_spinorial_irreducible, oracle_compare,
-                                 orth_rep, q_rep, scan_periodicity)
+                                 dominant_orthogonal_weights,
+                                 is_dominant_orthogonal, is_spinorial,
+                                 oracle_compare, orth_rep, q_rep,
+                                 scan_periodicity)
 
 
 @contextmanager
@@ -41,7 +41,7 @@ def test_criterion_1_pgl2_pattern():
         g = group_by_name("PGL2")
         for j in range(0, 101):
             lam = g.weight_from_coords([j])
-            v = is_spinorial_irreducible(g.rd, g.fg, lam)
+            v = is_spinorial(g.rd, g.fg, orth_rep(g.rd, irreducible=[lam]))
             assert v.q_values() == (j * (j + 1) * (2 * j + 1) // 6,)
             assert v.spinorial == (j % 4 in (0, 3)), j
 
@@ -55,7 +55,7 @@ def test_criterion_2_so4_pattern():
                 if (a - b) % 2:
                     continue
                 lam = g.weight_from_coords([a, b])
-                v = is_spinorial_irreducible(g.rd, g.fg, lam)
+                v = is_spinorial(g.rd, g.fg, orth_rep(g.rd, irreducible=[lam]))
                 f = (b + 1) * comb(a + 2, 3) + (a + 1) * comb(b + 2, 3)
                 assert v.spinorial == (f % 8 == 0), (a, b)
                 checked += 1
@@ -195,22 +195,14 @@ def _adjoint_rep(rd):
 def _random_orth_weight(g, rng):
     while True:
         coords = [rng.randint(0, 3) for _ in g.weight_basis]
-        lam = rl.zero(g.rd.dim)
-        for c, b in zip(coords, g.weight_basis):
-            lam = rl.add(lam, rl.scale(c, b))
-        if not (g.rd.is_character(lam) and g.rd.is_dominant(lam)):
-            continue
-        if any(rl.dot(lam, z) != 0 for z in g.rd.center_directions):
-            continue
-        if classify(g.rd, lam).orthogonal:
+        lam = rl.combo(coords, g.weight_basis)
+        if is_dominant_orthogonal(g.rd, lam):
             return lam
 
 
 def _random_cochar(rd, rng):
-    nu = rl.zero(rd.dim)
-    for b in rd.cochar_basis:
-        nu = rl.add(nu, rl.scale(rng.randint(-4, 4), b))
-    return nu
+    return rl.combo([rng.randint(-4, 4) for _ in rd.cochar_basis],
+                    rd.cochar_basis)
 
 
 def test_criterion_9_structural():
@@ -238,8 +230,7 @@ def test_criterion_9_structural():
             g = rng.choice(groups)
             rep = OrthRep(irreducible=(tuple(_random_orth_weight(g, rng)),))
             nu = _random_cochar(g.rd, rng)
-            shift = rl.zero(g.rd.dim)
-            for co in g.rd.simple_coroots:
-                shift = rl.add(shift, rl.scale(rng.randint(-2, 2), co))
+            shift = rl.combo([rng.randint(-2, 2) for _ in g.rd.simple_coroots],
+                             g.rd.simple_coroots)
             q0 = q_rep(g.rd, rep, nu)
             assert (q_rep(g.rd, rep, rl.add(nu, shift)) - q0) % 2 == 0

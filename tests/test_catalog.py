@@ -21,8 +21,9 @@ def test_parse_group_names():
     assert parse_group_name("G+8") == GroupSpec("Gplus", (8,))
     assert parse_group_name("Gminus12") == GroupSpec("Gminus", (12,))
     assert parse_group_name("E7adj") == GroupSpec("adjoint", (("E", 7),))
-    with pytest.raises(SpecificationError):
-        parse_group_name("SU3")
+    for bad in ("SU3", "Sp3", "PSp5"):
+        with pytest.raises(SpecificationError):
+            parse_group_name(bad)
 
 
 def test_invalid_parameters():

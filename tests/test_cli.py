@@ -178,3 +178,13 @@ def test_group_file_malformed(runner, tmp_path):
     f2.write_text(json.dumps({"neither": {}}))
     res2 = runner.invoke(main, ["check", "--group", str(f2), "--weight", "1"])
     assert res2.exit_code == 2
+    # an A2 Cartan needs generators of length 2
+    for gen in ([1, 2, 3], [1]):
+        f3 = tmp_path / "bad3.json"
+        f3.write_text(json.dumps({"rootDatum": {
+            "cartan": [[2, -1], [-1, 2]], "cocharGenerators": [gen],
+            "denominator": 3}}))
+        res3 = runner.invoke(main, ["check", "--group", str(f3),
+                                    "--weight", "1,1"])
+        assert res3.exit_code == 2
+        assert "cocharGenerators[0]" in res3.output

@@ -2,7 +2,6 @@ from fractions import Fraction
 
 import pytest
 
-from spinoriality import ratlin as rl
 from spinoriality.catalog import group_by_name
 from spinoriality.errors import SpecificationError
 from spinoriality.fundgroup import fundamental_group, p_value

@@ -1,37 +1,24 @@
 """Algebraic identities checked on randomized inputs."""
 
-from fractions import Fraction
-
 from hypothesis import given, settings, strategies as st
 
 from spinoriality import ratlin as rl
 from spinoriality.catalog import group_by_name
-from spinoriality.repcalc import classify, weyl_dim
+from spinoriality.repcalc import weyl_dim
 from spinoriality.rootdata import build_root_datum
-from spinoriality.spinor import OrthRep, q_rep
+from spinoriality.spinor import OrthRep, is_dominant_orthogonal, q_rep
 
 GROUPS = ["PGL2", "PGL4", "SO8", "PSp6", "PSO8", "Gplus8", "E7adj"]
 
 
 def lattice_cochar(rd, coeffs):
-    nu = rl.zero(rd.dim)
-    for c, b in zip(coeffs, rd.cochar_basis):
-        nu = rl.add(nu, rl.scale(c, b))
-    return nu
+    return rl.combo(coeffs, rd.cochar_basis)
 
 
 def orth_weight(g, coeffs):
     """A dominant orthogonal character built from box coordinates, or None."""
-    lam = rl.zero(g.rd.dim)
-    for c, b in zip(coeffs, g.weight_basis):
-        lam = rl.add(lam, rl.scale(c, b))
-    if not (g.rd.is_character(lam) and g.rd.is_dominant(lam)):
-        return None
-    if any(rl.dot(lam, z) != 0 for z in g.rd.center_directions):
-        return None
-    if not classify(g.rd, lam).orthogonal:
-        return None
-    return lam
+    lam = rl.combo(coeffs, g.weight_basis)
+    return lam if is_dominant_orthogonal(g.rd, lam) else None
 
 
 coeff_lists = st.lists(st.integers(-3, 3), min_size=8, max_size=8)
@@ -69,9 +56,7 @@ def test_coroot_translation_invariance(name, wc, c1, c2):
     rep = OrthRep(irreducible=(tuple(lam),))
     n = len(g.rd.cochar_basis)
     nu = lattice_cochar(g.rd, c1[:n])
-    shift = rl.zero(g.rd.dim)
-    for c, co in zip(c2, g.rd.simple_coroots):
-        shift = rl.add(shift, rl.scale(c, co))
+    shift = rl.combo(c2, g.rd.simple_coroots)
     q0 = q_rep(g.rd, rep, nu)
     q1 = q_rep(g.rd, rep, rl.add(nu, shift))
     assert (q1 - q0) % 2 == 0

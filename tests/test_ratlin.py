@@ -1,8 +1,43 @@
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinoriality import ratlin as rl
+
+# zeros are likely, so singular and rank-deficient matrices are common
+ENTRIES = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)])
+
+
+@st.composite
+def matrices(draw, square=False):
+    nrows = draw(st.integers(1, 4))
+    ncols = nrows if square else draw(st.integers(1, 4))
+    return tuple(tuple(draw(ENTRIES) for _ in range(ncols))
+                 for _ in range(nrows))
+
+
+def det(m):
+    """Leibniz expansion: a reference independent of row reduction."""
+    total = Fraction(0)
+    for perm in permutations(range(len(m))):
+        inversions = sum(1 for i, j in combinations(perm, 2) if i > j)
+        term = Fraction((-1) ** inversions)
+        for row, col in enumerate(perm):
+            term *= m[row][col]
+        total += term
+    return total
+
+
+def rank_by_minors(m):
+    """The size of the largest nonzero minor."""
+    for k in range(min(len(m), len(m[0])), 0, -1):
+        for rows in combinations(m, k):
+            for cols in combinations(range(len(m[0])), k):
+                if det([[row[c] for c in cols] for row in rows]) != 0:
+                    return k
+    return 0
 
 
 def test_solve_exact():
@@ -70,3 +105,36 @@ def test_row_lattice_basis_halves():
         assert rl.in_lattice(basis, r)
     assert rl.in_lattice(basis, (Fraction(1, 2), Fraction(-1, 2)))
     assert not rl.in_lattice(basis, (Fraction(1, 4), Fraction(1, 4)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(), st.data())
+def test_solve_exact_or_inconsistent(a, data):
+    b = tuple(data.draw(ENTRIES) for _ in a)
+    x = rl.solve(a, b)
+    augmented = tuple(row + (bi,) for row, bi in zip(a, b))
+    assert (x is None) == (rank_by_minors(augmented) > rank_by_minors(a))
+    if x is not None:
+        assert rl.mat_vec(a, x) == b
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(square=True))
+def test_mat_inv_inverts_or_raises(a):
+    if det(a) == 0:
+        with pytest.raises(ZeroDivisionError):
+            rl.mat_inv(a)
+    else:
+        assert rl.mat_mul(rl.mat_inv(a), a) == rl.identity(len(a))
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+def test_rank_plus_nullity(a):
+    ncols = len(a[0])
+    kernel = rl.nullspace(a, ncols)
+    assert rl.rank(a) == rank_by_minors(a)
+    assert rl.rank(a) + len(kernel) == ncols
+    for x in kernel:
+        assert rl.mat_vec(a, x) == rl.zero(len(a))
+    assert rl.rank(kernel) == len(kernel)

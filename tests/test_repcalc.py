@@ -1,5 +1,4 @@
 from fractions import Fraction
-from math import comb
 
 import pytest
 
@@ -9,16 +8,13 @@ from spinoriality.errors import (GuardExceededError, IntegralityError,
                                  SpecificationError)
 from spinoriality.repcalc import (L_phi, classify, casimir_value,
                                   dynkin_index, dynkin_index_orth,
-                                  freudenthal_multiplicities, s_phi,
+                                  freudenthal_multiplicities,
                                   two_delta_pairing, weyl_dim)
 from spinoriality.rootdata import build_root_datum
 
 
 def fw(rd, coeffs):
-    lam = rl.zero(rd.dim)
-    for c, w in zip(coeffs, rd.fundamental_weights):
-        lam = rl.add(lam, rl.scale(c, w))
-    return lam
+    return rl.combo(coeffs, rd.fundamental_weights)
 
 
 def test_weyl_dim_type_a():
@@ -115,13 +111,12 @@ def test_freudenthal_guard():
         freudenthal_multiplicities(rd, fw(rd, [3, 3, 3]), guard=100)
 
 
-def test_L_and_s_values():
+def test_L_values():
     # SL2 adjoint at coroot alpha_v = (1,-1): weights alpha, 0, -alpha
     rd = build_root_datum([("A", 1)])
     table = freudenthal_multiplicities(rd, fw(rd, [2]))
     nu = rd.simple_coroots[0]
     assert L_phi(rd, table, nu) == 2
-    assert s_phi(rd, table, nu) == 0
 
 
 def test_L_non_integer_rejected():

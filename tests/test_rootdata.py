@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from spinoriality import ratlin as rl
+from spinoriality.catalog import group_by_name
 from spinoriality.errors import SpecificationError
 from spinoriality.rootdata import (build_root_datum, expected_root_count,
                                    simple_system, with_cochar_lattice)
@@ -95,10 +96,14 @@ def test_self_duality():
 
 
 def test_fundamental_weights_pair_to_identity():
-    rd = build_root_datum([("F", 4)])
-    for i, fw in enumerate(rd.fundamental_weights):
-        for j, co in enumerate(rd.simple_coroots):
-            assert rl.dot(fw, co) == (1 if i == j else 0)
+    for rd in (build_root_datum([("F", 4)]),
+               build_root_datum([("A", 2), ("B", 3), ("G", 2)], central_rank=1),
+               group_by_name("SL6/mu3").rd):
+        ident = rl.identity(len(rd.simple_roots))
+        assert rl.mat_mul(rd.fundamental_weights,
+                          rl.transpose(rd.simple_coroots)) == ident
+        assert rl.mat_mul(rd.simple_roots,
+                          rl.transpose(rd.fundamental_coweights)) == ident
 
 
 def test_type_a_center_is_quotiented():
@@ -137,7 +142,6 @@ def test_invalid_family_and_rank():
 
 
 def test_quotient_lattice_must_contain_coroots():
-    from spinoriality.fundgroup import fundamental_group
     rd = build_root_datum([("C", 2)])
     with pytest.raises(SpecificationError):
         with_cochar_lattice(rd, (rl.scale(2, rd.simple_coroots[0]),

@@ -3,24 +3,21 @@ from math import comb
 
 import pytest
 
-from spinoriality import ratlin as rl
 from spinoriality.catalog import group_by_name, highest_root
 from spinoriality.errors import SpecificationError
-from spinoriality.repcalc import freudenthal_multiplicities, L_phi, weyl_dim
-from spinoriality.rootdata import build_root_datum
+from spinoriality.repcalc import weyl_dim
 from spinoriality.spinor import (OrthRep, adjoint_spinorial, descent_check,
                                  dominant_orthogonal_weights, is_spinorial,
-                                 is_spinorial_irreducible, make_regular,
-                                 oracle_compare, orth_rep, q_irreducible,
-                                 q_rep, q_tensor, q_via_weyl_sum,
-                                 scan_periodicity)
+                                 make_regular, oracle_compare, orth_rep,
+                                 q_irreducible, q_rep, q_tensor,
+                                 q_via_weyl_sum, scan_periodicity)
 
 
 def test_pgl2_q_values():
     g = group_by_name("PGL2")
     for j in range(0, 30):
         lam = g.weight_from_coords([j])
-        v = is_spinorial_irreducible(g.rd, g.fg, lam)
+        v = is_spinorial(g.rd, g.fg, orth_rep(g.rd, irreducible=[lam]))
         expected_q = j * (j + 1) * (2 * j + 1) // 6
         assert v.q_values() == (expected_q,)
         assert v.spinorial == (j % 4 in (0, 3))
@@ -35,7 +32,7 @@ def test_so4_pattern():
             lam = g.weight_from_coords([a, b])
             if not g.rd.is_dominant(lam):
                 continue
-            v = is_spinorial_irreducible(g.rd, g.fg, lam)
+            v = is_spinorial(g.rd, g.fg, orth_rep(g.rd, irreducible=[lam]))
             f = (b + 1) * comb(a + 2, 3) + (a + 1) * comb(b + 2, 3)
             assert v.spinorial == (f % 8 == 0), (a, b)
 
@@ -55,7 +52,7 @@ def test_gl2_hyperbolic():
 def test_trivial_pi1_always_spinorial():
     g = group_by_name("Spin8")
     lam = g.weight_from_coords([1, 0, 1, 1])
-    v = is_spinorial_irreducible(g.rd, g.fg, lam)
+    v = is_spinorial(g.rd, g.fg, orth_rep(g.rd, irreducible=[lam]))
     assert v.spinorial and v.certificate == ()
 
 
