@@ -71,9 +71,25 @@ def _is_pow2(n):
     return n >= 1 and (n & (n - 1)) == 0
 
 
+# integer parameter counts; simplyConnected and adjoint take (family, rank)
+_ARITY = {"SL_quot": 2, "GL": 1, "Sp": 1, "Sp_quot": 1, "SO": 1, "Spin": 1,
+          "PSO": 1, "Gplus": 1, "Gminus": 1}
+
+
+def _params_ok(fam, p):
+    if fam in ("simplyConnected", "adjoint"):
+        return isinstance(p, tuple) and all(
+            isinstance(f, tuple) and len(f) == 2 and isinstance(f[0], str)
+            and type(f[1]) is int for f in p)
+    return fam not in _ARITY or (isinstance(p, tuple) and all(
+        type(x) is int for x in p) and len(p) == _ARITY[fam])
+
+
 def make_group(spec):
     """Build the root datum and fundamental group for a catalog spec."""
     fam, p = spec.family, spec.params
+    if not _params_ok(fam, p):
+        raise SpecificationError(f"bad parameters for {fam}: {p!r}")
     if fam == "SL_quot":
         n, d = p
         if n < 2 or d < 1 or n % d != 0:

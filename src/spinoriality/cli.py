@@ -54,7 +54,8 @@ def _group_from_document(doc, origin):
         raise SpecificationError(f"{origin}: group file must be a JSON object")
     if "catalog" in doc:
         entry = doc["catalog"]
-        if not isinstance(entry, dict) or "family" not in entry:
+        if not (isinstance(entry, dict)
+                and isinstance(entry.get("family"), str)):
             raise SpecificationError(f"{origin}: catalog entry needs a family")
         params = _tuplify(entry.get("params", ()))
         return catalog.make_group(catalog.GroupSpec(entry["family"], params))
@@ -75,12 +76,18 @@ def _group_from_root_datum(entry, origin):
         cartan = entry["cartan"]
     except (TypeError, KeyError):
         raise SpecificationError(f"{origin}: rootDatum needs a cartan matrix")
+    if not (isinstance(cartan, list) and all(
+            isinstance(row, list) and len(row) == len(cartan)
+            and all(type(x) is int for x in row) for row in cartan)):
+        raise SpecificationError(
+            f"{origin}: cartan must be a square matrix of integers")
+    den = entry.get("denominator", 1)
+    if type(den) is not int or den < 1:
+        raise SpecificationError(
+            f"{origin}: denominator must be an integer >= 1, got {den!r}")
     roots, coroots, width, _ = _from_cartan(cartan)
     rd = RootDatum(tuple(roots), tuple(coroots), tuple(coroots),
                    central_cochars=(), label="custom")
-    den = int(entry.get("denominator", 1))
-    if den < 1:
-        raise SpecificationError(f"{origin}: denominator must be >= 1")
     gens = entry.get("cocharGenerators", [])
     if not isinstance(gens, list):
         raise SpecificationError(f"{origin}: cocharGenerators must be a list")

@@ -80,6 +80,19 @@ def combo(coeffs, vectors, dim=None):
     return tuple(total)
 
 
+def scaled(v):
+    """(numerators, d): a rational vector over its least common denominator."""
+    den = lcm(*(x.denominator for x in v))
+    return tuple(x.numerator * (den // x.denominator) for x in v), den
+
+
+def scaled_rows(rows):
+    """(numerator rows, d): a rational matrix over one common denominator."""
+    den = lcm(*(x.denominator for row in rows for x in row))
+    return tuple(tuple(x.numerator * (den // x.denominator) for x in row)
+                 for row in rows), den
+
+
 def _row_reduce(rows, ncols):
     """Gauss-Jordan elimination on the first ``ncols`` columns of ``rows``.
 
@@ -136,6 +149,19 @@ def mat_inv(m):
     return tuple(tuple(row[n:]) for row in red)
 
 
+def is_positive_definite(m):
+    """Sylvester's criterion for a symmetric matrix: the pivots of elimination
+    without row swaps, ratios of leading principal minors, are positive."""
+    m = [list(map(Fraction, row)) for row in m]
+    for k, top in enumerate(m):
+        if top[k] <= 0:
+            return False
+        for row in m[k + 1:]:
+            f = row[k] / top[k]
+            row[:] = [x - f * y for x, y in zip(row, top)]
+    return True
+
+
 def rank(m):
     return len(_row_reduce(m, len(m[0]))[1]) if m else 0
 
@@ -173,12 +199,8 @@ def in_lattice(basis_rows, v):
 
 def frac_gcd(values):
     """gcd of rationals: gcd(a/c, b/c) = gcd(a, b)/c after clearing denominators."""
-    values = [Fraction(v) for v in values]
-    den = lcm(*(v.denominator for v in values)) if values else 1
-    num = 0
-    for v in values:
-        num = gcd(num, int(v * den))
-    return Fraction(num, den)
+    nums, den = scaled([Fraction(v) for v in values])
+    return Fraction(gcd(*nums), den)
 
 
 def row_lattice_basis(rows):
@@ -190,8 +212,7 @@ def row_lattice_basis(rows):
     rows = [vec(r) for r in rows if not is_zero(r)]
     if not rows:
         return ()
-    den = lcm(*(x.denominator for row in rows for x in row))
-    a = [[int(x * den) for x in row] for row in rows]
+    a, den = scaled_rows(rows)
     d, _, v = smith_normal_form(a)
     v_inv = mat_inv(v)
     basis = []

@@ -2,6 +2,9 @@
 orthogonal classification, weight multiplicities, and the combinatorial
 quantity L_phi.
 
+The closed forms read a highest weight once, as its Dynkin labels, and then
+work in integers on the root datum's label tables (see ``rootdata``).
+
 The multiplicity table is the package's brute-force oracle: everything it
 feeds (L_phi, descent checks) is computed straight from the definition
 with no closed forms, so it can cross-check the closed-form engine.
@@ -10,71 +13,45 @@ with no closed forms, so it can cross-check the closed-form engine.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import lcm, prod
+from operator import mul
 
 from . import ratlin as rl
-from .ratlin import add, dot, scale
 from .errors import SpecificationError, IntegralityError, GuardExceededError
 
 FREUDENTHAL_GUARD_DEFAULT = 10 ** 6
 
 
-def assert_dominant(rd, lam):
-    if not rd.is_dominant(lam):
+def dominant_labels(rd, lam):
+    """The Dynkin labels of lam, after checking that it is dominant."""
+    labels = rd.dynkin_labels(lam)
+    if min(labels, default=0) < 0:
         raise SpecificationError(f"weight {lam} is not dominant")
-
-
-def _weyl_dim_data(rd):
-    """Integer-scaled positive coroots and the delta denominator product,
-    so the Weyl dimension product runs on plain ints."""
-    data = rd.__dict__.get("_weyl_dim_data")
-    if data is None:
-        corows = [coroot for _, coroot in rd.positive_roots]
-        cden = lcm(*(x.denominator for row in corows for x in row))
-        int_coroots = tuple(tuple(int(x * cden) for x in row) for row in corows)
-        dden = lcm(*(x.denominator for x in rd.delta))
-        delta_int = tuple(int(x * dden) for x in rd.delta)
-        den = _prod(sum(a * b for a, b in zip(delta_int, c))
-                    for c in int_coroots)
-        data = (int_coroots, dden, den)
-        rd.__dict__["_weyl_dim_data"] = data
-    return data
+    return labels
 
 
 def weyl_dim(rd, lam):
-    """dim V_lam = prod over positive roots of <lam+delta, a_v>/<delta, a_v>."""
-    assert_dominant(rd, lam)
-    int_coroots, dden, den = _weyl_dim_data(rd)
-    v = add(rl.vec(lam), rd.delta)
-    vden = lcm(*(x.denominator for x in v))
-    w = tuple(int(x * vden) for x in v)
-    num = _prod(sum(a * b for a, b in zip(w, c)) for c in int_coroots)
-    n = len(int_coroots)
-    d = Fraction(num * dden ** n, den * vden ** n)
-    if d.denominator != 1:
+    """dim V_lam = prod over positive coroots beta^v = sum_i k_i alpha_i^v of
+    <lam+delta, beta^v>/<delta, beta^v>, with <lam+delta, beta^v> =
+    sum_i k_i (lam_i + 1)."""
+    shifted = [x + 1 for x in dominant_labels(rd, lam)]
+    num = prod(sum(map(mul, k, shifted)) for k in rd.positive_coroot_coords)
+    dim, rem = divmod(num, rd.weyl_denominator)
+    if rem:
         raise IntegralityError(f"Weyl dimension of {lam} is not integral")
-    return int(d)
-
-
-def _prod(values):
-    out = 1
-    for v in values:
-        out *= v
-    return out
+    return dim
 
 
 def two_delta_pairing(rd, lam):
     """<lam, 2 delta_v>, the pairing with the sum of positive coroots."""
-    return dot(lam, rd.two_delta_coroot)
+    return sum(map(mul, rd.dynkin_labels(lam), rd.two_delta_coroot_coords))
 
 
 def casimir_value(rd, lam, factor=None):
     """Casimir eigenvalue (lam, lam + 2 delta) under the inverse Killing form,
-    restricted to one simple factor when requested."""
-    assert_dominant(rd, lam)
-    lam = rl.vec(lam)
-    two_delta = scale(2, rd.delta)
-    return rd.weight_inner(lam, add(lam, two_delta), factor=factor)
+    restricted to one simple factor when requested; 2 delta has labels 2."""
+    labels = dominant_labels(rd, lam)
+    return rd.label_inner(labels, [x + 2 for x in labels], factor)
 
 
 @dataclass(frozen=True)
@@ -85,13 +62,12 @@ class RepClassification:
 
 
 def classify(rd, lam):
-    """Self-dual iff the dominant conjugate of -lam is lam; orthogonal iff
-    additionally <lam, 2 delta_v> is even."""
-    assert_dominant(rd, lam)
-    lam = rl.vec(lam)
-    sd = rd.is_self_dual(lam)
-    par = two_delta_pairing(rd, lam)
-    if par.denominator != 1:
+    """Self-dual iff -w0 lam = lam; orthogonal iff additionally
+    <lam, 2 delta_v> is even."""
+    labels = dominant_labels(rd, lam)
+    sd = rd.fixed_by_minus_w0(lam, labels)
+    par = sum(map(mul, labels, rd.two_delta_coroot_coords))
+    if par % 1:
         raise IntegralityError(f"<lam, 2 delta_v> non-integral for {lam}")
     par = int(par) % 2
     return RepClassification(self_dual=sd, orthogonal=sd and par == 0,
@@ -288,9 +264,8 @@ def freudenthal_multiplicities(rd, lam, guard=FREUDENTHAL_GUARD_DEFAULT):
     Refuses representations with dim > ``guard`` (this is the oracle path;
     the closed-form engine has no such limit).
     """
-    assert_dominant(rd, lam)
-    lam = tuple(rl.vec(lam))
     dim = weyl_dim(rd, lam)
+    lam = tuple(rl.vec(lam))
     if guard is not None and dim > guard:
         raise GuardExceededError(
             f"dim V = {dim} exceeds the multiplicity guard {guard}")
@@ -352,9 +327,7 @@ def _as_tables(mults):
 
 def _table_pair_sum(table, nu):
     """Sum of m<mu,nu> over the weights with <mu,nu> > 0, exactly."""
-    nu = rl.vec(nu)
-    q = lcm(*(x.denominator for x in nu)) if nu else 1
-    nu_int = tuple(int(x * q) for x in nu)
+    nu_int, q = rl.scaled(rl.vec(nu))
     pos = 0
     for mu, m in table.int_items():
         p = sum(a * b for a, b in zip(mu, nu_int))

@@ -12,18 +12,22 @@ keeps the direction (1,...,1); it is recorded in ``central_cochars`` and all
 characters are required to be orthogonal to it, which makes the pairing with
 any representative of a quotient cocharacter well defined.
 
-The Killing form is computed from its definition (x,y) = sum_a a(x)a(y) over
-all roots; the inverse form on the character side is obtained by inverting the
-Gram matrix on the coroot span, exactly.  No normalization tables are used.
+Hot paths read a weight as its Dynkin labels <mu, alpha_i^v> and use lazy
+integer tables: the simple coroots and cocharacter basis over one denominator
+each, the positive coroots in simple-coroot coordinates, -w0 as a permutation
+of the labels, and per factor the inverse Killing Gram matrix on the simple
+coroots, computed from the definition (x,y) = sum_a a(x)a(y) over all roots
+(no normalization tables) and scaled to integers.
 """
 
 from fractions import Fraction
 from functools import cached_property
-from math import factorial
+from math import factorial, prod
+from operator import mul
 
 from .errors import SpecificationError, GuardExceededError
 from . import ratlin as rl
-from .ratlin import vec, add, sub, neg, scale, dot
+from .ratlin import vec, add, sub, scale, dot
 
 _CHAIN_CARTAN = {
     # exceptional types as adjacency lists (Bourbaki numbering, 0-based)
@@ -96,10 +100,7 @@ class RootDatum:
                   *self.cochar_basis, *self.central_cochars):
             if len(v) != self.dim:
                 raise SpecificationError("inconsistent ambient dimensions")
-        a = self.cartan_matrix
-        for i in range(len(a)):
-            if a[i][i] != 2:
-                raise SpecificationError("diagonal Cartan entry != 2")
+        self._check_finite_type()
         if rl.rank(self.cochar_basis) != len(self.cochar_basis):
             raise SpecificationError("cocharacter basis is not independent")
         for c in self.simple_coroots:
@@ -115,30 +116,57 @@ class RootDatum:
         return tuple(tuple(dot(a, c) for c in self.simple_coroots)
                      for a in self.simple_roots)
 
+    def _check_finite_type(self):
+        """Finite type (Kac, Infinite dimensional Lie algebras, ch. 4), so
+        that the Weyl group is finite and every chamber walk ends: integer
+        entries, 2 on the diagonal, a_ij <= 0 off it with a_ij = 0 iff
+        a_ji = 0, and a positive definite symmetrization d_i a_ij."""
+        a = self.cartan_matrix
+        n = len(a)
+        for i in range(n):
+            if a[i][i] != 2:
+                raise SpecificationError("diagonal Cartan entry != 2")
+            for j in range(n):
+                if i != j and (a[i][j].denominator != 1 or a[i][j] > 0
+                               or (a[i][j] == 0) != (a[j][i] == 0)):
+                    raise SpecificationError(
+                        f"not a Cartan matrix: a[{i}][{j}] = {a[i][j]}, "
+                        f"a[{j}][{i}] = {a[j][i]}")
+        d = self._diagram[1]
+        sym = [[d[i] * x for x in row] for i, row in enumerate(a)]
+        if sym != [list(col) for col in zip(*sym)] or not (
+                rl.is_positive_definite(sym)):
+            raise SpecificationError("the Cartan matrix is not of finite type")
+
     @cached_property
-    def factors(self):
-        """Simple factors as connected components of the Dynkin diagram."""
+    def _diagram(self):
+        """Components of the Dynkin diagram and a symmetrizer d, 1 at each
+        component's first vertex and d_j = d_i a_ij / a_ji along each edge;
+        d_i is 1/|alpha_i|^2 up to a scale per component."""
         n = len(self.simple_roots)
         a = self.cartan_matrix
-        seen = [False] * n
+        d = [None] * n
         comps = []
         for s in range(n):
-            if seen[s]:
+            if d[s] is not None:
                 continue
-            comp = []
-            stack = [s]
-            seen[s] = True
+            d[s] = Fraction(1)
+            comp, stack = [], [s]
             while stack:
                 i = stack.pop()
                 comp.append(i)
                 for j in range(n):
-                    if not seen[j] and a[i][j] != 0:
-                        seen[j] = True
+                    if d[j] is None and a[i][j] != 0:
+                        d[j] = d[i] * a[i][j] / a[j][i]
                         stack.append(j)
-            comp.sort()
-            fam = self._classify(comp)
-            comps.append(Factor(comp, fam, len(comp)))
-        return tuple(comps)
+            comps.append(sorted(comp))
+        return comps, d
+
+    @cached_property
+    def factors(self):
+        """Simple factors as connected components of the Dynkin diagram."""
+        return tuple(Factor(comp, self._classify(comp), len(comp))
+                     for comp in self._diagram[0])
 
     def _classify(self, comp):
         a = self.cartan_matrix
@@ -158,22 +186,10 @@ class RootDatum:
                        for k in comp}
                 if deg[i] == 2 and deg[j] == 2:
                     return "F"
-            # B vs C by the length of the last-listed simple root; relative
-            # lengths follow from a_ij/a_ji = |alpha_i|^2/|alpha_j|^2,
-            # propagated along the (connected) diagram
-            norms = {comp[0]: Fraction(1)}
-            changed = True
-            while changed:
-                changed = False
-                for (i, j) in pairs:
-                    if i in norms and j not in norms:
-                        norms[j] = norms[i] * a[j][i] / a[i][j]
-                        changed = True
-                    elif j in norms and i not in norms:
-                        norms[i] = norms[j] * a[i][j] / a[j][i]
-                        changed = True
-            long_norm = max(norms.values())
-            return "B" if norms[comp[-1]] < long_norm else "C"
+            # B vs C by the length of the last-listed simple root: short
+            # roots have the larger symmetrizer entry
+            d = self._diagram[1]
+            return "B" if d[comp[-1]] > min(d[i] for i in comp) else "C"
         deg = {k: sum(1 for l in comp if l != k and a[k][l] != 0)
                for k in comp}
         if max(deg.values()) <= 2:
@@ -286,25 +302,96 @@ class RootDatum:
                 + self.central_torus_rank)
 
     # ------------------------------------------------------------------
+    # Dynkin labels and their integer tables
+
+    @cached_property
+    def _coroot_rows(self):
+        return rl.scaled_rows(self.simple_coroots)
+
+    def dynkin_labels(self, mu):
+        """The labels <mu, alpha_i^v>: ints when all are integral (always for
+        a character), else Fractions."""
+        nums, den = rl.scaled(mu)
+        rows, cden = self._coroot_rows
+        den *= cden
+        labels = [sum(map(mul, nums, row)) for row in rows]
+        if any(x % den for x in labels):
+            return tuple(Fraction(x, den) for x in labels)
+        return tuple(x // den for x in labels)
+
+    @cached_property
+    def positive_coroot_coords(self):
+        """Each positive coroot beta^v (in ``positive_roots`` order) in
+        simple-coroot coordinates k_i = <omega_i, beta^v>."""
+        w, wden = rl.scaled_rows(self.fundamental_weights)
+        p, pden = rl.scaled_rows([co for _, co in self.positive_roots])
+        return tuple(tuple(sum(map(mul, row, co)) // (wden * pden)
+                           for row in w) for co in p)
+
+    @cached_property
+    def two_delta_coroot_coords(self):
+        """2 delta^v, the sum of the positive coroots, in those coordinates."""
+        return tuple(map(sum, zip(*self.positive_coroot_coords)))
+
+    @cached_property
+    def weyl_denominator(self):
+        """prod over positive coroots of <delta, beta^v> = sum_i k_i."""
+        return prod(map(sum, self.positive_coroot_coords))
+
+    @cached_property
+    def minus_w0_perm(self):
+        """-w0 as the involution sigma of the labels, -w0 omega_i =
+        omega_sigma(i).  The reflections that walk -delta (labels all -1)
+        to the dominant chamber spell w0; they are applied to the labels of
+        the omega_i alongside (s_i: v -> v - v_i a_i)."""
+        a = [[int(x) for x in row] for row in self.cartan_matrix]
+        n = len(a)
+        vs = [[-1] * n] + [[int(i == j) for i in range(n)] for j in range(n)]
+        while min(vs[0], default=0) < 0:
+            i = vs[0].index(min(vs[0]))
+            vs = [[x - v[i] * y for x, y in zip(v, a[i])] for v in vs]
+        return tuple(v.index(-1) for v in vs[1:])
+
+    @cached_property
+    def _root_kernel(self):
+        """The cocharacter-side vectors all simple roots kill, as integers."""
+        return tuple(rl.scaled(z)[0]
+                     for z in rl.nullspace(self.simple_roots, self.dim))
+
+    def fixed_by_minus_w0(self, mu, labels):
+        """-w0 mu = mu, for mu with these labels: on the root span -w0
+        permutes the labels by sigma, and it is -1 where all coroots vanish,
+        so mu must kill every cocharacter all simple roots kill."""
+        nums = rl.scaled(mu)[0] if self._root_kernel else ()
+        return (all(labels[i] == labels[s]
+                    for i, s in enumerate(self.minus_w0_perm))
+                and all(sum(map(mul, nums, z)) == 0 for z in self._root_kernel))
+
+    # ------------------------------------------------------------------
     # pairings and forms
 
     @cached_property
-    def _factor_gram_inv(self):
-        """Inverse Killing Gram matrix on each factor's simple coroots."""
+    def _inverse_killing(self):
+        """Per factor: its indices and the inverse of its Gram matrix
+        K(alpha_a^v, alpha_b^v) = 2 sum_beta <beta, alpha_a^v><beta,
+        alpha_b^v> over the positive roots, as integers over a denominator."""
+        roots = [self.dynkin_labels(r) for r, _ in self.positive_roots]
         out = []
         for f in self.factors:
-            coroots = [self.simple_coroots[i] for i in f.indices]
-            gram = []
-            for ca in coroots:
-                row = []
-                for cb in coroots:
-                    s = Fraction(0)
-                    for root, _ in self.positive_roots:
-                        s += 2 * dot(root, ca) * dot(root, cb)
-                    row.append(s)
-                gram.append(tuple(row))
-            out.append(rl.mat_inv(tuple(gram)))
+            gram = [[2 * sum(l[a] * l[b] for l in roots) for b in f.indices]
+                    for a in f.indices]
+            out.append((f.indices, *rl.scaled_rows(rl.mat_inv(gram))))
         return tuple(out)
+
+    def label_inner(self, labels1, labels2, factor=None):
+        """``weight_inner`` of two weights given by their labels."""
+        parts = self._inverse_killing
+        total = Fraction(0)
+        for idx, inv, den in parts if factor is None else [parts[factor]]:
+            b = [labels2[i] for i in idx]
+            total += Fraction(sum(labels1[i] * sum(map(mul, row, b))
+                                  for i, row in zip(idx, inv)), den)
+        return total
 
     def weight_inner(self, mu1, mu2, factor=None):
         """Canonical bilinear form (inverse Killing) on the character side.
@@ -313,16 +400,8 @@ class RootDatum:
         otherwise the value is summed over all simple factors.  Components
         along the central directions do not contribute.
         """
-        factors = range(len(self.factors)) if factor is None else [factor]
-        total = Fraction(0)
-        for fi in factors:
-            idx = self.factors[fi].indices
-            w1 = [dot(mu1, self.simple_coroots[i]) for i in idx]
-            w2 = [dot(mu2, self.simple_coroots[i]) for i in idx]
-            ginv = self._factor_gram_inv[fi]
-            total += sum(w1[a] * ginv[a][b] * w2[b]
-                         for a in range(len(idx)) for b in range(len(idx)))
-        return total
+        return self.label_inner(self.dynkin_labels(mu1),
+                                self.dynkin_labels(mu2), factor)
 
     def cochar_norm_sq(self, nu, factor=None):
         """Killing norm |nu|^2 = sum over roots of <alpha, nu>^2."""
@@ -351,58 +430,37 @@ class RootDatum:
     # dominance and the Weyl group
 
     def is_dominant(self, mu):
-        return all(dot(mu, c) >= 0 for c in self.simple_coroots)
-
-    def _dominant_walk(self, mu):
-        """Reflect mu into the dominant chamber, always through the first
-        simple root it pairs negatively with; returns the dominant conjugate
-        and the word of simple-root indices applied."""
-        cur = tuple(vec(mu))
-        word = []
-        while True:
-            for i, (alpha, alpha_v) in enumerate(zip(self.simple_roots,
-                                                     self.simple_coroots)):
-                k = dot(cur, alpha_v)
-                if k < 0:
-                    cur = sub(cur, scale(k, alpha))
-                    word.append(i)
-                    break
-            else:
-                return cur, word
+        return min(self.dynkin_labels(mu), default=0) >= 0
 
     def dominant_conjugate(self, mu):
         """The dominant Weyl conjugate of mu, with the sign of the chamber map."""
-        cur, word = self._dominant_walk(mu)
-        return cur, (-1) ** len(word)
-
-    @cached_property
-    def two_delta_coroot(self):
-        """Sum of the positive coroots."""
-        coroots = [coroot for _, coroot in self.positive_roots]
-        return rl.combo([1] * len(coroots), coroots, dim=self.dim)
+        cur, sign = tuple(vec(mu)), 1
+        while True:
+            for alpha, alpha_v in zip(self.simple_roots, self.simple_coroots):
+                k = dot(cur, alpha_v)
+                if k < 0:
+                    cur = sub(cur, scale(k, alpha))
+                    sign = -sign
+                    break
+            else:
+                return cur, sign
 
     @cached_property
     def minus_w0_matrix(self):
-        """The involution -w0 as a matrix on character coordinates.
-
-        Found once by recording the reflection sequence that carries -delta
-        back to the dominant chamber (that sequence is w0); mu is self-dual
-        iff this matrix fixes mu.
+        """The involution -w0 as a matrix on character coordinates:
+        mu -> -mu + sum_i <mu, alpha_i^v> (omega_i + omega_sigma(i)), since
+        -w0 omega_i = omega_sigma(i) and -w0 is -1 where all coroots vanish.
         """
-        _, seq = self._dominant_walk(neg(self.delta))
-        cols = []
-        for j in range(self.dim):
-            v = rl.unit(self.dim, j)
-            for i in seq:
-                v = sub(v, scale(dot(v, self.simple_coroots[i]),
-                                 self.simple_roots[i]))
-            cols.append(neg(v))
-        return tuple(zip(*cols))
+        w = self.fundamental_weights
+        sums = [add(w[i], w[s]) for i, s in enumerate(self.minus_w0_perm)]
+        return tuple(tuple(sum(s[r] * co[c] for s, co in
+                               zip(sums, self.simple_coroots)) - (r == c)
+                           for c in range(self.dim))
+                     for r in range(self.dim))
 
     def is_self_dual(self, mu):
-        """w0 mu = -mu, via the cached -w0 matrix."""
-        mu = tuple(vec(mu))
-        return rl.mat_vec(self.minus_w0_matrix, mu) == mu
+        """-w0 mu = mu, read off the labels."""
+        return self.fixed_by_minus_w0(mu, self.dynkin_labels(mu))
 
     @cached_property
     def weyl_order(self):
@@ -454,12 +512,18 @@ class RootDatum:
         if not self.is_cocharacter(nu):
             raise SpecificationError(f"{nu} is not in the cocharacter lattice")
 
+    @cached_property
+    def _character_rows(self):
+        return (*rl.scaled_rows(self.cochar_basis),
+                tuple(rl.scaled(z)[0] for z in self.central_cochars))
+
     def is_character(self, mu):
-        mu = tuple(vec(mu))
-        for z in self.central_cochars:
-            if dot(mu, z) != 0:
-                return False
-        return all(dot(mu, b).denominator == 1 for b in self.cochar_basis)
+        """mu kills the quotiented directions, pairs integrally with X_*."""
+        nums, den = rl.scaled(mu)
+        rows, bden, central = self._character_rows
+        den *= bden
+        return (all(sum(map(mul, nums, z)) == 0 for z in central)
+                and all(sum(map(mul, nums, b)) % den == 0 for b in rows))
 
     @cached_property
     def cartan_inverse(self):

@@ -11,7 +11,9 @@ utilities built on top.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import factorial
+from operator import mul
 
 from . import ratlin as rl
 from .ratlin import add, dot, scale
@@ -67,7 +69,7 @@ def orth_rep(rd, irreducible=(), hyperbolic=()):
 def _check_weight(rd, lam):
     if not rd.is_character(lam):
         raise SpecificationError(f"{lam} is not a character of this group")
-    repcalc.assert_dominant(rd, lam)
+    repcalc.dominant_labels(rd, lam)
 
 
 # ----------------------------------------------------------------------
@@ -79,7 +81,6 @@ def q_irreducible(rd, lam, nu):
     Exact rational; integrality for orthogonal lam and lattice nu is a
     theorem and is asserted by the callers that need an integer.
     """
-    repcalc.assert_dominant(rd, lam)
     dim = weyl_dim(rd, lam)
     total = Fraction(0)
     for i in range(len(rd.factors)):
@@ -104,9 +105,9 @@ def q_rep(rd, rep, nu):
     forms.  Every summand's contribution is individually an integer.
     """
     nu = tuple(rl.vec(nu))
-    _, nu_z = rd.coroot_span_decomposition(nu)
     total = 0
     for gamma in rep.hyperbolic:
+        _, nu_z = rd.coroot_span_decomposition(nu)
         term = dot(gamma, nu_z) * weyl_dim(rd, gamma)
         total += _require_int(term, f"hyperbolic term at {gamma}")
     for lam in rep.irreducible:
@@ -187,7 +188,7 @@ def q_via_weyl_sum(rd, lam, nu, guard=WEYL_GUARD_DEFAULT):
     fams, central = rd.lie_type
     if len(fams) != 1 or central != 0:
         raise SpecificationError("the Weyl-sum formula needs simple g")
-    repcalc.assert_dominant(rd, lam)
+    repcalc.dominant_labels(rd, lam)
     nu = tuple(rl.vec(nu))
     den = d_nu(rd, nu)
     if den == 0:
@@ -269,42 +270,34 @@ def is_dominant_orthogonal(rd, lam):
 
 
 def dominant_orthogonal_weights(rd, box, basis=None):
-    """All dominant orthogonal characters with coordinates in [0, box].
+    """All dominant orthogonal characters with coordinates in [0, box], in
+    lexicographic order, generated one at a time.
 
-    Coordinates refer to ``basis`` (default: the fundamental weights); points
-    that are not characters of the group, or not orthogonal, are skipped.
+    Coordinates refer to ``basis``, a basis of weights (default: the
+    fundamental weights).  When -w0 permutes the basis, only the coordinate
+    tuples it fixes are visited, since orthogonal weights are self-dual;
+    otherwise the whole box is scanned.
     """
-    basis = rd.fundamental_weights if basis is None else basis
-    r = len(basis)
-    dual_map = _coordinate_duality(rd, basis)
-    coords = [()]
-    for _ in range(r):
-        coords = [c + (k,) for c in coords for k in range(box + 1)]
-    for c in coords:
-        if dual_map is not None and tuple(
-                sum(dual_map[i][j] * c[j] for j in range(r))
-                for i in range(r)) != c:
-            continue
-        lam = rl.combo(c, basis, dim=rd.dim)
+    basis = tuple(map(rl.vec, rd.fundamental_weights if basis is None
+                      else basis))
+    rows, den = rl.scaled_rows(basis)
+    cols = list(zip(*rows)) or [()] * rd.dim
+    values = range(box + 1)
+    images = [rl.mat_vec(rd.minus_w0_matrix, b) for b in basis]
+    if any(im not in basis for im in images):
+        points = product(values, repeat=len(basis))
+    else:
+        # -w0 is an involution; the first index of each orbit carries its
+        # value, so the orbit values come in the points' lexicographic order
+        perm = [basis.index(im) for im in images]
+        reps = [i for i, j in enumerate(perm) if i <= j]
+        slot = [reps.index(min(i, j)) for i, j in enumerate(perm)]
+        points = (tuple(v[k] for k in slot)
+                  for v in product(values, repeat=len(reps)))
+    for c in points:
+        lam = tuple(Fraction(sum(map(mul, c, col)), den) for col in cols)
         if is_dominant_orthogonal(rd, lam):
             yield c, lam
-
-
-def _coordinate_duality(rd, basis):
-    """The action of -w0 on basis coordinates, when it is an integer matrix.
-
-    Lets box scans discard non-self-dual points before any expensive lattice
-    membership checks; returns None when the action does not stabilize the
-    basis lattice (the scan then filters the slow way).
-    """
-    m = rd.minus_w0_matrix
-    cols = []
-    for b in basis:
-        x = rl.lattice_coords(basis, rl.mat_vec(m, b))
-        if x is None or any(v.denominator != 1 for v in x):
-            return None
-        cols.append([int(v) for v in x])
-    return [[cols[j][i] for j in range(len(basis))] for i in range(len(basis))]
 
 
 def scan_periodicity(rd, fg, box, k, basis=None):

@@ -1,0 +1,40 @@
+"""The benchmark's tracing patches names of the package by name; a refactor
+that renames or removes one of them must fail here, not only in the
+benchmark's own suite (python3 -m pytest bench/)."""
+
+import importlib.util
+from pathlib import Path
+
+from spinoriality import cli, repcalc, rootdata, spinor
+from spinoriality.catalog import group_by_name
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def load_tracing(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))   # tracing imports harness
+    spec = importlib.util.spec_from_file_location("tracing",
+                                                  BENCH / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracing_instruments_and_restores_the_package(monkeypatch):
+    tracing = load_tracing(monkeypatch)
+    before = (cli.run_check, repcalc.classify, spinor.classify,
+              spinor.dominant_orthogonal_weights,
+              rootdata.RootDatum.__dict__["minus_w0_matrix"])
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer):
+        g = group_by_name("PSO8")
+        points = list(spinor.dominant_orthogonal_weights(g.rd, 1))
+        for _, lam in points:
+            spinor.is_spinorial(g.rd, g.fg, spinor.orth_rep(
+                g.rd, irreducible=[lam]))
+    assert points
+    assert tracer.stats["spinor.dominant_orthogonal_weights"][0] > 0
+    assert tracer.stats["repcalc.weyl_dim.warm"][0] > 0
+    assert (cli.run_check, repcalc.classify, spinor.classify,
+            spinor.dominant_orthogonal_weights,
+            rootdata.RootDatum.__dict__["minus_w0_matrix"]) == before

@@ -188,3 +188,27 @@ def test_group_file_malformed(runner, tmp_path):
                                     "--weight", "1,1"])
         assert res3.exit_code == 2
         assert "cocharGenerators[0]" in res3.output
+    # affine, hyperbolic (its Weyl group is infinite), asymmetric zero
+    # pattern, non-numeric
+    for cartan in ([[2, -2], [-2, 2]], [[2, -1], [-5, 2]], [[2, -1], [0, 2]],
+                   [[2, "a"], [-1, 2]]):
+        f4 = tmp_path / "bad4.json"
+        f4.write_text(json.dumps({"rootDatum": {"cartan": cartan}}))
+        res4 = runner.invoke(main, ["check", "--group", str(f4),
+                                    "--weight", "2,2"])
+        assert res4.exit_code == 2, cartan
+        assert "Cartan" in res4.output or "cartan" in res4.output
+    for den in ("x", 1.5, 0, True):
+        f5 = tmp_path / "bad5.json"
+        f5.write_text(json.dumps({"rootDatum": {
+            "cartan": [[2]], "cocharGenerators": [[1]], "denominator": den}}))
+        res5 = runner.invoke(main, ["table", "--group", str(f5)])
+        assert res5.exit_code == 2, den
+        assert "denominator" in res5.output
+    for params in ([8], [8, "x"], 8):
+        f6 = tmp_path / "bad6.json"
+        f6.write_text(json.dumps({"catalog": {"family": "SL_quot",
+                                              "params": params}}))
+        res6 = runner.invoke(main, ["table", "--group", str(f6)])
+        assert res6.exit_code == 2, params
+        assert "SL_quot" in res6.output

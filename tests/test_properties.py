@@ -1,11 +1,15 @@
 """Algebraic identities checked on randomized inputs."""
 
+from fractions import Fraction
+from math import lcm
+
 from hypothesis import given, settings, strategies as st
 
 from spinoriality import ratlin as rl
 from spinoriality.catalog import group_by_name
-from spinoriality.repcalc import weyl_dim
-from spinoriality.rootdata import build_root_datum
+from spinoriality.repcalc import (casimir_value, classify, two_delta_pairing,
+                                  weyl_dim)
+from spinoriality.rootdata import build_root_datum, with_cochar_lattice
 from spinoriality.spinor import OrthRep, is_dominant_orthogonal, q_rep
 
 GROUPS = ["PGL2", "PGL4", "SO8", "PSp6", "PSO8", "Gplus8", "E7adj"]
@@ -108,3 +112,82 @@ def test_smith_form_properties(rows):
     for a, b in zip(diag, diag[1:]):
         if b != 0:
             assert a != 0 and b % a == 0
+
+
+# ----------------------------------------------------------------------
+# the Dynkin-label tables against the Euclidean definitions
+
+SMALL_TYPES = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3),
+               ("D", 4), ("G", 2)]
+
+
+@st.composite
+def data_and_weight(draw):
+    """A product of simple types with at most one central torus, its
+    cocharacter lattice enlarged by one rational generator, and a dominant
+    character of it (possibly nonzero on the central torus)."""
+    types = draw(st.lists(st.sampled_from(SMALL_TYPES), min_size=1,
+                          max_size=3))
+    central = draw(st.integers(0, 1))
+    rd = build_root_datum(types, central_rank=central)
+    r = len(rd.simple_roots)
+    gen = rl.combo(draw(st.lists(st.integers(-2, 2), min_size=r, max_size=r)),
+                   rd.fundamental_coweights, dim=rd.dim)
+    if central:
+        gen = gen[:-1] + (Fraction(draw(st.integers(0, 3)), 4),)
+    rd = with_cochar_lattice(rd, rl.row_lattice_basis(rd.cochar_basis
+                                                      + (gen,)))
+    lam = rl.combo(draw(st.lists(st.integers(0, 3), min_size=r, max_size=r)),
+                   rd.fundamental_weights, dim=rd.dim)
+    if central:
+        lam = lam[:-1] + (Fraction(draw(st.integers(-2, 2))),)
+    # the least multiple that pairs integrally with the lattice
+    m = lcm(*(rl.dot(lam, b).denominator for b in rd.cochar_basis))
+    return rd, rl.scale(m, lam)
+
+
+def euclidean_inner(rd, mu1, mu2):
+    """(mu1, mu2) from the Killing form sum over all roots of a(x) a(y) on
+    the coroot span, inverted there."""
+    coroots = rd.simple_coroots
+    pairs = [[rl.dot(a, c) for c in coroots] for a, _ in rd.positive_roots]
+    gram = [[2 * sum(p[i] * p[j] for p in pairs) for j in range(len(coroots))]
+            for i in range(len(coroots))]
+    x = rl.solve(gram, [rl.dot(mu1, c) for c in coroots])
+    return sum(xi * rl.dot(mu2, c) for xi, c in zip(x, coroots))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data_and_weight())
+def test_labels_match_euclidean_definitions(case):
+    rd, lam = case
+    assert rd.is_character(lam) and rd.is_dominant(lam)
+    delta = rd.delta
+    dim = Fraction(1)
+    for _, co in rd.positive_roots:
+        dim *= rl.dot(rl.add(lam, delta), co) / rl.dot(delta, co)
+    assert weyl_dim(rd, lam) == dim
+    assert casimir_value(rd, lam) == euclidean_inner(
+        rd, lam, rl.add(lam, rl.scale(2, delta)))
+    self_dual = rd.dominant_conjugate(rl.neg(lam))[0] == lam
+    cls = classify(rd, lam)
+    assert cls.self_dual == self_dual == rd.is_self_dual(lam)
+    parity = sum(rl.dot(lam, co) for _, co in rd.positive_roots)
+    assert two_delta_pairing(rd, lam) == parity
+    assert cls.fs_parity == parity % 2
+    assert cls.orthogonal == (self_dual and parity % 2 == 0)
+    # -w0 is an involution permuting the simple roots
+    m = rd.minus_w0_matrix
+    assert rl.mat_mul(m, m) == rl.identity(rd.dim)
+    assert [rl.mat_vec(m, a) for a in rd.simple_roots] == [
+        rd.simple_roots[s] for s in rd.minus_w0_perm]
+
+
+def test_gl2_weight_off_the_root_span_is_not_self_dual():
+    # (2, 0) has the labels of a self-dual weight, but -w0 (2, 0) = (0, -2)
+    g = group_by_name("GL2")
+    lam = (Fraction(2), Fraction(0))
+    cls = classify(g.rd, lam)
+    assert not cls.self_dual and not cls.orthogonal
+    assert not g.rd.is_self_dual(lam)
+    assert not is_dominant_orthogonal(g.rd, lam)

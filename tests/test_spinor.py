@@ -1,13 +1,18 @@
+import tracemalloc
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 import pytest
 
+from spinoriality import ratlin as rl
 from spinoriality.catalog import group_by_name, highest_root
 from spinoriality.errors import SpecificationError
 from spinoriality.repcalc import weyl_dim
+from spinoriality.rootdata import build_root_datum
 from spinoriality.spinor import (OrthRep, adjoint_spinorial, descent_check,
-                                 dominant_orthogonal_weights, is_spinorial,
+                                 dominant_orthogonal_weights,
+                                 is_dominant_orthogonal, is_spinorial,
                                  make_regular, oracle_compare, orth_rep,
                                  q_irreducible, q_rep, q_tensor,
                                  q_via_weyl_sum, scan_periodicity)
@@ -161,3 +166,40 @@ def test_highest_root_is_adjoint_weight():
     g = group_by_name("E7adj")
     theta = highest_root(g.rd)
     assert weyl_dim(g.rd, theta) == 133
+
+
+def brute_force_sweep(rd, box, basis):
+    for c in product(range(box + 1), repeat=len(basis)):
+        lam = rl.combo(c, basis, dim=rd.dim)
+        if is_dominant_orthogonal(rd, lam):
+            yield c, lam
+
+
+@pytest.mark.parametrize("name,box", [
+    ("PGL2", 7), ("GL3", 3), ("SL6/mu3", 2), ("SO8", 2), ("PSO8", 2),
+    ("E6", 2), ("A2xB3xT1", 2)])
+def test_sweep_matches_brute_force(name, box):
+    # PGL2 counts in simple roots, GL3 in the identity basis (-w0 maps it
+    # to minus itself, so the whole box is scanned), the rest in
+    # fundamental weights
+    if name == "A2xB3xT1":
+        rd = build_root_datum([("A", 2), ("B", 3)], central_rank=1)
+        basis = rd.fundamental_weights
+    else:
+        g = group_by_name(name)
+        rd, basis = g.rd, g.weight_basis
+    got = list(dominant_orthogonal_weights(rd, box, basis=basis))
+    assert got == list(brute_force_sweep(rd, box, basis))
+    assert got
+
+
+def test_sweep_streams_its_points():
+    rd = build_root_datum([("E", 8)])
+    tracemalloc.start()
+    try:
+        coords, _ = next(dominant_orthogonal_weights(rd, 4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert coords == (0,) * 8
+    assert peak < 5 * 2 ** 20
