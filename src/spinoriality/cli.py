@@ -236,13 +236,23 @@ def run_table(group, fmt):
 
 
 def run_oracle(group, box, guard, fmt):
+    """One oracle row per weight and generator.  A row over a guard is
+    listed as skipped with the guard's message and counts in neither
+    ``agree`` nor ``total``; a run whose every row was skipped checked
+    nothing, so it ends with the guard's exit code after its output."""
     nus = group.fg.generators or tuple(group.rd.simple_coroots[:1])
-    rows, agree, total = [], 0, 0
+    rows, agree, total, skipped = [], 0, 0, 0
     for coords, lam in spinor.dominant_orthogonal_weights(
             group.rd, box, basis=group.weight_basis):
         for nu in nus:
-            rep = spinor.oracle_compare(group.rd, lam, nu,
-                                        freudenthal_guard=guard)
+            try:
+                rep = spinor.oracle_compare(group.rd, lam, nu,
+                                            freudenthal_guard=guard)
+            except GuardExceededError as exc:
+                skipped += 1
+                rows.append({"coords": list(coords), "generator": list(nu),
+                             "skipped": str(exc)})
+                continue
             total += 1
             agree += bool(rep["ok"])
             rows.append({
@@ -256,15 +266,25 @@ def run_oracle(group, box, guard, fmt):
                 "ok": rep["ok"],
             })
     if fmt == "json":
-        emit_json({"group": group.name, "box": box, "agree": agree,
-                   "total": total, "rows": rows})
-        return
-    for row in rows:
-        mark = "ok " if row["ok"] else "FAIL"
-        ws = "" if row["weyl_sum"] is None else f"  weyl = {fmt_q(row['weyl_sum'])}"
-        click.echo(f"  {mark} lambda{tuple(row['coords'])} nu {fmt_vec(row['generator'])}"
-                   f"  L = {fmt_q(row['L'])}  q = {fmt_q(row['q'])}{ws}")
-    click.echo(f"{group.name}: {agree}/{total} agree")
+        payload = {"group": group.name, "box": box, "agree": agree,
+                   "total": total, "rows": rows}
+        if skipped:
+            payload["skipped"] = skipped
+        emit_json(payload)
+    else:
+        for row in rows:
+            where = f"lambda{tuple(row['coords'])} nu {fmt_vec(row['generator'])}"
+            if "skipped" in row:
+                click.echo(f"  skip {where}  {row['skipped']}")
+                continue
+            mark = "ok " if row["ok"] else "FAIL"
+            ws = "" if row["weyl_sum"] is None else f"  weyl = {fmt_q(row['weyl_sum'])}"
+            click.echo(f"  {mark} {where}"
+                       f"  L = {fmt_q(row['L'])}  q = {fmt_q(row['q'])}{ws}")
+        click.echo(f"{group.name}: {agree}/{total} agree"
+                   + (f", {skipped} skipped" if skipped else ""))
+    if skipped and not total:
+        raise GuardExceededError(f"all {skipped} rows exceeded a guard")
 
 
 def run_atlas(group, box, k, fmt, grid_file):

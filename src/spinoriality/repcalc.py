@@ -7,13 +7,16 @@ work in integers on the root datum's label tables (see ``rootdata``).
 
 The multiplicity table is the package's brute-force oracle: everything it
 feeds (L_phi, descent checks) is computed straight from the definition
-with no closed forms, so it can cross-check the closed-form engine.
+with no closed forms, so it can cross-check the closed-form engine.  It
+also runs on labels: Freudenthal's recursion over the dominant weights,
+the Weyl orbits of those, and <mu, nu> as one integer linear form in the
+labels of mu (``RootDatum.label_pairing``).
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm, prod
+from math import prod
 from operator import mul
 
 from . import ratlin as rl
@@ -74,245 +77,153 @@ def classify(rd, lam):
                              fs_parity=par)
 
 
-class _IntWeightEngine:
-    """Exact weight combinatorics on integer-scaled vectors.
-
-    All weights of V_lam lie in lam + (root lattice); scaling by the common
-    denominator of lam and delta turns every reflection, dominance walk, and
-    invariant-form evaluation into plain integer arithmetic, which is what
-    makes the brute-force oracle usable at dimensions near 10^5.
-    """
-
-    def __init__(self, rd, lam):
-        self.rd = rd
-        denoms = [x.denominator for x in lam] + [x.denominator for x in rd.delta]
-        self.scale = lcm(*denoms)
-        s = self.scale
-        self.lam = tuple(int(x * s) for x in lam)
-        self.delta = tuple(int(x * s) for x in rd.delta)
-        cd = lcm(*(x.denominator for co in rd.simple_coroots for x in co)) \
-            if rd.simple_coroots else 1
-        self.codenom = cd * s
-        self.simple_coroots = tuple(tuple(int(x * cd) for x in co)
-                                    for co in rd.simple_coroots)
-        self.simple_roots = tuple(tuple(int(x) for x in a)
-                                  for a in rd.simple_roots)
-        self.pos_roots = tuple(tuple(int(x * s) for x in a)
-                               for a, _ in rd.positive_roots)
-        pos_coroots = tuple(tuple(int(x * cd) for x in co)
-                            for _, co in rd.positive_roots)
-        # W-invariant integer form B(x, y) = sum over positive coroots of
-        # <x, b><y, b>; Freudenthal only needs it up to per-factor scaling
-        dim = rd.dim
-        self._form = [[sum(co[i] * co[j] for co in pos_coroots)
-                       for j in range(dim)] for i in range(dim)]
-        self._dom_memo = {}
-
-    def pairing(self, mu, i):
-        """s * <mu/s, alpha_i^v>, an integer multiple of s for lattice mu."""
-        p = sum(a * b for a, b in zip(mu, self.simple_coroots[i]))
-        q, r = divmod(p * self.scale, self.codenom)
-        if r:
-            raise IntegralityError("non-integral coroot pairing in weight walk")
-        return q
-
-    def is_dominant(self, mu):
-        return all(sum(a * b for a, b in zip(mu, co)) >= 0
-                   for co in self.simple_coroots)
-
-    def dominant(self, mu):
-        memo = self._dom_memo
-        found = memo.get(mu)
-        if found is not None:
-            return found
-        cur = mu
-        trail = []
-        while True:
-            hit = memo.get(cur)
-            if hit is not None:
-                break
-            for i, co in enumerate(self.simple_coroots):
-                p = sum(a * b for a, b in zip(cur, co))
-                if p < 0:
-                    trail.append(cur)
-                    k = self.pairing(cur, i) // self.scale
-                    root = self.simple_roots[i]
-                    step = k * self.scale
-                    cur = tuple(x - step * a for x, a in zip(cur, root))
-                    break
-            else:
-                hit = cur
-                break
-        for seen in trail:
-            memo[seen] = hit
-        memo[mu] = hit
-        return hit
-
-    def form(self, x, y):
-        f = self._form
-        n = len(x)
-        return sum(x[i] * sum(f[i][j] * y[j] for j in range(n))
-                   for i in range(n))
-
-    def weight_set(self):
-        """Saturated weight set below lam by simple-root subtraction, pruned
-        to the dominance polytope lam - (nonnegative root combinations)."""
-        solver = self.rd.fundamental_coweights
-        sq = lcm(*(x.denominator for row in solver for x in row)) \
-            if solver else 1
-        int_solver = [tuple(int(x * sq) for x in row) for row in solver]
-        unit = sq * self.scale
-        lam = self.lam
-        steps = [tuple(self.scale * a for a in root) for root in self.simple_roots]
-
-        def inside(mu):
-            dom = self.dominant(mu)
-            v = tuple(a - b for a, b in zip(lam, dom))
-            for row in int_solver:
-                c = sum(a * b for a, b in zip(row, v))
-                if c < 0 or c % unit:
-                    return False
-            return True
-
-        seen = {lam}
-        queue = [lam]
-        while queue:
-            mu = queue.pop()
-            for step in steps:
-                nxt = tuple(a - b for a, b in zip(mu, step))
-                if nxt in seen or not inside(nxt):
-                    continue
-                seen.add(nxt)
-                queue.append(nxt)
-        return seen
-
-    def unscale(self, mu):
-        s = self.scale
-        return tuple(Fraction(x, s) for x in mu)
-
-
 class WeightMultiplicityTable:
-    """All weights of V_lam with multiplicities, from Freudenthal's recursion.
+    """All weights of V_lam with their multiplicities, from Freudenthal's
+    recursion.
 
-    Multiplicities are stored on dominant representatives only and expanded
-    through Weyl invariance on access; weights are kept as integer-scaled
-    tuples internally (see :class:`_IntWeightEngine`).
+    Weights are kept as their Dynkin labels: all of them lie in lam + Q, on
+    which the labels are faithful.  Euclidean vectors are made only at the
+    API, as mu = lam - sum_j c_j alpha_j with c = C^-T (labels(lam) -
+    labels(mu)), C the Cartan matrix; that sum is sum_i (lam_i - mu_i)
+    omega_i, since omega_i = sum_j (C^-1)_ij alpha_j.
     """
 
-    def __init__(self, engine, dominant_mults, all_weights):
-        self._engine = engine
-        self._dom = dominant_mults      # scaled dominant weight -> multiplicity
-        self._weights = all_weights     # frozenset of every scaled weight
+    def __init__(self, rd, lam, top, dominant):
+        self._rd = rd
+        self._lam = lam
+        self._top = top                 # the labels of lam
+        self._dom = dominant            # dominant labels -> multiplicity
+        self._weights = {w: m for mu, m in dominant.items()
+                         for w in rd.label_orbit(mu)}
 
-    def _scaled(self, mu):
-        s = self._engine.scale
-        mu = rl.vec(mu)
-        out = []
-        for x in mu:
-            y = x * s
-            if y.denominator != 1:
-                return None
-            out.append(int(y))
-        return tuple(out)
+    def weight(self, labels):
+        """The weight of lam + Q with these labels, as exact rationals."""
+        rd = self._rd
+        diff = [a - b for a, b in zip(self._top, labels)]
+        return rl.sub(self._lam,
+                      rl.combo(diff, rd.fundamental_weights, dim=rd.dim))
 
     def multiplicity(self, mu):
-        key = self._scaled(mu)
-        if key is None or key not in self._weights:
-            return 0
-        return self._dom[self._engine.dominant(key)]
-
-    @cached_property
-    def _full(self):
-        dom = self._engine.dominant
-        mults = self._dom
-        return {w: mults[dom(w)] for w in self._weights}
+        mu = tuple(rl.vec(mu))
+        labels = self._rd.dynkin_labels(mu)
+        m = self._weights.get(labels, 0)
+        # equal labels, but mu may lie off lam + Q by a central vector
+        return m if m and self.weight(labels) == mu else 0
 
     def items(self):
         """Pairs (weight, multiplicity) with weights as exact rationals."""
-        unscale = self._engine.unscale
-        for w, m in self._full.items():
-            yield unscale(w), m
-
-    def int_items(self):
-        """Pairs (scale * weight, multiplicity) over integer tuples."""
-        return self._full.items()
-
-    @property
-    def scale(self):
-        return self._engine.scale
+        for w, m in self._weights.items():
+            yield self.weight(w), m
 
     def dominant_items(self):
-        unscale = self._engine.unscale
         for w, m in self._dom.items():
-            yield unscale(w), m
+            yield self.weight(w), m
+
+    def pairings(self, nu):
+        """<mu, nu> over every weight mu, as integers over one denominator:
+        (den, [(p, m, labels)]) with <mu, nu> = p / den and m = mult(mu)."""
+        c, k, den = self._rd.label_pairing(self._lam, nu)
+        return den, [(sum(map(mul, c, w)) + k, m, w)
+                     for w, m in self._weights.items()]
 
     @cached_property
     def total_dim(self):
-        return sum(self._full.values())
+        return sum(self._weights.values())
 
     def __contains__(self, mu):
-        key = self._scaled(mu)
-        return key is not None and key in self._weights
+        return self.multiplicity(mu) > 0
 
     def __len__(self):
         return len(self._weights)
 
 
 def freudenthal_multiplicities(rd, lam, guard=FREUDENTHAL_GUARD_DEFAULT):
-    """Weight multiplicity table of V_lam via Freudenthal's recursion.
+    """Weight multiplicity table of V_lam via Freudenthal's recursion, run
+    on Dynkin labels.
+
+    The dominant weights of V_lam are the dominant mu reachable from lam by
+    subtracting positive roots while staying dominant (Stembridge, "The
+    partial order of dominant weights", Adv. Math. 1998), and the recursion
+    needs only those (Moody-Patera, "Fast recursion formula for weight
+    multiplicities", Bull. AMS 1982): m(mu + k alpha) is read at the
+    dominant conjugate.  The form is the W-invariant B(x, y) = sum over
+    positive coroots of <x, beta^v><y, beta^v>, an integer matrix on labels;
+    Freudenthal's formula holds for it as for any invariant form.  delta has
+    labels all 1.
 
     Refuses representations with dim > ``guard`` (this is the oracle path;
     the closed-form engine has no such limit).
     """
     dim = weyl_dim(rd, lam)
-    lam = tuple(rl.vec(lam))
     if guard is not None and dim > guard:
         raise GuardExceededError(
             f"dim V = {dim} exceeds the multiplicity guard {guard}")
-
-    eng = _IntWeightEngine(rd, lam)
-    weights = frozenset(eng.weight_set())
-    dominant = [w for w in weights if eng.is_dominant(w)]
-
-    # recurse downward from lam ordered by the height of lam - mu in the
-    # simple-root basis (every positive root has positive height)
-    solver = rd.fundamental_coweights
-    height_fn = tuple(sum(col) for col in zip(*solver)) if solver else ()
-
-    def height(mu):
-        return sum(h * (a - b) for h, a, b in zip(height_fn, eng.lam, mu))
-
-    dominant.sort(key=height)
-
-    form = eng._form
-    n = rd.dim
-    form_alpha = [tuple(sum(form[i][j] * a[j] for j in range(n))
-                        for i in range(n)) for a in eng.pos_roots]
-    lam_delta = tuple(a + b for a, b in zip(eng.lam, eng.delta))
-    lam_delta_sq = eng.form(lam_delta, lam_delta)
-    mults = {}
+    lam = tuple(rl.vec(lam))
+    top = rd.dynkin_labels(lam)
+    roots = rd.positive_root_labels
+    dominant = [top]
+    seen = {top}
     for mu in dominant:
-        if mu == eng.lam:
-            mults[mu] = 1
-            continue
+        for beta in roots:
+            nxt = tuple([a - b for a, b in zip(mu, beta)])
+            if min(nxt) >= 0 and nxt not in seen:
+                seen.add(nxt)
+                dominant.append(nxt)
+    # recurse downward from lam by the height of lam - mu, the row sums of
+    # the inverse Cartan matrix against the labels: the dominant conjugate
+    # of mu + k alpha lies above mu, so its multiplicity is known first
+    heights = rl.scaled([sum(row) for row in rd.cartan_inverse])[0]
+    dominant.sort(key=lambda mu: -sum(map(mul, heights, mu)))
+
+    rows = rd.simple_root_labels
+    memo = {}
+
+    def dominant_of(v):
+        trail = []
+        while v not in memo:
+            for i, x in enumerate(v):
+                if x < 0:
+                    trail.append(v)
+                    v = tuple([a - x * b for a, b in zip(v, rows[i])])
+                    break
+            else:
+                memo[v] = v
+        hit = memo[v]
+        for t in trail:
+            memo[t] = hit
+        return hit
+
+    coroots = rd.positive_coroot_coords
+    r = len(top)
+    form = [[sum(k[i] * k[j] for k in coroots) for j in range(r)]
+            for i in range(r)]
+    form_roots = [tuple(sum(map(mul, row, a)) for row in form) for a in roots]
+
+    def norm(v):
+        shifted = [x + 1 for x in v]
+        return sum(x * sum(map(mul, row, shifted))
+                   for x, row in zip(shifted, form))
+
+    top_norm = norm(top)
+    mults = {top: 1}
+    for mu in dominant[1:]:
         num = 0
-        for alpha, fa in zip(eng.pos_roots, form_alpha):
+        for alpha, fa in zip(roots, form_roots):
             cur = mu
             while True:
-                cur = tuple(a + b for a, b in zip(cur, alpha))
-                if cur not in weights:
+                cur = tuple([a + b for a, b in zip(cur, alpha)])
+                m = mults.get(dominant_of(cur))
+                if m is None:
                     break
-                num += mults[eng.dominant(cur)] * sum(
-                    a * b for a, b in zip(cur, fa))
-        mu_delta = tuple(a + b for a, b in zip(mu, eng.delta))
-        den = lam_delta_sq - eng.form(mu_delta, mu_delta)
-        m, r = divmod(2 * num, den)
-        if r != 0 or m <= 0:
+                num += m * sum(map(mul, cur, fa))
+        den = top_norm - norm(mu)
+        m, rem = divmod(2 * num, den)
+        if rem != 0 or m <= 0:
             raise IntegralityError(
-                f"Freudenthal multiplicity 2*{num}/{den} at {eng.unscale(mu)} "
-                "is not a positive integer")
+                f"Freudenthal multiplicity 2*{num}/{den} at the weight with "
+                f"labels {mu} is not a positive integer")
         mults[mu] = m
-    table = WeightMultiplicityTable(eng, mults, weights)
+    table = WeightMultiplicityTable(rd, lam, top, mults)
     if table.total_dim != dim:
         raise IntegralityError(
             f"multiplicity total {table.total_dim} != Weyl dimension {dim}")
@@ -325,22 +236,12 @@ def _as_tables(mults):
     return tuple(mults)
 
 
-def _table_pair_sum(table, nu):
-    """Sum of m<mu,nu> over the weights with <mu,nu> > 0, exactly."""
-    nu_int, q = rl.scaled(rl.vec(nu))
-    pos = 0
-    for mu, m in table.int_items():
-        p = sum(a * b for a, b in zip(mu, nu_int))
-        if p > 0:
-            pos += m * p
-    return Fraction(pos, table.scale * q)
-
-
 def L_phi(rd, mults, nu):
     """L(nu) = sum over weights with <mu,nu> > 0 of m(mu) <mu,nu>."""
     total = Fraction(0)
     for table in _as_tables(mults):
-        total += _table_pair_sum(table, nu)
+        den, pairs = table.pairings(nu)
+        total += Fraction(sum(m * p for p, m, _ in pairs if p > 0), den)
     if total.denominator != 1:
         raise IntegralityError(
             f"L(nu) = {total} is not an integer; nu is not a cocharacter "

@@ -14,10 +14,12 @@ any representative of a quotient cocharacter well defined.
 
 Hot paths read a weight as its Dynkin labels <mu, alpha_i^v> and use lazy
 integer tables: the simple coroots and cocharacter basis over one denominator
-each, the positive coroots in simple-coroot coordinates, -w0 as a permutation
-of the labels, and per factor the inverse Killing Gram matrix on the simple
-coroots, computed from the definition (x,y) = sum_a a(x)a(y) over all roots
-(no normalization tables) and scaled to integers.
+each, the labels of the simple and positive roots, the positive coroots in
+simple-coroot coordinates, -w0 as a permutation of the labels, and per factor
+the inverse Killing Gram matrix on the simple coroots, computed from the
+definition (x,y) = sum_a a(x)a(y) over all roots (no normalization tables)
+and scaled to integers.  Weyl orbits are walked on labels, where s_i
+subtracts v_i times the labels of alpha_i.
 """
 
 from fractions import Fraction
@@ -329,6 +331,17 @@ class RootDatum:
                            for row in w) for co in p)
 
     @cached_property
+    def simple_root_labels(self):
+        """The labels of each simple root, the rows of the Cartan matrix as
+        ints; the reflection s_i maps labels v to v - v_i * row_i."""
+        return tuple(tuple(map(int, row)) for row in self.cartan_matrix)
+
+    @cached_property
+    def positive_root_labels(self):
+        """The labels of each positive root, in ``positive_roots`` order."""
+        return tuple(self.dynkin_labels(r) for r, _ in self.positive_roots)
+
+    @cached_property
     def two_delta_coroot_coords(self):
         """2 delta^v, the sum of the positive coroots, in those coordinates."""
         return tuple(map(sum, zip(*self.positive_coroot_coords)))
@@ -344,7 +357,7 @@ class RootDatum:
         omega_sigma(i).  The reflections that walk -delta (labels all -1)
         to the dominant chamber spell w0; they are applied to the labels of
         the omega_i alongside (s_i: v -> v - v_i a_i)."""
-        a = [[int(x) for x in row] for row in self.cartan_matrix]
+        a = self.simple_root_labels
         n = len(a)
         vs = [[-1] * n] + [[int(i == j) for i in range(n)] for j in range(n)]
         while min(vs[0], default=0) < 0:
@@ -375,7 +388,7 @@ class RootDatum:
         """Per factor: its indices and the inverse of its Gram matrix
         K(alpha_a^v, alpha_b^v) = 2 sum_beta <beta, alpha_a^v><beta,
         alpha_b^v> over the positive roots, as integers over a denominator."""
-        roots = [self.dynkin_labels(r) for r, _ in self.positive_roots]
+        roots = self.positive_root_labels
         out = []
         for f in self.factors:
             gram = [[2 * sum(l[a] * l[b] for l in roots) for b in f.indices]
@@ -477,30 +490,56 @@ class RootDatum:
                 order *= _WEYL_ORDER[f.label]
         return order
 
-    def weyl_orbit_signed(self, v, guard=None):
-        """The Weyl orbit of a strictly dominant v as a dict vector -> sign.
+    def label_orbit(self, labels):
+        """The Weyl orbit of the weight with these labels, breadth first from
+        it, as a dict from label tuples to the sign det(w) of the w that
+        reaches each point (well defined when the weight is regular)."""
+        rows = self.simple_root_labels
+        labels = tuple(labels)
+        orbit = {labels: 1}
+        queue = [labels]
+        for cur in queue:
+            sign = -orbit[cur]
+            for x, row in zip(cur, rows):
+                if x:
+                    nxt = tuple([a - x * b for a, b in zip(cur, row)])
+                    if nxt not in orbit:
+                        orbit[nxt] = sign
+                        queue.append(nxt)
+        return orbit
 
-        Only valid for regular v (trivial stabilizer), which is all the
-        alternating Weyl-sum oracle needs.
+    def weyl_orbit_signed(self, v, guard=None):
+        """The Weyl orbit of a regular v as a dict from the Dynkin labels of
+        each point w(v) to det(w).
+
+        The points differ from v by root-span vectors, on which the labels
+        are faithful, so the label tuples tell them apart.  Only regular v
+        (no zero label anywhere in the orbit, so trivial stabilizer) is
+        accepted, which is all the alternating Weyl-sum oracle needs.
         """
         if guard is not None and self.weyl_order > guard:
             raise GuardExceededError(
                 f"Weyl group order {self.weyl_order} exceeds guard {guard}")
-        v = tuple(vec(v))
-        orbit = {v: 1}
-        queue = [v]
-        while queue:
-            cur = queue.pop()
-            s = orbit[cur]
-            for alpha, alpha_v in zip(self.simple_roots, self.simple_coroots):
-                k = dot(cur, alpha_v)
-                if k == 0:
-                    raise SpecificationError("weyl_orbit_signed needs regular input")
-                nxt = sub(cur, scale(k, alpha))
-                if nxt not in orbit:
-                    orbit[nxt] = -s
-                    queue.append(nxt)
+        orbit = self.label_orbit(self.dynkin_labels(v))
+        if any(0 in w for w in orbit):
+            raise SpecificationError("weyl_orbit_signed needs regular input")
         return orbit
+
+    def label_pairing(self, lam, nu):
+        """<mu, nu> as one integer linear form in the labels of mu, for every
+        mu with the central part of lam (mu - lam in the root span).
+
+        Returns (c, k, den) with <mu, nu> = (sum_i c_i mu_i + k) / den:
+        c_i / den = <omega_i, nu>, the i-th entry of the inverse Cartan
+        matrix applied to (<alpha_j, nu>)_j, and k / den = <lam, nu^z>, the
+        pairing of lam with the central part of nu.
+        """
+        nu = vec(nu)
+        c = rl.mat_vec(self.cartan_inverse,
+                       [dot(a, nu) for a in self.simple_roots])
+        k = dot(lam, nu) - sum(map(mul, c, self.dynkin_labels(lam)))
+        nums, den = rl.scaled((*c, k))
+        return nums[:-1], nums[-1], den
 
     # ------------------------------------------------------------------
     # lattices

@@ -49,15 +49,11 @@ def orth_rep(rd, irreducible=(), hyperbolic=()):
         lam = tuple(rl.vec(lam))
         _check_weight(rd, lam)
         cls = classify(rd, lam)
+        # self-duality already makes lam kill the connected center
         if not cls.orthogonal:
             raise SpecificationError(
                 f"summand {lam} is not orthogonal "
                 f"(self-dual: {cls.self_dual}, parity: {cls.fs_parity})")
-        for z in rd.center_directions:
-            if dot(lam, z) != 0:
-                raise SpecificationError(
-                    f"irreducible orthogonal summand {lam} does not kill "
-                    "the connected center")
         irr.append(lam)
     for lam in hyperbolic:
         lam = tuple(rl.vec(lam))
@@ -164,18 +160,20 @@ def d_nu(rd, nu):
 
 
 def make_regular(rd, nu):
-    """nu itself if regular, else nu plus a multiple of the dual Weyl vector."""
+    """nu itself if regular, else nu + t rho_v for the least regular one
+    with t >= 1.  d_nu(nu + t rho_v) is a product of N linear factors in t,
+    each with slope the height of its root, so one of t = 0, ..., N is
+    regular; the search stops with an error past t = N + 1."""
     nu = tuple(rl.vec(nu))
     if d_nu(rd, nu) != 0:
         return nu
     # rho_v: <alpha_i, rho_v> = 1 for every simple root
     rho_v = rl.combo((1,) * len(rd.simple_roots), rd.fundamental_coweights)
-    t = 1
-    while True:
+    for t in range(1, rd.num_positive_roots + 2):
         cand = add(nu, scale(t, rho_v))
         if d_nu(rd, cand) != 0:
             return cand
-        t += 1
+    raise SpecificationError(f"no regular point nu + t rho_v for {nu}")
 
 
 def q_via_weyl_sum(rd, lam, nu, guard=WEYL_GUARD_DEFAULT):
@@ -184,6 +182,8 @@ def q_via_weyl_sum(rd, lam, nu, guard=WEYL_GUARD_DEFAULT):
     q = sum_w sgn(w) <w(lam+delta), nu>^(N+2) / ((N+2)! d_nu)
         - dim V |nu|^2 / 48,
     valid for regular nu (d_nu != 0); N is the number of positive roots.
+    The orbit is taken on labels, where <mu, nu> is one integer linear form
+    over a common denominator (``RootDatum.label_pairing``).
     """
     fams, central = rd.lie_type
     if len(fams) != 1 or central != 0:
@@ -194,11 +194,11 @@ def q_via_weyl_sum(rd, lam, nu, guard=WEYL_GUARD_DEFAULT):
     if den == 0:
         raise SpecificationError("nu must be regular for the Weyl-sum formula")
     n2 = rd.num_positive_roots + 2
-    lam_delta = add(rl.vec(lam), rd.delta)
-    acc = Fraction(0)
-    for w, sign in rd.weyl_orbit_signed(lam_delta, guard=guard).items():
-        acc += sign * dot(w, nu) ** n2
-    main = acc / (factorial(n2) * den)
+    orbit = rd.weyl_orbit_signed(add(rl.vec(lam), rd.delta), guard=guard)
+    c, k, pden = rd.label_pairing(lam, nu)
+    acc = sum(sign * (sum(map(mul, c, w)) + k) ** n2
+              for w, sign in orbit.items())
+    main = Fraction(acc, factorial(n2) * pden ** n2) / den
     return main - Fraction(weyl_dim(rd, lam), 48) * rd.cochar_norm_sq(nu)
 
 
@@ -226,7 +226,8 @@ def oracle_compare(rd, lam, nu, freudenthal_guard=FREUDENTHAL_GUARD_DEFAULT,
         reg = make_regular(rd, nu)
         qw = q_via_weyl_sum(rd, lam, reg, guard=weyl_guard)
         report["weyl_sum"] = qw
-        report["weyl_agrees"] = qw == q_irreducible(rd, lam, reg)
+        report["weyl_agrees"] = qw == (
+            q_val if reg == nu else q_irreducible(rd, lam, reg))
         report["regular_point"] = reg
     report["ok"] = bool(report["parity_agrees"]) and report["weyl_agrees"] in (None, True)
     return report
@@ -248,12 +249,13 @@ def descent_check(rd, lam, nu, d, guard=FREUDENTHAL_GUARD_DEFAULT):
         raise SpecificationError("descent criterion requires even order d")
     nu = tuple(rl.vec(nu))
     table = freudenthal_multiplicities(rd, lam, guard=guard)
-    for mu, _ in table.items():
-        p = dot(mu, nu)
-        if p.denominator != 1 or int(p) % d != 0:
+    den, pairs = table.pairings(nu)
+    for p, _, labels in pairs:
+        if p % (d * den):
             raise SpecificationError(
-                f"weight {mu} pairs to {p} with nu; the representation does "
-                f"not descend through the order-{d} subgroup")
+                f"weight {table.weight(labels)} pairs to {Fraction(p, den)} "
+                f"with nu; the representation does not descend through the "
+                f"order-{d} subgroup")
     return L_phi(rd, table, nu) % (2 * d) == 0
 
 

@@ -3,6 +3,7 @@ that renames or removes one of them must fail here, not only in the
 benchmark's own suite (python3 -m pytest bench/)."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 from spinoriality import cli, repcalc, rootdata, spinor
@@ -38,3 +39,23 @@ def test_tracing_instruments_and_restores_the_package(monkeypatch):
     assert (cli.run_check, repcalc.classify, spinor.classify,
             spinor.dominant_orthogonal_weights,
             rootdata.RootDatum.__dict__["minus_w0_matrix"]) == before
+
+
+def test_traced_oracle_row_matches_the_reference_counts(monkeypatch):
+    # the traced oracle run reads len(table), dominant_items() and
+    # len(orbit); their values must stay those bench/reference.json holds
+    tracing = load_tracing(monkeypatch)
+    reference = json.loads((BENCH / "reference.json").read_text())
+    g = group_by_name("SO8")
+    lam = g.weight_from_coords([1, 0, 0, 0])
+    tracer = tracing.Tracer()
+    tracer.op = "SO8 1,0,0,0 nu0"
+    tracer.group = "SO8"
+    with tracing.instrument(tracer):
+        report = spinor.oracle_compare(g.rd, lam, g.fg.generators[0])
+    assert report["ok"]
+    assert tracer.stats["rootdata.weyl_orbit_signed"][0] == 1
+    assert tracer.stats["repcalc.freudenthal_multiplicities"][0] == 1
+    assert {"freudenthal SO8 1,0,0,0 nu0",
+            "orbit_size SO8 1,0,0,0 nu0"} <= set(tracer.observed)
+    assert tracing.check_counts(tracer, reference) == []

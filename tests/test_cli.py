@@ -73,13 +73,25 @@ def test_spec_error_exit_code(runner):
 
 
 def test_guard_exit_code(runner):
+    # rows over the guard are skipped; a run that skipped every row checked
+    # nothing and exits 4
     res = runner.invoke(main, ["oracle", "--group", "Sp4", "--box", "2",
                                "--guard", "3"])
-    assert res.exit_code == 4
+    assert res.exit_code == 0
+    assert "  skip lambda(0, 1) nu (1,-1)  dim V = 5 exceeds the " \
+        "multiplicity guard 3" in res.output
+    assert "Sp4: 1/1 agree, 5 skipped" in res.output
+    res2 = runner.invoke(main, ["oracle", "--group", "Sp4", "--box", "2",
+                                "--guard", "0"])
+    assert res2.exit_code == 4
+    assert "Sp4: 0/0 agree, 6 skipped" in res2.output
 
 
 def test_guard_env_override(runner, monkeypatch):
     monkeypatch.setenv("SPINOR_GUARD", "3")
+    res = runner.invoke(main, ["oracle", "--group", "Sp4", "--box", "2"])
+    assert res.exit_code == 0 and "5 skipped" in res.output
+    monkeypatch.setenv("SPINOR_GUARD", "0")
     res = runner.invoke(main, ["oracle", "--group", "Sp4", "--box", "2"])
     assert res.exit_code == 4
     monkeypatch.setenv("SPINOR_GUARD", "1000000")
@@ -91,6 +103,30 @@ def test_oracle_agreement(runner):
     res = runner.invoke(main, ["oracle", "--group", "PGL2", "--box", "6"])
     assert res.exit_code == 0
     assert "7/7 agree" in res.output
+    assert "skip" not in res.output
+    res = runner.invoke(main, ["oracle", "--group", "PGL2", "--box", "6",
+                               "--format", "json"])
+    assert "skipped" not in json.loads(res.output)
+
+
+def test_oracle_lists_rows_over_the_guard(runner):
+    res = runner.invoke(main, ["oracle", "--group", "F4", "--box", "1",
+                               "--format", "json"])
+    assert res.exit_code == 0
+    out = json.loads(res.output)
+    assert (out["agree"], out["total"], out["skipped"]) == ("13", "13", "3")
+    skipped = [row for row in out["rows"] if "skipped" in row]
+    assert skipped[0] == {
+        "coords": ["0", "1", "1", "1"], "generator": ["1", "0", "0", "0"],
+        "skipped": "dim V = 1118208 exceeds the multiplicity guard 1000000"}
+    assert [row["coords"] for row in skipped[1:]] == [
+        ["1", "1", "1", "0"], ["1", "1", "1", "1"]]
+    assert len(out["rows"]) == 16
+    text = runner.invoke(main, ["oracle", "--group", "F4", "--box", "1"])
+    assert text.exit_code == 0
+    assert "  skip lambda(0, 1, 1, 1) nu (1,0,0,0)  dim V = 1118208" \
+        in text.output
+    assert text.output.endswith("F4: 13/13 agree, 3 skipped\n")
 
 
 def test_table_type_d(runner):

@@ -3,14 +3,17 @@
 from fractions import Fraction
 from math import lcm
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from spinoriality import ratlin as rl
 from spinoriality.catalog import group_by_name
-from spinoriality.repcalc import (casimir_value, classify, two_delta_pairing,
-                                  weyl_dim)
+from spinoriality.repcalc import (L_phi, casimir_value, classify,
+                                  freudenthal_multiplicities,
+                                  two_delta_pairing, weyl_dim)
 from spinoriality.rootdata import build_root_datum, with_cochar_lattice
-from spinoriality.spinor import OrthRep, is_dominant_orthogonal, q_rep
+from spinoriality.spinor import (OrthRep, is_dominant_orthogonal,
+                                 make_regular, q_irreducible, q_rep,
+                                 q_via_weyl_sum)
 
 GROUPS = ["PGL2", "PGL4", "SO8", "PSp6", "PSO8", "Gplus8", "E7adj"]
 
@@ -121,11 +124,10 @@ SMALL_TYPES = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3),
                ("D", 4), ("G", 2)]
 
 
-@st.composite
-def data_and_weight(draw):
+def random_datum(draw):
     """A product of simple types with at most one central torus, its
-    cocharacter lattice enlarged by one rational generator, and a dominant
-    character of it (possibly nonzero on the central torus)."""
+    cocharacter lattice enlarged by one rational generator; and whether it
+    has the central torus (the last coordinate)."""
     types = draw(st.lists(st.sampled_from(SMALL_TYPES), min_size=1,
                           max_size=3))
     central = draw(st.integers(0, 1))
@@ -137,13 +139,26 @@ def data_and_weight(draw):
         gen = gen[:-1] + (Fraction(draw(st.integers(0, 3)), 4),)
     rd = with_cochar_lattice(rd, rl.row_lattice_basis(rd.cochar_basis
                                                       + (gen,)))
+    return rd, central
+
+
+def least_character_multiple(rd, lam):
+    """The least multiple of lam that pairs integrally with the lattice."""
+    m = lcm(*(rl.dot(lam, b).denominator for b in rd.cochar_basis))
+    return rl.scale(m, lam)
+
+
+@st.composite
+def data_and_weight(draw):
+    """A ``random_datum`` and a dominant character of it (possibly nonzero
+    on the central torus)."""
+    rd, central = random_datum(draw)
+    r = len(rd.simple_roots)
     lam = rl.combo(draw(st.lists(st.integers(0, 3), min_size=r, max_size=r)),
                    rd.fundamental_weights, dim=rd.dim)
     if central:
         lam = lam[:-1] + (Fraction(draw(st.integers(-2, 2))),)
-    # the least multiple that pairs integrally with the lattice
-    m = lcm(*(rl.dot(lam, b).denominator for b in rd.cochar_basis))
-    return rd, rl.scale(m, lam)
+    return rd, least_character_multiple(rd, lam)
 
 
 def euclidean_inner(rd, mu1, mu2):
@@ -191,3 +206,64 @@ def test_gl2_weight_off_the_root_span_is_not_self_dual():
     assert not cls.self_dual and not cls.orthogonal
     assert not g.rd.is_self_dual(lam)
     assert not is_dominant_orthogonal(g.rd, lam)
+
+
+# ----------------------------------------------------------------------
+# the multiplicity oracle, exactly, on random root data
+
+@st.composite
+def data_orthogonal_weight_and_cochar(draw):
+    """A ``random_datum`` and whether it has a central torus, an orthogonal
+    lam of dim V <= 2000 on it (labels symmetric under -w0, no central
+    part, an even multiple when the Frobenius-Schur parity is odd) and a
+    lattice cocharacter nu."""
+    rd, central = random_datum(draw)
+    r = len(rd.simple_roots)
+    c = draw(st.lists(st.sampled_from([0, 0, 1, 2]), min_size=r, max_size=r))
+    c = [c[min(i, s)] for i, s in enumerate(rd.minus_w0_perm)]
+    lam = least_character_multiple(
+        rd, rl.combo(c, rd.fundamental_weights, dim=rd.dim))
+    if two_delta_pairing(rd, lam) % 2:
+        lam = rl.scale(2, lam)
+    assume(weyl_dim(rd, lam) <= 2000)
+    n = len(rd.cochar_basis)
+    nu = rl.combo(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)),
+                  rd.cochar_basis, dim=rd.dim)
+    return rd, central, lam, nu
+
+
+@settings(max_examples=30, deadline=None)
+@given(data_orthogonal_weight_and_cochar())
+def test_multiplicities_exactly_on_random_data(case):
+    rd, central, lam, nu = case
+    assert is_dominant_orthogonal(rd, lam)
+    table = freudenthal_multiplicities(rd, lam)
+    items = list(table.items())
+    assert len(items) == len(table)
+    assert sum(m for _, m in items) == table.total_dim == weyl_dim(rd, lam)
+    q = q_irreducible(rd, lam, nu)
+    # the second moment of the weights is the trace form: 2 q exactly
+    assert sum(m * rl.dot(mu, nu) ** 2 for mu, m in items) == 2 * q
+    assert (L_phi(rd, table, nu) - q) % 2 == 0
+    for mu, m in items:
+        assert table.multiplicity(mu) == m and mu in table
+        for a, a_v in zip(rd.simple_roots, rd.simple_coroots):
+            image = rl.sub(mu, rl.scale(rl.dot(mu, a_v), a))
+            assert table.multiplicity(image) == m
+    # points off lam + Q: half a root, or a vector every coroot kills
+    half = rl.add(lam, rl.scale(Fraction(1, 2), rd.simple_roots[0]))
+    assert table.multiplicity(half) == 0 and half not in table
+    for z in rl.nullspace(rd.simple_coroots, rd.dim):
+        assert table.multiplicity(rl.add(lam, z)) == 0
+    if central:
+        # a central part moves every weight and enters <mu, nu>
+        shift = rl.scale(4, rl.unit(rd.dim, rd.dim - 1))
+        moved = freudenthal_multiplicities(rd, rl.add(lam, shift))
+        assert sorted(moved.items()) == sorted(
+            (rl.add(mu, shift), m) for mu, m in items)
+        pairs = [(rl.dot(mu, nu), m) for mu, m in moved.items()]
+        assert L_phi(rd, moved, nu) == sum(m * p for p, m in pairs if p > 0)
+    fams, simple_central = rd.lie_type
+    if len(fams) == 1 and simple_central == 0:
+        reg = make_regular(rd, nu)
+        assert q_via_weyl_sum(rd, lam, reg) == q_irreducible(rd, lam, reg)

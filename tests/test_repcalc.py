@@ -105,6 +105,21 @@ def test_freudenthal_g2_adjoint():
     assert table.multiplicity(rl.zero(rd.dim)) == 2
 
 
+def test_freudenthal_zero_weight_multiplicities():
+    # the zero weight of an adjoint representation has multiplicity the rank
+    so8 = group_by_name("SO8")
+    table = freudenthal_multiplicities(so8.rd,
+                                       so8.weight_from_coords([0, 1, 0, 0]))
+    assert table.total_dim == 28
+    assert table.multiplicity(rl.zero(so8.rd.dim)) == 4
+    # the 26-dimensional F4 representation: 24 short roots and 0 twice
+    f4 = build_root_datum([("F", 4)])
+    lam = next(w for w in f4.fundamental_weights if weyl_dim(f4, w) == 26)
+    table = freudenthal_multiplicities(f4, lam)
+    assert table.multiplicity(rl.zero(f4.dim)) == 2
+    assert len(table) == 25
+
+
 def test_freudenthal_guard():
     rd = build_root_datum([("A", 3)])
     with pytest.raises(GuardExceededError):

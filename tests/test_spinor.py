@@ -74,6 +74,10 @@ def test_orth_rep_validation():
     g3 = group_by_name("GL2")
     rep = orth_rep(g3.rd, irreducible=[(Fraction(1), Fraction(-1))])
     assert len(rep.irreducible) == 1
+    # the determinant is not self-dual, which is why it is refused
+    with pytest.raises(SpecificationError,
+                       match=r"not orthogonal \(self-dual: False"):
+        orth_rep(g3.rd, irreducible=[(Fraction(1), Fraction(1))])
 
 
 def test_q_rep_additivity():
