@@ -195,9 +195,9 @@ def _sl_name(n, d):
 
 
 def highest_root(rd):
-    """The highest root (as a character vector); the adjoint highest weight."""
-    return max((r for r, _ in rd.positive_roots),
-               key=lambda r: sum(rd.root_span_coords(r, check=False)))
+    """The highest root (as a character vector); the adjoint highest weight:
+    the positive root of greatest height, the sum of its coordinates."""
+    return rl.combo(max(rd.positive_root_coords, key=sum), rd.simple_roots)
 
 
 # ----------------------------------------------------------------------

@@ -18,6 +18,7 @@ from fractions import Fraction
 import click
 
 from . import ratlin as rl
+from .ratlin import fmt_q, fmt_vec
 from . import catalog, spinor
 from .errors import (SpecificationError, IntegralityError, GuardExceededError)
 from .fundgroup import fundamental_group, p_value
@@ -151,17 +152,6 @@ def jsonable(x):
 def emit_json(payload):
     click.echo(json.dumps(jsonable(payload), sort_keys=True,
                           separators=(",", ":")))
-
-
-def fmt_q(x):
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
-
-
-def fmt_vec(v):
-    return "(" + ",".join(fmt_q(x) for x in v) + ")"
 
 
 # ----------------------------------------------------------------------

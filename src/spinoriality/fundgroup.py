@@ -43,22 +43,13 @@ class FundGroupData:
 def _coroot_matrix(rd):
     """Generators of the trivial-direction sublattice in basis coordinates.
 
-    These are the simple coroots plus any quotiented ambient central
-    direction that happens to lie in the cocharacter lattice (type A
-    realizations carry the all-ones direction this way).
+    These are the simple coroots (integral, as the datum checked) plus any
+    quotiented ambient central direction that happens to lie in the
+    cocharacter lattice (type A realizations carry the all-ones direction
+    this way).
     """
-    rows = []
-    for c in rd.simple_coroots:
-        x = rl.lattice_coords(rd.cochar_basis, c)
-        if x is None or any(v.denominator != 1 for v in x):
-            raise SpecificationError(
-                "cocharacter lattice does not contain the coroot lattice")
-        rows.append([int(v) for v in x])
-    for z in rd.central_cochars:
-        x = rl.lattice_coords(rd.cochar_basis, z)
-        if x is not None and all(v.denominator == 1 for v in x):
-            rows.append([int(v) for v in x])
-    return rows
+    return [[int(v) for v in x] for x in rd.coroot_lattice_coords
+            if x is not None and all(v.denominator == 1 for v in x)]
 
 
 def fundamental_group(rd, generators=None):

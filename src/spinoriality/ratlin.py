@@ -80,6 +80,38 @@ def combo(coeffs, vectors, dim=None):
     return tuple(total)
 
 
+def int_combos(coeffs, vectors):
+    """The exact combinations sum_j c_j * vectors[j] for every integer row c
+    of ``coeffs``: integer sums over the vectors' common denominator, each
+    distinct value made a Fraction once."""
+    rows, den = scaled_rows(vectors)
+    width = len(rows[0]) if rows else 0
+    frac = {}
+    out = []
+    for c in coeffs:
+        total = [0] * width
+        for cj, row in zip(c, rows):
+            if cj:
+                total = [t + cj * x for t, x in zip(total, row)]
+        out.append(tuple([frac[t] if t in frac
+                          else frac.setdefault(t, Fraction(t, den))
+                          for t in total]))
+    return tuple(out)
+
+
+def fmt_q(x):
+    """A rational as ``a`` or ``a/b``."""
+    x = Fraction(x)
+    if x.denominator == 1:
+        return str(x.numerator)
+    return f"{x.numerator}/{x.denominator}"
+
+
+def fmt_vec(v):
+    """A vector as ``(a,b/c,...)``."""
+    return "(" + ",".join(fmt_q(x) for x in v) + ")"
+
+
 def scaled(v):
     """(numerators, d): a rational vector over its least common denominator."""
     den = lcm(*(x.denominator for x in v))
@@ -121,22 +153,34 @@ def _row_reduce(rows, ncols):
     return m, pivots
 
 
-def solve(a_rows, b):
-    """Solve ``A x = b`` exactly; return the solution vector or None.
+def solve_columns(a_rows, rhs):
+    """Solve ``A x = b`` exactly for every right-hand side b in ``rhs`` by
+    one elimination.
 
-    ``a_rows`` need not be square.  When the system is underdetermined one
-    particular solution is returned (free variables set to 0); when it is
-    inconsistent, None.
+    Returns the rank of ``A`` and, per b, a solution vector or None when
+    the system is inconsistent.  ``a_rows`` need not be square; when the
+    system is underdetermined one particular solution is returned (free
+    variables set to 0).
     """
     ncols = len(a_rows[0]) if a_rows else 0
-    m, pivots = _row_reduce([list(row) + [bi] for row, bi in zip(a_rows, b)],
-                            ncols)
-    if any(row[ncols] != 0 for row in m[len(pivots):]):
-        return None
-    sol = [Fraction(0)] * ncols
-    for row, c in zip(m, pivots):
-        sol[c] = row[ncols]
-    return tuple(sol)
+    m, pivots = _row_reduce([list(row) + [b[i] for b in rhs]
+                             for i, row in enumerate(a_rows)], ncols)
+    sols = []
+    for t in range(ncols, ncols + len(rhs)):
+        if any(row[t] != 0 for row in m[len(pivots):]):
+            sols.append(None)
+            continue
+        sol = [Fraction(0)] * ncols
+        for row, c in zip(m, pivots):
+            sol[c] = row[t]
+        sols.append(tuple(sol))
+    return len(pivots), sols
+
+
+def solve(a_rows, b):
+    """Solve ``A x = b`` exactly; return the solution vector or None (see
+    :func:`solve_columns`)."""
+    return solve_columns(a_rows, [b])[1][0]
 
 
 def mat_inv(m):

@@ -20,6 +20,7 @@ from math import prod
 from operator import mul
 
 from . import ratlin as rl
+from .ratlin import fmt_vec
 from .errors import SpecificationError, IntegralityError, GuardExceededError
 
 FREUDENTHAL_GUARD_DEFAULT = 10 ** 6
@@ -29,7 +30,7 @@ def dominant_labels(rd, lam):
     """The Dynkin labels of lam, after checking that it is dominant."""
     labels = rd.dynkin_labels(lam)
     if min(labels, default=0) < 0:
-        raise SpecificationError(f"weight {lam} is not dominant")
+        raise SpecificationError(f"weight {fmt_vec(lam)} is not dominant")
     return labels
 
 
@@ -41,7 +42,8 @@ def weyl_dim(rd, lam):
     num = prod(sum(map(mul, k, shifted)) for k in rd.positive_coroot_coords)
     dim, rem = divmod(num, rd.weyl_denominator)
     if rem:
-        raise IntegralityError(f"Weyl dimension of {lam} is not integral")
+        raise IntegralityError(
+            f"Weyl dimension of {fmt_vec(lam)} is not integral")
     return dim
 
 
@@ -71,7 +73,8 @@ def classify(rd, lam):
     sd = rd.fixed_by_minus_w0(lam, labels)
     par = sum(map(mul, labels, rd.two_delta_coroot_coords))
     if par % 1:
-        raise IntegralityError(f"<lam, 2 delta_v> non-integral for {lam}")
+        raise IntegralityError(
+            f"<lam, 2 delta_v> non-integral for {fmt_vec(lam)}")
     par = int(par) % 2
     return RepClassification(self_dual=sd, orthogonal=sd and par == 0,
                              fs_parity=par)
@@ -221,7 +224,7 @@ def freudenthal_multiplicities(rd, lam, guard=FREUDENTHAL_GUARD_DEFAULT):
         if rem != 0 or m <= 0:
             raise IntegralityError(
                 f"Freudenthal multiplicity 2*{num}/{den} at the weight with "
-                f"labels {mu} is not a positive integer")
+                f"labels {fmt_vec(mu)} is not a positive integer")
         mults[mu] = m
     table = WeightMultiplicityTable(rd, lam, top, mults)
     if table.total_dim != dim:

@@ -103,12 +103,18 @@ class RootDatum:
             if len(v) != self.dim:
                 raise SpecificationError("inconsistent ambient dimensions")
         self._check_finite_type()
-        if rl.rank(self.cochar_basis) != len(self.cochar_basis):
+        # the simple coroots, then the quotiented directions, in coordinates
+        # of the cocharacter basis (None off its span), by one elimination
+        rank, coords = rl.solve_columns(
+            [[b[i] for b in self.cochar_basis] for i in range(self.dim)],
+            self.simple_coroots + self.central_cochars)
+        if rank != len(self.cochar_basis):
             raise SpecificationError("cocharacter basis is not independent")
-        for c in self.simple_coroots:
-            if not rl.in_lattice(self.cochar_basis, c):
-                raise SpecificationError(
-                    "cocharacter lattice does not contain the coroot lattice")
+        if any(x is None or any(v.denominator != 1 for v in x)
+               for x in coords[:len(self.simple_coroots)]):
+            raise SpecificationError(
+                "cocharacter lattice does not contain the coroot lattice")
+        self.coroot_lattice_coords = tuple(coords)
 
     # ------------------------------------------------------------------
     # basic structure
@@ -226,12 +232,9 @@ class RootDatum:
         Quotiented ambient directions (type A realizations) that lie in the
         span of the cocharacter lattice do not count.
         """
-        central = len(self.cochar_basis) - len(self.simple_coroots)
-        base = rl.rank(self.cochar_basis)
-        for z in self.central_cochars:
-            if rl.rank(tuple(self.cochar_basis) + (z,)) == base:
-                central -= 1
-        return central
+        r = len(self.simple_coroots)
+        return (len(self.cochar_basis) - r - sum(
+            1 for x in self.coroot_lattice_coords[r:] if x is not None))
 
     @cached_property
     def lie_type(self):
@@ -240,56 +243,94 @@ class RootDatum:
         return fams, self.central_torus_rank
 
     @cached_property
-    def positive_roots(self):
-        """Positive roots paired with their coroots, by reflection closure."""
+    def _root_closure(self):
+        """Each positive root beta as (c, k, labels): c its coordinates in
+        the simple roots, k those of beta^v in the simple coroots, and its
+        Dynkin labels, by reflection closure from the simple roots (Bourbaki,
+        Lie groups and Lie algebras, ch. VI, 1).  With a =
+        ``simple_root_labels`` and x = <beta, alpha_i^v> the i-th label, s_i
+        subtracts x from c_i, x times a_i from the labels and
+        <alpha_i, beta^v> = sum_j k_j a_ij from k_i; the image is a positive
+        root iff c_i stays >= 0.  Each simple factor's count is checked
+        against the classification."""
+        a = self.simple_root_labels
+        n = len(a)
         found = {}
-        queue = list(zip(self.simple_roots, self.simple_coroots))
-        for root, coroot in queue:
-            found[root] = coroot
+        for i in range(n):
+            e = tuple(int(j == i) for j in range(n))
+            found[e] = (e, a[i])
+        queue = list(found)
         while queue:
-            beta, beta_v = queue.pop()
-            for alpha, alpha_v in zip(self.simple_roots, self.simple_coroots):
-                k = dot(beta, alpha_v)
-                gamma = sub(beta, scale(k, alpha))
-                if gamma in found:
+            c = queue.pop()
+            k, labels = found[c]
+            for i, x in enumerate(labels):
+                if not x or c[i] < x:
                     continue
-                coords = self.root_span_coords(gamma)
-                if coords is None or not all(c >= 0 for c in coords):
+                g = c[:i] + (c[i] - x,) + c[i + 1:]
+                if g in found:
                     continue
-                gamma_v = sub(beta_v, scale(dot(alpha, beta_v), alpha_v))
-                found[gamma] = gamma_v
-                queue.append((gamma, gamma_v))
-        return tuple(found.items())
+                y = sum(map(mul, k, a[i]))
+                found[g] = (k[:i] + (k[i] - y,) + k[i + 1:],
+                            tuple([l - x * b for l, b in zip(labels, a[i])]))
+                queue.append(g)
+        counts = [0] * len(self.factors)
+        for c in found:
+            counts[self._factor_of_root(c)] += 1
+        for f, count in zip(self.factors, counts):
+            want = expected_root_count(f.family, f.rank) // 2
+            if count != want:
+                raise SpecificationError(
+                    f"the reflection closure found {count} positive roots "
+                    f"for the factor {f.label} on simple roots {f.indices}, "
+                    f"expected {want}")
+        return tuple((c, k, labels) for c, (k, labels) in found.items())
+
+    @cached_property
+    def _factor_index(self):
+        """The index of the simple factor of each simple root."""
+        out = [None] * len(self.simple_roots)
+        for fi, f in enumerate(self.factors):
+            for i in f.indices:
+                out[i] = fi
+        return tuple(out)
+
+    def _factor_of_root(self, c):
+        """The simple factor of the root with simple-root coordinates c."""
+        return self._factor_index[next(i for i, x in enumerate(c) if x)]
+
+    @cached_property
+    def positive_root_coords(self):
+        """Each positive root (in ``positive_roots`` order) in simple-root
+        coordinates."""
+        return tuple(c for c, _, _ in self._root_closure)
+
+    @cached_property
+    def positive_roots(self):
+        """Positive roots paired with their coroots, as vectors: the integer
+        combinations of the simple roots and coroots given by the closure."""
+        return tuple(zip(
+            rl.int_combos(self.positive_root_coords, self.simple_roots),
+            rl.int_combos(self.positive_coroot_coords, self.simple_coroots)))
 
     @cached_property
     def num_positive_roots(self):
-        return len(self.positive_roots)
+        return len(self._root_closure)
 
     @cached_property
     def delta(self):
         """Half-sum of the positive roots."""
-        roots = [root for root, _ in self.positive_roots]
-        return rl.combo([Fraction(1, 2)] * len(roots), roots, dim=self.dim)
-
-    def root_span_coords(self, v, check=True):
-        """Coordinates of v in the simple-root basis, or None if off the span."""
-        coords = rl.mat_vec(self.fundamental_coweights, v)
-        if check and rl.combo(coords, self.simple_roots) != tuple(v):
-            return None
-        return coords
+        two_delta = map(sum, zip(*self.positive_root_coords))
+        return rl.combo([Fraction(x, 2) for x in two_delta],
+                        self.simple_roots, dim=self.dim)
 
     @cached_property
     def _roots_by_factor(self):
+        """Per simple factor, its positive roots with their coroots, those
+        whose coordinates are supported on its simple roots."""
         buckets = [[] for _ in self.factors]
-        index_of = {}
-        for fi, f in enumerate(self.factors):
-            for i in f.indices:
-                index_of[i] = fi
-        for root, coroot in self.positive_roots:
-            coords = self.root_span_coords(root, check=False)
-            fi = index_of[next(i for i, c in enumerate(coords) if c != 0)]
-            buckets[fi].append((root, coroot))
-        return tuple(tuple(b) for b in buckets)
+        for pair, c in zip(self.positive_roots, self.positive_root_coords):
+            buckets[self._factor_of_root(c)].append(pair)
+        return tuple(map(tuple, buckets))
 
     def roots_of_factor(self, fi):
         return self._roots_by_factor[fi]
@@ -324,11 +365,8 @@ class RootDatum:
     @cached_property
     def positive_coroot_coords(self):
         """Each positive coroot beta^v (in ``positive_roots`` order) in
-        simple-coroot coordinates k_i = <omega_i, beta^v>."""
-        w, wden = rl.scaled_rows(self.fundamental_weights)
-        p, pden = rl.scaled_rows([co for _, co in self.positive_roots])
-        return tuple(tuple(sum(map(mul, row, co)) // (wden * pden)
-                           for row in w) for co in p)
+        simple-coroot coordinates."""
+        return tuple(k for _, k, _ in self._root_closure)
 
     @cached_property
     def simple_root_labels(self):
@@ -339,7 +377,7 @@ class RootDatum:
     @cached_property
     def positive_root_labels(self):
         """The labels of each positive root, in ``positive_roots`` order."""
-        return tuple(self.dynkin_labels(r) for r, _ in self.positive_roots)
+        return tuple(labels for _, _, labels in self._root_closure)
 
     @cached_property
     def two_delta_coroot_coords(self):
@@ -549,7 +587,8 @@ class RootDatum:
 
     def assert_cocharacter(self, nu):
         if not self.is_cocharacter(nu):
-            raise SpecificationError(f"{nu} is not in the cocharacter lattice")
+            raise SpecificationError(
+                f"{rl.fmt_vec(nu)} is not in the cocharacter lattice")
 
     @cached_property
     def _character_rows(self):

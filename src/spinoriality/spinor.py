@@ -12,11 +12,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import factorial
+from math import factorial, prod
 from operator import mul
 
 from . import ratlin as rl
-from .ratlin import add, dot, scale
+from .ratlin import add, dot, scale, fmt_vec
 from . import repcalc
 from .errors import SpecificationError, IntegralityError
 from .repcalc import (weyl_dim, casimir_value, classify,
@@ -52,7 +52,7 @@ def orth_rep(rd, irreducible=(), hyperbolic=()):
         # self-duality already makes lam kill the connected center
         if not cls.orthogonal:
             raise SpecificationError(
-                f"summand {lam} is not orthogonal "
+                f"summand {fmt_vec(lam)} is not orthogonal "
                 f"(self-dual: {cls.self_dual}, parity: {cls.fs_parity})")
         irr.append(lam)
     for lam in hyperbolic:
@@ -64,7 +64,8 @@ def orth_rep(rd, irreducible=(), hyperbolic=()):
 
 def _check_weight(rd, lam):
     if not rd.is_character(lam):
-        raise SpecificationError(f"{lam} is not a character of this group")
+        raise SpecificationError(
+            f"{fmt_vec(lam)} is not a character of this group")
     repcalc.dominant_labels(rd, lam)
 
 
@@ -105,10 +106,10 @@ def q_rep(rd, rep, nu):
     for gamma in rep.hyperbolic:
         _, nu_z = rd.coroot_span_decomposition(nu)
         term = dot(gamma, nu_z) * weyl_dim(rd, gamma)
-        total += _require_int(term, f"hyperbolic term at {gamma}")
+        total += _require_int(term, f"hyperbolic term at {fmt_vec(gamma)}")
     for lam in rep.irreducible:
         total += _require_int(q_irreducible(rd, lam, nu),
-                              f"q at irreducible summand {lam}")
+                              f"q at irreducible summand {fmt_vec(lam)}")
     return total
 
 
@@ -152,11 +153,12 @@ def adjoint_spinorial(rd):
 # oracles
 
 def d_nu(rd, nu):
-    """Product of <alpha, nu> over the positive roots."""
-    prod = Fraction(1)
-    for root, _ in rd.positive_roots:
-        prod *= dot(root, nu)
-    return prod
+    """Product of <alpha, nu> over the positive roots, each sum_j c_j
+    <alpha_j, nu> over one denominator."""
+    pairs, den = rl.scaled([dot(a, nu) for a in rd.simple_roots])
+    return Fraction(prod(sum(map(mul, c, pairs))
+                         for c in rd.positive_root_coords),
+                    den ** rd.num_positive_roots)
 
 
 def make_regular(rd, nu):
@@ -173,7 +175,8 @@ def make_regular(rd, nu):
         cand = add(nu, scale(t, rho_v))
         if d_nu(rd, cand) != 0:
             return cand
-    raise SpecificationError(f"no regular point nu + t rho_v for {nu}")
+    raise SpecificationError(
+        f"no regular point nu + t rho_v for {fmt_vec(nu)}")
 
 
 def q_via_weyl_sum(rd, lam, nu, guard=WEYL_GUARD_DEFAULT):
@@ -253,7 +256,8 @@ def descent_check(rd, lam, nu, d, guard=FREUDENTHAL_GUARD_DEFAULT):
     for p, _, labels in pairs:
         if p % (d * den):
             raise SpecificationError(
-                f"weight {table.weight(labels)} pairs to {Fraction(p, den)} "
+                f"weight {fmt_vec(table.weight(labels))} pairs to "
+                f"{Fraction(p, den)} "
                 f"with nu; the representation does not descend through the "
                 f"order-{d} subgroup")
     return L_phi(rd, table, nu) % (2 * d) == 0

@@ -182,8 +182,7 @@ def _adjoint_rep(rd):
     for f in rd.factors:
         idx = set(f.indices)
         best, best_h = None, None
-        for r, _ in rd.positive_roots:
-            co = rd.root_span_coords(r, check=False)
+        for (r, _), co in zip(rd.positive_roots, rd.positive_root_coords):
             if {i for i, c in enumerate(co) if c} <= idx:
                 h = sum(co)
                 if best_h is None or h > best_h:

@@ -3,12 +3,23 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from spinoriality import rootdata
 from spinoriality.cli import main
+
+
+class ReadableRunner(CliRunner):
+    """Every run's error messages print vectors as (a,b/c), never as
+    Fraction reprs."""
+
+    def invoke(self, *args, **kwargs):
+        res = super().invoke(*args, **kwargs)
+        assert "Fraction(" not in res.stderr
+        return res
 
 
 @pytest.fixture
 def runner():
-    return CliRunner()
+    return ReadableRunner()
 
 
 def test_check_pgl2(runner):
@@ -248,3 +259,41 @@ def test_group_file_malformed(runner, tmp_path):
         res6 = runner.invoke(main, ["table", "--group", str(f6)])
         assert res6.exit_code == 2, params
         assert "SL_quot" in res6.output
+
+
+def test_root_count_cross_check(runner, monkeypatch):
+    # a closure that disagrees with the classification's root count is a
+    # specification error naming the factor, not a wrong answer
+    monkeypatch.setitem(rootdata._ROOT_COUNTS, "A", lambda r: r * (r + 1) + 2)
+    res = runner.invoke(main, ["check", "--group", "SL3", "--weight", "1,1"])
+    assert res.exit_code == 2
+    assert ("the reflection closure found 3 positive roots for the factor "
+            "A2 on simple roots (0, 1), expected 4") in res.stderr
+
+
+# weights that are no characters, not dominant or not orthogonal: their
+# messages print the vector
+MALFORMED = [
+    ["check", "--group", "SL3", "--weight", "1,0"],
+    ["check", "--group", "SO8", "--weight", "-1,0,0,0"],
+    ["check", "--group", "SO8", "--weight", "1/2,0,0,0"],
+    ["check", "--group", "PGL2", "--weight", "1/2"],
+    ["check", "--group", "GL2", "--weight", "S:1,2+1/3,0"],
+]
+
+
+@pytest.mark.parametrize("argv", MALFORMED, ids=" ".join)
+def test_error_messages_print_readable_vectors(runner, argv):
+    res = runner.invoke(main, argv)
+    assert res.exit_code == 2
+    assert res.stderr.startswith("spec error: ")
+
+
+def test_error_messages_name_the_vector(runner):
+    res = runner.invoke(main, ["check", "--group", "SL3", "--weight", "1,0"])
+    assert res.stderr == ("spec error: summand (2/3,-1/3,-1/3) is not "
+                          "orthogonal (self-dual: False, parity: 0)\n")
+    res = runner.invoke(main, ["check", "--group", "SO8",
+                               "--weight", "-1,0,0,0"])
+    assert res.stderr == "spec error: weight (-1,0,0,0) is not dominant\n"
+

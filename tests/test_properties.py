@@ -1,8 +1,11 @@
 """Algebraic identities checked on randomized inputs."""
 
+import importlib.util
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from spinoriality import ratlin as rl
@@ -267,3 +270,75 @@ def test_multiplicities_exactly_on_random_data(case):
     if len(fams) == 1 and simple_central == 0:
         reg = make_regular(rd, nu)
         assert q_via_weyl_sum(rd, lam, reg) == q_irreducible(rd, lam, reg)
+
+
+# ----------------------------------------------------------------------
+# the integer root closure against the Fraction reflection closure
+
+def reference_positive_roots(rd):
+    """Positive roots with their coroots by the Euclidean reflection closure
+    (Bourbaki, Lie groups and Lie algebras, ch. VI, 1): from the simple
+    roots, apply every s_alpha and keep the images with nonnegative
+    simple-root coordinates, in the same seed order and last-in first-out
+    traversal as the package."""
+    def span_coords(v):
+        coords = rl.mat_vec(rd.fundamental_coweights, v)
+        if rl.combo(coords, rd.simple_roots) == tuple(v):
+            return coords
+        return None
+
+    found = {}
+    queue = list(zip(rd.simple_roots, rd.simple_coroots))
+    for root, coroot in queue:
+        found[root] = coroot
+    while queue:
+        beta, beta_v = queue.pop()
+        for alpha, alpha_v in zip(rd.simple_roots, rd.simple_coroots):
+            gamma = rl.sub(beta, rl.scale(rl.dot(beta, alpha_v), alpha))
+            if gamma in found:
+                continue
+            coords = span_coords(gamma)
+            if coords is None or not all(c >= 0 for c in coords):
+                continue
+            gamma_v = rl.sub(beta_v, rl.scale(rl.dot(alpha, beta_v), alpha_v))
+            found[gamma] = gamma_v
+            queue.append((gamma, gamma_v))
+    return tuple(found.items()), span_coords
+
+
+def assert_closure_matches_definition(rd):
+    want, span_coords = reference_positive_roots(rd)
+    assert rd.positive_roots == want
+    assert rd.num_positive_roots == len(want)
+    for (root, coroot), c, k, labels in zip(
+            want, rd.positive_root_coords, rd.positive_coroot_coords,
+            rd.positive_root_labels):
+        assert rl.combo(c, rd.simple_roots) == root
+        assert rl.combo(k, rd.simple_coroots) == coroot
+        assert labels == rd.dynkin_labels(root)
+    for fi, f in enumerate(rd.factors):
+        support = [{i for i, x in enumerate(span_coords(r)) if x}
+                   for r, _ in want]
+        own = [s for s in support if s <= set(f.indices)]
+        assert rd.factor_dim(fi) == f.rank + 2 * len(own)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.composite(random_datum)())
+def test_root_closure_matches_the_definition_on_random_data(case):
+    assert_closure_matches_definition(case[0])
+
+
+def _benchmark_groups():
+    spec = importlib.util.spec_from_file_location(
+        "bench_harness", Path(__file__).resolve().parent.parent
+        / "bench" / "harness.py")
+    harness = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(harness)
+    return sorted(set(harness.QUERY_GROUPS + harness.SWEEP_GROUPS
+                      + harness.ORACLE_GROUPS))
+
+
+@pytest.mark.parametrize("name", _benchmark_groups())
+def test_root_closure_matches_the_definition_on_the_catalog(name):
+    assert_closure_matches_definition(group_by_name(name).rd)
