@@ -24,7 +24,8 @@ from fractions import Fraction
 
 from . import ratlin as rl
 from .errors import SpecificationError
-from .rootdata import RootDatum, build_root_datum, with_cochar_lattice, simple_system
+from .rootdata import (RootDatum, build_root_datum, check_root_guard,
+                       with_cochar_lattice, simple_system)
 from .fundgroup import fundamental_group, p_value
 from . import repcalc
 from . import spinor
@@ -109,6 +110,7 @@ def make_group(spec):
 
     if fam == "GL":
         (n,) = p
+        check_root_guard([("A", n - 1)])
         roots, coroots, w, _ = simple_system("A", n - 1)
         rd = RootDatum(roots, coroots, rl.identity(w), central_cochars=(),
                        label=f"GL{n}")

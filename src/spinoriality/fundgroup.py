@@ -63,18 +63,18 @@ def fundamental_group(rd, generators=None):
     rows = _coroot_matrix(rd)
     if not rows:
         diag_all = [0] * n
-        v_inv = rl.identity(n)
+        v_inv, det = rl.identity(n), 1
     else:
         d, u, v = rl.smith_normal_form(rows)
         diag_all = [d[i][i] if i < len(d) else 0 for i in range(n)]
-        v_inv = rl.mat_inv(v)
+        v_inv, det = rl.int_inverse(v)  # v is unimodular: det = +-1
 
     factors, gens = [], []
     for i, di in enumerate(diag_all):
         if di == 1:
             continue
         factors.append(di)
-        gens.append(rl.combo(v_inv[i], rd.cochar_basis))
+        gens.append(rl.combo([det * x for x in v_inv[i]], rd.cochar_basis))
 
     if generators is not None:
         gens = tuple(rl.vec(g) for g in generators)

@@ -80,19 +80,22 @@ def combo(coeffs, vectors, dim=None):
     return tuple(total)
 
 
-def int_combos(coeffs, vectors):
-    """The exact combinations sum_j c_j * vectors[j] for every integer row c
-    of ``coeffs``: integer sums over the vectors' common denominator, each
-    distinct value made a Fraction once."""
-    rows, den = scaled_rows(vectors)
+def int_combos(coeffs, vectors, den=1):
+    """The exact combinations sum_j c_j * vectors[j] / den for every integer
+    row c of ``coeffs``: integer sums over the vectors' common denominator,
+    each distinct value made a Fraction once."""
+    rows, vden = scaled_rows(vectors)
+    den *= vden
     width = len(rows[0]) if rows else 0
+    support = [[(j, x) for j, x in enumerate(row) if x] for row in rows]
     frac = {}
     out = []
     for c in coeffs:
         total = [0] * width
-        for cj, row in zip(c, rows):
+        for cj, row in zip(c, support):
             if cj:
-                total = [t + cj * x for t, x in zip(total, row)]
+                for j, x in row:
+                    total[j] += cj * x
         out.append(tuple([frac[t] if t in frac
                           else frac.setdefault(t, Fraction(t, den))
                           for t in total]))
@@ -145,10 +148,13 @@ def _row_reduce(rows, ncols):
         m[r], m[piv] = m[piv], m[r]
         inv = 1 / m[r][c]
         m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        # only the pivot row's nonzero entries change the other rows
+        support = [(j, y) for j, y in enumerate(m[r]) if y]
+        for i, row in enumerate(m):
+            f = row[c]
+            if f and i != r:
+                for j, y in support:
+                    row[j] -= f * y
         pivots.append(c)
     return m, pivots
 
@@ -183,27 +189,55 @@ def solve(a_rows, b):
     return solve_columns(a_rows, [b])[1][0]
 
 
-def mat_inv(m):
-    """Exact inverse of a square rational matrix (raises on singular input)."""
+def int_inverse(m):
+    """(adj, det) for a square integer matrix: adj . m = det . I, by fraction
+    free Gauss-Jordan elimination on [m | I] (Bareiss, Math. Comp. 22, 1968):
+    step k maps row i to (p r_i - r_i[k] r_k) / prev, exactly, p the pivot
+    and prev the one before, and the last pivot is det up to the sign of
+    the row swaps.  Raises ZeroDivisionError when m is singular."""
     n = len(m)
-    red, pivots = _row_reduce([list(row) + list(unit(n, i))
-                               for i, row in enumerate(m)], n)
-    if len(pivots) < n:
-        raise ZeroDivisionError("matrix is singular")
-    return tuple(tuple(row[n:]) for row in red)
+    a = [list(row) + [int(i == j) for j in range(n)]
+         for i, row in enumerate(m)]
+    base = [1] * n      # row i is a[i] * prev / base[i], scaled lazily
+    prev, sign = 1, 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            raise ZeroDivisionError("matrix is singular")
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            base[k], base[piv] = base[piv], base[k]
+            sign = -sign
+        if base[k] != prev:
+            a[k] = [x * prev // base[k] for x in a[k]]
+        p, top = a[k][k], a[k][k + 1:]
+        for i, row in enumerate(a):
+            f = row[k]      # columns up to k are settled: left alone
+            if f and i != k:
+                row[k + 1:] = [(p * x - f * y) // base[i]
+                               for x, y in zip(row[k + 1:], top)]
+                base[i] = p
+        base[k] = prev = p
+    return tuple(tuple(sign * x * prev // b for x in row[n:])
+                 for row, b in zip(a, base)), sign * prev
 
 
-def is_positive_definite(m):
-    """Sylvester's criterion for a symmetric matrix: the pivots of elimination
-    without row swaps, ratios of leading principal minors, are positive."""
-    m = [list(map(Fraction, row)) for row in m]
-    for k, top in enumerate(m):
-        if top[k] <= 0:
-            return False
-        for row in m[k + 1:]:
-            f = row[k] / top[k]
-            row[:] = [x - f * y for x, y in zip(row, top)]
-    return True
+def leading_minors(m):
+    """The leading principal minors of a square integer matrix, in order, as
+    the pivots of Bareiss elimination without row swaps; it stops after the
+    first zero, past which that elimination has no pivot."""
+    a = [list(row) for row in m]
+    prev = 1
+    for k, top in enumerate(a):
+        p = top[k]
+        yield p
+        if not p:
+            return
+        for row in a[k + 1:]:
+            f = row[k]
+            row[k + 1:] = [(p * x - f * y) // prev
+                           for x, y in zip(row[k + 1:], top[k + 1:])]
+        prev = p
 
 
 def rank(m):
@@ -258,11 +292,12 @@ def row_lattice_basis(rows):
         return ()
     a, den = scaled_rows(rows)
     d, _, v = smith_normal_form(a)
-    v_inv = mat_inv(v)
+    v_inv, det = int_inverse(v)         # v is unimodular: det = +-1
     basis = []
     for i in range(min(len(d), len(d[0]))):
         if d[i][i] != 0:
-            basis.append(tuple(Fraction(d[i][i] * x, den) for x in v_inv[i]))
+            basis.append(tuple(Fraction(det * d[i][i] * x, den)
+                               for x in v_inv[i]))
     return tuple(basis)
 
 

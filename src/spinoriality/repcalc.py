@@ -178,7 +178,7 @@ def freudenthal_multiplicities(rd, lam, guard=FREUDENTHAL_GUARD_DEFAULT):
     heights = rl.scaled([sum(row) for row in rd.cartan_inverse])[0]
     dominant.sort(key=lambda mu: -sum(map(mul, heights, mu)))
 
-    rows = rd.simple_root_labels
+    rows = rd.cartan_matrix
     memo = {}
 
     def dominant_of(v):

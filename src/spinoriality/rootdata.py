@@ -91,18 +91,26 @@ class RootDatum:
                  central_cochars=(), label=""):
         self.simple_roots = tuple(vec(r) for r in simple_roots)
         self.simple_coroots = tuple(vec(c) for c in simple_coroots)
-        self.cochar_basis = tuple(vec(b) for b in cochar_basis)
         self.central_cochars = tuple(vec(z) for z in central_cochars)
         self.label = label
         if len(self.simple_roots) != len(self.simple_coroots):
             raise SpecificationError("roots and coroots must come in pairs")
         self.dim = len(self.simple_roots[0]) if self.simple_roots else (
-            len(self.cochar_basis[0]) if self.cochar_basis else 0)
+            len(cochar_basis[0]) if cochar_basis else 0)
         for v in (*self.simple_roots, *self.simple_coroots,
-                  *self.cochar_basis, *self.central_cochars):
+                  *self.central_cochars):
             if len(v) != self.dim:
                 raise SpecificationError("inconsistent ambient dimensions")
+        self.cartan_matrix = self._integral_cartan()
         self._check_finite_type()
+        self._set_lattice(cochar_basis)
+
+    def _set_lattice(self, cochar_basis):
+        """Take X_* spanned by these rows, checked to be independent and to
+        contain the coroot lattice; sets ``coroot_lattice_coords``."""
+        self.cochar_basis = tuple(vec(b) for b in cochar_basis)
+        if any(len(b) != self.dim for b in self.cochar_basis):
+            raise SpecificationError("inconsistent ambient dimensions")
         # the simple coroots, then the quotiented directions, in coordinates
         # of the cocharacter basis (None off its span), by one elimination
         rank, coords = rl.solve_columns(
@@ -119,31 +127,37 @@ class RootDatum:
     # ------------------------------------------------------------------
     # basic structure
 
-    @cached_property
-    def cartan_matrix(self):
-        return tuple(tuple(dot(a, c) for c in self.simple_coroots)
-                     for a in self.simple_roots)
+    def _integral_cartan(self):
+        """The Cartan matrix <alpha_i, alpha_j^v> as ints, checked to be one:
+        integer entries, 2 on the diagonal, a_ij <= 0 off it with a_ij = 0
+        iff a_ji = 0."""
+        roots, rden = rl.scaled_rows(self.simple_roots)
+        coroots, cden = rl.scaled_rows(self.simple_coroots)
+        den = rden * cden
+        a = [[sum(map(mul, r, c)) for c in coroots] for r in roots]
+        for i in range(len(a)):
+            if a[i][i] != 2 * den:
+                raise SpecificationError("diagonal Cartan entry != 2")
+            for j in range(len(a)):
+                if i != j and (a[i][j] % den or a[i][j] > 0
+                               or (a[i][j] == 0) != (a[j][i] == 0)):
+                    raise SpecificationError(
+                        f"not a Cartan matrix: a[{i}][{j}] = "
+                        f"{Fraction(a[i][j], den)}, "
+                        f"a[{j}][{i}] = {Fraction(a[j][i], den)}")
+        return tuple(tuple(x // den for x in row) for row in a)
 
     def _check_finite_type(self):
         """Finite type (Kac, Infinite dimensional Lie algebras, ch. 4), so
-        that the Weyl group is finite and every chamber walk ends: integer
-        entries, 2 on the diagonal, a_ij <= 0 off it with a_ij = 0 iff
-        a_ji = 0, and a positive definite symmetrization d_i a_ij."""
-        a = self.cartan_matrix
-        n = len(a)
-        for i in range(n):
-            if a[i][i] != 2:
-                raise SpecificationError("diagonal Cartan entry != 2")
-            for j in range(n):
-                if i != j and (a[i][j].denominator != 1 or a[i][j] > 0
-                               or (a[i][j] == 0) != (a[j][i] == 0)):
-                    raise SpecificationError(
-                        f"not a Cartan matrix: a[{i}][{j}] = {a[i][j]}, "
-                        f"a[{j}][{i}] = {a[j][i]}")
-        d = self._diagram[1]
-        sym = [[d[i] * x for x in row] for i, row in enumerate(a)]
-        if sym != [list(col) for col in zip(*sym)] or not (
-                rl.is_positive_definite(sym)):
+        that the Weyl group is finite and every chamber walk ends: the
+        symmetrization d_i a_ij, scaled to integers, is symmetric and its
+        leading principal minors on each component are positive."""
+        comps, d = self._diagram
+        sym = [[s * x for x in row]
+               for s, row in zip(rl.scaled(d)[0], self.cartan_matrix)]
+        if sym != [list(col) for col in zip(*sym)] or not all(
+                m > 0 for comp in comps for m in rl.leading_minors(
+                    [[sym[i][j] for j in comp] for i in comp])):
             raise SpecificationError("the Cartan matrix is not of finite type")
 
     @cached_property
@@ -177,53 +191,23 @@ class RootDatum:
                      for comp in self._diagram[0])
 
     def _classify(self, comp):
-        a = self.cartan_matrix
-        r = len(comp)
-        if r == 1:
-            return "A"
-        pairs = [(i, j) for i in comp for j in comp
-                 if i < j and a[i][j] != 0]
-        mults = {(i, j): a[i][j] * a[j][i] for (i, j) in pairs}
-        maxmult = max(mults.values())
-        if maxmult == 3:
+        """The family of a component, by its largest bond a_ij a_ji and its
+        determinant |P/Q|: n + 1 for A_n, 2 for B_n and C_n, 4 for D_n,
+        9 - n for E_n, 1 for F4 and G2."""
+        a = [[self.cartan_matrix[i][j] for j in comp] for i in comp]
+        bond = max((a[i][j] * a[j][i] for i in range(len(a))
+                    for j in range(i)), default=0)
+        *_, det = rl.leading_minors(a)
+        if bond == 3:
             return "G"
-        if maxmult == 2:
-            if r == 4:
-                (i, j) = next(p for p, m in mults.items() if m == 2)
-                deg = {k: sum(1 for l in comp if l != k and a[k][l] != 0)
-                       for k in comp}
-                if deg[i] == 2 and deg[j] == 2:
-                    return "F"
+        if bond == 2 and det == 1:
+            return "F"
+        if bond == 2:
             # B vs C by the length of the last-listed simple root: short
             # roots have the larger symmetrizer entry
             d = self._diagram[1]
             return "B" if d[comp[-1]] > min(d[i] for i in comp) else "C"
-        deg = {k: sum(1 for l in comp if l != k and a[k][l] != 0)
-               for k in comp}
-        if max(deg.values()) <= 2:
-            return "A"
-        branch = next(k for k in comp if deg[k] == 3)
-        legs = sorted(self._leg_lengths(comp, branch))
-        if legs[:2] == [1, 1]:
-            return "D"
-        return "E"
-
-    def _leg_lengths(self, comp, branch):
-        a = self.cartan_matrix
-        lens = []
-        for nb in comp:
-            if nb == branch or a[branch][nb] == 0:
-                continue
-            length, prev, cur = 1, branch, nb
-            while True:
-                nxt = [k for k in comp
-                       if k not in (prev, cur) and a[cur][k] != 0]
-                if not nxt:
-                    break
-                prev, cur = cur, nxt[0]
-                length += 1
-            lens.append(length)
-        return lens
+        return "A" if det == len(comp) + 1 else "D" if det == 4 else "E"
 
     @cached_property
     def central_torus_rank(self):
@@ -247,13 +231,13 @@ class RootDatum:
         """Each positive root beta as (c, k, labels): c its coordinates in
         the simple roots, k those of beta^v in the simple coroots, and its
         Dynkin labels, by reflection closure from the simple roots (Bourbaki,
-        Lie groups and Lie algebras, ch. VI, 1).  With a =
-        ``simple_root_labels`` and x = <beta, alpha_i^v> the i-th label, s_i
+        Lie groups and Lie algebras, ch. VI, 1).  With a the Cartan matrix
+        (row i: the labels of alpha_i) and x = <beta, alpha_i^v>, s_i
         subtracts x from c_i, x times a_i from the labels and
         <alpha_i, beta^v> = sum_j k_j a_ij from k_i; the image is a positive
         root iff c_i stays >= 0.  Each simple factor's count is checked
         against the classification."""
-        a = self.simple_root_labels
+        a = self.cartan_matrix
         n = len(a)
         found = {}
         for i in range(n):
@@ -369,12 +353,6 @@ class RootDatum:
         return tuple(k for _, k, _ in self._root_closure)
 
     @cached_property
-    def simple_root_labels(self):
-        """The labels of each simple root, the rows of the Cartan matrix as
-        ints; the reflection s_i maps labels v to v - v_i * row_i."""
-        return tuple(tuple(map(int, row)) for row in self.cartan_matrix)
-
-    @cached_property
     def positive_root_labels(self):
         """The labels of each positive root, in ``positive_roots`` order."""
         return tuple(labels for _, _, labels in self._root_closure)
@@ -395,7 +373,7 @@ class RootDatum:
         omega_sigma(i).  The reflections that walk -delta (labels all -1)
         to the dominant chamber spell w0; they are applied to the labels of
         the omega_i alongside (s_i: v -> v - v_i a_i)."""
-        a = self.simple_root_labels
+        a = self.cartan_matrix
         n = len(a)
         vs = [[-1] * n] + [[int(i == j) for i in range(n)] for j in range(n)]
         while min(vs[0], default=0) < 0:
@@ -431,7 +409,9 @@ class RootDatum:
         for f in self.factors:
             gram = [[2 * sum(l[a] * l[b] for l in roots) for b in f.indices]
                     for a in f.indices]
-            out.append((f.indices, *rl.scaled_rows(rl.mat_inv(gram))))
+            adj, det = rl.int_inverse(gram)
+            out.append((f.indices, *rl.scaled_rows(
+                [[Fraction(x, det) for x in row] for row in adj])))
         return tuple(out)
 
     def label_inner(self, labels1, labels2, factor=None):
@@ -532,7 +512,7 @@ class RootDatum:
         """The Weyl orbit of the weight with these labels, breadth first from
         it, as a dict from label tuples to the sign det(w) of the w that
         reaches each point (well defined when the weight is regular)."""
-        rows = self.simple_root_labels
+        rows = self.cartan_matrix
         labels = tuple(labels)
         orbit = {labels: 1}
         queue = [labels]
@@ -568,13 +548,11 @@ class RootDatum:
         mu with the central part of lam (mu - lam in the root span).
 
         Returns (c, k, den) with <mu, nu> = (sum_i c_i mu_i + k) / den:
-        c_i / den = <omega_i, nu>, the i-th entry of the inverse Cartan
-        matrix applied to (<alpha_j, nu>)_j, and k / den = <lam, nu^z>, the
-        pairing of lam with the central part of nu.
+        c_i / den = <omega_i, nu> and k / den = <lam, nu^z>, the pairing of
+        lam with the central part of nu.
         """
         nu = vec(nu)
-        c = rl.mat_vec(self.cartan_inverse,
-                       [dot(a, nu) for a in self.simple_roots])
+        c = [dot(w, nu) for w in self.fundamental_weights]
         k = dot(lam, nu) - sum(map(mul, c, self.dynkin_labels(lam)))
         nums, den = rl.scaled((*c, k))
         return nums[:-1], nums[-1], den
@@ -604,15 +582,21 @@ class RootDatum:
                 and all(sum(map(mul, nums, b)) % den == 0 for b in rows))
 
     @cached_property
+    def _cartan_adj(self):
+        """(adj, det) of the Cartan matrix, in integers: adj . A = det . I."""
+        return rl.int_inverse(self.cartan_matrix)
+
+    @cached_property
     def cartan_inverse(self):
         """Inverse of the Cartan matrix <alpha_i, alpha_j^v>."""
-        return rl.mat_inv(self.cartan_matrix)
+        adj, det = self._cartan_adj
+        return tuple(tuple(Fraction(x, det) for x in row) for row in adj)
 
     @cached_property
     def fundamental_weights(self):
         """Fundamental weights (in the derived group's span), per simple root."""
-        return tuple(rl.combo(row, self.simple_roots)
-                     for row in self.cartan_inverse)
+        adj, det = self._cartan_adj
+        return rl.int_combos(adj, self.simple_roots, det)
 
     @cached_property
     def fundamental_coweights(self):
@@ -621,8 +605,8 @@ class RootDatum:
         <v, omega_i^v> is the i-th simple-root coordinate of any v in the
         root span.
         """
-        return tuple(rl.combo(col, self.simple_coroots)
-                     for col in rl.transpose(self.cartan_inverse))
+        adj, det = self._cartan_adj
+        return rl.int_combos(rl.transpose(adj), self.simple_coroots, det)
 
     @cached_property
     def center_directions(self):
@@ -651,9 +635,8 @@ class RootDatum:
         cache = self.__dict__.setdefault("_span_cache", {})
         if nu in cache:
             return cache[nu]
-        rhs = tuple(dot(alpha, nu) for alpha in self.simple_roots)
-        prime = rl.combo(rl.mat_vec(self.cartan_inverse, rhs),
-                         self.simple_coroots, dim=self.dim)
+        prime = rl.combo([dot(alpha, nu) for alpha in self.simple_roots],
+                         self.fundamental_coweights, dim=self.dim)
         out = (prime, sub(nu, prime))
         cache[nu] = out
         return out
@@ -661,6 +644,9 @@ class RootDatum:
 
 # ----------------------------------------------------------------------
 # construction
+
+# positive roots a type list may ask for: SL120 has 7 140, E8 x A30 585
+ROOT_GUARD = 20_000
 
 _ROOT_COUNTS = {"A": lambda r: r * (r + 1), "B": lambda r: 2 * r * r,
                 "C": lambda r: 2 * r * r, "D": lambda r: 2 * r * (r - 1),
@@ -675,35 +661,22 @@ def simple_system(family, rank):
     dimension used and central is the quotiented direction for type A.
     """
     family = family.upper()
-    e = rl.unit
-
-    if family == "A":
-        if rank < 1:
-            raise SpecificationError("A requires rank >= 1")
-        w = rank + 1
-        roots = [sub(e(w, i), e(w, i + 1)) for i in range(rank)]
-        return roots, list(roots), w, (Fraction(1),) * w
-    if family == "B":
-        if rank < 1:
-            raise SpecificationError("B requires rank >= 1")
-        w = rank
-        roots = [sub(e(w, i), e(w, i + 1)) for i in range(rank - 1)] + [e(w, rank - 1)]
-        coroots = [sub(e(w, i), e(w, i + 1)) for i in range(rank - 1)] + [scale(2, e(w, rank - 1))]
-        return roots, coroots, w, None
-    if family == "C":
-        if rank < 1:
-            raise SpecificationError("C requires rank >= 1")
-        w = rank
-        roots = [sub(e(w, i), e(w, i + 1)) for i in range(rank - 1)] + [scale(2, e(w, rank - 1))]
-        coroots = [sub(e(w, i), e(w, i + 1)) for i in range(rank - 1)] + [e(w, rank - 1)]
-        return roots, coroots, w, None
-    if family == "D":
-        if rank < 2:
-            raise SpecificationError("D requires rank >= 2")
-        w = rank
-        roots = [sub(e(w, i), e(w, i + 1)) for i in range(rank - 1)]
-        roots.append(add(e(w, rank - 2), e(w, rank - 1)))
-        return roots, list(roots), w, None
+    if family in ("A", "B", "C", "D"):
+        least = 2 if family == "D" else 1
+        if rank < least:
+            raise SpecificationError(f"{family} requires rank >= {least}")
+        w = rank + 1 if family == "A" else rank
+        e = [rl.unit(w, i) for i in range(w)]
+        roots = [sub(e[i], e[i + 1]) for i in range(w - 1)]
+        if family == "A":
+            return roots, list(roots), w, (Fraction(1),) * w
+        if family == "D":
+            end = add(e[-2], e[-1])
+            return roots + [end], roots + [end], w, None
+        short, long = e[-1], scale(2, e[-1])
+        if family == "B":
+            return roots + [short], roots + [long], w, None
+        return roots + [long], roots + [short], w, None
     if family == "E":
         if rank not in (6, 7, 8):
             raise SpecificationError("E requires rank 6, 7 or 8")
@@ -711,14 +684,11 @@ def simple_system(family, rank):
         for (i, j) in _CHAIN_CARTAN[f"E{rank}"]:
             cartan[i][j] = cartan[j][i] = -1
         return _from_cartan(cartan)
-    if family == "F":
-        if rank != 4:
-            raise SpecificationError("F requires rank 4")
-        return _from_cartan(_F4_CARTAN)
-    if family == "G":
-        if rank != 2:
-            raise SpecificationError("G requires rank 2")
-        return _from_cartan(_G2_CARTAN)
+    if family in ("F", "G"):
+        cartan = _F4_CARTAN if family == "F" else _G2_CARTAN
+        if rank != len(cartan):
+            raise SpecificationError(f"{family} requires rank {len(cartan)}")
+        return _from_cartan(cartan)
     raise SpecificationError(f"unknown family {family!r}")
 
 
@@ -737,44 +707,50 @@ def build_root_datum(lie_type, central_rank=0, label=""):
     the unit vectors of the central torus block.  Quotient lattices are built
     by replacing ``cochar_basis`` (see :func:`with_cochar_lattice`).
     """
-    roots, coroots, centrals = [], [], []
-    offset = 0
-    widths = []
-    for family, rank in lie_type:
-        rts, crts, w, central = simple_system(family, rank)
-        widths.append((offset, w, central))
-        roots.extend(rts)
-        coroots.extend(crts)
-        offset += w
-    total = offset + central_rank
-    emb_roots, emb_coroots = [], []
-    i = 0
-    for (off, w, central), (family, rank) in zip(widths, lie_type):
-        for _ in range(rank):
-            emb_roots.append(_embed(roots[i], off, total))
-            emb_coroots.append(_embed(coroots[i], off, total))
-            i += 1
+    check_root_guard(lie_type)
+    systems = [simple_system(family, rank) for family, rank in lie_type]
+    total = sum(w for _, _, w, _ in systems) + central_rank
+    roots, coroots, centrals, offset = [], [], [], 0
+    for rts, crts, w, central in systems:
+        head, tail = rl.zero(offset), rl.zero(total - offset - w)
+        roots += [head + v + tail for v in rts]
+        coroots += [head + v + tail for v in crts]
         if central is not None:
-            centrals.append(_embed(central, off, total))
-    basis = list(emb_coroots)
-    for k in range(central_rank):
-        basis.append(rl.unit(total, offset + k))
-    return RootDatum(emb_roots, emb_coroots, basis, centrals, label=label)
+            centrals.append(head + central + tail)
+        offset += w
+    basis = coroots + [rl.unit(total, offset + k) for k in range(central_rank)]
+    return RootDatum(roots, coroots, basis, centrals, label=label)
 
 
-def _embed(v, offset, total):
-    out = [Fraction(0)] * total
-    for i, x in enumerate(v):
-        out[offset + i] = Fraction(x)
-    return tuple(out)
+_ROOT_TABLES = ("simple_roots", "simple_coroots", "central_cochars", "dim",
+                "cartan_matrix", "_diagram", "factors", "_cartan_adj",
+                "_root_closure")
 
 
 def with_cochar_lattice(rd, basis, label=None):
-    """Same roots/coroots, different cocharacter lattice."""
-    return RootDatum(rd.simple_roots, rd.simple_coroots, basis,
-                     rd.central_cochars, label=label or rd.label)
+    """Same roots/coroots, different cocharacter lattice: what depends only
+    on those, ``_ROOT_TABLES`` (the lazy ones when built), is passed on and
+    only the lattice is checked again."""
+    new = object.__new__(RootDatum)
+    new.__dict__.update((k, v) for k, v in vars(rd).items()
+                        if k in _ROOT_TABLES)
+    new.label = label or rd.label
+    new._set_lattice(basis)
+    return new
 
 
 def expected_root_count(family, rank):
+    """The number of roots of a simple type, 0 for one that does not exist."""
     key = family if family in ("A", "B", "C", "D") else f"{family}{rank}"
-    return _ROOT_COUNTS[key](rank)
+    return _ROOT_COUNTS[key](rank) if key in _ROOT_COUNTS and rank > 0 else 0
+
+
+def check_root_guard(lie_type):
+    """Refuse, before any vector is built, (family, rank) factors with more
+    than ROOT_GUARD positive roots in all; ``simple_system`` refuses a
+    factor that is no type, which counts 0 here."""
+    count = sum(expected_root_count(f.upper(), r) for f, r in lie_type) // 2
+    if count > ROOT_GUARD:
+        raise GuardExceededError(
+            f"the group would have {count} positive roots, over the "
+            f"root-count guard {ROOT_GUARD}")

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -190,6 +191,31 @@ def test_summary(runner):
     assert res2.exit_code == 0
     doc = json.loads(res2.output)
     assert doc["all_spinorial_swept"] is True and doc["agrees"] is True
+
+
+def test_root_count_guard(runner, tmp_path):
+    # names whose root system would take minutes to build end at once with
+    # the guard's exit code, naming the count and the bound
+    f = tmp_path / "g.json"
+    f.write_text(json.dumps({"catalog": {"family": "simplyConnected",
+                                         "params": [["A", 300], ["A", 300]]}}))
+    for group, count in [("SL100000", 4999950000), ("GL100000", 4999950000),
+                         (str(f), 90300)]:
+        t0 = time.perf_counter()
+        res = runner.invoke(main, ["table", "--group", group])
+        assert time.perf_counter() - t0 < 0.5, group
+        assert res.exit_code == 4, group
+        assert res.stderr == (
+            f"guard exceeded: the group would have {count} positive roots, "
+            f"over the root-count guard {rootdata.ROOT_GUARD}\n")
+    # the bound admits SL120 (7140 positive roots); a malformed factor is
+    # still a specification error
+    assert rootdata.ROOT_GUARD >= 7140
+    f.write_text(json.dumps({"catalog": {"family": "simplyConnected",
+                                         "params": [["E", 9], ["A", 3]]}}))
+    res = runner.invoke(main, ["table", "--group", str(f)])
+    assert res.exit_code == 2
+    assert "E requires rank 6, 7 or 8" in res.stderr
 
 
 def test_group_file_catalog(runner, tmp_path):

@@ -1,4 +1,5 @@
-"""Source hygiene: no module of the package imports a name it never uses."""
+"""Source hygiene: no module of the package imports a name it never uses,
+and every function of ``ratlin`` is used by the package or its tests."""
 
 import ast
 from pathlib import Path
@@ -10,6 +11,7 @@ import spinoriality
 PACKAGE = Path(spinoriality.__file__).resolve().parent
 # __init__ imports names only to re-export them
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted(Path(__file__).resolve().parent.glob("test_*.py"))
 
 
 def unused_imports(source):
@@ -33,3 +35,35 @@ def test_no_unused_imports(path):
 def test_unused_import_is_reported():
     assert unused_imports("import os\nfrom a import b, c\nc()\n") == [
         (1, "os"), (2, "b")]
+
+
+def ratlin_uses(source, own=False):
+    """The ratlin names a module refers to: ``rl.f`` or ``ratlin.f``, a name
+    imported from ratlin, or (in ratlin itself) any name."""
+    tree = ast.parse(source)
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and (node.module or "").endswith("ratlin")
+                for alias in node.names}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in ("rl", "ratlin")):
+            yield node.attr
+        elif isinstance(node, ast.Name) and (own or node.id in imported):
+            yield node.id
+
+
+def test_every_ratlin_function_is_used():
+    ratlin = PACKAGE / "ratlin.py"
+    defined = {node.name for node in ast.parse(ratlin.read_text()).body
+               if isinstance(node, ast.FunctionDef)}
+    used = set()
+    for path in MODULES + TESTS:
+        used.update(ratlin_uses(path.read_text(), own=path == ratlin))
+    assert sorted(defined - used) == []
+
+
+def test_ratlin_references_are_found():
+    source = "from .ratlin import vec\nimport ratlin as rl\nvec(rl.dot(a))\n"
+    assert set(ratlin_uses(source)) == {"vec", "dot"}
+    assert set(ratlin_uses("def f():\n    return g()\n")) == set()

@@ -2,9 +2,11 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spinoriality import ratlin as rl
+from spinoriality.errors import SpecificationError
+from spinoriality.rootdata import RootDatum, _from_cartan
 
 # zeros are likely, so singular and rank-deficient matrices are common
 ENTRIES = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)])
@@ -51,15 +53,17 @@ def test_solve_inconsistent_returns_none():
     assert rl.solve(a, (1, 3)) is None
 
 
-def test_mat_inv_roundtrip():
-    m = ((Fraction(2), Fraction(1)), (Fraction(1), Fraction(1)))
-    inv = rl.mat_inv(m)
-    assert rl.mat_mul(m, inv) == rl.identity(2)
+def test_int_inverse_roundtrip():
+    m = ((2, 1), (1, 1))
+    adj, d = rl.int_inverse(m)
+    assert d == 1 and rl.mat_mul(m, adj) == rl.identity(2)
+    # a row swap is needed, and the sign of det survives it
+    assert rl.int_inverse(((0, 1), (1, 0))) == (((0, -1), (-1, 0)), -1)
 
 
-def test_mat_inv_singular():
+def test_int_inverse_singular():
     with pytest.raises(ZeroDivisionError):
-        rl.mat_inv(((1, 2), (2, 4)))
+        rl.int_inverse(((1, 2), (2, 4)))
 
 
 def test_rank():
@@ -118,14 +122,23 @@ def test_solve_exact_or_inconsistent(a, data):
         assert rl.mat_vec(a, x) == b
 
 
+INTEGERS = st.sampled_from([0, 0, 0, 1, -1, 2, -2, 3, -5])
+
+
 @settings(max_examples=150, deadline=None)
-@given(matrices(square=True))
-def test_mat_inv_inverts_or_raises(a):
-    if det(a) == 0:
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.lists(INTEGERS, min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_int_inverse_is_the_adjugate_or_raises(a):
+    want = det(a)
+    if want == 0:
         with pytest.raises(ZeroDivisionError):
-            rl.mat_inv(a)
-    else:
-        assert rl.mat_mul(rl.mat_inv(a), a) == rl.identity(len(a))
+            rl.int_inverse(a)
+        return
+    adj, d = rl.int_inverse(a)
+    assert d == want
+    assert all(type(x) is int for row in adj for x in row)
+    assert rl.mat_mul(adj, a) == tuple(
+        tuple(d * (i == j) for j in range(len(a))) for i in range(len(a)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -138,3 +151,63 @@ def test_rank_plus_nullity(a):
     for x in kernel:
         assert rl.mat_vec(a, x) == rl.zero(len(a))
     assert rl.rank(kernel) == len(kernel)
+
+
+def fraction_finite_type(a):
+    """The finite-type test RootDatum ran on Fractions before its integer
+    form: a Cartan matrix whose symmetrization d_i a_ij, d from the walk
+    along each component's edges, is symmetric and has positive pivots in
+    elimination without row swaps."""
+    a = [[Fraction(x) for x in row] for row in a]
+    n = len(a)
+    for i in range(n):
+        if a[i][i] != 2:
+            return False
+        for j in range(n):
+            if i != j and (a[i][j].denominator != 1 or a[i][j] > 0
+                           or (a[i][j] == 0) != (a[j][i] == 0)):
+                return False
+    d = [None] * n
+    for s in range(n):
+        if d[s] is None:
+            d[s], stack = Fraction(1), [s]
+            while stack:
+                i = stack.pop()
+                for j in range(n):
+                    if d[j] is None and a[i][j] != 0:
+                        d[j] = d[i] * a[i][j] / a[j][i]
+                        stack.append(j)
+    sym = [[d[i] * x for x in row] for i, row in enumerate(a)]
+    if sym != [list(col) for col in zip(*sym)]:
+        return False
+    for k, top in enumerate(sym):
+        if top[k] <= 0:
+            return False
+        for row in sym[k + 1:]:
+            f = row[k] / top[k]
+            row[:] = [x - f * y for x, y in zip(row, top)]
+    return True
+
+
+@st.composite
+def cartan_like(draw):
+    n = draw(st.integers(1, 5))
+    off = st.sampled_from([0, 0, 0, -1, -1, -1, -2, -3, -4, 1])
+    return [[draw(st.sampled_from([2, 2, 2, 2, 2, 2, 1, 0])) if i == j
+             else draw(off) for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(cartan_like())
+@example([[2, -2], [-2, 2]])            # affine A1
+@example([[2, -1], [-5, 2]])            # hyperbolic
+@example([[2, -1, 0], [-2, 2, -1], [0, -1, 2]])   # C3
+@example([[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]])
+def test_integer_finite_type_check_matches_the_fraction_one(a):
+    roots, coroots, _, _ = _from_cartan(a)
+    try:
+        RootDatum(roots, coroots, coroots)
+        accepted = True
+    except SpecificationError:
+        accepted = False
+    assert accepted == fraction_finite_type(a)

@@ -1,6 +1,6 @@
-"""Realization independence: every semisimple catalog group of rank <= 8,
-re-expressed as a rootDatum file in the basis of simple coroots, has the
-same fundamental group and the same spinorial verdicts.
+"""Realization independence: every semisimple catalog group, re-expressed
+as a rootDatum file in the basis of simple coroots, has the same
+fundamental group and the same spinorial verdicts.
 
 The catalog realizes classical groups in Euclidean coordinates; the file
 form carries only the Cartan matrix and the cocharacter lattice in
@@ -22,22 +22,10 @@ from spinoriality.cli import load_group, main
 from spinoriality.spinor import dominant_orthogonal_weights
 
 
-def _rank(spec):
-    fam, p = spec.family, spec.params
-    if fam == "SL_quot":
-        return p[0] - 1
-    if fam in ("Sp", "Sp_quot"):
-        return p[0]
-    if fam in ("simplyConnected", "adjoint"):
-        return sum(r for _, r in p)
-    return p[0] // 2                    # SO, Spin, PSO, Gplus, Gminus
-
-
 NAMES = [name for name in dict.fromkeys(
     CATALOG_RANK_LE_4 + summary_suite_specs()
     + ["E6", "E7", "E8", "E6adj", "E7adj"])
-    if parse_group_name(name).family != "GL"
-    and _rank(parse_group_name(name)) <= 8]
+    if parse_group_name(name).family != "GL"]
 
 
 def cartan_document(rd):

@@ -3,10 +3,12 @@ from fractions import Fraction
 import pytest
 
 from spinoriality import ratlin as rl
-from spinoriality.catalog import group_by_name
+from spinoriality.catalog import (CATALOG_RANK_LE_4, group_by_name,
+                                  summary_suite_specs)
 from spinoriality.errors import SpecificationError
-from spinoriality.rootdata import (build_root_datum, expected_root_count,
-                                   simple_system, with_cochar_lattice)
+from spinoriality.rootdata import (RootDatum, build_root_datum,
+                                   expected_root_count, simple_system,
+                                   with_cochar_lattice)
 
 ALL_SIMPLE = [("A", 1), ("A", 4), ("B", 3), ("C", 4), ("D", 4), ("D", 6),
               ("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
@@ -143,9 +145,32 @@ def test_invalid_family_and_rank():
 
 def test_quotient_lattice_must_contain_coroots():
     rd = build_root_datum([("C", 2)])
-    with pytest.raises(SpecificationError):
+    with pytest.raises(SpecificationError,
+                       match="^cocharacter lattice does not contain the "
+                             "coroot lattice$"):
         with_cochar_lattice(rd, (rl.scale(2, rd.simple_coroots[0]),
                                  rd.simple_coroots[1]))
+    with pytest.raises(SpecificationError,
+                       match="^cocharacter basis is not independent$"):
+        with_cochar_lattice(rd, rd.simple_coroots + (rl.unit(2, 0),))
+
+
+def _tables(rd):
+    return (rd.cartan_matrix,
+            [(f.indices, f.family, f.rank) for f in rd.factors],
+            rd.cartan_inverse, rd.fundamental_weights, rd.positive_roots,
+            rd.coroot_lattice_coords, rd.central_torus_rank)
+
+
+@pytest.mark.parametrize("name", list(dict.fromkeys(
+    CATALOG_RANK_LE_4 + summary_suite_specs())))
+def test_handed_over_datum_equals_a_fresh_one(name):
+    # with_cochar_lattice passes on the root tables of the datum it starts
+    # from; a datum validated from scratch must agree with it
+    rd = group_by_name(name).rd
+    fresh = RootDatum(rd.simple_roots, rd.simple_coroots, rd.cochar_basis,
+                      rd.central_cochars, label=rd.label)
+    assert _tables(rd) == _tables(fresh)
 
 
 def test_weyl_orders():
