@@ -286,7 +286,7 @@ def run_atlas(group, box, k, fmt, grid_file):
         "group": group.name,
         "box": report["box"],
         "k": report["k"],
-        "violations": [list(map(list, v)) for v in report["violations"]],
+        "violations": [[list(c), axis] for c, axis in report["violations"]],
         "points": report["points"],
         "spinorial_points": report["spinorial_points"],
         "density": report["density"],

@@ -82,24 +82,22 @@ def combo(coeffs, vectors, dim=None):
 
 def int_combos(coeffs, vectors, den=1):
     """The exact combinations sum_j c_j * vectors[j] / den for every integer
-    row c of ``coeffs``: integer sums over the vectors' common denominator,
-    each distinct value made a Fraction once."""
+    row c of ``coeffs``, generated one at a time: integer sums over the
+    vectors' common denominator, each distinct value made a Fraction once."""
     rows, vden = scaled_rows(vectors)
     den *= vden
     width = len(rows[0]) if rows else 0
     support = [[(j, x) for j, x in enumerate(row) if x] for row in rows]
     frac = {}
-    out = []
     for c in coeffs:
         total = [0] * width
         for cj, row in zip(c, support):
             if cj:
                 for j, x in row:
                     total[j] += cj * x
-        out.append(tuple([frac[t] if t in frac
-                          else frac.setdefault(t, Fraction(t, den))
-                          for t in total]))
-    return tuple(out)
+        yield tuple([frac[t] if t in frac
+                     else frac.setdefault(t, Fraction(t, den))
+                     for t in total])
 
 
 def fmt_q(x):

@@ -34,13 +34,16 @@ def dominant_labels(rd, lam):
     return labels
 
 
-def weyl_dim(rd, lam):
-    """dim V_lam = prod over positive coroots beta^v = sum_i k_i alpha_i^v of
-    <lam+delta, beta^v>/<delta, beta^v>, with <lam+delta, beta^v> =
-    sum_i k_i (lam_i + 1)."""
-    shifted = [x + 1 for x in dominant_labels(rd, lam)]
-    num = prod(sum(map(mul, k, shifted)) for k in rd.positive_coroot_coords)
-    dim, rem = divmod(num, rd.weyl_denominator)
+def weyl_dim(rd, lam, labels=None):
+    """dim V_lam = prod over positive coroots beta^v of <lam+delta, beta^v>
+    / <delta, beta^v>, each pairing one add from an earlier one by the
+    closure's steps; ``labels``: lam's, if the caller has checked them."""
+    shifted = [x + 1 for x in (dominant_labels(rd, lam) if labels is None
+                               else labels)]
+    vals = [0]
+    for _, _, _, (p, i, d) in rd._root_closure:
+        vals.append(vals[p] + d * shifted[i])
+    dim, rem = divmod(prod(vals[1:]), rd.weyl_denominator)
     if rem:
         raise IntegralityError(
             f"Weyl dimension of {fmt_vec(lam)} is not integral")
@@ -66,6 +69,15 @@ class RepClassification:
     fs_parity: int  # parity of <lam, 2 delta_v>
 
 
+def orthogonal_labels(rd, labels):
+    """Labels of an orthogonal highest weight: dominant, fixed by sigma (-w0
+    on labels), <lam, 2 delta_v> even.  The rest is on the lattice: lam is
+    a character killing every cocharacter all roots kill."""
+    return (min(labels, default=0) >= 0
+            and all(labels[i] == labels[s] for i, s in rd._sigma_pairs)
+            and sum(map(mul, labels, rd.two_delta_coroot_coords)) % 2 == 0)
+
+
 def classify(rd, lam):
     """Self-dual iff -w0 lam = lam; orthogonal iff additionally
     <lam, 2 delta_v> is even."""
@@ -75,9 +87,9 @@ def classify(rd, lam):
     if par % 1:
         raise IntegralityError(
             f"<lam, 2 delta_v> non-integral for {fmt_vec(lam)}")
-    par = int(par) % 2
-    return RepClassification(self_dual=sd, orthogonal=sd and par == 0,
-                             fs_parity=par)
+    return RepClassification(self_dual=sd,
+                             orthogonal=sd and orthogonal_labels(rd, labels),
+                             fs_parity=int(par) % 2)
 
 
 class WeightMultiplicityTable:

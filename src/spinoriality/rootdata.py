@@ -228,25 +228,26 @@ class RootDatum:
 
     @cached_property
     def _root_closure(self):
-        """Each positive root beta as (c, k, labels): c its coordinates in
-        the simple roots, k those of beta^v in the simple coroots, and its
+        """Each positive root beta as (c, k, labels, step): c its coordinates
+        in the simple roots, k those of beta^v in the simple coroots, its
         Dynkin labels, by reflection closure from the simple roots (Bourbaki,
         Lie groups and Lie algebras, ch. VI, 1).  With a the Cartan matrix
         (row i: the labels of alpha_i) and x = <beta, alpha_i^v>, s_i
         subtracts x from c_i, x times a_i from the labels and
         <alpha_i, beta^v> = sum_j k_j a_ij from k_i; the image is a positive
-        root iff c_i stays >= 0.  Each simple factor's count is checked
-        against the classification."""
+        root iff c_i stays >= 0.  Its step (p, i, d) says k = k' + d e_i, k'
+        that of the root at position p - 1 (0 if p = 0).  Each simple
+        factor's count is checked against the classification."""
         a = self.cartan_matrix
         n = len(a)
         found = {}
         for i in range(n):
             e = tuple(int(j == i) for j in range(n))
-            found[e] = (e, a[i])
+            found[e] = (e, a[i], (None, i, 1))
         queue = list(found)
         while queue:
             c = queue.pop()
-            k, labels = found[c]
+            k, labels, _ = found[c]
             for i, x in enumerate(labels):
                 if not x or c[i] < x:
                     continue
@@ -255,7 +256,8 @@ class RootDatum:
                     continue
                 y = sum(map(mul, k, a[i]))
                 found[g] = (k[:i] + (k[i] - y,) + k[i + 1:],
-                            tuple([l - x * b for l, b in zip(labels, a[i])]))
+                            tuple([l - x * b for l, b in zip(labels, a[i])]),
+                            (c, i, -y))
                 queue.append(g)
         counts = [0] * len(self.factors)
         for c in found:
@@ -267,7 +269,9 @@ class RootDatum:
                     f"the reflection closure found {count} positive roots "
                     f"for the factor {f.label} on simple roots {f.indices}, "
                     f"expected {want}")
-        return tuple((c, k, labels) for c, (k, labels) in found.items())
+        pos = {c: t + 1 for t, c in enumerate(found)}   # parents come first
+        return tuple((c, k, labels, (pos.get(p, 0), i, d))
+                     for c, (k, labels, (p, i, d)) in found.items())
 
     @cached_property
     def _factor_index(self):
@@ -286,7 +290,7 @@ class RootDatum:
     def positive_root_coords(self):
         """Each positive root (in ``positive_roots`` order) in simple-root
         coordinates."""
-        return tuple(c for c, _, _ in self._root_closure)
+        return tuple(t[0] for t in self._root_closure)
 
     @cached_property
     def positive_roots(self):
@@ -316,12 +320,9 @@ class RootDatum:
             buckets[self._factor_of_root(c)].append(pair)
         return tuple(map(tuple, buckets))
 
-    def roots_of_factor(self, fi):
-        return self._roots_by_factor[fi]
-
     def factor_dim(self, fi):
         """dim of the simple factor: rank + number of its roots."""
-        return self.factors[fi].rank + 2 * len(self.roots_of_factor(fi))
+        return self.factors[fi].rank + 2 * len(self._roots_by_factor[fi])
 
     @cached_property
     def dim_g(self):
@@ -350,12 +351,12 @@ class RootDatum:
     def positive_coroot_coords(self):
         """Each positive coroot beta^v (in ``positive_roots`` order) in
         simple-coroot coordinates."""
-        return tuple(k for _, k, _ in self._root_closure)
+        return tuple(t[1] for t in self._root_closure)
 
     @cached_property
     def positive_root_labels(self):
         """The labels of each positive root, in ``positive_roots`` order."""
-        return tuple(labels for _, _, labels in self._root_closure)
+        return tuple(t[2] for t in self._root_closure)
 
     @cached_property
     def two_delta_coroot_coords(self):
@@ -370,16 +371,41 @@ class RootDatum:
     @cached_property
     def minus_w0_perm(self):
         """-w0 as the involution sigma of the labels, -w0 omega_i =
-        omega_sigma(i).  The reflections that walk -delta (labels all -1)
-        to the dominant chamber spell w0; they are applied to the labels of
-        the omega_i alongside (s_i: v -> v - v_i a_i)."""
+        omega_sigma(i): per simple factor, the diagram automorphism that
+        reverses an A_n chain, swaps the two short arms at the branch node
+        of D_n for odd n and the two long arms of E6, and fixes every other
+        type (Bourbaki, Lie groups and Lie algebras, ch. VI, plates); the
+        diagram is read off the Cartan matrix, in any node order."""
         a = self.cartan_matrix
-        n = len(a)
-        vs = [[-1] * n] + [[int(i == j) for i in range(n)] for j in range(n)]
-        while min(vs[0], default=0) < 0:
-            i = vs[0].index(min(vs[0]))
-            vs = [[x - v[i] * y for x, y in zip(v, a[i])] for v in vs]
-        return tuple(v.index(-1) for v in vs[1:])
+        sigma = list(range(len(a)))
+        for f in self.factors:
+            nbrs = {i: [j for j in f.indices if j != i and a[i][j]]
+                    for i in f.indices}
+
+            def arm(i, prev):   # from i away from prev to an end or a branch
+                out = [i]
+                while len(nxt := [j for j in nbrs[i] if j != prev]) == 1:
+                    prev, i = i, nxt[0]
+                    out.append(i)
+                return out
+
+            if f.family == "A":
+                p = arm(next(i for i in f.indices if len(nbrs[i]) < 2), None)
+                q = p[::-1]
+            elif (f.family == "D" and f.rank % 2) or f.label == "E6":
+                b = next(i for i in f.indices if len(nbrs[i]) == 3)
+                arms = sorted((arm(j, b) for j in nbrs[b]), key=len)
+                p, q = arms[:2] if f.family == "D" else arms[1:]
+            else:
+                continue
+            for x, y in zip(p, q):
+                sigma[x], sigma[y] = y, x
+        return tuple(sigma)
+
+    @cached_property
+    def _sigma_pairs(self):
+        """The pairs (i, sigma(i)) with i < sigma(i)."""
+        return tuple((i, s) for i, s in enumerate(self.minus_w0_perm) if i < s)
 
     @cached_property
     def _root_kernel(self):
@@ -392,8 +418,7 @@ class RootDatum:
         permutes the labels by sigma, and it is -1 where all coroots vanish,
         so mu must kill every cocharacter all simple roots kill."""
         nums = rl.scaled(mu)[0] if self._root_kernel else ()
-        return (all(labels[i] == labels[s]
-                    for i, s in enumerate(self.minus_w0_perm))
+        return (all(labels[i] == labels[s] for i, s in self._sigma_pairs)
                 and all(sum(map(mul, nums, z)) == 0 for z in self._root_kernel))
 
     # ------------------------------------------------------------------
@@ -414,15 +439,22 @@ class RootDatum:
                 [[Fraction(x, det) for x in row] for row in adj])))
         return tuple(out)
 
+    def factor_inner_nums(self, labels1, labels2):
+        """Per simple factor, ``label_inner`` times the factor's denominator
+        in ``_inverse_killing``: integers for integer labels."""
+        out = []
+        for idx, inv, _ in self._inverse_killing:
+            b = [labels2[i] for i in idx]
+            out.append(sum(labels1[i] * sum(map(mul, row, b))
+                           for i, row in zip(idx, inv)))
+        return out
+
     def label_inner(self, labels1, labels2, factor=None):
         """``weight_inner`` of two weights given by their labels."""
-        parts = self._inverse_killing
-        total = Fraction(0)
-        for idx, inv, den in parts if factor is None else [parts[factor]]:
-            b = [labels2[i] for i in idx]
-            total += Fraction(sum(labels1[i] * sum(map(mul, row, b))
-                                  for i, row in zip(idx, inv)), den)
-        return total
+        terms = zip(self.factor_inner_nums(labels1, labels2),
+                    self._inverse_killing)
+        return sum((Fraction(x, den) for i, (x, (*_, den)) in enumerate(terms)
+                    if factor in (None, i)), Fraction(0))
 
     def weight_inner(self, mu1, mu2, factor=None):
         """Canonical bilinear form (inverse Killing) on the character side.
@@ -442,13 +474,13 @@ class RootDatum:
             if factor is None:
                 roots = self.positive_roots
             else:
-                roots = self.roots_of_factor(factor)
+                roots = self._roots_by_factor[factor]
             cache[key] = 2 * sum(dot(root, nu) ** 2 for root, _ in roots)
         return cache[key]
 
     def dual_coxeter_number(self, factor):
         """1/|alpha|^2 for a long root, in Killing normalization."""
-        roots = self.roots_of_factor(factor)
+        roots = self._roots_by_factor[factor]
         if not roots:
             raise SpecificationError("empty factor")
         long_sq = max(self.weight_inner(r, r, factor=factor) for r, _ in roots)
@@ -488,10 +520,6 @@ class RootDatum:
                                zip(sums, self.simple_coroots)) - (r == c)
                            for c in range(self.dim))
                      for r in range(self.dim))
-
-    def is_self_dual(self, mu):
-        """-w0 mu = mu, read off the labels."""
-        return self.fixed_by_minus_w0(mu, self.dynkin_labels(mu))
 
     @cached_property
     def weyl_order(self):
@@ -596,7 +624,7 @@ class RootDatum:
     def fundamental_weights(self):
         """Fundamental weights (in the derived group's span), per simple root."""
         adj, det = self._cartan_adj
-        return rl.int_combos(adj, self.simple_roots, det)
+        return tuple(rl.int_combos(adj, self.simple_roots, det))
 
     @cached_property
     def fundamental_coweights(self):
@@ -606,7 +634,8 @@ class RootDatum:
         root span.
         """
         adj, det = self._cartan_adj
-        return rl.int_combos(rl.transpose(adj), self.simple_coroots, det)
+        return tuple(rl.int_combos(rl.transpose(adj), self.simple_coroots,
+                                    det))
 
     @cached_property
     def center_directions(self):
@@ -632,14 +661,9 @@ class RootDatum:
         found by exact linear algebra against the simple-coroot basis.
         """
         nu = tuple(vec(nu))
-        cache = self.__dict__.setdefault("_span_cache", {})
-        if nu in cache:
-            return cache[nu]
         prime = rl.combo([dot(alpha, nu) for alpha in self.simple_roots],
                          self.fundamental_coweights, dim=self.dim)
-        out = (prime, sub(nu, prime))
-        cache[nu] = out
-        return out
+        return prime, sub(nu, prime)
 
 
 # ----------------------------------------------------------------------

@@ -10,16 +10,15 @@ utilities built on top.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import product
+from itertools import product, tee
 from math import factorial, prod
 from operator import mul
 
 from . import ratlin as rl
 from .ratlin import add, dot, scale, fmt_vec
 from . import repcalc
-from .errors import SpecificationError, IntegralityError
-from .repcalc import (weyl_dim, casimir_value, classify,
+from .errors import SpecificationError, IntegralityError, GuardExceededError
+from .repcalc import (weyl_dim, casimir_value, classify, orthogonal_labels,
                       freudenthal_multiplicities, L_phi,
                       FREUDENTHAL_GUARD_DEFAULT)
 
@@ -88,31 +87,6 @@ def q_irreducible(rd, lam, nu):
     return dim * total
 
 
-def _require_int(x, what):
-    if x.denominator != 1:
-        raise IntegralityError(f"{what} = {x} is not an integer")
-    return int(x)
-
-
-def q_rep(rd, rep, nu):
-    """q of an :class:`OrthRep` at nu, as an exact integer.
-
-    Hyperbolic blocks contribute <gamma, nu^z> dim V_gamma through the
-    central component of nu; irreducible summands contribute their closed
-    forms.  Every summand's contribution is individually an integer.
-    """
-    nu = tuple(rl.vec(nu))
-    total = 0
-    for gamma in rep.hyperbolic:
-        _, nu_z = rd.coroot_span_decomposition(nu)
-        term = dot(gamma, nu_z) * weyl_dim(rd, gamma)
-        total += _require_int(term, f"hyperbolic term at {fmt_vec(gamma)}")
-    for lam in rep.irreducible:
-        total += _require_int(q_irreducible(rd, lam, nu),
-                              f"q at irreducible summand {fmt_vec(lam)}")
-    return total
-
-
 def q_tensor(dim1, q1, dim2, q2):
     """q of a tensor product from the factors' dimensions and q values."""
     return dim1 * q2 + dim2 * q1
@@ -131,17 +105,66 @@ class Verdict:
         return tuple(q for _, q in self.certificate)
 
 
+def _require_int(x, what, v):
+    """x as an int; the message naming v is formatted only on failure."""
+    if x.denominator != 1:
+        raise IntegralityError(f"{what} {fmt_vec(v)} = {x} is not an integer")
+    return int(x)
+
+
+def _q_forms(rd, nus):
+    """Per cocharacter nu: (nu^z, w, D), nu^z the central part of nu and
+    w_i / D = |nu^i|^2 / (2 dim g_i den_i) on each simple factor, den_i that
+    of ``_inverse_killing``.  q of an irreducible with labels l is then
+    dim V sum_i w_i Q_i(l) / D, Q_i = ``factor_inner_nums(l, l + 2)``."""
+    return tuple((rd.coroot_span_decomposition(nu)[1], *rl.scaled(
+        [Fraction(rd.cochar_norm_sq(nu, factor=i), 2 * rd.factor_dim(i) * den)
+         for i, (*_, den) in enumerate(rd._inverse_killing)])) for nu in nus)
+
+
+def _q_values(rd, forms, rep):
+    """q of rep at each cocharacter of ``forms``; every summand's
+    contribution is an integer, or IntegralityError."""
+    hyp = [(gamma, weyl_dim(rd, gamma)) for gamma in rep.hyperbolic]
+    irr = []
+    for lam in rep.irreducible:
+        labels = repcalc.dominant_labels(rd, lam)
+        irr.append((lam, weyl_dim(rd, lam, labels),
+                    rd.factor_inner_nums(labels, [x + 2 for x in labels])))
+    qs = []
+    for nu_z, w, den in forms:
+        q = sum(_require_int(dot(gamma, nu_z) * dim, "hyperbolic term at",
+                             gamma) for gamma, dim in hyp)
+        for lam, dim, casimirs in irr:
+            num = dim * sum(map(mul, w, casimirs))
+            if num % den:
+                _require_int(Fraction(num, den), "q at irreducible summand",
+                             lam)
+            q += num // den
+        qs.append(q)
+    return qs
+
+
+def q_rep(rd, rep, nu):
+    """q of an :class:`OrthRep` at nu, as an exact integer: each hyperbolic
+    block contributes <gamma, nu^z> dim V_gamma, nu^z the central part of
+    nu, each irreducible summand the closed form of ``q_irreducible``."""
+    return _q_values(rd, _q_forms(rd, [tuple(rl.vec(nu))]), rep)[0]
+
+
 def is_spinorial(rd, fg, rep):
     """Decide spinoriality: q(nu) even for every fundamental-group generator.
 
-    A trivial fundamental group yields a spinorial verdict with an empty
-    certificate.
-    """
-    cert = []
-    for nu in fg.generators:
-        cert.append((nu, q_rep(rd, rep, nu)))
-    ok = all(q % 2 == 0 for _, q in cert)
-    return Verdict(spinorial=ok, certificate=tuple(cert), method="closed-form")
+    The generators' forms are kept on the datum for the last fg, found by
+    identity.  A trivial fundamental group yields a spinorial verdict with
+    an empty certificate."""
+    memo = rd.__dict__.get("_q_forms")
+    if memo is None or memo[0] is not fg:
+        memo = rd.__dict__["_q_forms"] = (fg, _q_forms(rd, fg.generators))
+    qs = _q_values(rd, memo[1], rep) if memo[1] else []
+    return Verdict(spinorial=all(q % 2 == 0 for q in qs),
+                   certificate=tuple(zip(fg.generators, qs)),
+                   method="closed-form")
 
 
 def adjoint_spinorial(rd):
@@ -268,11 +291,15 @@ def descent_check(rd, lam, nu, d, guard=FREUDENTHAL_GUARD_DEFAULT):
 
 def is_dominant_orthogonal(rd, lam):
     """Is lam the highest weight of an irreducible orthogonal representation:
-    a dominant character, killing the connected center, with orthogonal
-    Frobenius-Schur type?"""
-    return (rd.is_character(lam) and rd.is_dominant(lam)
-            and all(dot(lam, z) == 0 for z in rd.center_directions)
-            and classify(rd, lam).orthogonal)
+    a character that kills every cocharacter all roots kill (the connected
+    center among them) and passes ``orthogonal_labels``?"""
+    labels = rd.dynkin_labels(lam)
+    return (rd.is_character(lam) and orthogonal_labels(rd, labels)
+            and rd.fixed_by_minus_w0(lam, labels))
+
+
+# points a sweep may visit after the reduction by -w0 (E8 box 4: 390 625)
+SWEEP_GUARD = 10 ** 7
 
 
 def dominant_orthogonal_weights(rd, box, basis=None):
@@ -282,28 +309,56 @@ def dominant_orthogonal_weights(rd, box, basis=None):
     Coordinates refer to ``basis``, a basis of weights (default: the
     fundamental weights).  When -w0 permutes the basis, only the coordinate
     tuples it fixes are visited, since orthogonal weights are self-dual;
-    otherwise the whole box is scanned.
+    otherwise the whole box is scanned, unless it has more than
+    ``SWEEP_GUARD`` points.  A point c passes if it meets the integer forms
+    n . c = 0 mod m (X_* and the labels L c / d are integral) and n . c = 0
+    (it kills the quotiented directions and the cocharacters all roots
+    kill), and its labels pass ``orthogonal_labels``; only then is its
+    weight built.
     """
+    if box < 0:
+        raise SpecificationError(f"the sweep box must be >= 0, got {box}")
     basis = tuple(map(rl.vec, rd.fundamental_weights if basis is None
                       else basis))
-    rows, den = rl.scaled_rows(basis)
-    cols = list(zip(*rows)) or [()] * rd.dim
     values = range(box + 1)
     images = [rl.mat_vec(rd.minus_w0_matrix, b) for b in basis]
     if any(im not in basis for im in images):
-        points = product(values, repeat=len(basis))
+        width = len(basis)
+        points = product(values, repeat=width)
     else:
         # -w0 is an involution; the first index of each orbit carries its
         # value, so the orbit values come in the points' lexicographic order
         perm = [basis.index(im) for im in images]
         reps = [i for i, j in enumerate(perm) if i <= j]
         slot = [reps.index(min(i, j)) for i, j in enumerate(perm)]
-        points = (tuple(v[k] for k in slot)
-                  for v in product(values, repeat=len(reps)))
-    for c in points:
-        lam = tuple(Fraction(sum(map(mul, c, col)), den) for col in cols)
-        if is_dominant_orthogonal(rd, lam):
-            yield c, lam
+        width = len(reps)
+        points = (tuple([v[k] for k in slot])
+                  for v in product(values, repeat=width))
+    if (box + 1) ** width > SWEEP_GUARD:
+        raise GuardExceededError(
+            f"the box-{box} sweep would visit {(box + 1) ** width} points, "
+            f"over the sweep guard {SWEEP_GUARD}")
+    rows, den, central = rd._character_rows
+    lrows, lden = rl.scaled_rows(rl.transpose([rd.dynkin_labels(b)
+                                               for b in basis]))
+
+    def forms(cochars, d):
+        return [rl.scaled([Fraction(dot(b, z), d) for b in basis])
+                for z in cochars]
+
+    congruences = [(n, m) for n, m in forms(rows, den) + [
+        (r, lden) for r in lrows] if any(x % m for x in n)]
+    zeros = [n for n, _ in forms(central + rd._root_kernel, 1) if any(n)]
+    same = lden == 1 and lrows == rl.identity(len(basis))
+
+    def passes(c):
+        return not (any(sum(map(mul, c, n)) % m for n, m in congruences)
+                    or any(sum(map(mul, c, z)) for z in zeros)) and (
+            orthogonal_labels(rd, c if same else [
+                sum(map(mul, c, r)) // lden for r in lrows]))
+
+    hits, again = tee(filter(passes, points))
+    yield from zip(hits, rl.int_combos(again, basis))
 
 
 def scan_periodicity(rd, fg, box, k, basis=None):
@@ -315,35 +370,28 @@ def scan_periodicity(rd, fg, box, k, basis=None):
     orthogonal set).  Also reports the smallest exponent in [0, k] with no
     violations in the box, and the density of spinorial points in the box.
     """
+    if k < 0:
+        raise SpecificationError(f"the exponent k must be >= 0, got {k}")
     basis = rd.fundamental_weights if basis is None else basis
-
-    @lru_cache(maxsize=None)
-    def verdict(coords):
-        lam = rl.combo(coords, basis, dim=rd.dim)
-        if not is_dominant_orthogonal(rd, lam):
-            return None
-        rep = OrthRep(irreducible=(tuple(lam),))
-        return all(q_rep(rd, rep, nu) % 2 == 0 for nu in fg.generators)
-
-    points = [c for c, _ in dominant_orthogonal_weights(rd, box, basis=basis)]
-    spin_count = sum(1 for c in points if verdict(c))
+    # every dominant orthogonal point of the box; the rest read None
+    verdict = {c: is_spinorial(rd, fg, OrthRep(irreducible=(lam,))).spinorial
+               for c, lam in dominant_orthogonal_weights(rd, box, basis=basis)}
+    points = list(verdict)
+    spin_count = sum(verdict.values())
 
     def violations(kk):
-        step = 2 ** kk
         out, compared = [], 0
+        if kk >= box.bit_length():
+            return out, compared    # 2^kk > box: every shift leaves the box
+        step = 2 ** kk
         for c0 in points:
-            v0 = verdict(c0)
             for axis in range(len(basis)):
-                shifted = tuple(a + (step if i == axis else 0)
-                                for i, a in enumerate(c0))
-                if any(x > box for x in shifted):
-                    continue
-                v1 = verdict(shifted)
-                if v1 is None:
-                    continue
-                compared += 1
-                if v1 != v0:
-                    out.append((c0, axis))
+                v1 = verdict.get(c0[:axis] + (c0[axis] + step,)
+                                 + c0[axis + 1:])
+                if v1 is not None:
+                    compared += 1
+                    if v1 != verdict[c0]:
+                        out.append((c0, axis))
         return out, compared
 
     viols, compared = violations(k)
@@ -357,7 +405,7 @@ def scan_periodicity(rd, fg, box, k, basis=None):
         "vacuous": compared == 0,
     }
     minimal = None
-    for kk in range(k + 1):
+    for kk in range(min(k, box.bit_length()) + 1):
         v, c = violations(kk)
         if c and not v:
             minimal = kk

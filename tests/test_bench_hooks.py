@@ -6,6 +6,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+from click.testing import CliRunner
+
 from spinoriality import cli, repcalc, rootdata, spinor
 from spinoriality.catalog import group_by_name
 
@@ -58,4 +60,23 @@ def test_traced_oracle_row_matches_the_reference_counts(monkeypatch):
     assert tracer.stats["repcalc.freudenthal_multiplicities"][0] == 1
     assert {"freudenthal SO8 1,0,0,0 nu0",
             "orbit_size SO8 1,0,0,0 nu0"} <= set(tracer.observed)
+    assert tracing.check_counts(tracer, reference) == []
+
+
+def test_traced_summary_matches_the_reference_counts(monkeypatch):
+    # the traced sweep op counts the points the sweep scans and yields; they
+    # must stay those bench/reference.json holds, and the verdicts must
+    # still go through spinor.is_spinorial
+    tracing = load_tracing(monkeypatch)
+    reference = json.loads((BENCH / "reference.json").read_text())
+    tracer = tracing.Tracer()
+    tracer.op = tracer.group = "SL12/mu6"
+    with tracing.instrument(tracer):
+        res = CliRunner().invoke(cli.main, ["summary", "--group", "SL12/mu6",
+                                            "--box", "2", "--format", "json"])
+    assert res.exit_code == 0 and json.loads(res.output)["agrees"] is True
+    assert tracer.stats["spinor.dominant_orthogonal_weights"][0] > 0
+    assert sum(count for name, (count, _) in tracer.stats.items()
+               if name.startswith("spinor.is_spinorial")) == 729
+    assert "sweep SL12/mu6" in tracer.observed
     assert tracing.check_counts(tracer, reference) == []

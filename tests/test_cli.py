@@ -4,7 +4,7 @@ import time
 import pytest
 from click.testing import CliRunner
 
-from spinoriality import rootdata
+from spinoriality import rootdata, spinor
 from spinoriality.cli import main
 
 
@@ -180,6 +180,54 @@ def test_atlas_grid_file(runner, tmp_path):
     bits = [int(l.split(",")[1]) for l in lines[1:]]
     # j = 0..8: spinorial iff j mod 4 in {0, 3}
     assert bits == [1 if j % 4 in (0, 3) else 0 for j in range(9)]
+
+
+def test_atlas_lists_violations_in_json(runner):
+    # a violation is (coordinates, axis); JSON used to fail on the axis
+    res = runner.invoke(main, ["atlas", "--group", "SO8", "--box", "3",
+                               "--k", "1", "--format", "json"])
+    assert res.exit_code == 0
+    doc = json.loads(res.output)
+    assert len(doc["violations"]) == 42
+    assert doc["violations"][0] == [["0", "0", "1", "1"], "0"]
+
+
+def test_atlas_exponent_past_the_box_ends_at_once(runner):
+    t0 = time.perf_counter()
+    res = runner.invoke(main, ["atlas", "--group", "PGL2", "--box", "2",
+                               "--k", "1000000000"])
+    assert time.perf_counter() - t0 < 2
+    assert res.exit_code == 0 and "vacuous" in res.output
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["summary", "--group", "PGL2", "--box", "-1"],
+     "the sweep box must be >= 0, got -1"),
+    (["oracle", "--group", "SO8", "--box", "-2"],
+     "the sweep box must be >= 0, got -2"),
+    (["atlas", "--group", "PGL2", "--box", "-1"],
+     "the sweep box must be >= 0, got -1"),
+    (["atlas", "--group", "PGL2", "--box", "4", "--k", "-1"],
+     "the exponent k must be >= 0, got -1"),
+])
+def test_bad_sweep_options_exit_2(runner, argv, message):
+    res = runner.invoke(main, argv)
+    assert res.exit_code == 2
+    assert res.stderr == f"spec error: {message}\n"
+    assert "PASS" not in res.output
+
+
+def test_sweep_point_guard(runner):
+    # 101^8 points to visit: refused before the first, with the count
+    t0 = time.perf_counter()
+    res = runner.invoke(main, ["summary", "--group", "E8", "--box", "100"])
+    assert time.perf_counter() - t0 < 1
+    assert res.exit_code == 4
+    assert res.stderr == (
+        f"guard exceeded: the box-100 sweep would visit {101 ** 8} points, "
+        f"over the sweep guard {spinor.SWEEP_GUARD}\n")
+    # E8 at box 4 visits 390 625 points, far below the bound
+    assert 5 ** 8 * 25 < spinor.SWEEP_GUARD < 101 ** 8
 
 
 def test_summary(runner):

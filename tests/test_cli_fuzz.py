@@ -67,7 +67,9 @@ catalog_document = st.builds(
 @st.composite
 def cli_case(draw):
     """(group, argv without the group): a catalog name or a group document,
-    and a check with weights sized for it, a table or a box-1 oracle."""
+    and a check with weights sized for it, a table, or an oracle, summary
+    or atlas with a small box, some of them negative, as are some atlas
+    exponents."""
     group = draw(st.one_of(st.sampled_from(sorted(VALID)),
                            st.sampled_from(sorted(VALID)),
                            st.sampled_from(MALFORMED), root_datum(),
@@ -77,14 +79,16 @@ def cli_case(draw):
     else:
         size = len(group.get("rootDatum", {}).get("cartan", [0, 0])) or 1
     name = draw(st.sampled_from(["check", "check", "check", "table",
-                                 "oracle"]))
+                                 "oracle", "summary", "atlas"]))
     argv = [name]
     if name == "check":
         for w in draw(st.lists(weight(size), min_size=1, max_size=2)
                       | st.just([])):
             argv += ["--weight", w]
-    if name == "oracle":
-        argv += ["--box", "1"]
+    if name in ("oracle", "summary", "atlas"):
+        argv += ["--box", str(draw(st.sampled_from([1, 1, 0, -1, -3])))]
+    if name == "atlas":
+        argv += ["--k", str(draw(st.sampled_from([0, 1, 2, -1])))]
     if draw(st.booleans()):
         argv += ["--format", "json"]
     return group, argv
@@ -103,5 +107,8 @@ def test_cli_exit_codes_on_random_input(case):
         argv = argv[:1] + ["--group", group] + argv[1:]
         res = CliRunner().invoke(main, argv)
     assert res.exit_code in (0, 2, 3, 4), (argv, res.exception)
+    if argv[0] != "check" and any(a[:1] == "-" and a[1:].isdigit()
+                                  for a in argv):
+        assert res.exit_code == 2, argv     # a negative box or exponent
     assert res.exception is None or isinstance(res.exception, SystemExit)
     assert "Traceback" not in res.output

@@ -2,6 +2,7 @@
 
 import importlib.util
 from fractions import Fraction
+from itertools import product
 from math import lcm
 from pathlib import Path
 
@@ -9,12 +10,16 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from spinoriality import ratlin as rl
-from spinoriality.catalog import group_by_name
+from spinoriality.catalog import (CATALOG_RANK_LE_4, group_by_name,
+                                  summary_suite_specs)
+from spinoriality.fundgroup import FundGroupData, fundamental_group
 from spinoriality.repcalc import (L_phi, casimir_value, classify,
                                   freudenthal_multiplicities,
                                   two_delta_pairing, weyl_dim)
-from spinoriality.rootdata import build_root_datum, with_cochar_lattice
-from spinoriality.spinor import (OrthRep, is_dominant_orthogonal,
+from spinoriality.rootdata import (RootDatum, _from_cartan, build_root_datum,
+                                   with_cochar_lattice)
+from spinoriality.spinor import (OrthRep, dominant_orthogonal_weights,
+                                 is_dominant_orthogonal, is_spinorial,
                                  make_regular, q_irreducible, q_rep,
                                  q_via_weyl_sum)
 
@@ -189,7 +194,8 @@ def test_labels_match_euclidean_definitions(case):
         rd, lam, rl.add(lam, rl.scale(2, delta)))
     self_dual = rd.dominant_conjugate(rl.neg(lam))[0] == lam
     cls = classify(rd, lam)
-    assert cls.self_dual == self_dual == rd.is_self_dual(lam)
+    assert cls.self_dual == self_dual == rd.fixed_by_minus_w0(
+        lam, rd.dynkin_labels(lam))
     parity = sum(rl.dot(lam, co) for _, co in rd.positive_roots)
     assert two_delta_pairing(rd, lam) == parity
     assert cls.fs_parity == parity % 2
@@ -207,7 +213,7 @@ def test_gl2_weight_off_the_root_span_is_not_self_dual():
     lam = (Fraction(2), Fraction(0))
     cls = classify(g.rd, lam)
     assert not cls.self_dual and not cls.orthogonal
-    assert not g.rd.is_self_dual(lam)
+    assert not g.rd.fixed_by_minus_w0(lam, g.rd.dynkin_labels(lam))
     assert not is_dominant_orthogonal(g.rd, lam)
 
 
@@ -342,3 +348,193 @@ def _benchmark_groups():
 @pytest.mark.parametrize("name", _benchmark_groups())
 def test_root_closure_matches_the_definition_on_the_catalog(name):
     assert_closure_matches_definition(group_by_name(name).rd)
+
+
+# ----------------------------------------------------------------------
+# -w0 read off the diagram, against the chamber walk
+
+def reference_minus_w0_perm(rd):
+    """-w0 as a permutation of the labels by the old walk: the reflections
+    that take -delta (labels all -1) to the dominant chamber spell w0; they
+    are applied to the labels of the omega_i alongside."""
+    a = rd.cartan_matrix
+    n = len(a)
+    vs = [[-1] * n] + [[int(i == j) for i in range(n)] for j in range(n)]
+    while min(vs[0], default=0) < 0:
+        i = vs[0].index(min(vs[0]))
+        vs = [[x - v[i] * y for x, y in zip(v, a[i])] for v in vs]
+    return tuple(v.index(-1) for v in vs[1:])
+
+
+CATALOG_NAMES = sorted(set(CATALOG_RANK_LE_4 + summary_suite_specs()
+                           + _benchmark_groups()
+                           + ["E6", "E7", "E8", "E6adj", "E7adj", "SL20",
+                              "Spin21", "PSO22", "Sp18"]))
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_minus_w0_perm_matches_the_walk_on_the_catalog(name):
+    rd = group_by_name(name).rd
+    assert rd.minus_w0_perm == reference_minus_w0_perm(rd)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.composite(random_datum)())
+def test_minus_w0_perm_matches_the_walk_on_random_data(case):
+    rd = case[0]
+    assert rd.minus_w0_perm == reference_minus_w0_perm(rd)
+
+
+DIAGRAM_TYPES = [("A", 1), ("A", 2), ("A", 5), ("A", 6), ("B", 3), ("C", 4),
+                 ("D", 4), ("D", 5), ("D", 6), ("D", 7), ("E", 6), ("E", 7),
+                 ("F", 4), ("G", 2)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from(DIAGRAM_TYPES), min_size=1, max_size=2),
+       st.randoms(use_true_random=False))
+def test_minus_w0_perm_matches_the_walk_with_shuffled_nodes(types, rnd):
+    a = build_root_datum(types).cartan_matrix
+    order = list(range(len(a)))
+    rnd.shuffle(order)
+    cartan = [[a[i][j] for j in order] for i in order]
+    roots, coroots, _, _ = _from_cartan(cartan)
+    rd = RootDatum(roots, coroots, coroots)
+    perm = rd.minus_w0_perm
+    assert perm == reference_minus_w0_perm(rd)
+    assert [perm[i] for i in perm] == list(range(len(a)))
+    assert [[cartan[perm[i]][perm[j]] for j in order] for i in order] == [
+        [cartan[i][j] for j in order] for i in order]
+
+
+# ----------------------------------------------------------------------
+# the sweep on integer forms, against the Euclidean brute force
+
+def euclidean_orthogonal(rd, lam):
+    """lam is a dominant character with -w0 lam = lam and <lam, 2 delta_v>
+    even, each read off the Euclidean definition."""
+    return (rd.is_character(lam)
+            and all(rl.dot(lam, co) >= 0 for co in rd.simple_coroots)
+            and rd.dominant_conjugate(rl.neg(lam))[0] == tuple(lam)
+            and sum(rl.dot(lam, co) for _, co in rd.positive_roots) % 2 == 0)
+
+
+@st.composite
+def data_basis_and_box(draw):
+    """A ``random_datum``, a basis of weights and a box.  The basis is the
+    fundamental weights, their halves or the simple roots (all permuted by
+    -w0), the fundamental weights plus multiples of vectors all coroots
+    kill, or independent integer combinations of the fundamental weights
+    over 1 or 2, with an optional half-integral ambient part (-w0 permutes
+    neither of the last two, in general)."""
+    rd, _ = random_datum(draw)
+    r = len(rd.simple_roots)
+    box = draw(st.integers(0, 2))
+    assume((box + 1) ** r <= 256)
+    w = rd.fundamental_weights
+    kind = draw(st.sampled_from(["fundamental", "half", "roots", "central",
+                                 "mixed"]))
+    if kind == "fundamental":
+        return rd, w, box
+    if kind == "half":
+        return rd, [rl.scale(Fraction(1, 2), v) for v in w], box
+    if kind == "roots":
+        return rd, rd.simple_roots, box
+    if kind == "central":
+        # a character with a part all coroots kill is not self-dual, and
+        # one along a quotiented direction no character at all
+        zs = [rl.vec(rl.scaled(z)[0])
+              for z in rl.nullspace(rd.simple_coroots, rd.dim)]
+        assume(zs)
+        return rd, [rl.add(v, rl.scale(draw(st.integers(-1, 2)),
+                                       draw(st.sampled_from(zs))))
+                    for v in w], box
+    entries = st.lists(st.integers(-1, 2), min_size=r, max_size=r)
+    den = draw(st.sampled_from([1, 2]))
+    basis = []
+    for _ in range(r):
+        v = rl.combo(draw(entries), w, dim=rd.dim)
+        if draw(st.booleans()):
+            extra = draw(st.lists(st.integers(-1, 1), min_size=rd.dim,
+                                  max_size=rd.dim))
+            v = rl.add(v, rl.scale(Fraction(1, 2), extra))
+        basis.append(rl.scale(Fraction(1, den), v))
+    assume(rl.rank(basis) == r)
+    return rd, basis, box
+
+
+@settings(max_examples=60, deadline=None)
+@given(data_basis_and_box())
+def test_sweep_matches_the_euclidean_brute_force(case):
+    rd, basis, box = case
+    want = [(c, lam) for c in product(range(box + 1), repeat=len(basis))
+            if euclidean_orthogonal(rd, lam := rl.combo(c, basis,
+                                                         dim=rd.dim))]
+    assert list(dominant_orthogonal_weights(rd, box, basis=basis)) == want
+    assert all(is_dominant_orthogonal(rd, lam) for _, lam in want)
+
+
+# ----------------------------------------------------------------------
+# the verdict's integer forms against the term-by-term closed form
+
+def assert_verdict_is_the_term_by_term_q(rd, fg, rep):
+    v = is_spinorial(rd, fg, rep)
+    assert [nu for nu, _ in v.certificate] == list(fg.generators)
+    for nu, q in v.certificate:
+        _, nu_z = rd.coroot_span_decomposition(nu)
+        want = sum(q_irreducible(rd, lam, nu) for lam in rep.irreducible)
+        want += sum(rl.dot(g, nu_z) * weyl_dim(rd, g) for g in rep.hyperbolic)
+        assert type(q) is int and q == want == q_rep(rd, rep, nu)
+    assert v.spinorial == all(q % 2 == 0 for q in v.q_values())
+
+
+@st.composite
+def data_group_and_rep(draw):
+    """A ``random_datum`` with its fundamental group, and a representation
+    of one to three orthogonal summands from the box-1 sweep plus, at
+    times, a hyperbolic block."""
+    rd, central = random_datum(draw)
+    points = [lam for _, lam in dominant_orthogonal_weights(rd, 1)]
+    irr = draw(st.lists(st.sampled_from(points), min_size=1, max_size=3))
+    hyp = []
+    if draw(st.booleans()):
+        r = len(rd.simple_roots)
+        gamma = rl.combo(draw(st.lists(st.integers(0, 2), min_size=r,
+                                       max_size=r)),
+                         rd.fundamental_weights, dim=rd.dim)
+        if central:
+            gamma = gamma[:-1] + (Fraction(draw(st.integers(-2, 2))),)
+        hyp = [least_character_multiple(rd, gamma)]
+    return rd, fundamental_group(rd), OrthRep(tuple(irr), tuple(hyp))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data_group_and_rep())
+def test_verdict_q_is_the_sum_of_the_closed_forms(case):
+    assert_verdict_is_the_term_by_term_q(*case)
+
+
+@pytest.mark.parametrize("name", ["PSO8", "PSO12", "PSO16", "SL12/mu6",
+                                  "E7adj", "GL3", "PSp8"])
+def test_verdict_q_on_every_generator(name):
+    # PSO groups have two generators, GL a central one
+    g = group_by_name(name)
+    points = [lam for _, lam in dominant_orthogonal_weights(
+        g.rd, 1, basis=g.weight_basis)]
+    for i in range(0, len(points), max(1, len(points) // 12)):
+        rep = OrthRep(irreducible=(points[i], points[-1 - i]),
+                      hyperbolic=(g.weight_basis[0],))
+        assert_verdict_is_the_term_by_term_q(g.rd, g.fg, rep)
+
+
+def test_verdict_forms_follow_the_fundamental_group_object():
+    # the forms are found by the identity of fg: another generating set on
+    # the same datum gets its own certificate
+    g = group_by_name("PSO8")
+    rep = OrthRep(irreducible=(tuple(g.weight_from_coords([1, 0, 1, 1])),))
+    first = is_spinorial(g.rd, g.fg, rep)
+    other = FundGroupData(g.fg.invariant_factors, tuple(
+        rl.scale(3, nu) for nu in g.fg.generators))
+    assert is_spinorial(g.rd, other, rep).q_values() == tuple(
+        q_rep(g.rd, rep, nu) for nu in other.generators)
+    assert is_spinorial(g.rd, g.fg, rep) == first
