@@ -24,7 +24,7 @@ subtracts v_i times the labels of alpha_i.
 
 from fractions import Fraction
 from functools import cached_property
-from math import factorial, prod
+from math import factorial, gcd, prod
 from operator import mul
 
 from .errors import SpecificationError, GuardExceededError
@@ -130,8 +130,8 @@ class RootDatum:
     def _integral_cartan(self):
         """The Cartan matrix <alpha_i, alpha_j^v> as ints, checked to be one:
         integer entries, 2 on the diagonal, a_ij <= 0 off it with a_ij = 0
-        iff a_ji = 0."""
-        roots, rden = rl.scaled_rows(self.simple_roots)
+        iff a_ji = 0.  Keeps the simple roots over one den as _root_rows."""
+        roots, rden = self._root_rows = rl.scaled_rows(self.simple_roots)
         coroots, cden = rl.scaled_rows(self.simple_coroots)
         den = rden * cden
         a = [[sum(map(mul, r, c)) for c in coroots] for r in roots]
@@ -428,15 +428,21 @@ class RootDatum:
     def _inverse_killing(self):
         """Per factor: its indices and the inverse of its Gram matrix
         K(alpha_a^v, alpha_b^v) = 2 sum_beta <beta, alpha_a^v><beta,
-        alpha_b^v> over the positive roots, as integers over a denominator."""
-        roots = self.positive_root_labels
+        alpha_b^v> over the positive roots, as integers over a denominator;
+        each root adds the outer product of its nonzero labels."""
+        gram = [[0] * len(self.cartan_matrix) for _ in self.cartan_matrix]
+        for labels in self.positive_root_labels:
+            support = [(i, x) for i, x in enumerate(labels) if x]
+            for i, x in support:
+                for j, y in support:
+                    gram[i][j] += 2 * x * y
         out = []
         for f in self.factors:
-            gram = [[2 * sum(l[a] * l[b] for l in roots) for b in f.indices]
-                    for a in f.indices]
-            adj, det = rl.int_inverse(gram)
+            block = [[gram[a][b] for b in f.indices] for a in f.indices]
+            g = gcd(*(x for row in block for x in row))   # smaller minors
+            adj, det = rl.int_inverse([[x // g for x in row] for row in block])
             out.append((f.indices, *rl.scaled_rows(
-                [[Fraction(x, det) for x in row] for row in adj])))
+                [[Fraction(x, g * det) for x in row] for row in adj])))
         return tuple(out)
 
     def factor_inner_nums(self, labels1, labels2):
@@ -471,11 +477,11 @@ class RootDatum:
         key = (tuple(nu), factor)
         cache = self.__dict__.setdefault("_norm_cache", {})
         if key not in cache:
-            if factor is None:
-                roots = self.positive_roots
-            else:
-                roots = self._roots_by_factor[factor]
-            cache[key] = 2 * sum(dot(root, nu) ** 2 for root, _ in roots)
+            p, den = self.root_pairings(nu)
+            cache[key] = Fraction(2 * sum(
+                sum(map(mul, c, p)) ** 2 for c in self.positive_root_coords
+                if factor is None or self._factor_of_root(c) == factor),
+                den * den)
         return cache[key]
 
     def dual_coxeter_number(self, factor):
@@ -537,21 +543,28 @@ class RootDatum:
         return order
 
     def label_orbit(self, labels):
-        """The Weyl orbit of the weight with these labels, breadth first from
-        it, as a dict from label tuples to the sign det(w) of the w that
-        reaches each point (well defined when the weight is regular)."""
-        rows = self.cartan_matrix
-        labels = tuple(labels)
-        orbit = {labels: 1}
-        queue = [labels]
-        for cur in queue:
-            sign = -orbit[cur]
-            for x, row in zip(cur, rows):
-                if x:
-                    nxt = tuple([a - x * b for a, b in zip(cur, row)])
-                    if nxt not in orbit:
+        """The Weyl orbit of the weight with these labels, as a dict from
+        label tuples to the sign det(w) of the w that reaches each point
+        (well defined when the weight is regular).  Each point is built
+        once, on the tree rooted at the dominant point where a point's
+        parent is its reflection at its first negative label: a point made
+        by s_f (the root: f = r) has the child s_i(cur), cur_i > 0, for
+        i < f, and for i > f when a_if != 0 and s_i(cur) has no negative
+        label before i.  The sign is the parity of the depth."""
+        rows, r = self.cartan_matrix, len(self.cartan_matrix)
+        top, sign = list(labels), 1
+        while (i := next((j for j, x in enumerate(top) if x < 0), r)) < r:
+            top, sign = [a - top[i] * b for a, b in zip(top, rows[i])], -sign
+        orbit = {tuple(top): sign}
+        stack = [(tuple(top), r, -sign)]
+        while stack:
+            cur, f, sign = stack.pop()
+            for i, x in enumerate(cur):
+                if x > 0 and (i < f or rows[i][f]):
+                    nxt = tuple([a - x * b for a, b in zip(cur, rows[i])])
+                    if i < f or min(nxt[f:i]) >= 0:
                         orbit[nxt] = sign
-                        queue.append(nxt)
+                        stack.append((nxt, i, -sign))
         return orbit
 
     def weyl_orbit_signed(self, v, guard=None):
@@ -577,13 +590,24 @@ class RootDatum:
 
         Returns (c, k, den) with <mu, nu> = (sum_i c_i mu_i + k) / den:
         c_i / den = <omega_i, nu> and k / den = <lam, nu^z>, the pairing of
-        lam with the central part of nu.
+        lam with the central part of nu.  In integers: <omega_i, nu> = sum_j
+        adj_ij p_j / (det den_p), p / den_p = ``root_pairings(nu)``.
         """
-        nu = vec(nu)
-        c = [dot(w, nu) for w in self.fundamental_weights]
-        k = dot(lam, nu) - sum(map(mul, c, self.dynkin_labels(lam)))
-        nums, den = rl.scaled((*c, k))
-        return nums[:-1], nums[-1], den
+        p, pden = self.root_pairings(nu)
+        adj, det = self._cartan_adj
+        (lnums, lden), (nnums, nden) = rl.scaled(lam), rl.scaled(nu)
+        labels, d = rl.scaled(self.dynkin_labels(lam))
+        s = lden * nden * d         # den = s det pden
+        c = [sum(map(mul, row, p)) * s for row in adj]
+        k = (sum(map(mul, lnums, nnums)) * d * det * pden
+             - sum(map(mul, c, labels)) // d)
+        g = gcd(*c, k, s * det * pden)
+        return [x // g for x in c], k // g, s * det * pden // g
+
+    def root_pairings(self, nu):
+        """(p, den): <alpha_j, nu> = p_j / den for the simple roots."""
+        (nums, den), (rows, rden) = rl.scaled(nu), self._root_rows
+        return [sum(map(mul, row, nums)) for row in rows], den * rden
 
     # ------------------------------------------------------------------
     # lattices
@@ -661,7 +685,8 @@ class RootDatum:
         found by exact linear algebra against the simple-coroot basis.
         """
         nu = tuple(vec(nu))
-        prime = rl.combo([dot(alpha, nu) for alpha in self.simple_roots],
+        p, den = self.root_pairings(nu)
+        prime = rl.combo([Fraction(x, den) for x in p],
                          self.fundamental_coweights, dim=self.dim)
         return prime, sub(nu, prime)
 
@@ -747,8 +772,8 @@ def build_root_datum(lie_type, central_rank=0, label=""):
 
 
 _ROOT_TABLES = ("simple_roots", "simple_coroots", "central_cochars", "dim",
-                "cartan_matrix", "_diagram", "factors", "_cartan_adj",
-                "_root_closure")
+                "_root_rows", "cartan_matrix", "_diagram", "factors",
+                "_cartan_adj", "_root_closure")
 
 
 def with_cochar_lattice(rd, basis, label=None):

@@ -176,30 +176,31 @@ def adjoint_spinorial(rd):
 # oracles
 
 def d_nu(rd, nu):
-    """Product of <alpha, nu> over the positive roots, each sum_j c_j
-    <alpha_j, nu> over one denominator."""
-    pairs, den = rl.scaled([dot(a, nu) for a in rd.simple_roots])
-    return Fraction(prod(sum(map(mul, c, pairs))
+    """Product of <alpha, nu> over the positive roots, each c_alpha . p over
+    the denominator of p = ``RootDatum.root_pairings(nu)``."""
+    p, den = rd.root_pairings(nu)
+    return Fraction(prod(sum(map(mul, c, p))
                          for c in rd.positive_root_coords),
                     den ** rd.num_positive_roots)
 
 
 def make_regular(rd, nu):
     """nu itself if regular, else nu + t rho_v for the least regular one
-    with t >= 1.  d_nu(nu + t rho_v) is a product of N linear factors in t,
-    each with slope the height of its root, so one of t = 0, ..., N is
-    regular; the search stops with an error past t = N + 1."""
+    with t >= 1.  With p / den = ``RootDatum.root_pairings(nu)``, <beta,
+    nu + t rho_v> den = c_beta . p + t den ht(beta) vanishes at one t at
+    most, so some t <= N is regular; t is scanned on these integers and
+    the vector built once."""
     nu = tuple(rl.vec(nu))
-    if d_nu(rd, nu) != 0:
+    p, den = rd.root_pairings(nu)
+    lines = [(sum(map(mul, c, p)), den * sum(c))
+             for c in rd.positive_root_coords]
+    t = next(t for t in range(rd.num_positive_roots + 1)
+             if all(a + t * h for a, h in lines))
+    if t == 0:
         return nu
     # rho_v: <alpha_i, rho_v> = 1 for every simple root
     rho_v = rl.combo((1,) * len(rd.simple_roots), rd.fundamental_coweights)
-    for t in range(1, rd.num_positive_roots + 2):
-        cand = add(nu, scale(t, rho_v))
-        if d_nu(rd, cand) != 0:
-            return cand
-    raise SpecificationError(
-        f"no regular point nu + t rho_v for {fmt_vec(nu)}")
+    return add(nu, scale(t, rho_v))
 
 
 def q_via_weyl_sum(rd, lam, nu, guard=WEYL_GUARD_DEFAULT):
@@ -276,7 +277,7 @@ def descent_check(rd, lam, nu, d, guard=FREUDENTHAL_GUARD_DEFAULT):
     nu = tuple(rl.vec(nu))
     table = freudenthal_multiplicities(rd, lam, guard=guard)
     den, pairs = table.pairings(nu)
-    for p, _, labels in pairs:
+    for p, _, labels in sorted(pairs, key=lambda t: t[2]):   # by labels
         if p % (d * den):
             raise SpecificationError(
                 f"weight {fmt_vec(table.weight(labels))} pairs to "
@@ -306,7 +307,7 @@ def dominant_orthogonal_weights(rd, box, basis=None):
     """All dominant orthogonal characters with coordinates in [0, box], in
     lexicographic order, generated one at a time.
 
-    Coordinates refer to ``basis``, a basis of weights (default: the
+    Coordinates refer to ``basis``, independent weights (default: the
     fundamental weights).  When -w0 permutes the basis, only the coordinate
     tuples it fixes are visited, since orthogonal weights are self-dual;
     otherwise the whole box is scanned, unless it has more than
@@ -320,6 +321,8 @@ def dominant_orthogonal_weights(rd, box, basis=None):
         raise SpecificationError(f"the sweep box must be >= 0, got {box}")
     basis = tuple(map(rl.vec, rd.fundamental_weights if basis is None
                       else basis))
+    if rl.rank(basis) < len(basis):
+        raise SpecificationError("the sweep basis is not independent")
     values = range(box + 1)
     images = [rl.mat_vec(rd.minus_w0_matrix, b) for b in basis]
     if any(im not in basis for im in images):

@@ -45,22 +45,28 @@ def test_tracing_instruments_and_restores_the_package(monkeypatch):
 
 def test_traced_oracle_row_matches_the_reference_counts(monkeypatch):
     # the traced oracle run reads len(table), dominant_items() and
-    # len(orbit); their values must stay those bench/reference.json holds
+    # len(orbit); their values must stay those bench/reference.json holds,
+    # on a row of each oracle group
     tracing = load_tracing(monkeypatch)
     reference = json.loads((BENCH / "reference.json").read_text())
-    g = group_by_name("SO8")
-    lam = g.weight_from_coords([1, 0, 0, 0])
-    tracer = tracing.Tracer()
-    tracer.op = "SO8 1,0,0,0 nu0"
-    tracer.group = "SO8"
-    with tracing.instrument(tracer):
-        report = spinor.oracle_compare(g.rd, lam, g.fg.generators[0])
-    assert report["ok"]
-    assert tracer.stats["rootdata.weyl_orbit_signed"][0] == 1
-    assert tracer.stats["repcalc.freudenthal_multiplicities"][0] == 1
-    assert {"freudenthal SO8 1,0,0,0 nu0",
-            "orbit_size SO8 1,0,0,0 nu0"} <= set(tracer.observed)
-    assert tracing.check_counts(tracer, reference) == []
+    for name, coords in [("SO8", [1, 0, 0, 0]), ("Spin8", [0, 1, 0, 0]),
+                         ("F4", [0, 0, 1, 0])]:
+        g = group_by_name(name)
+        lam = g.weight_from_coords(coords)
+        nu = (g.fg.generators or g.rd.simple_coroots)[0]
+        key = f"{name} {','.join(map(str, coords))} nu0"
+        tracer = tracing.Tracer()
+        tracer.op = key
+        tracer.group = name
+        with tracing.instrument(tracer):
+            report = spinor.oracle_compare(g.rd, lam, nu)
+        assert report["ok"]
+        assert tracer.stats["rootdata.weyl_orbit_signed"][0] == 1
+        assert tracer.stats["repcalc.freudenthal_multiplicities"][0] == 1
+        assert {f"freudenthal {key}", f"orbit_size {key}"} <= set(
+            tracer.observed)
+        assert key in reference["oracle"]
+        assert tracing.check_counts(tracer, reference) == []
 
 
 def test_traced_summary_matches_the_reference_counts(monkeypatch):

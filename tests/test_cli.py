@@ -256,6 +256,17 @@ def test_root_count_guard(runner, tmp_path):
         assert res.stderr == (
             f"guard exceeded: the group would have {count} positive roots, "
             f"over the root-count guard {rootdata.ROOT_GUARD}\n")
+    # a rootDatum file is bounded too, once its factors are classified:
+    # A_200 has 20 100 positive roots
+    n = 200
+    f.write_text(json.dumps({"rootDatum": {"cartan": [
+        [2 if i == j else -(abs(i - j) == 1) for j in range(n)]
+        for i in range(n)]}}))
+    res = runner.invoke(main, ["table", "--group", str(f)])
+    assert res.exit_code == 4
+    assert res.stderr == (
+        f"guard exceeded: the group would have 20100 positive roots, "
+        f"over the root-count guard {rootdata.ROOT_GUARD}\n")
     # the bound admits SL120 (7140 positive roots); a malformed factor is
     # still a specification error
     assert rootdata.ROOT_GUARD >= 7140

@@ -3,8 +3,10 @@
 import importlib.util
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import gcd, lcm, prod
+from operator import mul
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -18,7 +20,7 @@ from spinoriality.repcalc import (L_phi, casimir_value, classify,
                                   two_delta_pairing, weyl_dim)
 from spinoriality.rootdata import (RootDatum, _from_cartan, build_root_datum,
                                    with_cochar_lattice)
-from spinoriality.spinor import (OrthRep, dominant_orthogonal_weights,
+from spinoriality.spinor import (OrthRep, d_nu, dominant_orthogonal_weights,
                                  is_dominant_orthogonal, is_spinorial,
                                  make_regular, q_irreducible, q_rep,
                                  q_via_weyl_sum)
@@ -538,3 +540,161 @@ def test_verdict_forms_follow_the_fundamental_group_object():
     assert is_spinorial(g.rd, other, rep).q_values() == tuple(
         q_rep(g.rd, rep, nu) for nu in other.generators)
     assert is_spinorial(g.rd, g.fg, rep) == first
+
+
+# ----------------------------------------------------------------------
+# the reflection-tree orbit and the integer pairings, against definitions
+
+def reference_label_orbit(rd, labels):
+    """The Weyl orbit by a breadth-first walk that reflects each point at
+    every nonzero label and keeps the images it has not seen, each with the
+    negated sign of the point it was reached from."""
+    rows = rd.cartan_matrix
+    labels = tuple(labels)
+    orbit = {labels: 1}
+    queue = [labels]
+    for cur in queue:
+        sign = -orbit[cur]
+        for x, row in zip(cur, rows):
+            if x:
+                nxt = tuple([a - x * b for a, b in zip(cur, row)])
+                if nxt not in orbit:
+                    orbit[nxt] = sign
+                    queue.append(nxt)
+    return orbit
+
+
+def stabilizer_order(rd, labels):
+    """|W_lam|: the Weyl group generated by the nodes with label 0."""
+    zero = [i for i, x in enumerate(labels) if x == 0]
+    if not zero:
+        return 1
+    roots, coroots, _, _ = _from_cartan(
+        [[rd.cartan_matrix[i][j] for j in zero] for i in zero])
+    return RootDatum(roots, coroots, coroots).weyl_order
+
+
+@st.composite
+def data_and_labels(draw):
+    """A ``random_datum`` of Weyl order <= 5000, dominant labels with zeros
+    among them, and a word in the simple reflections."""
+    rd, _ = random_datum(draw)
+    assume(rd.weyl_order <= 5000)
+    r = len(rd.simple_roots)
+    labels = draw(st.lists(st.sampled_from([0, 0, 1, 2, 3]), min_size=r,
+                           max_size=r))
+    word = draw(st.lists(st.integers(0, r - 1), max_size=6))
+    return rd, labels, word
+
+
+@settings(max_examples=60, deadline=None)
+@given(data_and_labels())
+def test_label_orbit_matches_the_breadth_first_walk(case):
+    rd, labels, word = case
+    orbit = rd.label_orbit(labels)
+    assert orbit == reference_label_orbit(rd, labels)
+    assert len(orbit) == rd.weyl_order // stabilizer_order(rd, labels)
+    # each point is expanded once: at most one reflection read per positive
+    # label of each point (a point reached twice would be expanded twice)
+    reads = []
+
+    class Row(tuple):
+        def __iter__(self):
+            reads.append(self)
+            return super().__iter__()
+
+    probe = SimpleNamespace(cartan_matrix=tuple(map(Row, rd.cartan_matrix)))
+    assert RootDatum.label_orbit(probe, labels) == orbit
+    assert len(reads) <= sum(x > 0 for mu in orbit for x in mu)
+    # from a regular point off the dominant chamber, det(w) is still the
+    # sign of the w that reaches each point from it
+    start = [x + 1 for x in labels]
+    for i in word:
+        x = start[i]
+        start = [a - x * b for a, b in zip(start, rd.cartan_matrix[i])]
+    assert rd.label_orbit(start) == reference_label_orbit(rd, start)
+
+
+def reference_make_regular(rd, nu):
+    """nu + t rho_v for the least t >= 0 where no positive root vanishes,
+    each <alpha, nu + t rho_v> a Euclidean Fraction dot product."""
+    rho_v = rl.combo((1,) * len(rd.simple_roots), rd.fundamental_coweights,
+                     dim=rd.dim)
+    for t in range(rd.num_positive_roots + 1):
+        cand = rl.add(nu, rl.scale(t, rho_v))
+        if all(rl.dot(root, cand) for root, _ in rd.positive_roots):
+            return cand
+
+
+@st.composite
+def data_weight_and_cochar(draw):
+    """A ``random_datum``, a dominant weight with rational labels and a
+    rational part on the central torus, and a rational cocharacter from
+    small multiples of the fundamental coweights (often singular) plus an
+    ambient part."""
+    rd, central = random_datum(draw)
+    r = len(rd.simple_roots)
+    small = st.fractions(-2, 2, max_denominator=3)
+    lam = rl.combo(draw(st.lists(st.sampled_from([0, 1, Fraction(1, 2), 3]),
+                                 min_size=r, max_size=r)),
+                   rd.fundamental_weights, dim=rd.dim)
+    nu = rl.combo(draw(st.lists(st.sampled_from([0, 0, 1, -1, Fraction(1, 3)]),
+                                min_size=r, max_size=r)),
+                  rd.fundamental_coweights, dim=rd.dim)
+    if central:
+        lam = lam[:-1] + (draw(small),)
+    nu = rl.add(nu, [draw(small) for _ in range(rd.dim)])
+    return rd, lam, nu
+
+
+@settings(max_examples=60, deadline=None)
+@given(data_weight_and_cochar())
+def test_integer_pairings_match_the_euclidean_definitions(case):
+    rd, lam, nu = case
+    reg = make_regular(rd, nu)
+    assert reg == reference_make_regular(rd, nu)
+    assert all(rl.dot(root, reg) for root, _ in rd.positive_roots)
+    assert d_nu(rd, nu) == prod((rl.dot(root, nu) for root, _ in
+                                 rd.positive_roots), start=Fraction(1))
+    for factor in (None, *range(len(rd.factors))):
+        roots = (rd.positive_roots if factor is None
+                 else rd._roots_by_factor[factor])
+        assert rd.cochar_norm_sq(nu, factor) == 2 * sum(
+            rl.dot(root, nu) ** 2 for root, _ in roots)
+    c, k, den = rd.label_pairing(lam, nu)
+    assert den > 0 and gcd(*c, k, den) == 1
+    assert [Fraction(x, den) for x in c] == [
+        rl.dot(w, nu) for w in rd.fundamental_weights]
+    # every weight lam - sum of simple roots pairs by the integer form
+    for steps in ([], [0], list(range(len(c))) * 2):
+        mu = rl.sub(lam, rl.combo([steps.count(i) for i in range(len(c))],
+                                  rd.simple_roots, dim=rd.dim))
+        assert Fraction(sum(map(mul, c, rd.dynkin_labels(mu))) + k,
+                        den) == rl.dot(mu, nu)
+
+
+def reference_inverse_killing(rd):
+    """The inverse Killing Gram matrices from the dense sum over every root
+    of every pair of labels."""
+    roots = rd.positive_root_labels
+    out = []
+    for f in rd.factors:
+        gram = [[2 * sum(l[a] * l[b] for l in roots) for b in f.indices]
+                for a in f.indices]
+        adj, det = rl.int_inverse(gram)
+        out.append((f.indices, *rl.scaled_rows(
+            [[Fraction(x, det) for x in row] for row in adj])))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_sparse_inverse_killing_matches_the_dense_sum_on_the_catalog(name):
+    rd = group_by_name(name).rd
+    assert rd._inverse_killing == reference_inverse_killing(rd)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.composite(random_datum)())
+def test_sparse_inverse_killing_matches_the_dense_sum_on_random_data(case):
+    rd = case[0]
+    assert rd._inverse_killing == reference_inverse_killing(rd)

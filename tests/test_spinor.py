@@ -8,7 +8,7 @@ import pytest
 from spinoriality import ratlin as rl
 from spinoriality.catalog import group_by_name, highest_root
 from spinoriality.errors import SpecificationError
-from spinoriality.repcalc import weyl_dim
+from spinoriality.repcalc import freudenthal_multiplicities, weyl_dim
 from spinoriality.rootdata import build_root_datum
 from spinoriality.spinor import (OrthRep, adjoint_spinorial, descent_check,
                                  dominant_orthogonal_weights,
@@ -148,6 +148,31 @@ def test_descent_requires_even_order():
     with pytest.raises(SpecificationError):
         descent_check(g.rd, g.weight_from_coords([1, 1]),
                       g.rd.simple_coroots[0], 3)
+
+
+def test_descent_names_the_least_failing_weight():
+    # the adjoint of SL4 pairs oddly with the first simple coroot at some
+    # roots: the error names the one with the least labels
+    g = group_by_name("SL4")
+    lam = g.weight_from_coords([1, 0, 1])
+    nu = g.rd.simple_coroots[0]
+    table = freudenthal_multiplicities(g.rd, lam)
+    bad = min((g.rd.dynkin_labels(mu), mu) for mu, _ in table.items()
+              if rl.dot(mu, nu) % 2)
+    with pytest.raises(SpecificationError) as err:
+        descent_check(g.rd, lam, nu, 2)
+    assert str(err.value).startswith(f"weight {rl.fmt_vec(bad[1])} pairs to "
+                                     f"{rl.fmt_q(rl.dot(bad[1], nu))} with nu")
+
+
+def test_dependent_sweep_basis_is_refused():
+    # two zero vectors: the -w0 permutation of the basis is ambiguous, and
+    # the box had 2 of its 4 points dropped
+    g = group_by_name("SL3")
+    zero = rl.zero(g.rd.dim)
+    for basis in ([zero, zero], [g.rd.fundamental_weights[0]] * 2):
+        with pytest.raises(SpecificationError, match="not independent"):
+            list(dominant_orthogonal_weights(g.rd, 1, basis=basis))
 
 
 def test_dominant_orthogonal_weights_pgl2():
