@@ -22,8 +22,7 @@ from .ratlin import fmt_q, fmt_vec
 from . import catalog, spinor
 from .errors import (SpecificationError, IntegralityError, GuardExceededError)
 from .fundgroup import fundamental_group, p_value
-from .rootdata import (RootDatum, with_cochar_lattice, _from_cartan,
-                       check_root_guard)
+from .rootdata import RootDatum, with_cochar_lattice, _from_cartan
 from .repcalc import FREUDENTHAL_GUARD_DEFAULT
 
 EXIT_SPEC = 2
@@ -90,7 +89,6 @@ def _group_from_root_datum(entry, origin):
     roots, coroots, width, _ = _from_cartan(cartan)
     rd = RootDatum(tuple(roots), tuple(coroots), tuple(coroots),
                    central_cochars=(), label="custom")
-    check_root_guard([(f.family, f.rank) for f in rd.factors])
     gens = entry.get("cocharGenerators", [])
     if not isinstance(gens, list):
         raise SpecificationError(f"{origin}: cocharGenerators must be a list")

@@ -61,20 +61,12 @@ def fundamental_group(rd, generators=None):
     """
     n = len(rd.cochar_basis)
     rows = _coroot_matrix(rd)
-    if not rows:
-        diag_all = [0] * n
-        v_inv, det = rl.identity(n), 1
-    else:
-        d, u, v = rl.smith_normal_form(rows)
-        diag_all = [d[i][i] if i < len(d) else 0 for i in range(n)]
-        v_inv, det = rl.int_inverse(v)  # v is unimodular: det = +-1
-
+    d, v_inv = rl.smith_normal_form(rows) if rows else ((), rl.identity(n))
     factors, gens = [], []
-    for i, di in enumerate(diag_all):
-        if di == 1:
-            continue
-        factors.append(di)
-        gens.append(rl.combo([det * x for x in v_inv[i]], rd.cochar_basis))
+    for di, row in zip(list(d) + [0] * (n - len(d)), v_inv):
+        if di != 1:
+            factors.append(di)
+            gens.append(rl.combo(row, rd.cochar_basis))
 
     if generators is not None:
         gens = tuple(rl.vec(g) for g in generators)
@@ -83,7 +75,7 @@ def fundamental_group(rd, generators=None):
         if not _generate_quotient(rd, rows, gens, n):
             raise SpecificationError(
                 "provided cocharacters do not generate X_*/Q(T)")
-        if len(gens) < sum(1 for d in factors if d != 1):
+        if len(gens) < len(factors):
             raise SpecificationError("too few generators for the quotient")
 
     return FundGroupData(tuple(factors), tuple(gens))
@@ -91,15 +83,10 @@ def fundamental_group(rd, generators=None):
 
 def _generate_quotient(rd, coroot_rows, gens, n):
     """Do the images of ``gens`` generate X_*(T)/Q(T)?"""
-    stacked = [list(r) for r in coroot_rows]
-    for g in gens:
-        x = rl.lattice_coords(rd.cochar_basis, g)
-        stacked.append([int(v) for v in x])
-    if not stacked:
-        return n == 0
-    d, _, _ = rl.smith_normal_form(stacked)
-    diag = [d[i][i] if i < len(d) and i < len(d[0]) else 0 for i in range(n)]
-    return all(x == 1 or x == -1 for x in diag)
+    stacked = coroot_rows + [[int(v) for v in rl.lattice_coords(
+        rd.cochar_basis, g)] for g in gens]
+    d, _ = rl.smith_normal_form(stacked)
+    return len(d) == n and all(x == 1 for x in d)
 
 
 def p_value(rd, generators):

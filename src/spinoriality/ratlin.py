@@ -3,7 +3,9 @@
 Everything here works on tuples of :class:`fractions.Fraction` (vectors) and
 tuples of such tuples (row-major matrices).  No floating point is used
 anywhere; parity questions about huge integers are the whole point of the
-package, so all arithmetic is exact.
+package, so all arithmetic is exact.  Row reduction is one fraction-free
+elimination on integers: rational rows are scaled to integers on entry, and
+Fractions are made only for the solutions it returns.
 """
 
 from fractions import Fraction
@@ -23,10 +25,6 @@ def add(u, v):
 
 def sub(u, v):
     return tuple(a - b for a, b in zip(u, v))
-
-
-def neg(u):
-    return tuple(-a for a in u)
 
 
 def scale(c, u):
@@ -56,11 +54,6 @@ def mat_vec(m, v):
 
 def identity(n):
     return tuple(unit(n, i) for i in range(n))
-
-
-def mat_mul(a, b):
-    bt = list(zip(*b))
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)
 
 
 def transpose(m):
@@ -126,35 +119,46 @@ def scaled_rows(rows):
                  for row in rows), den
 
 
-def _row_reduce(rows, ncols):
-    """Gauss-Jordan elimination on the first ``ncols`` columns of ``rows``.
+def _bareiss(rows, ncols):
+    """Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22,
+    1968) on the first ``ncols`` columns of rational ``rows``, each scaled
+    to integers on entry; the columns past them ride along.  A step with
+    pivot p in column c of row r maps each other row i to (p r_i - r_i[c]
+    r_r) / prev, exactly, prev the pivot before; rows are rescaled lazily,
+    row i standing for a[i] * prev / base[i].  A column with no pivot is
+    skipped.  A step updates the columns from the first skipped one on, or
+    past c when none was skipped, so settled pivot columns are left alone.
 
-    Extra columns ride along (an augmented right-hand side).  Returns the
-    reduced rows, as lists of Fractions, and the pivot columns; pivot row i
-    has a 1 in column ``pivots[i]`` and zeros there in every other row, and
-    the rows past the last pivot are zero in the first ``ncols`` columns.
-    """
-    m = [list(map(Fraction, row)) for row in rows]
-    pivots = []
+    Returns (a, base, pivots, det).  Off the pivot columns, a[j] / base[j]
+    is row j of the reduced echelon form for j < len(pivots), and the rows
+    past those are zero in the first ``ncols`` columns; det is the minor on
+    the pivot rows and columns, with the sign of the row swaps."""
+    a = [list(scaled(row)[0]) for row in rows]
+    base = [1] * len(a)
+    pivots, prev, sign, free = [], 1, 1, None
     for c in range(ncols):
         r = len(pivots)
-        if r == len(m):
-            break
-        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
         if piv is None:
+            free = c if free is None else free
             continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        # only the pivot row's nonzero entries change the other rows
-        support = [(j, y) for j, y in enumerate(m[r]) if y]
-        for i, row in enumerate(m):
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            base[r], base[piv] = base[piv], base[r]
+            sign = -sign
+        if base[r] != prev:
+            a[r] = [x * prev // base[r] for x in a[r]]
+        lo = c + 1 if free is None else free
+        p, top = a[r][c], a[r][lo:]
+        for i, row in enumerate(a):
             f = row[c]
             if f and i != r:
-                for j, y in support:
-                    row[j] -= f * y
+                row[lo:] = [(p * x - f * y) // base[i]
+                            for x, y in zip(row[lo:], top)]
+                base[i] = p
+        base[r] = prev = p
         pivots.append(c)
-    return m, pivots
+    return a, base, pivots, sign * prev
 
 
 def solve_columns(a_rows, rhs):
@@ -167,57 +171,31 @@ def solve_columns(a_rows, rhs):
     variables set to 0).
     """
     ncols = len(a_rows[0]) if a_rows else 0
-    m, pivots = _row_reduce([list(row) + [b[i] for b in rhs]
-                             for i, row in enumerate(a_rows)], ncols)
+    a, base, pivots, _ = _bareiss([list(row) + [b[i] for b in rhs]
+                                   for i, row in enumerate(a_rows)], ncols)
     sols = []
     for t in range(ncols, ncols + len(rhs)):
-        if any(row[t] != 0 for row in m[len(pivots):]):
+        if any(row[t] for row in a[len(pivots):]):
             sols.append(None)
             continue
         sol = [Fraction(0)] * ncols
-        for row, c in zip(m, pivots):
-            sol[c] = row[t]
+        for row, b, c in zip(a, base, pivots):
+            sol[c] = Fraction(row[t], b)
         sols.append(tuple(sol))
     return len(pivots), sols
 
 
-def solve(a_rows, b):
-    """Solve ``A x = b`` exactly; return the solution vector or None (see
-    :func:`solve_columns`)."""
-    return solve_columns(a_rows, [b])[1][0]
-
-
 def int_inverse(m):
-    """(adj, det) for a square integer matrix: adj . m = det . I, by fraction
-    free Gauss-Jordan elimination on [m | I] (Bareiss, Math. Comp. 22, 1968):
-    step k maps row i to (p r_i - r_i[k] r_k) / prev, exactly, p the pivot
-    and prev the one before, and the last pivot is det up to the sign of
-    the row swaps.  Raises ZeroDivisionError when m is singular."""
+    """(adj, det) for a square integer matrix: adj . m = det . I, from the
+    elimination of [m | I].  Raises ZeroDivisionError when m is singular."""
     n = len(m)
-    a = [list(row) + [int(i == j) for j in range(n)]
-         for i, row in enumerate(m)]
-    base = [1] * n      # row i is a[i] * prev / base[i], scaled lazily
-    prev, sign = 1, 1
-    for k in range(n):
-        piv = next((i for i in range(k, n) if a[i][k]), None)
-        if piv is None:
-            raise ZeroDivisionError("matrix is singular")
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            base[k], base[piv] = base[piv], base[k]
-            sign = -sign
-        if base[k] != prev:
-            a[k] = [x * prev // base[k] for x in a[k]]
-        p, top = a[k][k], a[k][k + 1:]
-        for i, row in enumerate(a):
-            f = row[k]      # columns up to k are settled: left alone
-            if f and i != k:
-                row[k + 1:] = [(p * x - f * y) // base[i]
-                               for x, y in zip(row[k + 1:], top)]
-                base[i] = p
-        base[k] = prev = p
-    return tuple(tuple(sign * x * prev // b for x in row[n:])
-                 for row, b in zip(a, base)), sign * prev
+    a, base, pivots, det = _bareiss(
+        [list(row) + [int(i == j) for j in range(n)]
+         for i, row in enumerate(m)], n)
+    if len(pivots) < n:
+        raise ZeroDivisionError("matrix is singular")
+    return tuple(tuple(det * x // b for x in row[n:])
+                 for row, b in zip(a, base)), det
 
 
 def leading_minors(m):
@@ -239,18 +217,18 @@ def leading_minors(m):
 
 
 def rank(m):
-    return len(_row_reduce(m, len(m[0]))[1]) if m else 0
+    return len(_bareiss(m, len(m[0]))[2]) if m else 0
 
 
 def nullspace(m, ncols):
     """Basis of the kernel {x : m x = 0}, x of length ``ncols``."""
-    red, pivots = _row_reduce(m, ncols)
+    a, base, pivots, _ = _bareiss(m, ncols)
     basis = []
     for free in (c for c in range(ncols) if c not in pivots):
         x = [Fraction(0)] * ncols
         x[free] = Fraction(1)
-        for row, c in zip(red, pivots):
-            x[c] = -row[free]
+        for row, b, c in zip(a, base, pivots):
+            x[c] = Fraction(-row[free], b)
         basis.append(tuple(x))
     return basis
 
@@ -263,8 +241,7 @@ def lattice_coords(basis_rows, v):
     """
     if not basis_rows:
         return () if is_zero(v) else None
-    at = transpose(basis_rows)  # columns are basis vectors
-    return solve(at, v)
+    return solve_columns(transpose(basis_rows), [v])[1][0]
 
 
 def in_lattice(basis_rows, v):
@@ -282,54 +259,41 @@ def frac_gcd(values):
 def row_lattice_basis(rows):
     """A basis (independent rows) of the lattice generated by rational rows.
 
-    Scales to an integer matrix, uses the Smith decomposition u m v = d to
-    read off the row lattice as {d_ii * row_i(v^-1)}, and scales back.
+    Scales to an integer matrix, reads its row lattice off the Smith form
+    as {d_i * row_i(v^-1)}, and scales back.
     """
     rows = [vec(r) for r in rows if not is_zero(r)]
     if not rows:
         return ()
     a, den = scaled_rows(rows)
-    d, _, v = smith_normal_form(a)
-    v_inv, det = int_inverse(v)         # v is unimodular: det = +-1
-    basis = []
-    for i in range(min(len(d), len(d[0]))):
-        if d[i][i] != 0:
-            basis.append(tuple(Fraction(det * d[i][i] * x, den)
-                               for x in v_inv[i]))
-    return tuple(basis)
+    d, v_inv = smith_normal_form(a)
+    return tuple(tuple(Fraction(di * x, den) for x in row)
+                 for di, row in zip(d, v_inv) if di)
 
 
 def smith_normal_form(m):
-    """Smith normal form of an integer matrix.
-
-    Returns ``(d, u, v)`` with ``u m v = d``, ``u`` and ``v`` unimodular and
-    ``d`` diagonal with d[i][i] | d[i+1][i+1].  Rows/entries are plain ints.
+    """Smith normal form of an integer matrix: (d, v_inv), d the diagonal
+    of u m v = D, d[i] >= 0 and d[i] | d[i+1], for some unimodular u and v,
+    and v_inv = v^-1.  Each column operation applies its inverse to the
+    rows of v_inv, so the row lattice of m is spanned by the d[i] v_inv[i].
     """
     a = [[int(x) for x in row] for row in m]
     nr = len(a)
     nc = len(a[0]) if nr else 0
-    u = [[int(i == j) for j in range(nr)] for i in range(nr)]
-    v = [[int(i == j) for j in range(nc)] for i in range(nc)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
+    v_inv = [[int(i == j) for j in range(nc)] for i in range(nc)]
 
     def swap_cols(i, j):
         for row in a:
             row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
+        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
 
     def add_row(src, dst, f):
         a[dst] = [x + f * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + f * y for x, y in zip(u[dst], u[src])]
 
     def add_col(src, dst, f):
         for row in a:
             row[dst] += f * row[src]
-        for row in v:
-            row[dst] += f * row[src]
+        v_inv[src] = [x - f * y for x, y in zip(v_inv[src], v_inv[dst])]
 
     t = 0
     while t < min(nr, nc):
@@ -342,7 +306,7 @@ def smith_normal_form(m):
                         piv = (i, j)
         if piv is None:
             break
-        swap_rows(t, piv[0])
+        a[t], a[piv[0]] = a[piv[0]], a[t]
         swap_cols(t, piv[1])
         while True:
             # clear column t
@@ -352,7 +316,7 @@ def smith_normal_form(m):
                     q = a[i][t] // a[t][t]
                     add_row(t, i, -q)
                     if a[i][t] != 0:
-                        swap_rows(t, i)
+                        a[t], a[i] = a[i], a[t]
                         done = False
             for j in range(t + 1, nc):
                 if a[t][j] != 0:
@@ -377,8 +341,6 @@ def smith_normal_form(m):
             continue
         if a[t][t] < 0:
             a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
         t += 1
-
-    d = [[a[i][j] if i == j else 0 for j in range(nc)] for i in range(nr)]
-    return (tuple(map(tuple, d)), tuple(map(tuple, u)), tuple(map(tuple, v)))
+    return (tuple(a[i][i] for i in range(min(nr, nc))),
+            tuple(map(tuple, v_inv)))

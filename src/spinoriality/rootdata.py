@@ -102,7 +102,8 @@ class RootDatum:
             if len(v) != self.dim:
                 raise SpecificationError("inconsistent ambient dimensions")
         self.cartan_matrix = self._integral_cartan()
-        self._check_finite_type()
+        self.factors = self._finite_type_factors()
+        check_root_guard([(f.family, f.rank) for f in self.factors])
         self._set_lattice(cochar_basis)
 
     def _set_lattice(self, cochar_basis):
@@ -147,18 +148,24 @@ class RootDatum:
                         f"a[{j}][{i}] = {Fraction(a[j][i], den)}")
         return tuple(tuple(x // den for x in row) for row in a)
 
-    def _check_finite_type(self):
-        """Finite type (Kac, Infinite dimensional Lie algebras, ch. 4), so
-        that the Weyl group is finite and every chamber walk ends: the
-        symmetrization d_i a_ij, scaled to integers, is symmetric and its
-        leading principal minors on each component are positive."""
+    def _finite_type_factors(self):
+        """The simple factors, the components of the Dynkin diagram, checked
+        to be of finite type (Kac, Infinite dimensional Lie algebras, ch. 4),
+        so that the Weyl group is finite and every chamber walk ends: the
+        symmetrization s_i a_ij, s = d scaled to integers, is symmetric and
+        its leading principal minors on each component are positive.  The
+        last of those over prod s_i is the component's determinant."""
         comps, d = self._diagram
-        sym = [[s * x for x in row]
-               for s, row in zip(rl.scaled(d)[0], self.cartan_matrix)]
-        if sym != [list(col) for col in zip(*sym)] or not all(
-                m > 0 for comp in comps for m in rl.leading_minors(
-                    [[sym[i][j] for j in comp] for i in comp])):
+        s = rl.scaled(d)[0]
+        sym = [[si * x for x in row] for si, row in zip(s, self.cartan_matrix)]
+        minors = [list(rl.leading_minors([[sym[i][j] for j in comp]
+                                          for i in comp])) for comp in comps]
+        if sym != [list(col) for col in zip(*sym)] or any(
+                m <= 0 for ms in minors for m in ms):
             raise SpecificationError("the Cartan matrix is not of finite type")
+        return tuple(Factor(comp, self._classify(
+            comp, ms[-1] // prod(s[i] for i in comp)), len(comp))
+            for comp, ms in zip(comps, minors))
 
     @cached_property
     def _diagram(self):
@@ -184,20 +191,13 @@ class RootDatum:
             comps.append(sorted(comp))
         return comps, d
 
-    @cached_property
-    def factors(self):
-        """Simple factors as connected components of the Dynkin diagram."""
-        return tuple(Factor(comp, self._classify(comp), len(comp))
-                     for comp in self._diagram[0])
-
-    def _classify(self, comp):
+    def _classify(self, comp, det):
         """The family of a component, by its largest bond a_ij a_ji and its
         determinant |P/Q|: n + 1 for A_n, 2 for B_n and C_n, 4 for D_n,
         9 - n for E_n, 1 for F4 and G2."""
-        a = [[self.cartan_matrix[i][j] for j in comp] for i in comp]
-        bond = max((a[i][j] * a[j][i] for i in range(len(a))
-                    for j in range(i)), default=0)
-        *_, det = rl.leading_minors(a)
+        a = self.cartan_matrix
+        bond = max((a[i][j] * a[j][i] for i in comp for j in comp if j < i),
+                   default=0)
         if bond == 3:
             return "G"
         if bond == 2 and det == 1:
@@ -501,19 +501,6 @@ class RootDatum:
     def is_dominant(self, mu):
         return min(self.dynkin_labels(mu), default=0) >= 0
 
-    def dominant_conjugate(self, mu):
-        """The dominant Weyl conjugate of mu, with the sign of the chamber map."""
-        cur, sign = tuple(vec(mu)), 1
-        while True:
-            for alpha, alpha_v in zip(self.simple_roots, self.simple_coroots):
-                k = dot(cur, alpha_v)
-                if k < 0:
-                    cur = sub(cur, scale(k, alpha))
-                    sign = -sign
-                    break
-            else:
-                return cur, sign
-
     @cached_property
     def minus_w0_matrix(self):
         """The involution -w0 as a matrix on character coordinates:
@@ -552,11 +539,9 @@ class RootDatum:
         i < f, and for i > f when a_if != 0 and s_i(cur) has no negative
         label before i.  The sign is the parity of the depth."""
         rows, r = self.cartan_matrix, len(self.cartan_matrix)
-        top, sign = list(labels), 1
-        while (i := next((j for j, x in enumerate(top) if x < 0), r)) < r:
-            top, sign = [a - top[i] * b for a, b in zip(top, rows[i])], -sign
-        orbit = {tuple(top): sign}
-        stack = [(tuple(top), r, -sign)]
+        top, sign = self.dominant_point(labels)
+        orbit = {top: sign}
+        stack = [(top, r, -sign)]
         while stack:
             cur, f, sign = stack.pop()
             for i, x in enumerate(cur):
@@ -567,6 +552,16 @@ class RootDatum:
                         stack.append((nxt, i, -sign))
         return orbit
 
+    def dominant_point(self, labels):
+        """The dominant point of the Weyl orbit of the weight with these
+        labels, as labels, and det(w) for the w that reaches it: reflect at
+        the first negative label until none is left."""
+        rows, r = self.cartan_matrix, len(self.cartan_matrix)
+        top, sign = list(labels), 1
+        while (i := next((j for j, x in enumerate(top) if x < 0), r)) < r:
+            top, sign = [a - top[i] * b for a, b in zip(top, rows[i])], -sign
+        return tuple(top), sign
+
     def weyl_orbit_signed(self, v, guard=None):
         """The Weyl orbit of a regular v as a dict from the Dynkin labels of
         each point w(v) to det(w).
@@ -574,15 +569,16 @@ class RootDatum:
         The points differ from v by root-span vectors, on which the labels
         are faithful, so the label tuples tell them apart.  Only regular v
         (no zero label anywhere in the orbit, so trivial stabilizer) is
-        accepted, which is all the alternating Weyl-sum oracle needs.
+        accepted, which is all the alternating Weyl-sum oracle needs; v is
+        regular iff its dominant point has no zero label.
         """
         if guard is not None and self.weyl_order > guard:
             raise GuardExceededError(
                 f"Weyl group order {self.weyl_order} exceeds guard {guard}")
-        orbit = self.label_orbit(self.dynkin_labels(v))
-        if any(0 in w for w in orbit):
+        labels = self.dynkin_labels(v)
+        if 0 in self.dominant_point(labels)[0]:
             raise SpecificationError("weyl_orbit_signed needs regular input")
-        return orbit
+        return self.label_orbit(labels)
 
     def label_pairing(self, lam, nu):
         """<mu, nu> as one integer linear form in the labels of mu, for every

@@ -241,7 +241,7 @@ def test_summary(runner):
     assert doc["all_spinorial_swept"] is True and doc["agrees"] is True
 
 
-def test_root_count_guard(runner, tmp_path):
+def test_root_count_guard(runner, tmp_path, monkeypatch):
     # names whose root system would take minutes to build end at once with
     # the guard's exit code, naming the count and the bound
     f = tmp_path / "g.json"
@@ -256,13 +256,19 @@ def test_root_count_guard(runner, tmp_path):
         assert res.stderr == (
             f"guard exceeded: the group would have {count} positive roots, "
             f"over the root-count guard {rootdata.ROOT_GUARD}\n")
-    # a rootDatum file is bounded too, once its factors are classified:
-    # A_200 has 20 100 positive roots
+    # a rootDatum file is bounded too, once its factors are classified and
+    # before its lattice is built: A_200 has 20 100 positive roots
     n = 200
     f.write_text(json.dumps({"rootDatum": {"cartan": [
         [2 if i == j else -(abs(i - j) == 1) for j in range(n)]
         for i in range(n)]}}))
-    res = runner.invoke(main, ["table", "--group", str(f)])
+
+    def no_lattice(*args):
+        raise AssertionError("the lattice is built before the guard")
+
+    with monkeypatch.context() as m:
+        m.setattr(rootdata.RootDatum, "_set_lattice", no_lattice)
+        res = runner.invoke(main, ["table", "--group", str(f)])
     assert res.exit_code == 4
     assert res.stderr == (
         f"guard exceeded: the group would have 20100 positive roots, "

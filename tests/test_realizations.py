@@ -22,9 +22,14 @@ from spinoriality.cli import load_group, main
 from spinoriality.spinor import dominant_orthogonal_weights
 
 
+# semisimple names of rank 13 to 20 run the lattice path of the file form
+# at large rank; their verdicts are compared on 64 or so of their box-1
+# weights, spread over the sweep's order
+LARGE = ["SL14/mu7", "SO27", "SL16/mu4", "Spin33", "PSp32", "PSO32",
+         "SL20/mu2", "SL21/mu3"]
 NAMES = [name for name in dict.fromkeys(
     CATALOG_RANK_LE_4 + summary_suite_specs()
-    + ["E6", "E7", "E8", "E6adj", "E7adj"])
+    + ["E6", "E7", "E8", "E6adj", "E7adj"] + LARGE)
     if parse_group_name(name).family != "GL"]
 
 
@@ -63,6 +68,8 @@ def test_cartan_basis_realization_agrees(name, tmp_path):
     assert [c for c, _ in dominant_orthogonal_weights(
         load_group(custom).rd, 1)] == [c for c, _ in points]
 
+    if name in LARGE:
+        points = points[::max(1, len(points) // 64)]
     weights = [",".join(map(rl.fmt_q, rl.lattice_coords(g.weight_basis, lam)))
                for _, lam in points]
     labels = [",".join(map(str, c)) for c, _ in points]

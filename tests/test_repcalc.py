@@ -47,7 +47,7 @@ def test_weyl_dim_spin_reps():
 def test_weyl_dim_rejects_non_dominant():
     rd = build_root_datum([("A", 1)])
     with pytest.raises(SpecificationError):
-        weyl_dim(rd, rl.neg(rd.fundamental_weights[0]))
+        weyl_dim(rd, rl.scale(-1, rd.fundamental_weights[0]))
 
 
 def test_casimir_values_type_d():
@@ -83,7 +83,7 @@ def test_freudenthal_sl3_adjoint():
     assert table.multiplicity(rl.zero(rd.dim)) == 2
     for root, _ in rd.positive_roots:
         assert table.multiplicity(root) == 1
-        assert table.multiplicity(rl.neg(root)) == 1
+        assert table.multiplicity(rl.scale(-1, root)) == 1
 
 
 def test_freudenthal_so5_14dim():

@@ -65,19 +65,35 @@ def test_delta_norm_is_dim_g_over_24(family, rank):
 
 def test_dominant_conjugate_is_dominant_and_idempotent():
     rd = build_root_datum([("B", 3)])
-    mu = (Fraction(-2), Fraction(5), Fraction(-1))
-    dom, sign = rd.dominant_conjugate(mu)
-    assert rd.is_dominant(dom)
+    labels = rd.dynkin_labels((Fraction(-2), Fraction(5), Fraction(-1)))
+    dom, sign = rd.dominant_point(labels)
+    assert min(dom) >= 0 and dom in rd.label_orbit(labels)
     assert sign in (1, -1)
-    again, sign2 = rd.dominant_conjugate(dom)
-    assert again == dom and sign2 == 1
+    assert rd.dominant_point(dom) == (dom, 1)
     # Weyl-invariant norm preserved
-    assert rd.weight_inner(mu, mu) == rd.weight_inner(dom, dom)
+    assert rd.label_inner(labels, labels) == rd.label_inner(dom, dom)
 
 
 def self_dual(rd, mu):
     """-w0 mu = mu, read off the labels."""
     return rd.fixed_by_minus_w0(mu, rd.dynkin_labels(mu))
+
+
+def test_non_regular_weight_is_refused_before_its_orbit(monkeypatch):
+    rd = build_root_datum([("B", 3)])
+    w, a = rd.fundamental_weights[0], rd.simple_roots[0]
+    assert len(rd.weyl_orbit_signed(rd.delta)) == rd.weyl_order
+    assert rd.dominant_point(rd.dynkin_labels(rl.sub(w, a))) == ((1, 0, 0), -1)
+
+    def no_orbit(*args):
+        raise AssertionError("the orbit is walked")
+
+    monkeypatch.setattr(RootDatum, "label_orbit", no_orbit)
+    # omega_1, its image under s_1, off the chamber, and half that image:
+    # all singular
+    for mu in (w, rl.sub(w, a), rl.scale(Fraction(1, 2), rl.sub(w, a))):
+        with pytest.raises(SpecificationError, match="regular"):
+            rd.weyl_orbit_signed(mu)
 
 
 def test_self_duality():
@@ -107,10 +123,9 @@ def test_fundamental_weights_pair_to_identity():
                build_root_datum([("A", 2), ("B", 3), ("G", 2)], central_rank=1),
                group_by_name("SL6/mu3").rd):
         ident = rl.identity(len(rd.simple_roots))
-        assert rl.mat_mul(rd.fundamental_weights,
-                          rl.transpose(rd.simple_coroots)) == ident
-        assert rl.mat_mul(rd.simple_roots,
-                          rl.transpose(rd.fundamental_coweights)) == ident
+        for xs, ys in ((rd.fundamental_weights, rd.simple_coroots),
+                       (rd.simple_roots, rd.fundamental_coweights)):
+            assert tuple(tuple(rl.dot(x, y) for y in ys) for x in xs) == ident
 
 
 def test_type_a_center_is_quotiented():
