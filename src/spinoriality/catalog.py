@@ -21,6 +21,8 @@ Realizations (all exact, in ambient rational coordinates):
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 
 from . import ratlin as rl
 from .errors import SpecificationError
@@ -50,12 +52,20 @@ class Group:
     fg: object
     weight_basis: tuple
 
+    @cached_property
+    def _basis_columns(self):   # integer columns over one denominator
+        rows, den = rl.scaled_rows(self.weight_basis)
+        return tuple(zip(*rows)), den
+
     def weight_from_coords(self, coords):
         if len(coords) != len(self.weight_basis):
             raise SpecificationError(
                 f"{self.name} expects {len(self.weight_basis)} weight "
                 f"coordinates, got {len(coords)}")
-        return rl.combo(coords, self.weight_basis, dim=self.rd.dim)
+        nums, den = rl.scaled(coords)
+        cols, bden = self._basis_columns
+        return tuple(Fraction(sum(map(mul, nums, col)), den * bden)
+                     for col in cols)
 
 
 def _e(n, i):
@@ -341,7 +351,8 @@ def sweep_all_spinorial(group, box=2):
     """Closed-form sweep over the dominant orthogonal box; returns
     (all_spinorial, first_counterexample_or_None)."""
     for coords, lam in spinor.dominant_orthogonal_weights(group.rd, box):
-        rep = spinor.OrthRep(irreducible=(tuple(lam),))
+        # coordinates in the fundamental weights are the labels
+        rep = spinor.OrthRep(irreducible=(lam,), labels=(coords,))
         v = spinor.is_spinorial(group.rd, group.fg, rep)
         if not v.spinorial:
             return False, (coords, lam)

@@ -281,7 +281,7 @@ def run_atlas(group, box, k, fmt, grid_file):
     report = spinor.scan_periodicity(group.rd, group.fg, box, k,
                                      basis=group.weight_basis)
     if grid_file:
-        _write_grid(group, box, grid_file)
+        _write_grid(group, report["verdicts"], grid_file)
     payload = {
         "group": group.name,
         "box": report["box"],
@@ -302,24 +302,22 @@ def run_atlas(group, box, k, fmt, grid_file):
                f"  density: {fmt_q(report['density'])}")
     click.echo(f"  violations at k={k}: {len(report['violations'])}")
     if report["vacuous"]:
-        click.echo("  note: 2^k exceeds the box; the scan is vacuous")
+        why = ("2^k exceeds the box" if k >= box.bit_length() else
+               "no shifted point is a dominant orthogonal point of the box")
+        click.echo(f"  note: {why}; the scan is vacuous")
     if report["minimal_k"] is not None:
         click.echo(f"  smallest violation-free exponent in box: {report['minimal_k']}")
     if grid_file:
         click.echo(f"  verdict grid written to {grid_file}")
 
 
-def _write_grid(group, box, path):
+def _write_grid(group, verdicts, path):
     """Plain CSV of weight coordinates and the verdict bit, for plotting."""
     with open(path, "w") as fh:
         r = len(group.weight_basis)
         fh.write(",".join(f"c{i+1}" for i in range(r)) + ",spinorial\n")
-        for coords, lam in spinor.dominant_orthogonal_weights(
-                group.rd, box, basis=group.weight_basis):
-            rep = spinor.OrthRep(irreducible=(tuple(lam),))
-            v = spinor.is_spinorial(group.rd, group.fg, rep)
-            fh.write(",".join(str(c) for c in coords)
-                     + f",{1 if v.spinorial else 0}\n")
+        for coords, spinorial in verdicts.items():
+            fh.write(",".join(map(str, coords)) + f",{int(spinorial)}\n")
 
 
 def run_summary(group, box, fmt):

@@ -69,26 +69,17 @@ class RepClassification:
     fs_parity: int  # parity of <lam, 2 delta_v>
 
 
-def orthogonal_labels(rd, labels):
-    """Labels of an orthogonal highest weight: dominant, fixed by sigma (-w0
-    on labels), <lam, 2 delta_v> even.  The rest is on the lattice: lam is
-    a character killing every cocharacter all roots kill."""
-    return (min(labels, default=0) >= 0
-            and all(labels[i] == labels[s] for i, s in rd._sigma_pairs)
-            and sum(map(mul, labels, rd.two_delta_coroot_coords)) % 2 == 0)
-
-
-def classify(rd, lam):
+def classify(rd, lam, labels=None):
     """Self-dual iff -w0 lam = lam; orthogonal iff additionally
-    <lam, 2 delta_v> is even."""
-    labels = dominant_labels(rd, lam)
+    <lam, 2 delta_v> is even; ``labels``: lam's, if the caller has checked
+    them."""
+    labels = dominant_labels(rd, lam) if labels is None else labels
     sd = rd.fixed_by_minus_w0(lam, labels)
     par = sum(map(mul, labels, rd.two_delta_coroot_coords))
     if par % 1:
         raise IntegralityError(
             f"<lam, 2 delta_v> non-integral for {fmt_vec(lam)}")
-    return RepClassification(self_dual=sd,
-                             orthogonal=sd and orthogonal_labels(rd, labels),
+    return RepClassification(self_dual=sd, orthogonal=sd and par % 2 == 0,
                              fs_parity=int(par) % 2)
 
 

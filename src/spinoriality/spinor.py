@@ -8,7 +8,7 @@ sum L(nu) and an alternating Weyl sum — and the descent and periodicity
 utilities built on top.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product, tee
 from math import factorial, prod
@@ -18,7 +18,7 @@ from . import ratlin as rl
 from .ratlin import add, dot, scale, fmt_vec
 from . import repcalc
 from .errors import SpecificationError, IntegralityError, GuardExceededError
-from .repcalc import (weyl_dim, casimir_value, classify, orthogonal_labels,
+from .repcalc import (weyl_dim, casimir_value, classify,
                       freudenthal_multiplicities, L_phi,
                       FREUDENTHAL_GUARD_DEFAULT)
 
@@ -35,19 +35,21 @@ class OrthRep:
 
     Irreducible orthogonal summands must kill the connected center of the
     group; hyperbolic highest weights are unconstrained beyond dominance.
+    ``labels``: those of each summand, or () to have the verdict read them.
     """
 
     irreducible: tuple = ()
     hyperbolic: tuple = ()
+    labels: tuple = field(default=(), compare=False, repr=False)
 
 
 def orth_rep(rd, irreducible=(), hyperbolic=()):
     """Validate and build an :class:`OrthRep` over the given datum."""
-    irr, hyp = [], []
+    irr, hyp, labels = [], [], []
     for lam in irreducible:
         lam = tuple(rl.vec(lam))
-        _check_weight(rd, lam)
-        cls = classify(rd, lam)
+        labels.append(_check_weight(rd, lam))
+        cls = classify(rd, lam, labels[-1])
         # self-duality already makes lam kill the connected center
         if not cls.orthogonal:
             raise SpecificationError(
@@ -56,16 +58,17 @@ def orth_rep(rd, irreducible=(), hyperbolic=()):
         irr.append(lam)
     for lam in hyperbolic:
         lam = tuple(rl.vec(lam))
-        _check_weight(rd, lam)
+        labels.append(_check_weight(rd, lam))
         hyp.append(lam)
-    return OrthRep(tuple(irr), tuple(hyp))
+    return OrthRep(tuple(irr), tuple(hyp), tuple(labels))
 
 
 def _check_weight(rd, lam):
+    """The labels of lam, a dominant character or SpecificationError."""
     if not rd.is_character(lam):
         raise SpecificationError(
             f"{fmt_vec(lam)} is not a character of this group")
-    repcalc.dominant_labels(rd, lam)
+    return repcalc.dominant_labels(rd, lam)
 
 
 # ----------------------------------------------------------------------
@@ -125,12 +128,14 @@ def _q_forms(rd, nus):
 def _q_values(rd, forms, rep):
     """q of rep at each cocharacter of ``forms``; every summand's
     contribution is an integer, or IntegralityError."""
-    hyp = [(gamma, weyl_dim(rd, gamma)) for gamma in rep.hyperbolic]
-    irr = []
-    for lam in rep.irreducible:
-        labels = repcalc.dominant_labels(rd, lam)
-        irr.append((lam, weyl_dim(rd, lam, labels),
-                    rd.factor_inner_nums(labels, [x + 2 for x in labels])))
+    labels = rep.labels or [repcalc.dominant_labels(rd, lam) for lam in
+                            rep.irreducible + rep.hyperbolic]
+    n = len(rep.irreducible)
+    hyp = [(gamma, weyl_dim(rd, gamma, ls))
+           for gamma, ls in zip(rep.hyperbolic, labels[n:])]
+    irr = [(lam, weyl_dim(rd, lam, ls),
+            rd.factor_inner_nums(ls, [x + 2 for x in ls]))
+           for lam, ls in zip(rep.irreducible, labels)]
     qs = []
     for nu_z, w, den in forms:
         q = sum(_require_int(dot(gamma, nu_z) * dim, "hyperbolic term at",
@@ -292,15 +297,35 @@ def descent_check(rd, lam, nu, d, guard=FREUDENTHAL_GUARD_DEFAULT):
 
 def is_dominant_orthogonal(rd, lam):
     """Is lam the highest weight of an irreducible orthogonal representation:
-    a character that kills every cocharacter all roots kill (the connected
-    center among them) and passes ``orthogonal_labels``?"""
+    a dominant character fixed by -w0 (it kills every cocharacter all roots
+    kill, the connected center among them) with <lam, 2 delta_v> even?"""
     labels = rd.dynkin_labels(lam)
-    return (rd.is_character(lam) and orthogonal_labels(rd, labels)
-            and rd.fixed_by_minus_w0(lam, labels))
+    return (rd.is_character(lam) and min(labels, default=0) >= 0
+            and rd.fixed_by_minus_w0(lam, labels)
+            and sum(map(mul, labels, rd.two_delta_coroot_coords)) % 2 == 0)
 
 
 # points a sweep may visit after the reduction by -w0 (E8 box 4: 390 625)
 SWEEP_GUARD = 10 ** 7
+
+
+def _sweep_basis(rd, basis):
+    """(basis, its integer rows over den, den, its labels, p), p with -w0 b_i
+    = b_p(i) or None: b' = -w0 b iff labels(b') = sigma labels(b) and <b',
+    z> = -<b, z> for each z all roots kill, as those z and the coroots span
+    the cocharacter side."""
+    basis = tuple(map(rl.vec, rd.fundamental_weights if basis is None
+                      else basis))
+    if rl.rank(basis) < len(basis):
+        raise SpecificationError("the sweep basis is not independent")
+    nums, den = rl.scaled_rows(basis)
+    labels = [rd.dynkin_labels(b) for b in basis]
+    keys = [(ls, tuple(sum(map(mul, b, z)) for z in rd._root_kernel))
+            for ls, b in zip(labels, nums)]
+    index = {key: j for j, key in enumerate(keys)}
+    perm = [index.get((tuple([ls[i] for i in rd.minus_w0_perm]),
+                       tuple([-x for x in k]))) for ls, k in keys]
+    return basis, nums, den, labels, None if None in perm else perm
 
 
 def dominant_orthogonal_weights(rd, box, basis=None):
@@ -311,56 +336,62 @@ def dominant_orthogonal_weights(rd, box, basis=None):
     fundamental weights).  When -w0 permutes the basis, only the coordinate
     tuples it fixes are visited, since orthogonal weights are self-dual;
     otherwise the whole box is scanned, unless it has more than
-    ``SWEEP_GUARD`` points.  A point c passes if it meets the integer forms
-    n . c = 0 mod m (X_* and the labels L c / d are integral) and n . c = 0
-    (it kills the quotiented directions and the cocharacters all roots
-    kill), and its labels pass ``orthogonal_labels``; only then is its
+    ``SWEEP_GUARD`` points.  A point c passes integer forms in the visited
+    coordinates, made once, less those every point meets: n . c = 0 mod m
+    (X_* and the labels L c / d are integral, <lam, 2 delta_v> is even),
+    n . c = 0 (it kills the quotiented directions and the cocharacters all
+    roots kill, sigma fixes its labels) and L c >= 0; only then is its
     weight built.
     """
     if box < 0:
         raise SpecificationError(f"the sweep box must be >= 0, got {box}")
-    basis = tuple(map(rl.vec, rd.fundamental_weights if basis is None
-                      else basis))
-    if rl.rank(basis) < len(basis):
-        raise SpecificationError("the sweep basis is not independent")
-    values = range(box + 1)
-    images = [rl.mat_vec(rd.minus_w0_matrix, b) for b in basis]
-    if any(im not in basis for im in images):
-        width = len(basis)
-        points = product(values, repeat=width)
-    else:
-        # -w0 is an involution; the first index of each orbit carries its
-        # value, so the orbit values come in the points' lexicographic order
-        perm = [basis.index(im) for im in images]
-        reps = [i for i, j in enumerate(perm) if i <= j]
-        slot = [reps.index(min(i, j)) for i, j in enumerate(perm)]
-        width = len(reps)
-        points = (tuple([v[k] for k in slot])
-                  for v in product(values, repeat=width))
+    basis, nums, bden, labels, perm = _sweep_basis(rd, basis)
+    size = len(basis)
+    # -w0 is an involution; the first index of each orbit carries its
+    # value, so the orbit values come in the points' lexicographic order
+    perm = range(size) if perm is None else perm
+    reps = [i for i, j in enumerate(perm) if i <= j]
+    slot = [reps.index(min(i, j)) for i, j in enumerate(perm)]
+    width = len(reps)
     if (box + 1) ** width > SWEEP_GUARD:
         raise GuardExceededError(
             f"the box-{box} sweep would visit {(box + 1) ** width} points, "
             f"over the sweep guard {SWEEP_GUARD}")
+
+    def fold(form):     # a form in c as one in the visited coordinates
+        return [sum(x for k, x in zip(slot, form) if k == r)
+                for r in range(width)]
+
+    def pairings(cochars):
+        return [fold([sum(map(mul, b, z)) for b in nums]) for z in cochars]
+
     rows, den, central = rd._character_rows
-    lrows, lden = rl.scaled_rows(rl.transpose([rd.dynkin_labels(b)
-                                               for b in basis]))
+    lrows, lden = rl.scaled_rows(rl.transpose(labels))
+    two_delta = [sum(map(mul, col, rd.two_delta_coroot_coords))
+                 for col in zip(*lrows)]
+    # m = 0 marks n . c = 0: a congruence mod 1 + the largest |n . c| there
+    forms = ([(n, den * bden) for n in pairings(rows)]
+             + [(fold(r), lden) for r in lrows]
+             + [(fold(two_delta), 2 * lden)]
+             + [(n, 0) for n in pairings(central + rd._root_kernel)]
+             + [(fold(rl.sub(lrows[i], lrows[s])), 0)
+                for i, s in rd._sigma_pairs])
+    # each form once, its entries mod m
+    congruences = [(n, m) for n, m in dict.fromkeys(
+        (tuple([x % m for x in n]), m) for n, m in (
+            (n, m or 1 + box * sum(map(abs, n))) for n, m in forms)) if any(n)]
+    signs = [n for n in map(fold, lrows) if min(n, default=0) < 0]
 
-    def forms(cochars, d):
-        return [rl.scaled([Fraction(dot(b, z), d) for b in basis])
-                for z in cochars]
+    def passes(v):
+        return not (any(sum(map(mul, v, n)) % m for n, m in congruences)
+                    or any(sum(map(mul, v, n)) < 0 for n in signs))
 
-    congruences = [(n, m) for n, m in forms(rows, den) + [
-        (r, lden) for r in lrows] if any(x % m for x in n)]
-    zeros = [n for n, _ in forms(central + rd._root_kernel, 1) if any(n)]
-    same = lden == 1 and lrows == rl.identity(len(basis))
-
-    def passes(c):
-        return not (any(sum(map(mul, c, n)) % m for n, m in congruences)
-                    or any(sum(map(mul, c, z)) for z in zeros)) and (
-            orthogonal_labels(rd, c if same else [
-                sum(map(mul, c, r)) // lden for r in lrows]))
-
-    hits, again = tee(filter(passes, points))
+    hits = product(range(box + 1), repeat=width)
+    if congruences or signs:
+        hits = filter(passes, hits)
+    if width < size:
+        hits = (tuple([v[k] for k in slot]) for v in hits)
+    hits, again = tee(hits)
     yield from zip(hits, rl.int_combos(again, basis))
 
 
@@ -368,10 +399,12 @@ def scan_periodicity(rd, fg, box, k, basis=None):
     """Search for violations of period-2^k invariance of the verdict.
 
     For every dominant orthogonal lam0 with coordinates in the box, compares
-    the verdict at lam0 with the verdict at lam0 + 2^k e_i along each
-    coordinate axis (skipping shifted points that fall outside the dominant
-    orthogonal set).  Also reports the smallest exponent in [0, k] with no
-    violations in the box, and the density of spinorial points in the box.
+    the verdict at lam0 with that at lam0 + 2^k e, if dominant orthogonal,
+    along each axis e: e_i + e_p(i) per orbit of -w0 on the basis if it
+    permutes it (so self-dual points shift to self-dual points), else e_i;
+    a violation names an axis by its first index.  Also reports the
+    verdicts, the number of comparisons, the smallest exponent in [0, k]
+    with no violations in the box, and the density of spinorial points.
     """
     if k < 0:
         raise SpecificationError(f"the exponent k must be >= 0, got {k}")
@@ -379,39 +412,33 @@ def scan_periodicity(rd, fg, box, k, basis=None):
     # every dominant orthogonal point of the box; the rest read None
     verdict = {c: is_spinorial(rd, fg, OrthRep(irreducible=(lam,))).spinorial
                for c, lam in dominant_orthogonal_weights(rd, box, basis=basis)}
-    points = list(verdict)
     spin_count = sum(verdict.values())
+    perm = _sweep_basis(rd, basis)[-1] or range(len(basis))
+    axes = [{i, j} for i, j in enumerate(perm) if i <= j]
 
     def violations(kk):
-        out, compared = [], 0
+        """(violations, comparisons) at period 2^kk."""
         if kk >= box.bit_length():
-            return out, compared    # 2^kk > box: every shift leaves the box
-        step = 2 ** kk
-        for c0 in points:
-            for axis in range(len(basis)):
-                v1 = verdict.get(c0[:axis] + (c0[axis] + step,)
-                                 + c0[axis + 1:])
-                if v1 is not None:
-                    compared += 1
-                    if v1 != verdict[c0]:
-                        out.append((c0, axis))
-        return out, compared
+            return [], 0    # 2^kk > box: every shift leaves the box
+        shifted = [(c, min(axis), verdict.get(tuple(
+            [x + 2 ** kk * (i in axis) for i, x in enumerate(c)])))
+            for c in verdict for axis in axes]
+        return ([(c, axis) for c, axis, v in shifted
+                 if v is not None and v != verdict[c]],
+                sum(v is not None for *_, v in shifted))
 
     viols, compared = violations(k)
-    report = {
+    minimal = next((kk for kk in range(min(k, box.bit_length()) + 1)
+                    if (vc := violations(kk))[1] and not vc[0]), None)
+    return {
         "k": k,
         "box": box,
         "violations": viols,
-        "points": len(points),
+        "verdicts": verdict,
+        "points": len(verdict),
         "spinorial_points": spin_count,
-        "density": Fraction(spin_count, len(points)) if points else Fraction(0),
+        "density": Fraction(spin_count, len(verdict) or 1),
+        "compared": compared,
         "vacuous": compared == 0,
+        "minimal_k": minimal,
     }
-    minimal = None
-    for kk in range(min(k, box.bit_length()) + 1):
-        v, c = violations(kk)
-        if c and not v:
-            minimal = kk
-            break
-    report["minimal_k"] = minimal
-    return report

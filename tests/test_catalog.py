@@ -130,3 +130,18 @@ def test_summary_suite_well_formed():
 def test_gl_weight_basis_is_ambient():
     g = group_by_name("GL3")
     assert g.weight_from_coords([2, 1, 0]) == (2, 1, 0)
+
+
+@pytest.mark.parametrize("name", ["PGL2", "SL6/mu3", "GL3", "PSp8", "SO7",
+                                  "PSO16", "Gplus8", "E7adj"])
+def test_weight_from_coords_is_the_exact_combination(name):
+    g = group_by_name(name)
+    r = len(g.weight_basis)
+    for coords in ([0] * r, [1] * r, [Fraction(j - 2, 3) for j in range(r)],
+                   [(-1) ** j * j for j in range(r)]):
+        lam = g.weight_from_coords(coords)
+        assert lam == rl.combo(coords, g.weight_basis, dim=g.rd.dim)
+        assert all(type(x) is Fraction for x in lam)
+    with pytest.raises(SpecificationError,
+                       match=f"expects {r} weight coordinates, got {r + 1}"):
+        g.weight_from_coords([0] * (r + 1))

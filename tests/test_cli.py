@@ -169,6 +169,23 @@ def test_atlas_vacuous_flag(runner):
     assert "vacuous" in res.output
 
 
+def test_atlas_states_why_nothing_was_compared(runner):
+    res = runner.invoke(main, ["atlas", "--group", "PGL2",
+                               "--box", "4", "--k", "4"])
+    assert "note: 2^k exceeds the box; the scan is vacuous" in res.output
+    # GL3's one orthogonal point at box 4 has no shifted partner
+    res = runner.invoke(main, ["atlas", "--group", "GL3",
+                               "--box", "4", "--k", "1"])
+    assert res.exit_code == 0 and (
+        "note: no shifted point is a dominant orthogonal point of the box; "
+        "the scan is vacuous") in res.output
+    # PGL3 shifts its sigma-paired coordinates together
+    res = runner.invoke(main, ["atlas", "--group", "PGL3",
+                               "--box", "16", "--k", "1"])
+    assert res.exit_code == 0 and "vacuous" not in res.output
+    assert "smallest violation-free exponent in box: 0" in res.output
+
+
 def test_atlas_grid_file(runner, tmp_path):
     out = tmp_path / "grid.csv"
     res = runner.invoke(main, ["atlas", "--group", "PGL2", "--box", "8",

@@ -19,7 +19,8 @@ from spinoriality.repcalc import (L_phi, casimir_value, classify,
                                   two_delta_pairing, weyl_dim)
 from spinoriality.rootdata import (RootDatum, _from_cartan, build_root_datum,
                                    with_cochar_lattice)
-from spinoriality.spinor import (OrthRep, d_nu, dominant_orthogonal_weights,
+from spinoriality.spinor import (OrthRep, _sweep_basis, d_nu,
+                                 dominant_orthogonal_weights,
                                  is_dominant_orthogonal, is_spinorial,
                                  make_regular, q_irreducible, q_rep,
                                  q_via_weyl_sum)
@@ -438,28 +439,49 @@ def euclidean_orthogonal(rd, lam):
 def data_basis_and_box(draw):
     """A ``random_datum``, a basis of weights and a box.  The basis is the
     fundamental weights, their halves or the simple roots (all permuted by
-    -w0), the fundamental weights plus multiples of vectors all coroots
-    kill, or independent integer combinations of the fundamental weights
-    over 1 or 2, with an optional half-integral ambient part (-w0 permutes
-    neither of the last two, in general)."""
+    -w0), shuffled multiples of the fundamental weights (permuted when the
+    multiples agree on each sigma orbit), the pairs omega_i + z, omega_s(i)
+    -/+ z with z central (permuted for the minus sign), the fundamental
+    weights plus multiples of vectors all coroots kill, or independent
+    integer combinations of the fundamental weights over 1 or 2, with an
+    optional half-integral ambient part (-w0 permutes neither of the last
+    two, in general)."""
     rd, _ = random_datum(draw)
     r = len(rd.simple_roots)
     box = draw(st.integers(0, 2))
     assume((box + 1) ** r <= 256)
     w = rd.fundamental_weights
-    kind = draw(st.sampled_from(["fundamental", "half", "roots", "central",
-                                 "mixed"]))
+    sigma = rd.minus_w0_perm
+    # vectors all coroots kill: -w0 negates them
+    zs = [rl.vec(rl.scaled(z)[0])
+          for z in rl.nullspace(rd.simple_coroots, rd.dim)]
+    kind = draw(st.sampled_from(["fundamental", "half", "roots", "shuffled",
+                                 "paired", "central", "mixed"]))
     if kind == "fundamental":
         return rd, w, box
     if kind == "half":
         return rd, [rl.scale(Fraction(1, 2), v) for v in w], box
     if kind == "roots":
         return rd, rd.simple_roots, box
+    if kind == "shuffled":
+        mult = [draw(st.integers(1, 2)) for _ in w]
+        if draw(st.booleans()):
+            mult = [mult[min(i, s)] for i, s in enumerate(sigma)]
+        order = draw(st.permutations(range(r)))
+        return rd, [rl.scale(mult[i], w[i]) for i in order], box
+    if kind == "paired":
+        assume(zs)
+        basis = list(w)
+        sign = draw(st.sampled_from([-1, 1]))
+        for i, s in rd._sigma_pairs:
+            z = rl.scale(Fraction(draw(st.integers(-2, 2)), 2),
+                         draw(st.sampled_from(zs)))
+            basis[i] = rl.add(w[i], z)
+            basis[s] = rl.add(w[s], rl.scale(sign, z))
+        return rd, basis, box
     if kind == "central":
         # a character with a part all coroots kill is not self-dual, and
         # one along a quotiented direction no character at all
-        zs = [rl.vec(rl.scaled(z)[0])
-              for z in rl.nullspace(rd.simple_coroots, rd.dim)]
         assume(zs)
         return rd, [rl.add(v, rl.scale(draw(st.integers(-1, 2)),
                                        draw(st.sampled_from(zs))))
@@ -478,7 +500,7 @@ def data_basis_and_box(draw):
     return rd, basis, box
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(data_basis_and_box())
 def test_sweep_matches_the_euclidean_brute_force(case):
     rd, basis, box = case
@@ -486,6 +508,12 @@ def test_sweep_matches_the_euclidean_brute_force(case):
             if euclidean_orthogonal(rd, lam := rl.combo(c, basis,
                                                          dim=rd.dim))]
     assert list(dominant_orthogonal_weights(rd, box, basis=basis)) == want
+    # the sweep reads -w0 off labels and central pairings
+    vecs = [tuple(rl.vec(b)) for b in basis]
+    images = [rl.mat_vec(rd.minus_w0_matrix, b) for b in vecs]
+    assert _sweep_basis(rd, basis)[-1] == (
+        [vecs.index(im) for im in images]
+        if all(im in vecs for im in images) else None)
     assert all(is_dominant_orthogonal(rd, lam) for _, lam in want)
 
 

@@ -4,12 +4,14 @@ from itertools import product
 from math import comb
 
 import pytest
+from click.testing import CliRunner
 
+from spinoriality import catalog, cli, spinor
 from spinoriality import ratlin as rl
 from spinoriality.catalog import group_by_name, highest_root
 from spinoriality.errors import SpecificationError
 from spinoriality.repcalc import freudenthal_multiplicities, weyl_dim
-from spinoriality.rootdata import build_root_datum
+from spinoriality.rootdata import RootDatum, build_root_datum
 from spinoriality.spinor import (OrthRep, adjoint_spinorial, descent_check,
                                  dominant_orthogonal_weights,
                                  is_dominant_orthogonal, is_spinorial,
@@ -205,11 +207,12 @@ def brute_force_sweep(rd, box, basis):
 
 
 @pytest.mark.parametrize("name,box", [
-    ("PGL2", 7), ("GL3", 3), ("SL6/mu3", 2), ("SO8", 2), ("PSO8", 2),
-    ("E6", 2), ("A2xB3xT1", 2)])
+    ("PGL2", 7), ("GL2", 4), ("GL3", 3), ("SL6/mu3", 2), ("SO8", 2),
+    ("PSO8", 2), ("E6", 2), ("A2xB3xT1", 2)])
 def test_sweep_matches_brute_force(name, box):
-    # PGL2 counts in simple roots, GL3 in the identity basis (-w0 maps it
-    # to minus itself, so the whole box is scanned), the rest in
+    # PGL2 counts in simple roots, GL2 and GL3 in the identity basis (-w0
+    # maps it to minus itself, so the whole box is scanned, and the
+    # central direction is a form that must vanish), the rest in
     # fundamental weights
     if name == "A2xB3xT1":
         rd = build_root_datum([("A", 2), ("B", 3)], central_rank=1)
@@ -232,3 +235,104 @@ def test_sweep_streams_its_points():
         tracemalloc.stop()
     assert coords == (0,) * 8
     assert peak < 5 * 2 ** 20
+
+
+# ----------------------------------------------------------------------
+# the sweep's verdicts run on the labels it has, and -w0 on labels
+
+def count_calls(monkeypatch, owner, name):
+    calls = []
+    fn = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["PSO16", "SL12/mu6"])
+def test_summary_builds_no_minus_w0_matrix(monkeypatch, name):
+    def refuse(self):
+        raise AssertionError("minus_w0_matrix built")
+    monkeypatch.setattr(RootDatum, "minus_w0_matrix", property(refuse))
+    for fmt, want in [
+            ("json", '{"agrees":true,"all_spinorial_predicted":true,'
+                     f'"all_spinorial_swept":true,"box":"2","group":"{name}"}}'
+                     '\n'),
+            ("text", f"{name}: every orthogonal rep spinorial?\n"
+                     "  classification says: True\n"
+                     "  box-2 sweep says: True\n  PASS\n")]:
+        res = CliRunner().invoke(cli.main, ["summary", "--group", name,
+                                            "--box", "2", "--format", fmt])
+        assert (res.exit_code, res.output) == (0, want)
+
+
+def test_sweep_reads_only_the_basis_labels(monkeypatch):
+    g = group_by_name("PSO16")
+    calls = count_calls(monkeypatch, RootDatum, "dynkin_labels")
+    assert catalog.sweep_all_spinorial(g, 2) == (True, None)
+    assert 0 < len(calls) <= len(g.rd.simple_roots)
+
+
+@pytest.mark.parametrize("name", ["PSO16", "PSp16", "SL12/mu6", "E7adj",
+                                  "GL3"])
+def test_sweep_verdicts_match_the_validated_rep(monkeypatch, name):
+    g = group_by_name(name)
+    seen = []
+    verdict_of = spinor.is_spinorial
+
+    def record(rd, fg, rep):
+        seen.append((rep, verdict_of(rd, fg, rep)))
+        return seen[-1][1]
+    monkeypatch.setattr(spinor, "is_spinorial", record)
+    catalog.sweep_all_spinorial(g, 1)
+    assert seen
+    for rep, verdict in seen:
+        (lam,) = rep.irreducible
+        checked = orth_rep(g.rd, irreducible=[lam])
+        assert rep.labels == checked.labels == (g.rd.dynkin_labels(lam),)
+        assert verdict == verdict_of(g.rd, g.fg, checked)
+
+
+def test_check_reads_each_summand_label_once(monkeypatch):
+    g = group_by_name("SO8")
+    calls = count_calls(monkeypatch, RootDatum, "dynkin_labels")
+    rep = cli.parse_weight_option(g, "1,0,0,0+1,1,0,0+S:2,1,0,0")
+    verdict = is_spinorial(g.rd, g.fg, rep)
+    assert len(calls) == 3 and len(verdict.certificate) == 1
+    assert verdict == is_spinorial(g.rd, g.fg, OrthRep(rep.irreducible,
+                                                       rep.hyperbolic))
+
+
+def test_atlas_shifts_paired_coordinates_together():
+    # a sigma-paired point shifted in one coordinate is not self-dual, so
+    # PGL3 (c, c) compares only along (1, 1)
+    g = group_by_name("PGL3")
+    report = scan_periodicity(g.rd, g.fg, box=16, k=1, basis=g.weight_basis)
+    assert not report["vacuous"] and report["compared"] == 15
+    assert report["violations"] == [] and report["minimal_k"] == 0
+    for name, box, k, pair in [("SL4/mu2", 6, 1, {0, 2}),
+                               ("PSO10", 4, 1, {3, 4})]:
+        g = group_by_name(name)
+        report = scan_periodicity(g.rd, g.fg, box, k, basis=g.weight_basis)
+        verdict = report["verdicts"]
+        axes = [{i} for i in range(len(g.weight_basis)) if i not in pair]
+
+        def shift(c, axis):
+            return tuple(x + 2 ** k * (i in axis) for i, x in enumerate(c))
+        assert report["compared"] == sum(
+            shift(c, axis) in verdict for c in verdict for axis, in
+            [[a] for a in axes + [pair]])
+        paired = [c for c, axis in report["violations"] if axis == min(pair)]
+        assert paired and all(verdict[c] != verdict[shift(c, pair)]
+                              for c in paired)
+
+
+@pytest.mark.parametrize("name,box,k,minimal", [
+    ("SO5", 16, 3, 3), ("SO5", 8, 2, None), ("SO7", 12, 3, 3),
+    ("SO7", 8, 2, None)])
+def test_atlas_minimal_k_on_odd_orthogonal_groups(name, box, k, minimal):
+    g = group_by_name(name)
+    report = scan_periodicity(g.rd, g.fg, box, k, basis=g.weight_basis)
+    assert report["minimal_k"] == minimal and not report["vacuous"]
