@@ -9,8 +9,12 @@ The multiplicity table is the package's brute-force oracle: everything it
 feeds (L_phi, descent checks) is computed straight from the definition
 with no closed forms, so it can cross-check the closed-form engine.  It
 also runs on labels: Freudenthal's recursion over the dominant weights,
-the Weyl orbits of those, and <mu, nu> as one integer linear form in the
-labels of mu (``RootDatum.label_pairing``).
+and <mu, nu> as one integer linear form in the labels of mu
+(``RootDatum.label_pairing``).  A sum over all weights, such as L_phi, runs
+per dominant weight mu over the small orbit of nu, not that of mu, by
+sum_{x in W mu} f(<x, nu>) = |W mu| / |W nu| sum_{y in W nu} f(<mu, y>),
+as <w mu, nu> = <mu, w^-1 nu>; |W mu| is ``RootDatum.orbit_size``
+(Macdonald's formula).
 """
 
 from dataclasses import dataclass
@@ -84,8 +88,9 @@ def classify(rd, lam, labels=None):
 
 
 class WeightMultiplicityTable:
-    """All weights of V_lam with their multiplicities, from Freudenthal's
-    recursion.
+    """The weights of V_lam with their multiplicities, from Freudenthal's
+    recursion, held as the dominant ones, each with its orbit size; the full
+    list of weights is built only for ``items`` and ``pairings``.
 
     Weights are kept as their Dynkin labels: all of them lie in lam + Q, on
     which the labels are faithful.  Euclidean vectors are made only at the
@@ -99,8 +104,14 @@ class WeightMultiplicityTable:
         self._lam = lam
         self._top = top                 # the labels of lam
         self._dom = dominant            # dominant labels -> multiplicity
-        self._weights = {w: m for mu, m in dominant.items()
-                         for w in rd.label_orbit(mu)}
+        self._orbits = [(mu, m, rd.orbit_size(mu))
+                        for mu, m in dominant.items()]
+        self._sums = {}                 # nu -> ``pairing_sums(nu)``
+
+    @cached_property
+    def _weights(self):
+        return {w: m for mu, m in self._dom.items()
+                for w in self._rd.label_orbit(mu)}
 
     def weight(self, labels):
         """The weight of lam + Q with these labels, as exact rationals."""
@@ -112,7 +123,7 @@ class WeightMultiplicityTable:
     def multiplicity(self, mu):
         mu = tuple(rl.vec(mu))
         labels = self._rd.dynkin_labels(mu)
-        m = self._weights.get(labels, 0)
+        m = self._dom.get(self._rd.dominant_point(labels)[0], 0)
         # equal labels, but mu may lie off lam + Q by a central vector
         return m if m and self.weight(labels) == mu else 0
 
@@ -132,15 +143,35 @@ class WeightMultiplicityTable:
         return den, [(sum(map(mul, c, w)) + k, m, w)
                      for w, m in self._weights.items()]
 
+    def orbit_pairings(self, nu):
+        """(den, [(m |W mu|, [den <mu, y> for y in W nu]) per dominant mu])."""
+        cs, k, den = self._rd.pairing_orbit(self._lam, nu)
+        return den, [(m * size, [sum(map(mul, c, mu)) + k for c in cs])
+                     for mu, m, size in self._orbits]
+
+    def pairing_sums(self, nu):
+        """Over all weights x with multiplicity, the sums of the positive
+        <x, nu> and of <x, nu>^2, as Fractions; memoized per nu."""
+        key = tuple(nu)
+        if key not in self._sums:
+            den, rows = self.orbit_pairings(key)
+            pos = sq = 0
+            for w, ps in rows:
+                pos += w * sum(p for p in ps if p > 0)
+                sq += w * sum(p * p for p in ps)
+            n = den * len(rows[0][1])   # den |W nu|
+            self._sums[key] = Fraction(pos, n), Fraction(sq, n * den)
+        return self._sums[key]
+
     @cached_property
     def total_dim(self):
-        return sum(self._weights.values())
+        return sum(m * size for _, m, size in self._orbits)
 
     def __contains__(self, mu):
         return self.multiplicity(mu) > 0
 
     def __len__(self):
-        return len(self._weights)
+        return sum(size for *_, size in self._orbits)
 
 
 def freudenthal_multiplicities(rd, lam, guard=FREUDENTHAL_GUARD_DEFAULT):
@@ -175,10 +206,10 @@ def freudenthal_multiplicities(rd, lam, guard=FREUDENTHAL_GUARD_DEFAULT):
             if min(nxt) >= 0 and nxt not in seen:
                 seen.add(nxt)
                 dominant.append(nxt)
-    # recurse downward from lam by the height of lam - mu, the row sums of
-    # the inverse Cartan matrix against the labels: the dominant conjugate
-    # of mu + k alpha lies above mu, so its multiplicity is known first
-    heights = rl.scaled([sum(row) for row in rd.cartan_inverse])[0]
+    # recurse downward from lam by the height of lam - mu, against the
+    # heights of the fundamental weights: the dominant conjugate of
+    # mu + k alpha lies above mu, so its multiplicity is known first
+    heights, form, form_roots = rd._freudenthal_tables
     dominant.sort(key=lambda mu: -sum(map(mul, heights, mu)))
 
     rows = rd.cartan_matrix
@@ -198,12 +229,6 @@ def freudenthal_multiplicities(rd, lam, guard=FREUDENTHAL_GUARD_DEFAULT):
         for t in trail:
             memo[t] = hit
         return hit
-
-    coroots = rd.positive_coroot_coords
-    r = len(top)
-    form = [[sum(k[i] * k[j] for k in coroots) for j in range(r)]
-            for i in range(r)]
-    form_roots = [tuple(sum(map(mul, row, a)) for row in form) for a in roots]
 
     def norm(v):
         shifted = [x + 1 for x in v]
@@ -236,18 +261,11 @@ def freudenthal_multiplicities(rd, lam, guard=FREUDENTHAL_GUARD_DEFAULT):
     return table
 
 
-def _as_tables(mults):
-    if isinstance(mults, WeightMultiplicityTable):
-        return (mults,)
-    return tuple(mults)
-
-
 def L_phi(rd, mults, nu):
     """L(nu) = sum over weights with <mu,nu> > 0 of m(mu) <mu,nu>."""
-    total = Fraction(0)
-    for table in _as_tables(mults):
-        den, pairs = table.pairings(nu)
-        total += Fraction(sum(m * p for p, m, _ in pairs if p > 0), den)
+    if isinstance(mults, WeightMultiplicityTable):
+        mults = (mults,)
+    total = sum((t.pairing_sums(nu)[0] for t in mults), Fraction(0))
     if total.denominator != 1:
         raise IntegralityError(
             f"L(nu) = {total} is not an integer; nu is not a cocharacter "

@@ -19,7 +19,8 @@ simple-coroot coordinates, -w0 as a permutation of the labels, and per factor
 the inverse Killing Gram matrix on the simple coroots, computed from the
 definition (x,y) = sum_a a(x)a(y) over all roots (no normalization tables)
 and scaled to integers.  Weyl orbits are walked on labels, where s_i
-subtracts v_i times the labels of alpha_i.
+subtracts v_i times the labels of alpha_i; that of a cocharacter is walked
+on its pairings with the simple roots and the fundamental weights.
 """
 
 from fractions import Fraction
@@ -369,6 +370,18 @@ class RootDatum:
         return prod(map(sum, self.positive_coroot_coords))
 
     @cached_property
+    def _freudenthal_tables(self):
+        """Freudenthal's tables on labels: the heights of the fundamental
+        weights times det^2 (det times the adjugate's row sums), the form
+        B(x, y) = sum_{beta > 0} <x, beta^v><y, beta^v>, B(., beta) each."""
+        adj, det = self._cartan_adj
+        form = [[sum(k[i] * k[j] for k in self.positive_coroot_coords)
+                 for j in range(len(adj))] for i in range(len(adj))]
+        return ([sum(row) * det for row in adj], form,
+                [tuple(sum(map(mul, row, a)) for row in form)
+                 for a in self.positive_root_labels])
+
+    @cached_property
     def minus_w0_perm(self):
         """-w0 as the involution sigma of the labels, -w0 omega_i =
         omega_sigma(i): per simple factor, the diagram automorphism that
@@ -530,16 +543,22 @@ class RootDatum:
         return order
 
     def label_orbit(self, labels):
-        """The Weyl orbit of the weight with these labels, as a dict from
-        label tuples to the sign det(w) of the w that reaches each point
-        (well defined when the weight is regular).  Each point is built
+        """``_orbit`` of the weight with these labels."""
+        return self._orbit(labels, self.cartan_matrix)
+
+    def _orbit(self, labels, rows):
+        """The Weyl orbit of the point with these labels, as a dict from
+        label tuples to det(w) for the w that reaches each (well defined for
+        a regular point), where s_i subtracts x_i ``rows[i]``: the rows of
+        the Cartan matrix, or of its transpose for a cocharacter's labels
+        <alpha_i, y>, as a^T is the dual root system's.  Each point is built
         once, on the tree rooted at the dominant point where a point's
         parent is its reflection at its first negative label: a point made
         by s_f (the root: f = r) has the child s_i(cur), cur_i > 0, for
-        i < f, and for i > f when a_if != 0 and s_i(cur) has no negative
-        label before i.  The sign is the parity of the depth."""
-        rows, r = self.cartan_matrix, len(self.cartan_matrix)
-        top, sign = self.dominant_point(labels)
+        i < f, and for i > f when rows[i][f] != 0 and s_i(cur) has no
+        negative label before i.  The sign is the parity of the depth."""
+        r = len(rows)
+        top, sign = self.dominant_point(labels, rows)
         orbit = {top: sign}
         stack = [(top, r, -sign)]
         while stack:
@@ -552,15 +571,29 @@ class RootDatum:
                         stack.append((nxt, i, -sign))
         return orbit
 
-    def dominant_point(self, labels):
+    def dominant_point(self, labels, rows=None):
         """The dominant point of the Weyl orbit of the weight with these
         labels, as labels, and det(w) for the w that reaches it: reflect at
-        the first negative label until none is left."""
-        rows, r = self.cartan_matrix, len(self.cartan_matrix)
-        top, sign = list(labels), 1
+        the first negative label until none is left (``rows`` as in
+        ``_orbit``, by default the Cartan matrix)."""
+        rows = self.cartan_matrix if rows is None else rows
+        top, sign, r = list(labels), 1, len(rows)
         while (i := next((j for j, x in enumerate(top) if x < 0), r)) < r:
             top, sign = [a - top[i] * b for a, b in zip(top, rows[i])], -sign
         return tuple(top), sign
+
+    def orbit_size(self, labels):
+        """|W mu| = |W| / |W_mu| for mu with these labels.  For dominant mu,
+        |W_mu| = prod (ht beta^v + 1) / ht beta^v over the positive coroots
+        mu kills (Macdonald, "The Poincare series of a Coxeter group", Math.
+        Ann. 1972, at t = 1); memoized by the zero labels."""
+        top = self.dominant_point(labels)[0]
+        cache = self.__dict__.setdefault("_orbit_sizes", {})
+        if (key := tuple(x == 0 for x in top)) not in cache:
+            hs = [sum(k) for k in self.positive_coroot_coords
+                  if not any(map(mul, k, top))]
+            cache[key] = self.weyl_order * prod(hs) // prod(h + 1 for h in hs)
+        return cache[key]
 
     def weyl_orbit_signed(self, v, guard=None):
         """The Weyl orbit of a regular v as a dict from the Dynkin labels of
@@ -600,6 +633,16 @@ class RootDatum:
         g = gcd(*c, k, s * det * pden)
         return [x // g for x in c], k // g, s * det * pden // g
 
+    def pairing_orbit(self, lam, nu):
+        """``label_pairing`` at each y in the orbit of nu: (cs, k, den), one
+        c per y, one k as W fixes nu's central part.  The orbit is walked on
+        p = a c, p_j = den <alpha_j, y>, and c = adj(a) p / det exactly."""
+        a, (c, k, den) = self.cartan_matrix, self.label_pairing(lam, nu)
+        adj, det = self._cartan_adj
+        ps = self._orbit([sum(map(mul, row, c)) for row in a], tuple(zip(*a)))
+        return ([[sum(map(mul, row, p)) // det for row in adj] for p in ps],
+                k, den)
+
     def root_pairings(self, nu):
         """(p, den): <alpha_j, nu> = p_j / den for the simple roots."""
         (nums, den), (rows, rden) = rl.scaled(nu), self._root_rows
@@ -633,12 +676,6 @@ class RootDatum:
     def _cartan_adj(self):
         """(adj, det) of the Cartan matrix, in integers: adj . A = det . I."""
         return rl.int_inverse(self.cartan_matrix)
-
-    @cached_property
-    def cartan_inverse(self):
-        """Inverse of the Cartan matrix <alpha_i, alpha_j^v>."""
-        adj, det = self._cartan_adj
-        return tuple(tuple(Fraction(x, det) for x in row) for row in adj)
 
     @cached_property
     def fundamental_weights(self):
@@ -769,7 +806,7 @@ def build_root_datum(lie_type, central_rank=0, label=""):
 
 _ROOT_TABLES = ("simple_roots", "simple_coroots", "central_cochars", "dim",
                 "_root_rows", "cartan_matrix", "_diagram", "factors",
-                "_cartan_adj", "_root_closure")
+                "_cartan_adj", "_root_closure", "_freudenthal_tables")
 
 
 def with_cochar_lattice(rd, basis, label=None):

@@ -240,12 +240,14 @@ def oracle_compare(rd, lam, nu, freudenthal_guard=FREUDENTHAL_GUARD_DEFAULT,
 
     Returns a dict with the three values (Weyl sum only for simple g at a
     regular point) and the pairwise agreement flags:
-    L == q mod 2, and Weyl-sum q == closed-form q exactly.
+    L == q mod 2, and Weyl-sum q == closed-form q exactly.  ``ok`` also
+    asks that sum_x m(x) <x, nu>^2, the trace form at nu, be 2q exactly.
     """
     nu = tuple(rl.vec(nu))
     table = freudenthal_multiplicities(rd, lam, guard=freudenthal_guard)
     l_val = L_phi(rd, table, nu)
     q_val = q_irreducible(rd, lam, nu)
+    moment_agrees = table.pairing_sums(nu)[1] == 2 * q_val
     report = {
         "L": l_val,
         "q": q_val,
@@ -261,7 +263,8 @@ def oracle_compare(rd, lam, nu, freudenthal_guard=FREUDENTHAL_GUARD_DEFAULT,
         report["weyl_agrees"] = qw == (
             q_val if reg == nu else q_irreducible(rd, lam, reg))
         report["regular_point"] = reg
-    report["ok"] = bool(report["parity_agrees"]) and report["weyl_agrees"] in (None, True)
+    report["ok"] = (bool(report["parity_agrees"]) and moment_agrees
+                    and report["weyl_agrees"] in (None, True))
     return report
 
 
@@ -273,22 +276,25 @@ def descent_check(rd, lam, nu, d, guard=FREUDENTHAL_GUARD_DEFAULT):
     subgroup generated by nu evaluated at a primitive d-th root of unity.
 
     Requires d even.  The representation descends iff every weight pairs
-    with nu divisibly by d (checked); the descended representation is then
-    spinorial iff 2d divides L(nu), which is computed exactly from the
-    multiplicity table.
+    with nu divisibly by d, iff every dominant one does with the orbit of nu
+    (checked; the weights are listed only to name the least failing one);
+    the descended representation is then spinorial iff 2d divides L(nu),
+    which is computed exactly from the multiplicity table.
     """
     if d % 2 != 0:
         raise SpecificationError("descent criterion requires even order d")
     nu = tuple(rl.vec(nu))
     table = freudenthal_multiplicities(rd, lam, guard=guard)
-    den, pairs = table.pairings(nu)
-    for p, _, labels in sorted(pairs, key=lambda t: t[2]):   # by labels
-        if p % (d * den):
-            raise SpecificationError(
-                f"weight {fmt_vec(table.weight(labels))} pairs to "
-                f"{Fraction(p, den)} "
-                f"with nu; the representation does not descend through the "
-                f"order-{d} subgroup")
+    den, rows = table.orbit_pairings(nu)
+    if any(p % (d * den) for _, ps in rows for p in ps):
+        p, _, labels = min((t for t in table.pairings(nu)[1]
+                            if t[0] % (d * den)),
+                           key=lambda t: t[2])   # by labels
+        raise SpecificationError(
+            f"weight {fmt_vec(table.weight(labels))} pairs to "
+            f"{Fraction(p, den)} "
+            f"with nu; the representation does not descend through the "
+            f"order-{d} subgroup")
     return L_phi(rd, table, nu) % (2 * d) == 0
 
 

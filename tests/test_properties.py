@@ -266,8 +266,13 @@ def test_multiplicities_exactly_on_random_data(case):
     assert len(items) == len(table)
     assert sum(m for _, m in items) == table.total_dim == weyl_dim(rd, lam)
     q = q_irreducible(rd, lam, nu)
-    # the second moment of the weights is the trace form: 2 q exactly
-    assert sum(m * rl.dot(mu, nu) ** 2 for mu, m in items) == 2 * q
+    # summed per dominant weight over the orbit of nu, L and the second
+    # moment are the sums over every weight; the moment is the trace form,
+    # 2 q exactly
+    pairs = [(rl.dot(mu, nu), m) for mu, m in items]
+    assert L_phi(rd, table, nu) == sum(m * p for p, m in pairs if p > 0)
+    assert table.pairing_sums(nu)[1] == sum(
+        m * p * p for p, m in pairs) == 2 * q
     assert (L_phi(rd, table, nu) - q) % 2 == 0
     for mu, m in items:
         assert table.multiplicity(mu) == m and mu in table
@@ -655,6 +660,52 @@ def test_label_orbit_matches_the_breadth_first_walk(case):
         x = start[i]
         start = [a - x * b for a, b in zip(start, rd.cartan_matrix[i])]
     assert rd.label_orbit(start) == reference_label_orbit(rd, start)
+
+
+def reference_pairing_orbit(rd, c):
+    """The vectors den <omega_i, y> over the Weyl orbit of y, from those of
+    one point by closing under every s_j, which lowers the j-th entry by
+    den <alpha_j, y> = sum_i a_ji c_i."""
+    orbit = {tuple(c)}
+    queue = [tuple(c)]
+    for cur in queue:
+        for j, row in enumerate(rd.cartan_matrix):
+            nxt = list(cur)
+            nxt[j] -= sum(map(mul, row, cur))
+            if tuple(nxt) not in orbit:
+                orbit.add(tuple(nxt))
+                queue.append(tuple(nxt))
+    return orbit
+
+
+@settings(max_examples=60, deadline=None)
+@given(data_and_labels())
+def test_orbit_sizes_and_the_orbit_of_nu(case):
+    rd, labels, word = case
+    start = list(labels)
+    for i in word:
+        x = start[i]
+        start = [a - x * b for a, b in zip(start, rd.cartan_matrix[i])]
+    size = len(rd.label_orbit(labels))
+    assert rd.orbit_size(labels) == rd.orbit_size(start) == size
+    # nu with labels <alpha_j, nu> = start: often singular, rarely dominant
+    lam = rl.combo(labels, rd.fundamental_weights, dim=rd.dim)
+    nu = rl.combo(start, rd.fundamental_coweights, dim=rd.dim)
+    c, k, den = rd.label_pairing(lam, nu)
+    cs, k_orbit, den_orbit = rd.pairing_orbit(lam, nu)
+    assert (k_orbit, den_orbit) == (k, den)
+    assert sorted(map(tuple, cs)) == sorted(reference_pairing_orbit(rd, c))
+    # |W nu| |W_nu| = |W|, W_nu from the zero labels of the dominant point
+    top = next(y for y in cs if min(sum(map(mul, row, y))
+                                    for row in rd.cartan_matrix) >= 0)
+    stab = stabilizer_order(rd, [sum(map(mul, row, top))
+                                 for row in rd.cartan_matrix])
+    assert len(cs) * stab == rd.weyl_order
+    # the reindexing: the orbit of mu against nu, through the orbit of nu
+    values = sorted(sum(map(mul, y, labels)) + k for y in cs)
+    direct = sorted(sum(map(mul, c, x)) + k for x in rd.label_orbit(labels))
+    assert [v for v in values for _ in range(size)] == [
+        v for v in direct for _ in range(len(cs))]
 
 
 def reference_make_regular(rd, nu):

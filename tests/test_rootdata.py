@@ -178,7 +178,7 @@ def test_quotient_lattice_must_contain_coroots():
 def _tables(rd):
     return (rd.cartan_matrix,
             [(f.indices, f.family, f.rank) for f in rd.factors],
-            rd.cartan_inverse, rd.fundamental_weights, rd.positive_roots,
+            rd._cartan_adj, rd.fundamental_weights, rd.positive_roots,
             rd.coroot_lattice_coords, rd.central_torus_rank)
 
 

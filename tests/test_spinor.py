@@ -124,6 +124,42 @@ def test_oracle_compare_agrees():
     assert rep["ok"] and rep["parity_agrees"] and rep["weyl_agrees"]
 
 
+ORACLE_ROWS = [("SO8", [1, 0, 0, 0]), ("Spin8", [0, 1, 0, 0]),
+               ("F4", [0, 0, 1, 0])]
+
+
+@pytest.mark.parametrize("name, coords", ORACLE_ROWS)
+def test_oracle_sums_over_the_orbit_of_nu_only(monkeypatch, name, coords):
+    # L and the second moment come from the dominant weights against the
+    # orbit of nu: the one full orbit walked is the Weyl sum's, and the
+    # table never lists its weights
+    g = group_by_name(name)
+    walks, tables = [], []
+    walk = RootDatum.label_orbit
+    monkeypatch.setattr(RootDatum, "label_orbit",
+                        lambda rd, labels: walks.append(labels) or walk(
+                            rd, labels))
+    monkeypatch.setattr(spinor, "freudenthal_multiplicities",
+                        lambda *a, **kw: tables.append(
+                            freudenthal_multiplicities(*a, **kw)) or tables[-1])
+    rep = oracle_compare(g.rd, g.weight_from_coords(coords), g.fg.generators[0]
+                         if g.fg.generators else g.rd.simple_coroots[0])
+    assert rep["ok"] and len(walks) == 1 and len(tables) == 1
+    assert "_weights" not in vars(tables[0])
+
+
+def test_oracle_ok_asks_for_the_exact_second_moment(monkeypatch):
+    # q off by 2 keeps the parity of L but not the second moment 2q
+    g = group_by_name("SO8")
+    lam = g.weight_from_coords([0, 1, 0, 0])
+    nu = g.fg.generators[0]
+    assert oracle_compare(g.rd, lam, nu, include_weyl=False)["ok"]
+    monkeypatch.setattr(spinor, "q_irreducible",
+                        lambda *a: q_irreducible(*a) + 2)
+    rep = oracle_compare(g.rd, lam, nu, include_weyl=False)
+    assert rep["parity_agrees"] and not rep["ok"]
+
+
 def test_adjoint_spinorial_criterion():
     # delta integral: SL2 yes (delta = w1), PGL2 no (delta = alpha/2)
     assert adjoint_spinorial(group_by_name("SL2").rd)
