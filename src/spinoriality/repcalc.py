@@ -11,7 +11,7 @@ with no closed forms, so it can cross-check the closed-form engine.  It
 also runs on labels: Freudenthal's recursion over the dominant weights,
 and <mu, nu> as one integer linear form in the labels of mu
 (``RootDatum.label_pairing``).  A sum over all weights, such as L_phi, runs
-per dominant weight mu over the small orbit of nu, not that of mu, by
+per dominant weight mu over the orbit of nu when that is fewer points, by
 sum_{x in W mu} f(<x, nu>) = |W mu| / |W nu| sum_{y in W nu} f(<mu, y>),
 as <w mu, nu> = <mu, w^-1 nu>; |W mu| is ``RootDatum.orbit_size``
 (Macdonald's formula).
@@ -106,7 +106,6 @@ class WeightMultiplicityTable:
         self._dom = dominant            # dominant labels -> multiplicity
         self._orbits = [(mu, m, rd.orbit_size(mu))
                         for mu, m in dominant.items()]
-        self._sums = {}                 # nu -> ``pairing_sums(nu)``
 
     @cached_property
     def _weights(self):
@@ -129,12 +128,10 @@ class WeightMultiplicityTable:
 
     def items(self):
         """Pairs (weight, multiplicity) with weights as exact rationals."""
-        for w, m in self._weights.items():
-            yield self.weight(w), m
+        return ((self.weight(w), m) for w, m in self._weights.items())
 
     def dominant_items(self):
-        for w, m in self._dom.items():
-            yield self.weight(w), m
+        return ((self.weight(w), m) for w, m in self._dom.items())
 
     def pairings(self, nu):
         """<mu, nu> over every weight mu, as integers over one denominator:
@@ -144,24 +141,26 @@ class WeightMultiplicityTable:
                      for w, m in self._weights.items()]
 
     def orbit_pairings(self, nu):
-        """(den, [(m |W mu|, [den <mu, y> for y in W nu]) per dominant mu])."""
-        cs, k, den = self._rd.pairing_orbit(self._lam, nu)
-        return den, [(m * size, [sum(map(mul, c, mu)) + k for c in cs])
-                     for mu, m, size in self._orbits]
+        """(den, n, [(w, ps)]): sum_x f(den <x, nu>) over the weights x with
+        multiplicity is sum w f(p) over the rows and p in ps, / n.  Per
+        dominant mu, w = m |W mu|, ps = den <mu, y> over y in W nu and n =
+        |W nu|; or, if that is more points, per x, w = m and n = 1."""
+        rd, a = self._rd, self._rd.cartan_matrix
+        n = rd.orbit_size(rd.root_pairings(nu)[0], tuple(zip(*a)))
+        if n * len(self._orbits) > len(self):
+            den, pairs = self.pairings(nu)
+            return den, 1, [(m, (p,)) for p, m, _ in pairs]
+        cs, k, den = rd.pairing_orbit(self._lam, nu)
+        return den, n, [(m * size, [sum(map(mul, c, mu)) + k for c in cs])
+                        for mu, m, size in self._orbits]
 
     def pairing_sums(self, nu):
         """Over all weights x with multiplicity, the sums of the positive
-        <x, nu> and of <x, nu>^2, as Fractions; memoized per nu."""
-        key = tuple(nu)
-        if key not in self._sums:
-            den, rows = self.orbit_pairings(key)
-            pos = sq = 0
-            for w, ps in rows:
-                pos += w * sum(p for p in ps if p > 0)
-                sq += w * sum(p * p for p in ps)
-            n = den * len(rows[0][1])   # den |W nu|
-            self._sums[key] = Fraction(pos, n), Fraction(sq, n * den)
-        return self._sums[key]
+        <x, nu> and of <x, nu>^2, as Fractions."""
+        den, n, rows = self.orbit_pairings(nu)
+        pos = sum(w * sum(p for p in ps if p > 0) for w, ps in rows)
+        sq = sum(w * sum(p * p for p in ps) for w, ps in rows)
+        return Fraction(pos, den * n), Fraction(sq, den * den * n)
 
     @cached_property
     def total_dim(self):
@@ -265,7 +264,11 @@ def L_phi(rd, mults, nu):
     """L(nu) = sum over weights with <mu,nu> > 0 of m(mu) <mu,nu>."""
     if isinstance(mults, WeightMultiplicityTable):
         mults = (mults,)
-    total = sum((t.pairing_sums(nu)[0] for t in mults), Fraction(0))
+    return integral_L(sum((t.pairing_sums(nu)[0] for t in mults), Fraction(0)))
+
+
+def integral_L(total):
+    """L(nu), from its Fraction, checked to be an integer."""
     if total.denominator != 1:
         raise IntegralityError(
             f"L(nu) = {total} is not an integer; nu is not a cocharacter "

@@ -582,18 +582,16 @@ class RootDatum:
             top, sign = [a - top[i] * b for a, b in zip(top, rows[i])], -sign
         return tuple(top), sign
 
-    def orbit_size(self, labels):
-        """|W mu| = |W| / |W_mu| for mu with these labels.  For dominant mu,
-        |W_mu| = prod (ht beta^v + 1) / ht beta^v over the positive coroots
-        mu kills (Macdonald, "The Poincare series of a Coxeter group", Math.
-        Ann. 1972, at t = 1); memoized by the zero labels."""
-        top = self.dominant_point(labels)[0]
-        cache = self.__dict__.setdefault("_orbit_sizes", {})
-        if (key := tuple(x == 0 for x in top)) not in cache:
-            hs = [sum(k) for k in self.positive_coroot_coords
-                  if not any(map(mul, k, top))]
-            cache[key] = self.weyl_order * prod(hs) // prod(h + 1 for h in hs)
-        return cache[key]
+    def orbit_size(self, labels, rows=None):
+        """|W x| = |W| / |W_x| for the point with these labels (``rows`` as
+        in ``_orbit``).  For dominant x, W_x is generated by the s_i with
+        x_i = 0, and |W_x| = prod (ht beta^v + 1) / ht beta^v over the
+        positive coroots supported on those i (Macdonald, "The Poincare
+        series of a Coxeter group", Math. Ann. 1972, at t = 1)."""
+        top = self.dominant_point(labels, rows)[0]
+        hs = [sum(k) for k in self.positive_coroot_coords
+              if not any(map(mul, k, top))]
+        return self.weyl_order * prod(hs) // prod(h + 1 for h in hs)
 
     def weyl_orbit_signed(self, v, guard=None):
         """The Weyl orbit of a regular v as a dict from the Dynkin labels of

@@ -19,7 +19,7 @@ from .ratlin import add, dot, scale, fmt_vec
 from . import repcalc
 from .errors import SpecificationError, IntegralityError, GuardExceededError
 from .repcalc import (weyl_dim, casimir_value, classify,
-                      freudenthal_multiplicities, L_phi,
+                      freudenthal_multiplicities, L_phi, integral_L,
                       FREUDENTHAL_GUARD_DEFAULT)
 
 WEYL_GUARD_DEFAULT = 10 ** 5
@@ -245,9 +245,9 @@ def oracle_compare(rd, lam, nu, freudenthal_guard=FREUDENTHAL_GUARD_DEFAULT,
     """
     nu = tuple(rl.vec(nu))
     table = freudenthal_multiplicities(rd, lam, guard=freudenthal_guard)
-    l_val = L_phi(rd, table, nu)
+    pos, moment = table.pairing_sums(nu)    # both sums in one pass
+    l_val = integral_L(pos)
     q_val = q_irreducible(rd, lam, nu)
-    moment_agrees = table.pairing_sums(nu)[1] == 2 * q_val
     report = {
         "L": l_val,
         "q": q_val,
@@ -263,7 +263,7 @@ def oracle_compare(rd, lam, nu, freudenthal_guard=FREUDENTHAL_GUARD_DEFAULT,
         report["weyl_agrees"] = qw == (
             q_val if reg == nu else q_irreducible(rd, lam, reg))
         report["regular_point"] = reg
-    report["ok"] = (bool(report["parity_agrees"]) and moment_agrees
+    report["ok"] = (bool(report["parity_agrees"]) and moment == 2 * q_val
                     and report["weyl_agrees"] in (None, True))
     return report
 
@@ -276,8 +276,8 @@ def descent_check(rd, lam, nu, d, guard=FREUDENTHAL_GUARD_DEFAULT):
     subgroup generated by nu evaluated at a primitive d-th root of unity.
 
     Requires d even.  The representation descends iff every weight pairs
-    with nu divisibly by d, iff every dominant one does with the orbit of nu
-    (checked; the weights are listed only to name the least failing one);
+    with nu divisibly by d (checked on ``orbit_pairings``, which has the
+    same values; the weights are listed only to name the least failing one);
     the descended representation is then spinorial iff 2d divides L(nu),
     which is computed exactly from the multiplicity table.
     """
@@ -285,16 +285,15 @@ def descent_check(rd, lam, nu, d, guard=FREUDENTHAL_GUARD_DEFAULT):
         raise SpecificationError("descent criterion requires even order d")
     nu = tuple(rl.vec(nu))
     table = freudenthal_multiplicities(rd, lam, guard=guard)
-    den, rows = table.orbit_pairings(nu)
+    den, _, rows = table.orbit_pairings(nu)
     if any(p % (d * den) for _, ps in rows for p in ps):
         p, _, labels = min((t for t in table.pairings(nu)[1]
                             if t[0] % (d * den)),
                            key=lambda t: t[2])   # by labels
         raise SpecificationError(
             f"weight {fmt_vec(table.weight(labels))} pairs to "
-            f"{Fraction(p, den)} "
-            f"with nu; the representation does not descend through the "
-            f"order-{d} subgroup")
+            f"{Fraction(p, den)} with nu; the representation does not "
+            f"descend through the order-{d} subgroup")
     return L_phi(rd, table, nu) % (2 * d) == 0
 
 

@@ -701,6 +701,7 @@ def test_orbit_sizes_and_the_orbit_of_nu(case):
     stab = stabilizer_order(rd, [sum(map(mul, row, top))
                                  for row in rd.cartan_matrix])
     assert len(cs) * stab == rd.weyl_order
+    assert rd.orbit_size(start, tuple(zip(*rd.cartan_matrix))) == len(cs)
     # the reindexing: the orbit of mu against nu, through the orbit of nu
     values = sorted(sum(map(mul, y, labels)) + k for y in cs)
     direct = sorted(sum(map(mul, c, x)) + k for x in rd.label_orbit(labels))

@@ -10,7 +10,7 @@ from spinoriality import catalog, cli, spinor
 from spinoriality import ratlin as rl
 from spinoriality.catalog import group_by_name, highest_root
 from spinoriality.errors import SpecificationError
-from spinoriality.repcalc import freudenthal_multiplicities, weyl_dim
+from spinoriality.repcalc import L_phi, freudenthal_multiplicities, weyl_dim
 from spinoriality.rootdata import RootDatum, build_root_datum
 from spinoriality.spinor import (OrthRep, adjoint_spinorial, descent_check,
                                  dominant_orthogonal_weights,
@@ -124,7 +124,7 @@ def test_oracle_compare_agrees():
     assert rep["ok"] and rep["parity_agrees"] and rep["weyl_agrees"]
 
 
-ORACLE_ROWS = [("SO8", [1, 0, 0, 0]), ("Spin8", [0, 1, 0, 0]),
+ORACLE_ROWS = [("SO8", [1, 0, 1, 1]), ("Spin8", [1, 0, 1, 1]),
                ("F4", [0, 0, 1, 0])]
 
 
@@ -146,6 +146,26 @@ def test_oracle_sums_over_the_orbit_of_nu_only(monkeypatch, name, coords):
                          if g.fg.generators else g.rd.simple_coroots[0])
     assert rep["ok"] and len(walks) == 1 and len(tables) == 1
     assert "_weights" not in vars(tables[0])
+
+
+@pytest.mark.parametrize("name", ["E7", "E8"])
+def test_regular_nu_on_a_large_weyl_group_sums_over_the_weights(
+        monkeypatch, name):
+    # at 2 delta_v the orbit of nu is all of W, millions of points, while
+    # the adjoint representation has |Phi| + 1 distinct weights: L, the
+    # second moment and the descent check are summed over those
+    g = group_by_name(name)
+    rd, lam = g.rd, highest_root(g.rd)
+    nu = rl.combo(rd.two_delta_coroot_coords, rd.simple_coroots, dim=rd.dim)
+    monkeypatch.setattr(RootDatum, "pairing_orbit",
+                        lambda *a: pytest.fail("walked the orbit of nu"))
+    table = freudenthal_multiplicities(rd, lam)
+    pairs = [(rl.dot(mu, nu), m) for mu, m in table.items()]
+    L = sum(m * p for p, m in pairs if p > 0)
+    assert L_phi(rd, table, nu) == L
+    assert table.pairing_sums(nu)[1] == sum(m * p * p for p, m in pairs)
+    assert oracle_compare(rd, lam, nu, include_weyl=False)["ok"]
+    assert descent_check(rd, lam, nu, 2) == (L % 4 == 0)
 
 
 def test_oracle_ok_asks_for_the_exact_second_moment(monkeypatch):
@@ -190,17 +210,22 @@ def test_descent_requires_even_order():
 
 def test_descent_names_the_least_failing_weight():
     # the adjoint of SL4 pairs oddly with the first simple coroot at some
-    # roots: the error names the one with the least labels
+    # roots: the error names the one with the least labels.  Its 13
+    # weights are fewer than 12 points of the orbit of nu per dominant
+    # weight; the 147 weights of (3, 0, 3) are more, and the check lists
+    # them only to name the failing one
     g = group_by_name("SL4")
-    lam = g.weight_from_coords([1, 0, 1])
     nu = g.rd.simple_coroots[0]
-    table = freudenthal_multiplicities(g.rd, lam)
-    bad = min((g.rd.dynkin_labels(mu), mu) for mu, _ in table.items()
-              if rl.dot(mu, nu) % 2)
-    with pytest.raises(SpecificationError) as err:
-        descent_check(g.rd, lam, nu, 2)
-    assert str(err.value).startswith(f"weight {rl.fmt_vec(bad[1])} pairs to "
-                                     f"{rl.fmt_q(rl.dot(bad[1], nu))} with nu")
+    for coords in ([1, 0, 1], [3, 0, 3]):
+        lam = g.weight_from_coords(coords)
+        table = freudenthal_multiplicities(g.rd, lam)
+        bad = min((g.rd.dynkin_labels(mu), mu) for mu, _ in table.items()
+                  if rl.dot(mu, nu) % 2)
+        with pytest.raises(SpecificationError) as err:
+            descent_check(g.rd, lam, nu, 2)
+        assert str(err.value).startswith(
+            f"weight {rl.fmt_vec(bad[1])} pairs to "
+            f"{rl.fmt_q(rl.dot(bad[1], nu))} with nu")
 
 
 def test_dependent_sweep_basis_is_refused():
