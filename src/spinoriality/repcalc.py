@@ -10,11 +10,18 @@ feeds (L_phi, descent checks) is computed straight from the definition
 with no closed forms, so it can cross-check the closed-form engine.  It
 also runs on labels: Freudenthal's recursion over the dominant weights,
 and <mu, nu> as one integer linear form in the labels of mu
-(``RootDatum.label_pairing``).  A sum over all weights, such as L_phi, runs
-per dominant weight mu over the orbit of nu when that is fewer points, by
+(``RootDatum.label_pairing``).  At a dominant mu, W_mu = W_J, J = {j :
+mu_j = 0}, and the recursion's term for alpha > 0, sum_k m(mu + k alpha)
+B(mu + k alpha, alpha), is that for +-w alpha, w in W_J (if w alpha < 0,
+alpha is in Phi_J and the alpha-string through mu is symmetric); so it is
+summed once per class, times the class size (``RootDatum.parabolic_table``):
+each class holds one J-dominant root (Chevalley's lemma for W_J) and
+|W_J| / |W_{J_alpha}| roots, J_alpha = {j in J : alpha_j = 0}, half that
+if alpha is in Phi_J, each |W_K| by Macdonald's formula.  A sum over all
+weights, such as L_phi, runs per dominant weight mu over the orbit of nu
+when that is fewer points, by
 sum_{x in W mu} f(<x, nu>) = |W mu| / |W nu| sum_{y in W nu} f(<mu, y>),
-as <w mu, nu> = <mu, w^-1 nu>; |W mu| is ``RootDatum.orbit_size``
-(Macdonald's formula).
+as <w mu, nu> = <mu, w^-1 nu>; |W mu| = |W| / |W_J|.
 """
 
 from dataclasses import dataclass
@@ -99,13 +106,12 @@ class WeightMultiplicityTable:
     omega_i, since omega_i = sum_j (C^-1)_ij alpha_j.
     """
 
-    def __init__(self, rd, lam, top, dominant):
+    def __init__(self, rd, lam, top, orbits):
         self._rd = rd
         self._lam = lam
         self._top = top                 # the labels of lam
-        self._dom = dominant            # dominant labels -> multiplicity
-        self._orbits = [(mu, m, rd.orbit_size(mu))
-                        for mu, m in dominant.items()]
+        self._orbits = orbits           # (dominant labels, mult., |W mu|)
+        self._dom = {mu: m for mu, m, _ in orbits}
 
     @cached_property
     def _weights(self):
@@ -154,10 +160,10 @@ class WeightMultiplicityTable:
         return den, n, [(m * size, [sum(map(mul, c, mu)) + k for c in cs])
                         for mu, m, size in self._orbits]
 
-    def pairing_sums(self, nu):
+    def pairing_sums(self, nu, pairings=None):
         """Over all weights x with multiplicity, the sums of the positive
-        <x, nu> and of <x, nu>^2, as Fractions."""
-        den, n, rows = self.orbit_pairings(nu)
+        <x, nu> and of <x, nu>^2 as Fractions; pairings: orbit_pairings(nu)."""
+        den, n, rows = pairings or self.orbit_pairings(nu)
         pos = sum(w * sum(p for p in ps if p > 0) for w, ps in rows)
         sq = sum(w * sum(p * p for p in ps) for w, ps in rows)
         return Fraction(pos, den * n), Fraction(sq, den * den * n)
@@ -180,12 +186,12 @@ def freudenthal_multiplicities(rd, lam, guard=FREUDENTHAL_GUARD_DEFAULT):
     The dominant weights of V_lam are the dominant mu reachable from lam by
     subtracting positive roots while staying dominant (Stembridge, "The
     partial order of dominant weights", Adv. Math. 1998), and the recursion
-    needs only those (Moody-Patera, "Fast recursion formula for weight
-    multiplicities", Bull. AMS 1982): m(mu + k alpha) is read at the
-    dominant conjugate.  The form is the W-invariant B(x, y) = sum over
-    positive coroots of <x, beta^v><y, beta^v>, an integer matrix on labels;
-    Freudenthal's formula holds for it as for any invariant form.  delta has
-    labels all 1.
+    needs only those, and one root per W_mu-class as above (Moody-Patera,
+    "Fast recursion formula for weight multiplicities", Bull. AMS 1982):
+    m(mu + k alpha) is read at the dominant conjugate.  The form is the
+    W-invariant B(x, y) = sum over positive coroots of <x, beta^v><y,
+    beta^v>, an integer matrix on labels; Freudenthal's formula holds for
+    it as for any invariant form.  delta has labels all 1.
 
     Refuses representations with dim > ``guard`` (this is the oracle path;
     the closed-form engine has no such limit).
@@ -196,20 +202,19 @@ def freudenthal_multiplicities(rd, lam, guard=FREUDENTHAL_GUARD_DEFAULT):
             f"dim V = {dim} exceeds the multiplicity guard {guard}")
     lam = tuple(rl.vec(lam))
     top = rd.dynkin_labels(lam)
-    roots = rd.positive_root_labels
-    dominant = [top]
+    dominant = [(top, rd.parabolic_table(top))]
     seen = {top}
-    for mu in dominant:
-        for beta in roots:
+    for mu, (_, _, candidates) in dominant:
+        for beta in candidates:
             nxt = tuple([a - b for a, b in zip(mu, beta)])
             if min(nxt) >= 0 and nxt not in seen:
                 seen.add(nxt)
-                dominant.append(nxt)
+                dominant.append((nxt, rd.parabolic_table(nxt)))
     # recurse downward from lam by the height of lam - mu, against the
     # heights of the fundamental weights: the dominant conjugate of
     # mu + k alpha lies above mu, so its multiplicity is known first
-    heights, form, form_roots = rd._freudenthal_tables
-    dominant.sort(key=lambda mu: -sum(map(mul, heights, mu)))
+    heights, form, _ = rd._freudenthal_tables
+    dominant.sort(key=lambda t: -sum(map(mul, heights, t[0])))
 
     rows = rd.cartan_matrix
     memo = {}
@@ -236,16 +241,16 @@ def freudenthal_multiplicities(rd, lam, guard=FREUDENTHAL_GUARD_DEFAULT):
 
     top_norm = norm(top)
     mults = {top: 1}
-    for mu in dominant[1:]:
+    for mu, (_, classes, _) in dominant[1:]:
         num = 0
-        for alpha, fa in zip(roots, form_roots):
+        for alpha, fa, size in classes:
             cur = mu
             while True:
                 cur = tuple([a + b for a, b in zip(cur, alpha)])
                 m = mults.get(dominant_of(cur))
                 if m is None:
                     break
-                num += m * sum(map(mul, cur, fa))
+                num += size * m * sum(map(mul, cur, fa))
         den = top_norm - norm(mu)
         m, rem = divmod(2 * num, den)
         if rem != 0 or m <= 0:
@@ -253,17 +258,19 @@ def freudenthal_multiplicities(rd, lam, guard=FREUDENTHAL_GUARD_DEFAULT):
                 f"Freudenthal multiplicity 2*{num}/{den} at the weight with "
                 f"labels {fmt_vec(mu)} is not a positive integer")
         mults[mu] = m
-    table = WeightMultiplicityTable(rd, lam, top, mults)
+    table = WeightMultiplicityTable(rd, lam, top, [
+        (mu, mults[mu], size) for mu, (size, _, _) in dominant])
     if table.total_dim != dim:
         raise IntegralityError(
             f"multiplicity total {table.total_dim} != Weyl dimension {dim}")
     return table
 
 
-def L_phi(rd, mults, nu):
-    """L(nu) = sum over weights with <mu,nu> > 0 of m(mu) <mu,nu>."""
+def L_phi(rd, mults, nu, pairings=None):
+    """L(nu) = sum over weights with <mu,nu> > 0 of m(mu) <mu,nu>, over one
+    table or several; ``pairings``: one table's ``orbit_pairings(nu)``."""
     if isinstance(mults, WeightMultiplicityTable):
-        mults = (mults,)
+        return integral_L(mults.pairing_sums(nu, pairings)[0])
     return integral_L(sum((t.pairing_sums(nu)[0] for t in mults), Fraction(0)))
 
 

@@ -582,16 +582,38 @@ class RootDatum:
             top, sign = [a - top[i] * b for a, b in zip(top, rows[i])], -sign
         return tuple(top), sign
 
+    def _parabolic_order(self, x):
+        """|W_K|, K = {i : x_i = 0}: prod (ht beta^v + 1) / ht beta^v over the
+        positive coroots supported on K (Macdonald, Math. Ann. 1972, t = 1)."""
+        hs = [sum(k) for k in self.positive_coroot_coords
+              if not any(map(mul, k, x))]
+        return prod(h + 1 for h in hs) // prod(hs)
+
     def orbit_size(self, labels, rows=None):
         """|W x| = |W| / |W_x| for the point with these labels (``rows`` as
-        in ``_orbit``).  For dominant x, W_x is generated by the s_i with
-        x_i = 0, and |W_x| = prod (ht beta^v + 1) / ht beta^v over the
-        positive coroots supported on those i (Macdonald, "The Poincare
-        series of a Coxeter group", Math. Ann. 1972, at t = 1)."""
+        in ``_orbit``); W_x is W_K, K the zero labels of its dominant point."""
         top = self.dominant_point(labels, rows)[0]
-        hs = [sum(k) for k in self.positive_coroot_coords
-              if not any(map(mul, k, top))]
-        return self.weyl_order * prod(hs) // prod(h + 1 for h in hs)
+        return self.weyl_order // self._parabolic_order(top)
+
+    def parabolic_table(self, mu):
+        """(|W mu|, classes, candidates) for dominant labels mu, memoized per
+        J = {j : mu_j = 0}, W_mu = W_J: per class of positive roots under
+        alpha -> +-w alpha, w in W_J, its J-dominant root (labels >= 0 on J)
+        with B(., alpha) and the class size (see ``repcalc``); and the beta
+        with beta_j <= 0 on J, as only for those can mu - beta be dominant."""
+        key = tuple([i for i, x in enumerate(mu) if not x])
+        tables = self.__dict__.setdefault("_parabolic_tables", {})
+        if key not in tables:
+            order, roots = self._parabolic_order(mu), self.positive_root_labels
+            classes = [(a, fa, order // self._parabolic_order(
+                [1 if x else y for x, y in zip(mu, a)])
+                // (2 if not any(map(mul, c, mu)) else 1))
+                for a, fa, c in zip(roots, self._freudenthal_tables[2],
+                                    self.positive_root_coords)
+                if all(a[j] >= 0 for j in key)]
+            tables[key] = (self.weyl_order // order, classes,
+                           [a for a in roots if all(a[j] <= 0 for j in key)])
+        return tables[key]
 
     def weyl_orbit_signed(self, v, guard=None):
         """The Weyl orbit of a regular v as a dict from the Dynkin labels of
@@ -804,7 +826,8 @@ def build_root_datum(lie_type, central_rank=0, label=""):
 
 _ROOT_TABLES = ("simple_roots", "simple_coroots", "central_cochars", "dim",
                 "_root_rows", "cartan_matrix", "_diagram", "factors",
-                "_cartan_adj", "_root_closure", "_freudenthal_tables")
+                "_cartan_adj", "_root_closure", "_freudenthal_tables",
+                "_parabolic_tables")
 
 
 def with_cochar_lattice(rd, basis, label=None):

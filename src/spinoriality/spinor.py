@@ -279,13 +279,13 @@ def descent_check(rd, lam, nu, d, guard=FREUDENTHAL_GUARD_DEFAULT):
     with nu divisibly by d (checked on ``orbit_pairings``, which has the
     same values; the weights are listed only to name the least failing one);
     the descended representation is then spinorial iff 2d divides L(nu),
-    which is computed exactly from the multiplicity table.
+    which is computed exactly from the same pairings.
     """
     if d % 2 != 0:
         raise SpecificationError("descent criterion requires even order d")
     nu = tuple(rl.vec(nu))
     table = freudenthal_multiplicities(rd, lam, guard=guard)
-    den, _, rows = table.orbit_pairings(nu)
+    pairings = den, _, rows = table.orbit_pairings(nu)
     if any(p % (d * den) for _, ps in rows for p in ps):
         p, _, labels = min((t for t in table.pairings(nu)[1]
                             if t[0] % (d * den)),
@@ -294,7 +294,7 @@ def descent_check(rd, lam, nu, d, guard=FREUDENTHAL_GUARD_DEFAULT):
             f"weight {fmt_vec(table.weight(labels))} pairs to "
             f"{Fraction(p, den)} with nu; the representation does not "
             f"descend through the order-{d} subgroup")
-    return L_phi(rd, table, nu) % (2 * d) == 0
+    return L_phi(rd, table, nu, pairings) % (2 * d) == 0
 
 
 # ----------------------------------------------------------------------

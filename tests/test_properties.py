@@ -298,6 +298,118 @@ def test_multiplicities_exactly_on_random_data(case):
         assert q_via_weyl_sum(rd, lam, reg) == q_irreducible(rd, lam, reg)
 
 
+def reference_dominant_multiplicities(rd, lam):
+    """The dominant multiplicities of V_lam by Freudenthal's recursion with
+    the plain sum over every positive root: the string mu + k alpha is
+    walked for each alpha at each dominant mu, with no grouping of the
+    roots into W_mu-classes, and the dominant weights are found by
+    subtracting every positive root."""
+    top = rd.dynkin_labels(lam)
+    roots = rd.positive_root_labels
+    dominant, seen = [top], {top}
+    for mu in dominant:
+        for beta in roots:
+            nxt = tuple(a - b for a, b in zip(mu, beta))
+            if min(nxt) >= 0 and nxt not in seen:
+                seen.add(nxt)
+                dominant.append(nxt)
+    heights, form, form_roots = rd._freudenthal_tables
+    dominant.sort(key=lambda mu: -sum(map(mul, heights, mu)))
+
+    def norm(v):
+        shifted = [x + 1 for x in v]
+        return sum(x * sum(map(mul, row, shifted))
+                   for x, row in zip(shifted, form))
+
+    mults = {top: 1}
+    for mu in dominant[1:]:
+        num = 0
+        for alpha, fa in zip(roots, form_roots):
+            cur = mu
+            while True:
+                cur = tuple(a + b for a, b in zip(cur, alpha))
+                m = mults.get(rd.dominant_point(cur)[0])
+                if m is None:
+                    break
+                num += m * sum(map(mul, cur, fa))
+        m, rem = divmod(2 * num, norm(top) - norm(mu))
+        assert rem == 0 and m > 0
+        mults[mu] = m
+    return mults
+
+
+def assert_class_sum_matches_the_plain_loop(rd, lam):
+    table = freudenthal_multiplicities(rd, lam)
+    got = {rd.dynkin_labels(mu): m for mu, m in table.dominant_items()}
+    assert got == reference_dominant_multiplicities(rd, lam)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data_orthogonal_weight_and_cochar())
+def test_class_sum_matches_the_plain_loop_on_random_data(case):
+    assert_class_sum_matches_the_plain_loop(case[0], case[2])
+
+
+@pytest.mark.parametrize("name", ["SO8", "Spin8", "F4", "G2", "SO7", "Sp6"])
+def test_class_sum_matches_the_plain_loop_on_box_2(name):
+    g = group_by_name(name)
+    rows = [lam for _, lam in dominant_orthogonal_weights(
+        g.rd, 2, basis=g.weight_basis) if weyl_dim(g.rd, lam) <= 10 ** 4]
+    assert len(rows) > 5
+    for lam in rows:
+        assert_class_sum_matches_the_plain_loop(g.rd, lam)
+
+
+def reference_root_classes(rd, zeros):
+    """The classes of the positive roots under alpha -> +-w alpha, w in W_J
+    (J = ``zeros``), by a breadth-first closure under the s_j, j in J, on
+    simple-root coordinates: s_j lowers c_j by <beta, alpha_j^v>, and a
+    negative root is replaced by its negative.  Maps each positive root's
+    coordinates to its class, a frozenset."""
+    def label(c, j):
+        return sum(x * row[j] for x, row in zip(c, rd.cartan_matrix))
+
+    out = {}
+    for start in rd.positive_root_coords:
+        if start in out:
+            continue
+        cls, queue = {start}, [start]
+        for c in queue:
+            for j in zeros:
+                nxt = list(c)
+                nxt[j] -= label(c, j)
+                nxt = tuple(nxt) if max(nxt) > 0 else tuple(-x for x in nxt)
+                if nxt not in cls:
+                    cls.add(nxt)
+                    queue.append(nxt)
+        for c in cls:
+            out[c] = frozenset(cls)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.composite(random_datum)())
+def test_parabolic_classes_match_the_closure_on_random_data(case):
+    rd = case[0]
+    assume(rd.weyl_order <= 5000)
+    r = len(rd.simple_roots)
+    labels = dict(zip(rd.positive_root_coords, rd.positive_root_labels))
+    for bits in product([0, 1], repeat=r):
+        zeros = [j for j in range(r) if bits[j]]
+        mu = [1 - b for b in bits]
+        size, classes, candidates = rd.parabolic_table(mu)
+        assert size == len(rd.label_orbit(mu))
+        want = reference_root_classes(rd, zeros)
+        reps = {a: n for a, _, n in classes}
+        assert len(reps) == len(classes) == len(set(want.values()))
+        assert sum(reps.values()) == rd.num_positive_roots
+        for cls in set(want.values()):
+            inside = [labels[c] for c in cls if labels[c] in reps]
+            assert len(inside) == 1 and reps[inside[0]] == len(cls)
+        assert candidates == [a for a in rd.positive_root_labels
+                              if all(a[j] <= 0 for j in zeros)]
+
+
 # ----------------------------------------------------------------------
 # the integer root closure against the Fraction reflection closure
 

@@ -10,7 +10,8 @@ from spinoriality.repcalc import (L_phi, classify, casimir_value,
                                   dynkin_index, dynkin_index_orth,
                                   freudenthal_multiplicities,
                                   two_delta_pairing, weyl_dim)
-from spinoriality.rootdata import build_root_datum
+from spinoriality.rootdata import (RootDatum, build_root_datum,
+                                   with_cochar_lattice)
 
 
 def fw(rd, coeffs):
@@ -124,6 +125,61 @@ def test_freudenthal_guard():
     rd = build_root_datum([("A", 3)])
     with pytest.raises(GuardExceededError):
         freudenthal_multiplicities(rd, fw(rd, [3, 3, 3]), guard=100)
+
+
+# oracle rows of SO8, Spin8 and F4, as coordinates in the group's basis
+ORACLE_ROWS = [("SO8", [0, 2, 0, 2]), ("Spin8", [0, 1, 0, 1]),
+               ("F4", [0, 0, 2, 0])]
+
+
+def test_freudenthal_reads_orbit_sizes_from_the_parabolic_tables(
+        monkeypatch):
+    def refuse(*args):
+        raise AssertionError("orbit_size called")
+
+    monkeypatch.setattr(RootDatum, "orbit_size", refuse)
+    for name, coords in ORACLE_ROWS:
+        g = group_by_name(name)
+        lam = g.weight_from_coords(coords)
+        table = freudenthal_multiplicities(g.rd, lam)
+        assert table.total_dim == weyl_dim(g.rd, lam)
+
+
+def test_freudenthal_walks_one_string_per_root_class(monkeypatch):
+    # each dominant weight but lam walks one string per class of its
+    # parabolic table, fewer than one per positive root
+    walks = []
+
+    class Counted(list):
+        def __iter__(self):
+            for item in super().__iter__():
+                walks.append(item)
+                yield item
+
+    real = RootDatum.parabolic_table
+
+    def counted(self, mu):
+        size, classes, candidates = real(self, mu)
+        return size, Counted(classes), candidates
+
+    monkeypatch.setattr(RootDatum, "parabolic_table", counted)
+    g = group_by_name("F4")
+    lam = g.weight_from_coords([0, 0, 2, 0])
+    table = freudenthal_multiplicities(g.rd, lam)
+    dominant = sum(1 for _ in table.dominant_items())
+    assert dominant == 14
+    assert 0 < len(walks) < (dominant - 1) * g.rd.num_positive_roots
+
+
+def test_parabolic_memo_holds_one_table_per_zero_pattern():
+    rd = build_root_datum([("F", 4)])
+    table = freudenthal_multiplicities(rd, fw(rd, [0, 1, 0, 1]))
+    patterns = {tuple(i for i, x in enumerate(rd.dynkin_labels(mu)) if not x)
+                for mu, _ in table.dominant_items()}
+    assert set(rd._parabolic_tables) == patterns
+    # the tables depend only on the roots: a new lattice shares them
+    other = with_cochar_lattice(rd, rd.cochar_basis)
+    assert other._parabolic_tables is rd._parabolic_tables
 
 
 def test_L_values():

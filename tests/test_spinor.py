@@ -228,6 +228,22 @@ def test_descent_names_the_least_failing_weight():
             f"{rl.fmt_q(rl.dot(bad[1], nu))} with nu")
 
 
+def test_descent_walks_the_orbit_of_nu_once(monkeypatch):
+    # the divisibility test and L(nu) share one walk of the orbit of nu
+    calls = []
+    real = RootDatum.pairing_orbit
+
+    def counted(self, lam, nu):
+        calls.append(nu)
+        return real(self, lam, nu)
+
+    monkeypatch.setattr(RootDatum, "pairing_orbit", counted)
+    g = group_by_name("SL4")
+    nu = rl.scale(2, g.rd.simple_coroots[0])
+    assert descent_check(g.rd, g.weight_from_coords([3, 0, 3]), nu, 2)
+    assert len(calls) == 1
+
+
 def test_dependent_sweep_basis_is_refused():
     # two zero vectors: the -w0 permutation of the basis is ambiguous, and
     # the box had 2 of its 4 points dropped
