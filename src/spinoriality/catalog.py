@@ -247,7 +247,12 @@ def parse_group_name(name):
     for pat, make in _NAME_PATTERNS:
         m = pat.match(name)
         if m:
-            return make(*(int(g) for g in m.groups()))
+            try:
+                args = [int(g) for g in m.groups()]
+            except ValueError:      # past the digits Python converts
+                raise SpecificationError(
+                    f"a number in the group name {name[:12]}... is too long")
+            return make(*args)
     raise SpecificationError(f"unknown group name {name!r}")
 
 

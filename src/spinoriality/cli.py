@@ -29,6 +29,8 @@ EXIT_SPEC = 2
 EXIT_INTEGRALITY = 3
 EXIT_GUARD = 4
 
+COORDINATE_DIGITS = 4300     # Python's default limit on int <-> str
+
 
 # ----------------------------------------------------------------------
 # group and weight parsing
@@ -44,7 +46,7 @@ def load_group(spec_arg):
         try:
             with open(spec_arg) as fh:
                 doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise SpecificationError(f"cannot read group file: {exc}")
         return _group_from_document(doc, spec_arg)
     return catalog.group_by_name(spec_arg)
@@ -118,7 +120,7 @@ def parse_weight_option(group, text):
             kind = "S"
             part = part[2:]
         try:
-            coords = [Fraction(tok.strip()) for tok in part.split(",") if tok.strip() != ""]
+            coords = [_coordinate(tok) for tok in part.split(",") if tok.strip() != ""]
         except (ValueError, ZeroDivisionError):
             raise SpecificationError(f"cannot parse weight coordinates {part!r}")
         if not coords:
@@ -129,6 +131,17 @@ def parse_weight_option(group, text):
                            hyperbolic=hyperbolic)
 
 
+def _coordinate(tok):
+    """One weight coordinate as a Fraction, refused while still text if it
+    has over COORDINATE_DIGITS digits written out (1e<exp> builds 10^exp);
+    ValueError for an exponent Fraction would not read either."""
+    head, _, exp = tok.lower().partition("e")
+    if sum(map(str.isdigit, head)) + abs(int(exp or 0)) > COORDINATE_DIGITS:
+        raise GuardExceededError(
+            f"a weight coordinate has more than {COORDINATE_DIGITS} digits")
+    return Fraction(tok)
+
+
 # ----------------------------------------------------------------------
 # exact serialization
 
@@ -136,12 +149,8 @@ def jsonable(x):
     """Exact JSON form: integers as decimal strings, rationals as 'a/b'."""
     if isinstance(x, bool) or x is None:
         return x
-    if isinstance(x, int):
-        return str(x)
-    if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return str(x.numerator)
-        return f"{x.numerator}/{x.denominator}"
+    if isinstance(x, (int, Fraction)):
+        return fmt_q(x)
     if isinstance(x, (list, tuple)):
         return [jsonable(v) for v in x]
     if isinstance(x, dict):
@@ -177,13 +186,14 @@ def run_check(group, weights, fmt):
             } for text, v in results],
         })
         return
+    lines = []      # all formatted first: a too-long q prints nothing
     for text, v in results:
         word = "spinorial" if v.spinorial else "aspinorial"
-        click.echo(f"{group.name} weight {text}: {word}")
-        for nu, q in v.certificate:
-            click.echo(f"  q{fmt_vec(nu)} = {fmt_q(q)}")
+        lines.append(f"{group.name} weight {text}: {word}")
+        lines += [f"  q{fmt_vec(nu)} = {fmt_q(q)}" for nu, q in v.certificate]
         if not v.certificate:
-            click.echo("  fundamental group trivial: spinorial by convention")
+            lines += ["  fundamental group trivial: spinorial by convention"]
+    click.echo("\n".join(lines))
 
 
 def _type_d_rank(group):
@@ -209,20 +219,20 @@ def run_table(group, fmt):
     if fmt == "json":
         emit_json(report)
         return
-    click.echo(f"group {group.name}")
     factors = ", ".join(str(d) if d else "Z" for d in group.fg.invariant_factors)
-    click.echo(f"  pi_1 invariant factors: [{factors or 'trivial'}]")
+    lines = [f"group {group.name}",     # all formatted first, as in check
+             f"  pi_1 invariant factors: [{factors or 'trivial'}]"]
     if group.fg.generators:
-        click.echo(f"  p = {fmt_q(report['p'])}")
-        for nu in group.fg.generators:
-            click.echo(f"  generator {fmt_vec(nu)}")
+        lines.append(f"  p = {fmt_q(report['p'])}")
+        lines += [f"  generator {fmt_vec(nu)}" for nu in group.fg.generators]
     if dtable is not None:
-        click.echo(f"  type D_{n} isogeny classes:")
-        for gname, pv in dtable["p"].items():
-            click.echo(f"    {gname:10s} p = {fmt_q(pv)}")
-        click.echo("  named weights (dim, Casimir):")
-        for wname, (dim, chi) in dtable["weights"].items():
-            click.echo(f"    {wname:12s} dim = {dim}  chi = {fmt_q(chi)}")
+        lines.append(f"  type D_{n} isogeny classes:")
+        lines += [f"    {gname:10s} p = {fmt_q(pv)}"
+                  for gname, pv in dtable["p"].items()]
+        lines.append("  named weights (dim, Casimir):")
+        lines += [f"    {wname:12s} dim = {dim}  chi = {fmt_q(chi)}"
+                  for wname, (dim, chi) in dtable["weights"].items()]
+    click.echo("\n".join(lines))
 
 
 def run_oracle(group, box, guard, fmt):

@@ -11,8 +11,7 @@ Fractions are made only for the solutions it returns.
 from fractions import Fraction
 from math import gcd, lcm
 
-Vec = tuple  # tuple of Fraction (or int)
-Mat = tuple  # tuple of Vec, row-major
+from .errors import GuardExceededError
 
 
 def vec(values):
@@ -34,10 +33,6 @@ def scale(c, u):
 
 def dot(u, v):
     return sum(a * b for a, b in zip(u, v))
-
-
-def is_zero(u):
-    return all(a == 0 for a in u)
 
 
 def zero(n):
@@ -94,11 +89,23 @@ def int_combos(coeffs, vectors, den=1):
 
 
 def fmt_q(x):
-    """A rational as ``a`` or ``a/b``."""
+    """A rational as ``a`` or ``a/b``; GuardExceededError if a part has more
+    digits than Python writes out (``sys.get_int_max_str_digits()``)."""
     x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    try:
+        return (str(x.numerator) if x.denominator == 1
+                else f"{x.numerator}/{x.denominator}")
+    except ValueError:
+        big = fmt_int(max(abs(x.numerator), x.denominator))
+        raise GuardExceededError(f"a result of {big} is too long to print")
+
+
+def fmt_int(n):
+    """n in decimal, or ``about 10^k`` past the digits Python writes out."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"about 10^{n.bit_length() * 30103 // 100000}"
 
 
 def fmt_vec(v):
@@ -240,7 +247,7 @@ def lattice_coords(basis_rows, v):
     coefficient vector x with ``x . basis = v``.
     """
     if not basis_rows:
-        return () if is_zero(v) else None
+        return () if not any(v) else None
     return solve_columns(transpose(basis_rows), [v])[1][0]
 
 
@@ -262,7 +269,7 @@ def row_lattice_basis(rows):
     Scales to an integer matrix, reads its row lattice off the Smith form
     as {d_i * row_i(v^-1)}, and scales back.
     """
-    rows = [vec(r) for r in rows if not is_zero(r)]
+    rows = [vec(r) for r in rows if any(r)]
     if not rows:
         return ()
     a, den = scaled_rows(rows)

@@ -267,11 +267,9 @@ def freudenthal_multiplicities(rd, lam, guard=FREUDENTHAL_GUARD_DEFAULT):
 
 
 def L_phi(rd, mults, nu, pairings=None):
-    """L(nu) = sum over weights with <mu,nu> > 0 of m(mu) <mu,nu>, over one
-    table or several; ``pairings``: one table's ``orbit_pairings(nu)``."""
-    if isinstance(mults, WeightMultiplicityTable):
-        return integral_L(mults.pairing_sums(nu, pairings)[0])
-    return integral_L(sum((t.pairing_sums(nu)[0] for t in mults), Fraction(0)))
+    """L(nu) = sum over weights with <mu,nu> > 0 of m(mu) <mu,nu>, from the
+    multiplicity table ``mults``; ``pairings``: its ``orbit_pairings(nu)``."""
+    return integral_L(mults.pairing_sums(nu, pairings)[0])
 
 
 def integral_L(total):

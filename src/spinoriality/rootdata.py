@@ -17,15 +17,17 @@ integer tables: the simple coroots and cocharacter basis over one denominator
 each, the labels of the simple and positive roots, the positive coroots in
 simple-coroot coordinates, -w0 as a permutation of the labels, and per factor
 the inverse Killing Gram matrix on the simple coroots, computed from the
-definition (x,y) = sum_a a(x)a(y) over all roots (no normalization tables)
-and scaled to integers.  Weyl orbits are walked on labels, where s_i
+definition (x,y) = sum_a a(x)a(y) over all roots, scaled to integers.  No
+table per family: |W| and |W_K| come from Macdonald's product, h^v from the
+highest root, Killing norms from the pairings with the simple roots, all on
+the integer root closure.  Weyl orbits are walked on labels, where s_i
 subtracts v_i times the labels of alpha_i; that of a cocharacter is walked
 on its pairings with the simple roots and the fundamental weights.
 """
 
 from fractions import Fraction
 from functools import cached_property
-from math import factorial, gcd, prod
+from math import gcd, prod
 from operator import mul
 
 from .errors import SpecificationError, GuardExceededError
@@ -51,15 +53,6 @@ _G2_CARTAN = [
     [-3, 2],
 ]
 
-_WEYL_ORDER = {
-    "E6": 51840,
-    "E7": 2903040,
-    "E8": 696729600,
-    "F4": 1152,
-    "G2": 12,
-}
-
-
 class Factor:
     """One simple factor: indices of its simple roots plus its type label."""
 
@@ -71,9 +64,6 @@ class Factor:
     @property
     def label(self):
         return f"{self.family}{self.rank}"
-
-    def __repr__(self):
-        return f"Factor({self.label}, indices={self.indices})"
 
 
 class RootDatum:
@@ -284,8 +274,9 @@ class RootDatum:
         return tuple(out)
 
     def _factor_of_root(self, c):
-        """The simple factor of the root with simple-root coordinates c."""
-        return self._factor_index[next(i for i, x in enumerate(c) if x)]
+        """The simple factor of the root with simple-root coordinates c: that
+        of any simple root in its support, such as one of largest c_i."""
+        return self._factor_index[c.index(max(c))]
 
     @cached_property
     def positive_root_coords(self):
@@ -475,38 +466,26 @@ class RootDatum:
         return sum((Fraction(x, den) for i, (x, (*_, den)) in enumerate(terms)
                     if factor in (None, i)), Fraction(0))
 
-    def weight_inner(self, mu1, mu2, factor=None):
-        """Canonical bilinear form (inverse Killing) on the character side.
-
-        With ``factor`` given, only that simple factor's component is used;
-        otherwise the value is summed over all simple factors.  Components
-        along the central directions do not contribute.
-        """
+    def weight_inner(self, mu1, mu2):
+        """Inverse Killing form on characters; central parts do not count."""
         return self.label_inner(self.dynkin_labels(mu1),
-                                self.dynkin_labels(mu2), factor)
+                                self.dynkin_labels(mu2))
 
     def cochar_norm_sq(self, nu, factor=None):
-        """Killing norm |nu|^2 = sum over roots of <alpha, nu>^2."""
-        key = (tuple(nu), factor)
-        cache = self.__dict__.setdefault("_norm_cache", {})
-        if key not in cache:
-            p, den = self.root_pairings(nu)
-            cache[key] = Fraction(2 * sum(
-                sum(map(mul, c, p)) ** 2 for c in self.positive_root_coords
-                if factor is None or self._factor_of_root(c) == factor),
-                den * den)
-        return cache[key]
+        """|nu|^2 = sum over roots (of one factor, if given) of <beta, nu>^2,
+        <beta, nu> = c_beta . p / den, p / den = ``root_pairings(nu)``."""
+        p, den = self.root_pairings(nu)
+        return Fraction(2 * sum(
+            sum(map(mul, c, p)) ** 2 for c in self.positive_root_coords
+            if factor is None or self._factor_of_root(c) == factor), den * den)
 
     def dual_coxeter_number(self, factor):
-        """1/|alpha|^2 for a long root, in Killing normalization."""
-        roots = self._roots_by_factor[factor]
-        if not roots:
-            raise SpecificationError("empty factor")
-        long_sq = max(self.weight_inner(r, r, factor=factor) for r, _ in roots)
-        h = 1 / long_sq
-        if h.denominator != 1:
-            raise SpecificationError("dual Coxeter number came out non-integral")
-        return int(h)
+        """h^v = 1 + ht(theta^v), theta the factor's positive root of greatest
+        height (Kac, Infinite dimensional Lie algebras, 6.1)."""
+        _, k, *_ = max((t for t in self._root_closure
+                        if self._factor_of_root(t[0]) == factor),
+                       key=lambda t: sum(t[0]))
+        return 1 + sum(k)
 
     # ------------------------------------------------------------------
     # dominance and the Weyl group
@@ -529,18 +508,8 @@ class RootDatum:
 
     @cached_property
     def weyl_order(self):
-        order = 1
-        for f in self.factors:
-            r = f.rank
-            if f.family == "A":
-                order *= factorial(r + 1)
-            elif f.family in ("B", "C"):
-                order *= 2 ** r * factorial(r)
-            elif f.family == "D":
-                order *= 2 ** (r - 1) * factorial(r)
-            else:
-                order *= _WEYL_ORDER[f.label]
-        return order
+        """|W|, ``_parabolic_order`` with every node in K."""
+        return self._parabolic_order([0] * len(self.cartan_matrix))
 
     def label_orbit(self, labels):
         """``_orbit`` of the weight with these labels."""
@@ -671,11 +640,8 @@ class RootDatum:
     # ------------------------------------------------------------------
     # lattices
 
-    def is_cocharacter(self, nu):
-        return rl.in_lattice(self.cochar_basis, vec(nu))
-
     def assert_cocharacter(self, nu):
-        if not self.is_cocharacter(nu):
+        if not rl.in_lattice(self.cochar_basis, vec(nu)):
             raise SpecificationError(
                 f"{rl.fmt_vec(nu)} is not in the cocharacter lattice")
 
@@ -730,18 +696,6 @@ class RootDatum:
         # drop those along the quotiented central directions
         z = self.central_cochars
         return tuple(v for v in kernel if rl.rank(z + (v,)) > len(z))
-
-    def coroot_span_decomposition(self, nu):
-        """Split nu = nu' + nu^z with nu' in the coroot span and nu^z central.
-
-        The central component annihilates every root; the decomposition is
-        found by exact linear algebra against the simple-coroot basis.
-        """
-        nu = tuple(vec(nu))
-        p, den = self.root_pairings(nu)
-        prime = rl.combo([Fraction(x, den) for x in p],
-                         self.fundamental_coweights, dim=self.dim)
-        return prime, sub(nu, prime)
 
 
 # ----------------------------------------------------------------------
@@ -827,7 +781,7 @@ def build_root_datum(lie_type, central_rank=0, label=""):
 _ROOT_TABLES = ("simple_roots", "simple_coroots", "central_cochars", "dim",
                 "_root_rows", "cartan_matrix", "_diagram", "factors",
                 "_cartan_adj", "_root_closure", "_freudenthal_tables",
-                "_parabolic_tables")
+                "_parabolic_tables", "weyl_order")
 
 
 def with_cochar_lattice(rd, basis, label=None):
@@ -855,5 +809,5 @@ def check_root_guard(lie_type):
     count = sum(expected_root_count(f.upper(), r) for f, r in lie_type) // 2
     if count > ROOT_GUARD:
         raise GuardExceededError(
-            f"the group would have {count} positive roots, over the "
-            f"root-count guard {ROOT_GUARD}")
+            f"the group would have {rl.fmt_int(count)} positive roots, over "
+            f"the root-count guard {ROOT_GUARD}")

@@ -116,13 +116,18 @@ def _require_int(x, what, v):
 
 
 def _q_forms(rd, nus):
-    """Per cocharacter nu: (nu^z, w, D), nu^z the central part of nu and
-    w_i / D = |nu^i|^2 / (2 dim g_i den_i) on each simple factor, den_i that
-    of ``_inverse_killing``.  q of an irreducible with labels l is then
-    dim V sum_i w_i Q_i(l) / D, Q_i = ``factor_inner_nums(l, l + 2)``."""
-    return tuple((rd.coroot_span_decomposition(nu)[1], *rl.scaled(
-        [Fraction(rd.cochar_norm_sq(nu, factor=i), 2 * rd.factor_dim(i) * den)
-         for i, (*_, den) in enumerate(rd._inverse_killing)])) for nu in nus)
+    """Per cocharacter nu: (nu, o, oden, w, D).  <omega_i, nu> = o_i / oden,
+    so gamma with labels l pairs with the central part of nu as <gamma, nu>
+    - l . o / oden.  w_i / D = |nu^i|^2 / (2 dim g_i den_i), den_i that of
+    ``_inverse_killing``; q of an irreducible with labels l is then dim V
+    sum_i w_i Q_i(l) / D, Q_i = ``factor_inner_nums(l, l + 2)``."""
+    adj, det = rd._cartan_adj
+    return tuple((nu, [sum(map(mul, row, p)) for row in adj], det * pden,
+                  *rl.scaled([Fraction(rd.cochar_norm_sq(nu, factor=i),
+                                       2 * rd.factor_dim(i) * den)
+                              for i, (*_, den) in
+                              enumerate(rd._inverse_killing)]))
+                 for nu in nus for p, pden in [rd.root_pairings(nu)])
 
 
 def _q_values(rd, forms, rep):
@@ -131,15 +136,16 @@ def _q_values(rd, forms, rep):
     labels = rep.labels or [repcalc.dominant_labels(rd, lam) for lam in
                             rep.irreducible + rep.hyperbolic]
     n = len(rep.irreducible)
-    hyp = [(gamma, weyl_dim(rd, gamma, ls))
+    hyp = [(gamma, ls, weyl_dim(rd, gamma, ls))
            for gamma, ls in zip(rep.hyperbolic, labels[n:])]
     irr = [(lam, weyl_dim(rd, lam, ls),
             rd.factor_inner_nums(ls, [x + 2 for x in ls]))
            for lam, ls in zip(rep.irreducible, labels)]
     qs = []
-    for nu_z, w, den in forms:
-        q = sum(_require_int(dot(gamma, nu_z) * dim, "hyperbolic term at",
-                             gamma) for gamma, dim in hyp)
+    for nu, o, oden, w, den in forms:
+        q = sum(_require_int((dot(gamma, nu) - Fraction(
+            sum(map(mul, ls, o)), oden)) * dim, "hyperbolic term at", gamma)
+            for gamma, ls, dim in hyp)
         for lam, dim, casimirs in irr:
             num = dim * sum(map(mul, w, casimirs))
             if num % den:
@@ -360,8 +366,8 @@ def dominant_orthogonal_weights(rd, box, basis=None):
     width = len(reps)
     if (box + 1) ** width > SWEEP_GUARD:
         raise GuardExceededError(
-            f"the box-{box} sweep would visit {(box + 1) ** width} points, "
-            f"over the sweep guard {SWEEP_GUARD}")
+            f"the box-{box} sweep would visit {rl.fmt_int((box + 1) ** width)}"
+            f" points, over the sweep guard {SWEEP_GUARD}")
 
     def fold(form):     # a form in c as one in the visited coordinates
         return [sum(x for k, x in zip(slot, form) if k == r)

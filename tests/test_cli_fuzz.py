@@ -4,7 +4,9 @@
 import json
 import os
 import tempfile
+import time
 
+import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
@@ -23,13 +25,18 @@ CARTANS = [[[2]], [[2, -1], [-1, 2]], [[2, -2], [-1, 2]], [[2, -1], [-3, 2]],
            [[2, -2], [-2, 2]], [[2, -1], [0, 2]], [[2, -1]], [[1]], [],
            [[2, "a"], [-1, 2]], [[2.0]]]
 
+# past the 4300 digits Python converts between int and str: as a coordinate,
+# and, written in place of HUGE, as a JSON integer that json.dump refuses
+BIG = "1" * 5001
+HUGE = object()
+
 small = st.integers(0, 4).map(str)
 coordinate = st.one_of(
     small, small, small, small, small, small, st.integers(-3, 400).map(str),
     st.tuples(st.integers(-9, 9), st.integers(-3, 3)).map(
         lambda t: f"{t[0]}/{t[1]}"),
     st.sampled_from(["", " ", "x", "1.5", "-0", " 2 ", "1e2", "nan", "inf",
-                     "--1", "+", ",", "S:", "1/0", "0x1"]))
+                     "--1", "+", ",", "S:", "1/0", "0x1", "1e5000", BIG]))
 
 
 @st.composite
@@ -55,13 +62,15 @@ def root_datum(draw):
     return {"rootDatum": {
         "cartan": cartan,
         "cocharGenerators": draw(st.lists(gens, max_size=2)),
-        "denominator": draw(st.sampled_from([1, 2, 2, 3, 4, 0, "x", 1.5]))}}
+        "denominator": draw(st.sampled_from([1, 2, 2, 3, 4, 0, "x", 1.5,
+                                             HUGE]))}}
 
 
 catalog_document = st.builds(
     lambda fam, p: {"catalog": {"family": fam, "params": p}},
     st.sampled_from(["SL_quot", "Sp", "SO", "PSO", "adjoint", "Nope"]),
-    st.lists(st.integers(-2, 8), max_size=3))
+    st.lists(st.one_of(st.integers(-2, 8), st.integers(-2, 8), st.just(HUGE)),
+             max_size=3))
 
 
 @st.composite
@@ -94,6 +103,12 @@ def cli_case(draw):
     return group, argv
 
 
+def write_document(path, doc):
+    with open(path, "w") as fh:
+        fh.write(json.dumps(doc, default=lambda x: "HUGE").replace(
+            '"HUGE"', BIG))
+
+
 @settings(max_examples=200, deadline=None)
 @given(cli_case())
 def test_cli_exit_codes_on_random_input(case):
@@ -101,8 +116,7 @@ def test_cli_exit_codes_on_random_input(case):
     with tempfile.TemporaryDirectory() as tmp:
         if isinstance(group, dict):
             path = os.path.join(tmp, "group.json")
-            with open(path, "w") as fh:
-                json.dump(group, fh)
+            write_document(path, group)
             group = path
         argv = argv[:1] + ["--group", group] + argv[1:]
         res = CliRunner().invoke(main, argv)
@@ -112,3 +126,64 @@ def test_cli_exit_codes_on_random_input(case):
         assert res.exit_code == 2, argv     # a negative box or exponent
     assert res.exception is None or isinstance(res.exception, SystemExit)
     assert "Traceback" not in res.output
+
+
+# each: (argv after the format, a group document or None, exit code, the
+# start of the one-line message)
+OVERSIZED = [
+    # q of 1e1000 has about 8 000 digits: computed, then too long to print
+    (["check", "--group", "SO8", "--weight", "1e1000,0,0,0"], None, 4,
+     "guard exceeded: a result of about 10^"),
+    # refused as text, before 10^1000000 is built
+    (["check", "--group", "SO8", "--weight", "1e1000000,0,0,0"], None, 4,
+     "guard exceeded: a weight coordinate has more than 4300 digits"),
+    (["check", "--group", "SO8", "--weight", "1e3000000,0,0,0"], None, 4,
+     "guard exceeded: a weight coordinate has more than 4300 digits"),
+    (["check", "--group", "SO8", "--weight", "1e1_000_000,0,0,0"], None, 4,
+     "guard exceeded: a weight coordinate has more than 4300 digits"),
+    (["check", "--group", "SO8", "--weight", BIG + ",0,0,0"], None, 4,
+     "guard exceeded: a weight coordinate has more than 4300 digits"),
+    (["check", "--weight", "1"], {"rootDatum": {
+        "cartan": [[2]], "denominator": HUGE}}, 2,
+     "spec error: cannot read group file: "),
+    (["table"], {"catalog": {"family": "SL_quot", "params": [HUGE, 1]}}, 2,
+     "spec error: cannot read group file: "),
+    # numbers under the limit whose results are not
+    (["table", "--group", "SL1" + "0" * 4000], None, 4,
+     "guard exceeded: the group would have about 10^7999 positive roots"),
+    (["table", "--group", "SL1" + "0" * 5000], None, 2,
+     "spec error: a number in the group name SL1000000000... is too long"),
+    (["summary", "--group", "SO8", "--box", "1" + "0" * 4000], None, 4,
+     "guard exceeded: the box-1"),
+    (["table"], {"rootDatum": {"cartan": [[2, -1], [-1, 2]],
+                               "cocharGenerators": [[1, 2]],
+                               "denominator": int("3" + "0" * 4000)}}, 4,
+     "guard exceeded: a result of about 10^"),
+]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv,doc,code,message", OVERSIZED)
+def test_oversized_numbers_end_at_once(argv, doc, code, message, fmt,
+                                       tmp_path):
+    if doc is not None:
+        write_document(tmp_path / "group.json", doc)
+        argv = argv[:1] + ["--group", str(tmp_path / "group.json")] + argv[1:]
+    t0 = time.perf_counter()
+    res = CliRunner().invoke(main, argv + ["--format", fmt])
+    assert time.perf_counter() - t0 < 5
+    assert res.exit_code == code, res.exception
+    assert res.stderr.startswith(message) and res.stderr.count("\n") == 1
+    assert res.stdout == ""
+
+
+@pytest.mark.parametrize("content", [b"[" * 100000 + b"]" * 100000,
+                                     b'{"catalog": "\xff\xfe"}'])
+def test_unreadable_group_file_exits_2(content, tmp_path):
+    # nesting past the recursion limit, bytes that are not UTF-8
+    path = tmp_path / "group.json"
+    path.write_bytes(content)
+    res = CliRunner().invoke(main, ["table", "--group", str(path)])
+    assert res.exit_code == 2, res.exception
+    assert res.stderr.startswith("spec error: cannot read group file: ")
+    assert res.stderr.count("\n") == 1

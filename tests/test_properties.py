@@ -3,7 +3,7 @@
 import importlib.util
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm, prod
+from math import factorial, gcd, lcm, prod
 from operator import mul
 from pathlib import Path
 
@@ -19,7 +19,7 @@ from spinoriality.repcalc import (L_phi, casimir_value, classify,
                                   two_delta_pairing, weyl_dim)
 from spinoriality.rootdata import (RootDatum, _from_cartan, build_root_datum,
                                    with_cochar_lattice)
-from spinoriality.spinor import (OrthRep, _sweep_basis, d_nu,
+from spinoriality.spinor import (OrthRep, _q_forms, _sweep_basis, d_nu,
                                  dominant_orthogonal_weights,
                                  is_dominant_orthogonal, is_spinorial,
                                  make_regular, q_irreducible, q_rep,
@@ -641,7 +641,7 @@ def assert_verdict_is_the_term_by_term_q(rd, fg, rep):
     v = is_spinorial(rd, fg, rep)
     assert [nu for nu, _ in v.certificate] == list(fg.generators)
     for nu, q in v.certificate:
-        _, nu_z = rd.coroot_span_decomposition(nu)
+        _, nu_z = reference_coroot_span_decomposition(rd, nu)
         want = sum(q_irreducible(rd, lam, nu) for lam in rep.irreducible)
         want += sum(rl.dot(g, nu_z) * weyl_dim(rd, g) for g in rep.hyperbolic)
         assert type(q) is int and q == want == q_rep(rd, rep, nu)
@@ -904,3 +904,98 @@ def test_sparse_inverse_killing_matches_the_dense_sum_on_the_catalog(name):
 def test_sparse_inverse_killing_matches_the_dense_sum_on_random_data(case):
     rd = case[0]
     assert rd._inverse_killing == reference_inverse_killing(rd)
+
+
+# ----------------------------------------------------------------------
+# |W|, h^v and the central part of a cocharacter, read off the integer root
+# closure, against the per-family formulas, the Euclidean long-root loop and
+# the split of nu along the coroot span
+
+REFERENCE_EXCEPTIONAL_WEYL_ORDERS = {"E6": 51840, "E7": 2903040,
+                                     "E8": 696729600, "F4": 1152, "G2": 12}
+
+
+def reference_weyl_order(rd):
+    """|W| from the families: (r + 1)! for A_r, 2^r r! for B_r and C_r,
+    2^(r - 1) r! for D_r, and a table of the exceptional orders."""
+    order = 1
+    for f in rd.factors:
+        r = f.rank
+        if f.family == "A":
+            order *= factorial(r + 1)
+        elif f.family in ("B", "C"):
+            order *= 2 ** r * factorial(r)
+        elif f.family == "D":
+            order *= 2 ** (r - 1) * factorial(r)
+        else:
+            order *= REFERENCE_EXCEPTIONAL_WEYL_ORDERS[f.label]
+    return order
+
+
+def reference_dual_coxeter_number(rd, factor):
+    """1 / |alpha|^2 for a long root alpha of the factor: the largest
+    Euclidean inverse Killing norm over its roots (``euclidean_inner``, with
+    the Gram matrix eliminated once for all of them)."""
+    coroots = rd.simple_coroots
+    pairs = [[rl.dot(a, c) for c in coroots] for a, _ in rd.positive_roots]
+    gram = [[2 * sum(p[i] * p[j] for p in pairs) for j in range(len(coroots))]
+            for i in range(len(coroots))]
+    labels = [[rl.dot(r, c) for c in coroots]
+              for r, _ in rd._roots_by_factor[factor]]
+    long_sq = max(sum(map(mul, x, ls)) for x, ls in
+                  zip(rl.solve_columns(gram, labels)[1], labels))
+    h = 1 / long_sq
+    assert h.denominator == 1
+    return int(h)
+
+
+def reference_coroot_span_decomposition(rd, nu):
+    """nu = nu' + nu^z, nu' = sum_j <alpha_j, nu> omega_j^v in the coroot
+    span and nu^z killed by every root, by Euclidean dot products."""
+    nu = tuple(rl.vec(nu))
+    prime = rl.combo([rl.dot(a, nu) for a in rd.simple_roots],
+                     rd.fundamental_coweights, dim=rd.dim)
+    return prime, rl.sub(nu, prime)
+
+
+def assert_closure_reads_match_the_references(rd):
+    assert rd.weyl_order == reference_weyl_order(rd)
+    for i in range(len(rd.factors)):
+        assert rd.dual_coxeter_number(i) == reference_dual_coxeter_number(
+            rd, i)
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_weyl_order_and_dual_coxeter_number_on_the_catalog(name):
+    assert_closure_reads_match_the_references(group_by_name(name).rd)
+
+
+def test_weyl_order_and_dual_coxeter_number_on_a_product():
+    # B3 x G2 x A2 with a central torus: one h^v per factor, |W| multiplies
+    rd = build_root_datum([("B", 3), ("G", 2), ("A", 2)], central_rank=1)
+    assert [rd.dual_coxeter_number(i) for i in range(3)] == [5, 4, 3]
+    assert rd.weyl_order == 48 * 12 * 6
+    assert_closure_reads_match_the_references(rd)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.composite(random_datum)())
+def test_weyl_order_and_dual_coxeter_number_on_random_data(case):
+    assert_closure_reads_match_the_references(case[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data_weight_and_cochar())
+def test_central_pairing_matches_the_coroot_span_split(case):
+    # the verdict's forms read <gamma, nu^z> as <gamma, nu> - l . o / oden
+    rd, lam, nu = case
+    prime, nu_z = reference_coroot_span_decomposition(rd, nu)
+    assert all(rl.dot(a, nu_z) == 0 for a in rd.simple_roots)
+    assert rl.lattice_coords(rd.simple_coroots, prime) is not None
+    (form_nu, o, oden, *_), = _q_forms(rd, [nu])
+    labels = rd.dynkin_labels(lam)
+    assert form_nu == nu
+    assert rl.dot(lam, nu) - sum(Fraction(x * y, oden) for x, y in
+                                 zip(labels, o)) == rl.dot(lam, nu_z)
+    _, k, den = rd.label_pairing(lam, nu)
+    assert Fraction(k, den) == rl.dot(lam, nu_z)

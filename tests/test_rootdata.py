@@ -1,4 +1,5 @@
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -9,6 +10,8 @@ from spinoriality.errors import SpecificationError
 from spinoriality.rootdata import (RootDatum, build_root_datum,
                                    expected_root_count, simple_system,
                                    with_cochar_lattice)
+from spinoriality.spinor import _q_forms
+from test_properties import reference_coroot_span_decomposition
 
 ALL_SIMPLE = [("A", 1), ("A", 4), ("B", 3), ("C", 4), ("D", 4), ("D", 6),
               ("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
@@ -146,14 +149,40 @@ def test_cochar_norm_sq_values():
         assert rd.cochar_norm_sq(nu) == 2 * (n // d) ** 2 * (n - 1)
 
 
+def test_cochar_norm_sq_keeps_no_memo():
+    # |nu|^2 is summed over the closure on every call: 100 distinct nu leave
+    # the datum's tables as they were
+    rd = build_root_datum([("D", 4)])
+    rd.cochar_norm_sq(rd.simple_coroots[0], factor=0)
+    roots = [root for root, _ in rd.positive_roots]
+    before = {k: len(v) if isinstance(v, dict) else None
+              for k, v in vars(rd).items()}
+    for t in range(100):
+        nu = rl.vec([t, 1, -t, Fraction(t, 3)])
+        assert rd.cochar_norm_sq(nu) == 2 * sum(
+            rl.dot(root, nu) ** 2 for root in roots)
+        rd.cochar_norm_sq(nu, factor=0)
+    assert len(rd.__dict__) == len(before)
+    assert before == {k: len(v) if isinstance(v, dict) else None
+                      for k, v in vars(rd).items()}
+
+
 def test_coroot_span_decomposition():
+    # the split lives in the tests now; the verdict reads the pairing with
+    # the central part off the label pairing and the forms' adj(a) p
     rd = build_root_datum([("A", 1)])
     e1 = rl.unit(2, 0)
-    prime, central = rd.coroot_span_decomposition(e1)
+    prime, central = reference_coroot_span_decomposition(rd, e1)
     assert prime == (Fraction(1, 2), Fraction(-1, 2))
     assert central == (Fraction(1, 2), Fraction(1, 2))
     for root, _ in rd.positive_roots:
         assert rl.dot(root, central) == 0
+    gamma = (Fraction(3), Fraction(1))
+    _, k, den = rd.label_pairing(gamma, e1)
+    (_, o, oden, *_), = _q_forms(rd, [e1])
+    labels = rd.dynkin_labels(gamma)
+    assert Fraction(k, den) == rl.dot(gamma, central) == 2
+    assert rl.dot(gamma, e1) - Fraction(sum(map(mul, labels, o)), oden) == 2
 
 
 def test_invalid_family_and_rank():
