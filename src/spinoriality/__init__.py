@@ -10,7 +10,7 @@ from .errors import (SpinorError, SpecificationError, IntegralityError,
 from .rootdata import (RootDatum, build_root_datum, with_cochar_lattice,
                        simple_system, expected_root_count)
 from .fundgroup import FundGroupData, fundamental_group, p_value
-from .repcalc import (weyl_dim, casimir_value, two_delta_pairing, classify,
+from .repcalc import (weyl_dim, casimir_value, classify,
                       RepClassification, WeightMultiplicityTable,
                       freudenthal_multiplicities, L_phi,
                       dynkin_index, dynkin_index_orth,
@@ -31,7 +31,7 @@ __all__ = [
     "RootDatum", "build_root_datum", "with_cochar_lattice", "simple_system",
     "expected_root_count",
     "FundGroupData", "fundamental_group", "p_value",
-    "weyl_dim", "casimir_value", "two_delta_pairing", "classify",
+    "weyl_dim", "casimir_value", "classify",
     "RepClassification", "WeightMultiplicityTable",
     "freudenthal_multiplicities", "L_phi",
     "dynkin_index", "dynkin_index_orth", "FREUDENTHAL_GUARD_DEFAULT",

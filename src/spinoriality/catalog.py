@@ -21,8 +21,6 @@ Realizations (all exact, in ambient rational coordinates):
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from operator import mul
 
 from . import ratlin as rl
 from .errors import SpecificationError
@@ -52,20 +50,18 @@ class Group:
     fg: object
     weight_basis: tuple
 
-    @cached_property
-    def _basis_columns(self):   # integer columns over one denominator
-        rows, den = rl.scaled_rows(self.weight_basis)
-        return tuple(zip(*rows)), den
-
-    def weight_from_coords(self, coords):
+    def check_coords(self, coords):
+        """coords, checked to hold one coordinate per basis weight."""
         if len(coords) != len(self.weight_basis):
             raise SpecificationError(
                 f"{self.name} expects {len(self.weight_basis)} weight "
                 f"coordinates, got {len(coords)}")
-        nums, den = rl.scaled(coords)
-        cols, bden = self._basis_columns
-        return tuple(Fraction(sum(map(mul, nums, col)), den * bden)
-                     for col in cols)
+        return coords
+
+    def weight_from_coords(self, coords):
+        forms = self.rd.weight_forms(self.weight_basis)
+        m, d = forms.lift(*rl.scaled(self.check_coords(coords)))
+        return tuple(Fraction(x, d) for x in m)
 
 
 def _e(n, i):

@@ -12,6 +12,7 @@ violation, 4 dimension guard exceeded.
 
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -22,7 +23,8 @@ from .ratlin import fmt_q, fmt_vec
 from . import catalog, spinor
 from .errors import (SpecificationError, IntegralityError, GuardExceededError)
 from .fundgroup import fundamental_group, p_value
-from .rootdata import RootDatum, with_cochar_lattice, _from_cartan
+from .rootdata import (RootDatum, with_cochar_lattice, _from_cartan,
+                       cartan_checked, cartan_factors, check_root_guard)
 from .repcalc import FREUDENTHAL_GUARD_DEFAULT
 
 EXIT_SPEC = 2
@@ -88,6 +90,9 @@ def _group_from_root_datum(entry, origin):
     if type(den) is not int or den < 1:
         raise SpecificationError(
             f"{origin}: denominator must be an integer >= 1, got {den!r}")
+    # the root-count guard, from the integer matrix before any vector
+    check_root_guard([(f.family, f.rank)
+                      for f in cartan_factors(cartan_checked(cartan))])
     roots, coroots, width, _ = _from_cartan(cartan)
     rd = RootDatum(tuple(roots), tuple(coroots), tuple(coroots),
                    central_cochars=(), label="custom")
@@ -113,7 +118,8 @@ def parse_weight_option(group, text):
     coordinates in the group's weight basis, with an ``S:`` prefix marking a
     hyperbolic block."""
     irreducible, hyperbolic = [], []
-    for part in text.split("+"):
+    # a "+" joins summands, unless it signs the exponent of a mantissa: 1e+5
+    for part in re.split(r"(?<![0-9.][eE])\+", text):
         part = part.strip()
         kind = "orth"
         if part.upper().startswith("S:"):
@@ -125,10 +131,10 @@ def parse_weight_option(group, text):
             raise SpecificationError(f"cannot parse weight coordinates {part!r}")
         if not coords:
             raise SpecificationError(f"empty weight in {text!r}")
-        lam = group.weight_from_coords(coords)
-        (hyperbolic if kind == "S" else irreducible).append(lam)
+        (hyperbolic if kind == "S" else irreducible).append(
+            group.check_coords(coords))
     return spinor.orth_rep(group.rd, irreducible=irreducible,
-                           hyperbolic=hyperbolic)
+                           hyperbolic=hyperbolic, basis=group.weight_basis)
 
 
 def _coordinate(tok):

@@ -205,24 +205,6 @@ def int_inverse(m):
                  for row, b in zip(a, base)), det
 
 
-def leading_minors(m):
-    """The leading principal minors of a square integer matrix, in order, as
-    the pivots of Bareiss elimination without row swaps; it stops after the
-    first zero, past which that elimination has no pivot."""
-    a = [list(row) for row in m]
-    prev = 1
-    for k, top in enumerate(a):
-        p = top[k]
-        yield p
-        if not p:
-            return
-        for row in a[k + 1:]:
-            f = row[k]
-            row[k + 1:] = [(p * x - f * y) // prev
-                           for x, y in zip(row[k + 1:], top[k + 1:])]
-        prev = p
-
-
 def rank(m):
     return len(_bareiss(m, len(m[0]))[2]) if m else 0
 

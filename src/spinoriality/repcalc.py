@@ -61,11 +61,6 @@ def weyl_dim(rd, lam, labels=None):
     return dim
 
 
-def two_delta_pairing(rd, lam):
-    """<lam, 2 delta_v>, the pairing with the sum of positive coroots."""
-    return sum(map(mul, rd.dynkin_labels(lam), rd.two_delta_coroot_coords))
-
-
 def casimir_value(rd, lam, factor=None):
     """Casimir eigenvalue (lam, lam + 2 delta) under the inverse Killing form,
     restricted to one simple factor when requested; 2 delta has labels 2."""
@@ -82,11 +77,12 @@ class RepClassification:
 
 def classify(rd, lam, labels=None):
     """Self-dual iff -w0 lam = lam; orthogonal iff additionally
-    <lam, 2 delta_v> is even; ``labels``: lam's, if the caller has checked
-    them."""
+    <lam, 2 delta_v> is even (``RootDatum.weight_forms``); ``labels``:
+    lam's, if the caller has checked them."""
     labels = dominant_labels(rd, lam) if labels is None else labels
-    sd = rd.fixed_by_minus_w0(lam, labels)
-    par = sum(map(mul, labels, rd.two_delta_coroot_coords))
+    forms = rd.weight_forms()
+    sd = forms.self_dual(lam, labels)
+    par = forms.parity(labels)
     if par % 1:
         raise IntegralityError(
             f"<lam, 2 delta_v> non-integral for {fmt_vec(lam)}")

@@ -13,11 +13,12 @@ characters are required to be orthogonal to it, which makes the pairing with
 any representative of a quotient cocharacter well defined.
 
 Hot paths read a weight as its Dynkin labels <mu, alpha_i^v> and use lazy
-integer tables: the simple coroots and cocharacter basis over one denominator
-each, the labels of the simple and positive roots, the positive coroots in
-simple-coroot coordinates, -w0 as a permutation of the labels, and per factor
-the inverse Killing Gram matrix on the simple coroots, computed from the
-definition (x,y) = sum_a a(x)a(y) over all roots, scaled to integers.  No
+integer tables: the labels of the simple and positive roots, the positive
+coroots in simple-coroot coordinates, -w0 as a permutation of the labels, and
+per factor the inverse Killing Gram matrix on the simple coroots, computed
+from the definition (x,y) = sum_a a(x)a(y) over all roots, scaled to
+integers.  ``WeightForms`` reads labels and decides, in integers, whether a
+weight is a dominant orthogonal character, in any coordinate basis.  No
 table per family: |W| and |W_K| come from Macdonald's product, h^v from the
 highest root, Killing norms from the pairings with the simple roots, all on
 the integer root closure.  Weyl orbits are walked on labels, where s_i
@@ -29,6 +30,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, prod
 from operator import mul
+from weakref import proxy
 
 from .errors import SpecificationError, GuardExceededError
 from . import ratlin as rl
@@ -92,8 +94,11 @@ class RootDatum:
                   *self.central_cochars):
             if len(v) != self.dim:
                 raise SpecificationError("inconsistent ambient dimensions")
-        self.cartan_matrix = self._integral_cartan()
-        self.factors = self._finite_type_factors()
+        roots, rden = self._root_rows = rl.scaled_rows(self.simple_roots)
+        coroots, cden = rl.scaled_rows(self.simple_coroots)
+        self.cartan_matrix = cartan_checked(
+            [[sum(map(mul, r, c)) for c in coroots] for r in roots], rden * cden)
+        self.factors = cartan_factors(self.cartan_matrix)
         check_root_guard([(f.family, f.rank) for f in self.factors])
         self._set_lattice(cochar_basis)
 
@@ -118,87 +123,6 @@ class RootDatum:
 
     # ------------------------------------------------------------------
     # basic structure
-
-    def _integral_cartan(self):
-        """The Cartan matrix <alpha_i, alpha_j^v> as ints, checked to be one:
-        integer entries, 2 on the diagonal, a_ij <= 0 off it with a_ij = 0
-        iff a_ji = 0.  Keeps the simple roots over one den as _root_rows."""
-        roots, rden = self._root_rows = rl.scaled_rows(self.simple_roots)
-        coroots, cden = rl.scaled_rows(self.simple_coroots)
-        den = rden * cden
-        a = [[sum(map(mul, r, c)) for c in coroots] for r in roots]
-        for i in range(len(a)):
-            if a[i][i] != 2 * den:
-                raise SpecificationError("diagonal Cartan entry != 2")
-            for j in range(len(a)):
-                if i != j and (a[i][j] % den or a[i][j] > 0
-                               or (a[i][j] == 0) != (a[j][i] == 0)):
-                    raise SpecificationError(
-                        f"not a Cartan matrix: a[{i}][{j}] = "
-                        f"{Fraction(a[i][j], den)}, "
-                        f"a[{j}][{i}] = {Fraction(a[j][i], den)}")
-        return tuple(tuple(x // den for x in row) for row in a)
-
-    def _finite_type_factors(self):
-        """The simple factors, the components of the Dynkin diagram, checked
-        to be of finite type (Kac, Infinite dimensional Lie algebras, ch. 4),
-        so that the Weyl group is finite and every chamber walk ends: the
-        symmetrization s_i a_ij, s = d scaled to integers, is symmetric and
-        its leading principal minors on each component are positive.  The
-        last of those over prod s_i is the component's determinant."""
-        comps, d = self._diagram
-        s = rl.scaled(d)[0]
-        sym = [[si * x for x in row] for si, row in zip(s, self.cartan_matrix)]
-        minors = [list(rl.leading_minors([[sym[i][j] for j in comp]
-                                          for i in comp])) for comp in comps]
-        if sym != [list(col) for col in zip(*sym)] or any(
-                m <= 0 for ms in minors for m in ms):
-            raise SpecificationError("the Cartan matrix is not of finite type")
-        return tuple(Factor(comp, self._classify(
-            comp, ms[-1] // prod(s[i] for i in comp)), len(comp))
-            for comp, ms in zip(comps, minors))
-
-    @cached_property
-    def _diagram(self):
-        """Components of the Dynkin diagram and a symmetrizer d, 1 at each
-        component's first vertex and d_j = d_i a_ij / a_ji along each edge;
-        d_i is 1/|alpha_i|^2 up to a scale per component."""
-        n = len(self.simple_roots)
-        a = self.cartan_matrix
-        d = [None] * n
-        comps = []
-        for s in range(n):
-            if d[s] is not None:
-                continue
-            d[s] = Fraction(1)
-            comp, stack = [], [s]
-            while stack:
-                i = stack.pop()
-                comp.append(i)
-                for j in range(n):
-                    if d[j] is None and a[i][j] != 0:
-                        d[j] = d[i] * a[i][j] / a[j][i]
-                        stack.append(j)
-            comps.append(sorted(comp))
-        return comps, d
-
-    def _classify(self, comp, det):
-        """The family of a component, by its largest bond a_ij a_ji and its
-        determinant |P/Q|: n + 1 for A_n, 2 for B_n and C_n, 4 for D_n,
-        9 - n for E_n, 1 for F4 and G2."""
-        a = self.cartan_matrix
-        bond = max((a[i][j] * a[j][i] for i in comp for j in comp if j < i),
-                   default=0)
-        if bond == 3:
-            return "G"
-        if bond == 2 and det == 1:
-            return "F"
-        if bond == 2:
-            # B vs C by the length of the last-listed simple root: short
-            # roots have the larger symmetrizer entry
-            d = self._diagram[1]
-            return "B" if d[comp[-1]] > min(d[i] for i in comp) else "C"
-        return "A" if det == len(comp) + 1 else "D" if det == 4 else "E"
 
     @cached_property
     def central_torus_rank(self):
@@ -324,20 +248,9 @@ class RootDatum:
     # ------------------------------------------------------------------
     # Dynkin labels and their integer tables
 
-    @cached_property
-    def _coroot_rows(self):
-        return rl.scaled_rows(self.simple_coroots)
-
     def dynkin_labels(self, mu):
-        """The labels <mu, alpha_i^v>: ints when all are integral (always for
-        a character), else Fractions."""
-        nums, den = rl.scaled(mu)
-        rows, cden = self._coroot_rows
-        den *= cden
-        labels = [sum(map(mul, nums, row)) for row in rows]
-        if any(x % den for x in labels):
-            return tuple(Fraction(x, den) for x in labels)
-        return tuple(x // den for x in labels)
+        """The labels <mu, alpha_i^v> (``WeightForms.labels``)."""
+        return self.weight_forms().labels(*rl.scaled(mu))
 
     @cached_property
     def positive_coroot_coords(self):
@@ -416,14 +329,6 @@ class RootDatum:
         """The cocharacter-side vectors all simple roots kill, as integers."""
         return tuple(rl.scaled(z)[0]
                      for z in rl.nullspace(self.simple_roots, self.dim))
-
-    def fixed_by_minus_w0(self, mu, labels):
-        """-w0 mu = mu, for mu with these labels: on the root span -w0
-        permutes the labels by sigma, and it is -1 where all coroots vanish,
-        so mu must kill every cocharacter all simple roots kill."""
-        nums = rl.scaled(mu)[0] if self._root_kernel else ()
-        return (all(labels[i] == labels[s] for i, s in self._sigma_pairs)
-                and all(sum(map(mul, nums, z)) == 0 for z in self._root_kernel))
 
     # ------------------------------------------------------------------
     # pairings and forms
@@ -645,18 +550,18 @@ class RootDatum:
             raise SpecificationError(
                 f"{rl.fmt_vec(nu)} is not in the cocharacter lattice")
 
-    @cached_property
-    def _character_rows(self):
-        return (*rl.scaled_rows(self.cochar_basis),
-                tuple(rl.scaled(z)[0] for z in self.central_cochars))
-
     def is_character(self, mu):
         """mu kills the quotiented directions, pairs integrally with X_*."""
-        nums, den = rl.scaled(mu)
-        rows, bden, central = self._character_rows
-        den *= bden
-        return (all(sum(map(mul, nums, z)) == 0 for z in central)
-                and all(sum(map(mul, nums, b)) % den == 0 for b in rows))
+        return self.weight_forms().read(*rl.scaled(mu))[1] != "character"
+
+    def weight_forms(self, basis=None):
+        """The ``WeightForms`` of ``basis`` (None: ambient coordinates), kept
+        for ambient coordinates and the last basis, found by identity."""
+        memo = self.__dict__.setdefault("_weight_forms", {})
+        forms = memo.get(basis is None)
+        if forms is None or forms.basis is not basis:
+            forms = memo[basis is None] = WeightForms(self, basis)
+        return forms
 
     @cached_property
     def _cartan_adj(self):
@@ -696,6 +601,100 @@ class RootDatum:
         # drop those along the quotiented central directions
         z = self.central_cochars
         return tuple(v for v in kernel if rl.rank(z + (v,)) > len(z))
+
+
+class WeightForms:
+    """The one dominant orthogonal character predicate, as integer forms
+    on coordinates in one basis; the sweep reads ``coordinate_forms``.
+
+    Coordinates nums / den in the basis rows B_j / bden (ambient: B = 1)
+    give mu = m / d, m = nums B, d = den bden.  mu is a character iff m . z
+    = 0 for each quotiented direction z and m . x = 0 mod d xden for each
+    row x / xden of the cocharacter basis; then its labels m . a_i / (d
+    aden), a_i / aden the simple coroots, are integers.  It is fixed by -w0
+    iff its labels agree on each pair (i, sigma(i)) and m . z = 0 for each
+    z all simple roots kill (-w0 is -1 there), and orthogonal iff also
+    <mu, 2 delta_v> = sum_i k_i labels_i is even, k = 2 delta_v in the
+    simple coroots."""
+
+    def __init__(self, rd, basis=None):
+        # the datum keeps its forms: a proxy, so that no cycle outlives it
+        self._rd, self.basis = proxy(rd), basis
+        if basis is None:
+            self._xrows, self._xden = rl.scaled_rows(rd.cochar_basis)
+            self._arows, self._aden = rl.scaled_rows(rd.simple_coroots)
+            self._central = [rl.scaled(z)[0] for z in rd.central_cochars]
+        else:   # the ambient tables, shared
+            vars(self).update(vars(rd.weight_forms()), basis=basis)
+            self._rows, self._bden = rl.scaled_rows(basis)
+            self._cols = tuple(zip(*self._rows))
+
+    def lift(self, nums, den):
+        """(m, d): the weight with coordinates nums / den is m / d."""
+        if self.basis is None:
+            return nums, den
+        return ([sum(map(mul, nums, col)) for col in self._cols],
+                den * self._bden)
+
+    def labels(self, m, d):
+        """The labels of m / d: ints if all are integral, else Fractions."""
+        d *= self._aden
+        labels = [sum(map(mul, m, a)) for a in self._arows]
+        if any(x % d for x in labels):
+            return tuple(Fraction(x, d) for x in labels)
+        return tuple(x // d for x in labels)
+
+    def self_dual(self, mu, labels):
+        """-w0 mu = mu for mu with these labels."""
+        rd = self._rd
+        nums = rl.scaled(mu)[0] if rd._root_kernel else ()
+        return (all(labels[i] == labels[s] for i, s in rd._sigma_pairs)
+                and not any(sum(map(mul, nums, z)) for z in rd._root_kernel))
+
+    def parity(self, labels):
+        """<mu, 2 delta_v> for mu with these labels."""
+        return sum(map(mul, labels, self._rd.two_delta_coroot_coords))
+
+    def read(self, m, d):
+        """(labels, failed) for mu = m / d in ambient integers (``lift``):
+        failed is None or "character" (labels None) or "dominant"."""
+        if (any(sum(map(mul, m, z)) for z in self._central)
+                or any(sum(map(mul, m, x)) % (d * self._xden)
+                       for x in self._xrows)):
+            return None, "character"
+        labels = self.labels(m, d)
+        return labels, "dominant" if min(labels, default=0) < 0 else None
+
+    @cached_property
+    def coordinate_forms(self):
+        """On integer coordinates c of an independent basis: (perm, forms,
+        labels), forms (n, q) with n . c = 0 mod q (n . c = 0 for q = 0),
+        the rows n . c = bden aden labels(c), and p with -w0 b_i = b_p(i),
+        or None: b' = -w0 b iff labels(b') = sigma labels(b) and <b', z> =
+        -<b, z> for each z all roots kill."""
+        rd, rows, d = self._rd, self._rows, self._bden
+        if rl.rank(self.basis) < len(self.basis):
+            raise SpecificationError("the sweep basis is not independent")
+
+        def pull(f):
+            return [sum(map(mul, b, f)) for b in rows]
+
+        labels = [pull(a) for a in self._arows]
+        kernel = [pull(z) for z in rd._root_kernel]
+        two_delta = [sum(map(mul, col, rd.two_delta_coroot_coords))
+                     for col in zip(*labels)]
+        forms = ([(pull(x), d * self._xden) for x in self._xrows]
+                 + [(two_delta, 2 * d * self._aden)]
+                 + [(pull(z), 0) for z in self._central]
+                 + [(n, 0) for n in kernel]
+                 + [(rl.sub(labels[i], labels[s]), 0)
+                    for i, s in rd._sigma_pairs])
+        keys = [(tuple([n[j] for n in labels]), tuple([n[j] for n in kernel]))
+                for j in range(len(rows))]
+        index = {key: j for j, key in enumerate(keys)}
+        perm = [index.get((tuple([ls[i] for i in rd.minus_w0_perm]),
+                           tuple([-x for x in k]))) for ls, k in keys]
+        return None if None in perm else perm, forms, labels
 
 
 # ----------------------------------------------------------------------
@@ -748,6 +747,70 @@ def simple_system(family, rank):
     raise SpecificationError(f"unknown family {family!r}")
 
 
+def cartan_checked(a, den=1):
+    """a / den as an integer Cartan matrix, checked to be one: integer
+    entries, 2 on the diagonal, a_ij <= 0 off it with a_ij = 0 iff
+    a_ji = 0."""
+    for i in range(len(a)):
+        if a[i][i] != 2 * den:
+            raise SpecificationError("diagonal Cartan entry != 2")
+        for j in range(len(a)):
+            if i != j and (a[i][j] % den or a[i][j] > 0
+                           or (a[i][j] == 0) != (a[j][i] == 0)):
+                raise SpecificationError(
+                    f"not a Cartan matrix: a[{i}][{j}] = "
+                    f"{Fraction(a[i][j], den)}, "
+                    f"a[{j}][{i}] = {Fraction(a[j][i], den)}")
+    return tuple(tuple(x // den for x in row) for row in a)
+
+
+def cartan_factors(a):
+    """The simple factors of a ``cartan_checked`` a, the components of its
+    Dynkin diagram, each checked to be of finite type (Kac, Infinite
+    dimensional Lie algebras, ch. 4) so that every chamber walk ends: a tree
+    whose leaf-first pivots q_i = 2 - sum_j a_ij a_ji / q_j (those of the
+    symmetrization, over the symmetrizer) are > 0, their product its det."""
+    factors, d = [], {}
+    for first in range(len(a)):
+        if first in d:
+            continue
+        # a walk of the component, each vertex with its parent; the
+        # symmetrizer d_j = d_i a_ij / a_ji, 1/|alpha_i|^2 up to scale
+        walk, edges, d[first] = [(first, None)], 0, Fraction(1)
+        for i, _ in walk:
+            for j, x in enumerate(a[i]):
+                if x and j != i:
+                    edges += 1
+                    if j not in d:
+                        d[j] = d[i] * x / a[j][i]
+                        walk.append((j, i))
+        comp = sorted(i for i, _ in walk)
+        q = dict.fromkeys(comp, Fraction(2))
+        for i, p in reversed(walk):
+            if q[i] > 0 and p is not None:
+                q[p] -= a[p][i] * a[i][p] / q[i]
+        if edges != 2 * len(walk) - 2 or min(q.values()) <= 0:
+            raise SpecificationError("the Cartan matrix is not of finite type")
+        bond = max((a[i][p] * a[p][i] for i, p in walk[1:]), default=0)
+        factors.append(Factor(comp, _family(comp, bond, prod(q.values()), d),
+                              len(comp)))
+    return tuple(factors)
+
+
+def _family(comp, bond, det, d):
+    """The family of a component, by its largest bond a_ij a_ji and its
+    determinant |P/Q|: n + 1 for A_n, 2 for B_n and C_n, 4 for D_n, 9 - n
+    for E_n, 1 for F4 and G2; B if the last-listed simple root is short
+    (a larger symmetrizer entry), else C."""
+    if bond == 3:
+        return "G"
+    if bond == 2 and det == 1:
+        return "F"
+    if bond == 2:
+        return "B" if d[comp[-1]] > min(d[i] for i in comp) else "C"
+    return "A" if det == len(comp) + 1 else "D" if det == 4 else "E"
+
+
 def _from_cartan(cartan):
     r = len(cartan)
     coroots = [rl.unit(r, i) for i in range(r)]
@@ -779,7 +842,7 @@ def build_root_datum(lie_type, central_rank=0, label=""):
 
 
 _ROOT_TABLES = ("simple_roots", "simple_coroots", "central_cochars", "dim",
-                "_root_rows", "cartan_matrix", "_diagram", "factors",
+                "_root_rows", "cartan_matrix", "factors",
                 "_cartan_adj", "_root_closure", "_freudenthal_tables",
                 "_parabolic_tables", "weyl_order")
 

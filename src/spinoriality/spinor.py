@@ -43,32 +43,29 @@ class OrthRep:
     labels: tuple = field(default=(), compare=False, repr=False)
 
 
-def orth_rep(rd, irreducible=(), hyperbolic=()):
-    """Validate and build an :class:`OrthRep` over the given datum."""
+def orth_rep(rd, irreducible=(), hyperbolic=(), basis=None):
+    """Validate and build an :class:`OrthRep`: weights, ambient or in
+    ``basis``, read by ``rd.weight_forms(basis)``, irreducible ones first."""
+    forms = rd.weight_forms(basis)
     irr, hyp, labels = [], [], []
-    for lam in irreducible:
-        lam = tuple(rl.vec(lam))
-        labels.append(_check_weight(rd, lam))
-        cls = classify(rd, lam, labels[-1])
-        # self-duality already makes lam kill the connected center
-        if not cls.orthogonal:
-            raise SpecificationError(
-                f"summand {fmt_vec(lam)} is not orthogonal "
-                f"(self-dual: {cls.self_dual}, parity: {cls.fs_parity})")
-        irr.append(lam)
-    for lam in hyperbolic:
-        lam = tuple(rl.vec(lam))
-        labels.append(_check_weight(rd, lam))
-        hyp.append(lam)
+    for lams, out in ((irreducible, irr), (hyperbolic, hyp)):
+        for lam in lams:
+            m, d = forms.lift(*rl.scaled(rl.vec(lam)))
+            ls, failed = forms.read(m, d)
+            lam = tuple(Fraction(x, d) for x in m)
+            if failed == "character":
+                raise SpecificationError(
+                    f"{fmt_vec(lam)} is not a character of this group")
+            if failed == "dominant":
+                raise SpecificationError(
+                    f"weight {fmt_vec(lam)} is not dominant")
+            if out is irr and not (cls := classify(rd, lam, ls)).orthogonal:
+                raise SpecificationError(
+                    f"summand {fmt_vec(lam)} is not orthogonal "
+                    f"(self-dual: {cls.self_dual}, parity: {cls.fs_parity})")
+            out.append(lam)
+            labels.append(ls)
     return OrthRep(tuple(irr), tuple(hyp), tuple(labels))
-
-
-def _check_weight(rd, lam):
-    """The labels of lam, a dominant character or SpecificationError."""
-    if not rd.is_character(lam):
-        raise SpecificationError(
-            f"{fmt_vec(lam)} is not a character of this group")
-    return repcalc.dominant_labels(rd, lam)
 
 
 # ----------------------------------------------------------------------
@@ -306,37 +303,8 @@ def descent_check(rd, lam, nu, d, guard=FREUDENTHAL_GUARD_DEFAULT):
 # ----------------------------------------------------------------------
 # sweeps
 
-def is_dominant_orthogonal(rd, lam):
-    """Is lam the highest weight of an irreducible orthogonal representation:
-    a dominant character fixed by -w0 (it kills every cocharacter all roots
-    kill, the connected center among them) with <lam, 2 delta_v> even?"""
-    labels = rd.dynkin_labels(lam)
-    return (rd.is_character(lam) and min(labels, default=0) >= 0
-            and rd.fixed_by_minus_w0(lam, labels)
-            and sum(map(mul, labels, rd.two_delta_coroot_coords)) % 2 == 0)
-
-
 # points a sweep may visit after the reduction by -w0 (E8 box 4: 390 625)
 SWEEP_GUARD = 10 ** 7
-
-
-def _sweep_basis(rd, basis):
-    """(basis, its integer rows over den, den, its labels, p), p with -w0 b_i
-    = b_p(i) or None: b' = -w0 b iff labels(b') = sigma labels(b) and <b',
-    z> = -<b, z> for each z all roots kill, as those z and the coroots span
-    the cocharacter side."""
-    basis = tuple(map(rl.vec, rd.fundamental_weights if basis is None
-                      else basis))
-    if rl.rank(basis) < len(basis):
-        raise SpecificationError("the sweep basis is not independent")
-    nums, den = rl.scaled_rows(basis)
-    labels = [rd.dynkin_labels(b) for b in basis]
-    keys = [(ls, tuple(sum(map(mul, b, z)) for z in rd._root_kernel))
-            for ls, b in zip(labels, nums)]
-    index = {key: j for j, key in enumerate(keys)}
-    perm = [index.get((tuple([ls[i] for i in rd.minus_w0_perm]),
-                       tuple([-x for x in k]))) for ls, k in keys]
-    return basis, nums, den, labels, None if None in perm else perm
 
 
 def dominant_orthogonal_weights(rd, box, basis=None):
@@ -347,17 +315,16 @@ def dominant_orthogonal_weights(rd, box, basis=None):
     fundamental weights).  When -w0 permutes the basis, only the coordinate
     tuples it fixes are visited, since orthogonal weights are self-dual;
     otherwise the whole box is scanned, unless it has more than
-    ``SWEEP_GUARD`` points.  A point c passes integer forms in the visited
-    coordinates, made once, less those every point meets: n . c = 0 mod m
-    (X_* and the labels L c / d are integral, <lam, 2 delta_v> is even),
-    n . c = 0 (it kills the quotiented directions and the cocharacters all
-    roots kill, sigma fixes its labels) and L c >= 0; only then is its
-    weight built.
+    ``SWEEP_GUARD`` points.  A point c passes the datum's
+    ``WeightForms.coordinate_forms``, folded to the visited coordinates,
+    less those every point meets; only then is its weight built.
     """
     if box < 0:
         raise SpecificationError(f"the sweep box must be >= 0, got {box}")
-    basis, nums, bden, labels, perm = _sweep_basis(rd, basis)
-    size = len(basis)
+    weights = rd.weight_forms(rd.fundamental_weights if basis is None
+                              else basis)
+    perm, forms, labels = weights.coordinate_forms
+    size = len(weights.basis)
     # -w0 is an involution; the first index of each orbit carries its
     # value, so the orbit values come in the points' lexicographic order
     perm = range(size) if perm is None else perm
@@ -373,25 +340,13 @@ def dominant_orthogonal_weights(rd, box, basis=None):
         return [sum(x for k, x in zip(slot, form) if k == r)
                 for r in range(width)]
 
-    def pairings(cochars):
-        return [fold([sum(map(mul, b, z)) for b in nums]) for z in cochars]
-
-    rows, den, central = rd._character_rows
-    lrows, lden = rl.scaled_rows(rl.transpose(labels))
-    two_delta = [sum(map(mul, col, rd.two_delta_coroot_coords))
-                 for col in zip(*lrows)]
-    # m = 0 marks n . c = 0: a congruence mod 1 + the largest |n . c| there
-    forms = ([(n, den * bden) for n in pairings(rows)]
-             + [(fold(r), lden) for r in lrows]
-             + [(fold(two_delta), 2 * lden)]
-             + [(n, 0) for n in pairings(central + rd._root_kernel)]
-             + [(fold(rl.sub(lrows[i], lrows[s])), 0)
-                for i, s in rd._sigma_pairs])
-    # each form once, its entries mod m
+    # each form once, folded, its entries mod m; m = 0 marks n . c = 0, a
+    # congruence mod 1 + the largest |n . c| there
     congruences = [(n, m) for n, m in dict.fromkeys(
         (tuple([x % m for x in n]), m) for n, m in (
-            (n, m or 1 + box * sum(map(abs, n))) for n, m in forms)) if any(n)]
-    signs = [n for n in map(fold, lrows) if min(n, default=0) < 0]
+            (n, m or 1 + box * sum(map(abs, n)))
+            for n, m in ((fold(n), m) for n, m in forms))) if any(n)]
+    signs = [n for n in map(fold, labels) if min(n, default=0) < 0]
 
     def passes(v):
         return not (any(sum(map(mul, v, n)) % m for n, m in congruences)
@@ -403,7 +358,7 @@ def dominant_orthogonal_weights(rd, box, basis=None):
     if width < size:
         hits = (tuple([v[k] for k in slot]) for v in hits)
     hits, again = tee(hits)
-    yield from zip(hits, rl.int_combos(again, basis))
+    yield from zip(hits, rl.int_combos(again, weights.basis))
 
 
 def scan_periodicity(rd, fg, box, k, basis=None):
@@ -424,7 +379,7 @@ def scan_periodicity(rd, fg, box, k, basis=None):
     verdict = {c: is_spinorial(rd, fg, OrthRep(irreducible=(lam,))).spinorial
                for c, lam in dominant_orthogonal_weights(rd, box, basis=basis)}
     spin_count = sum(verdict.values())
-    perm = _sweep_basis(rd, basis)[-1] or range(len(basis))
+    perm = rd.weight_forms(basis).coordinate_forms[0] or range(len(basis))
     axes = [{i, j} for i, j in enumerate(perm) if i <= j]
 
     def violations(kk):

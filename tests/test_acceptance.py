@@ -18,10 +18,10 @@ from spinoriality.catalog import (CATALOG_RANK_LE_4, group_by_name,
                                   type_d_table)
 from spinoriality.repcalc import L_phi, freudenthal_multiplicities, weyl_dim
 from spinoriality.spinor import (OrthRep, adjoint_spinorial, descent_check,
-                                 dominant_orthogonal_weights,
-                                 is_dominant_orthogonal, is_spinorial,
+                                 dominant_orthogonal_weights, is_spinorial,
                                  oracle_compare, orth_rep, q_rep,
                                  scan_periodicity)
+from test_properties import reference_dominant_orthogonal
 
 
 @contextmanager
@@ -195,7 +195,7 @@ def _random_orth_weight(g, rng):
     while True:
         coords = [rng.randint(0, 3) for _ in g.weight_basis]
         lam = rl.combo(coords, g.weight_basis)
-        if is_dominant_orthogonal(g.rd, lam):
+        if reference_dominant_orthogonal(g.rd, lam):
             return lam
 
 

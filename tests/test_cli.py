@@ -4,7 +4,7 @@ import time
 import pytest
 from click.testing import CliRunner
 
-from spinoriality import rootdata, spinor
+from spinoriality import cli, rootdata, spinor
 from spinoriality.cli import main
 
 
@@ -273,8 +273,8 @@ def test_root_count_guard(runner, tmp_path, monkeypatch):
         assert res.stderr == (
             f"guard exceeded: the group would have {count} positive roots, "
             f"over the root-count guard {rootdata.ROOT_GUARD}\n")
-    # a rootDatum file is bounded too, once its factors are classified and
-    # before its lattice is built: A_200 has 20 100 positive roots
+    # a rootDatum file is bounded too, from its integer Cartan matrix before
+    # any vector is built: A_200 has 20 100 positive roots
     n = 200
     f.write_text(json.dumps({"rootDatum": {"cartan": [
         [2 if i == j else -(abs(i - j) == 1) for j in range(n)]
@@ -283,8 +283,12 @@ def test_root_count_guard(runner, tmp_path, monkeypatch):
     def no_lattice(*args):
         raise AssertionError("the lattice is built before the guard")
 
+    def no_vectors(*args):
+        raise AssertionError("vectors are built before the guard")
+
     with monkeypatch.context() as m:
         m.setattr(rootdata.RootDatum, "_set_lattice", no_lattice)
+        m.setattr(cli, "_from_cartan", no_vectors)
         res = runner.invoke(main, ["table", "--group", str(f)])
     assert res.exit_code == 4
     assert res.stderr == (
@@ -380,21 +384,41 @@ def test_root_count_cross_check(runner, monkeypatch):
 
 
 # weights that are no characters, not dominant or not orthogonal: their
-# messages print the vector
+# messages print the vector.  Coordinates are parsed and counted for every
+# summand in text order first; then the orthogonal summands are checked, in
+# order, and then the hyperbolic blocks
 MALFORMED = [
-    ["check", "--group", "SL3", "--weight", "1,0"],
-    ["check", "--group", "SO8", "--weight", "-1,0,0,0"],
-    ["check", "--group", "SO8", "--weight", "1/2,0,0,0"],
-    ["check", "--group", "PGL2", "--weight", "1/2"],
-    ["check", "--group", "GL2", "--weight", "S:1,2+1/3,0"],
+    (["check", "--group", "SL3", "--weight", "1,0"],
+     "summand (2/3,-1/3,-1/3) is not orthogonal (self-dual: False, "
+     "parity: 0)"),
+    (["check", "--group", "SO8", "--weight", "-1,0,0,0"],
+     "weight (-1,0,0,0) is not dominant"),
+    (["check", "--group", "SO8", "--weight", "1/2,0,0,0"],
+     "(1/2,0,0,0) is not a character of this group"),
+    (["check", "--group", "PGL2", "--weight", "1/2"],
+     "(1/2,-1/2) is not a character of this group"),
+    (["check", "--group", "GL2", "--weight", "S:1,2+1/3,0"],
+     "(1/3,0) is not a character of this group"),
+    (["check", "--group", "Sp4", "--weight", "1,0"],
+     "summand (1,0) is not orthogonal (self-dual: True, parity: 1)"),
+    (["check", "--group", "PGL2", "--weight", "1/2+1,2"],
+     "PGL2 expects 1 weight coordinates, got 2"),
+    (["check", "--group", "SL3", "--weight", "S:1,2,3+1,0"],
+     "SL3 expects 2 weight coordinates, got 3"),
+    (["check", "--group", "SO8", "--weight", "2,0,0,0+S:-1,0,0,0"],
+     "weight (-1,0,0,0) is not dominant"),
+    (["check", "--group", "SO8", "--weight", "S:-1,0,0,0+1/2,0,0,0"],
+     "(1/2,0,0,0) is not a character of this group"),
 ]
 
 
-@pytest.mark.parametrize("argv", MALFORMED, ids=" ".join)
-def test_error_messages_print_readable_vectors(runner, argv):
+@pytest.mark.parametrize("argv,message", MALFORMED,
+                         ids=[" ".join(argv) for argv, _ in MALFORMED])
+def test_error_messages_print_readable_vectors(runner, argv, message):
     res = runner.invoke(main, argv)
     assert res.exit_code == 2
-    assert res.stderr.startswith("spec error: ")
+    assert res.stderr == f"spec error: {message}\n"
+    assert res.stdout == ""
 
 
 def test_error_messages_name_the_vector(runner):

@@ -36,7 +36,8 @@ coordinate = st.one_of(
     st.tuples(st.integers(-9, 9), st.integers(-3, 3)).map(
         lambda t: f"{t[0]}/{t[1]}"),
     st.sampled_from(["", " ", "x", "1.5", "-0", " 2 ", "1e2", "nan", "inf",
-                     "--1", "+", ",", "S:", "1/0", "0x1", "1e5000", BIG]))
+                     "--1", "+", ",", "S:", "1/0", "0x1", "1e5000", BIG,
+                     "1e+2", "2E+1", "e+1", "1.e+1"]))
 
 
 @st.composite
@@ -175,6 +176,28 @@ def test_oversized_numbers_end_at_once(argv, doc, code, message, fmt,
     assert res.exit_code == code, res.exception
     assert res.stderr.startswith(message) and res.stderr.count("\n") == 1
     assert res.stdout == ""
+
+
+@pytest.mark.parametrize("plus,bare", [
+    ("1e+5,0,0,0", "1e5,0,0,0"), ("1E+2,0,0,0", "100,0,0,0"),
+    ("2.e+1,0,0,0+S:1e+0,0,0,0", "20,0,0,0+S:1,0,0,0"),
+    ("1e2+1e+0,0,0,0", None)])
+def test_a_plus_after_an_exponent_mark_is_no_summand_plus(plus, bare):
+    # "+" joins summands except where it signs an exponent: 1e+5 is
+    # 1e5, and 1e2+1 is two summands, the first of one coordinate
+    def run(text):
+        res = CliRunner().invoke(main, ["check", "--group", "SO8", "--weight",
+                                        text, "--format", "json"])
+        return res.exit_code, res.stdout, res.stderr
+    code, out, err = run(plus)
+    if bare is None:
+        assert (code, out) == (2, "")
+        assert err == "spec error: SO8 expects 4 weight coordinates, got 1\n"
+        return
+    assert code == 0 and err == ""
+    want = run(bare)
+    assert json.loads(out)["results"][0]["certificate"] == json.loads(
+        want[1])["results"][0]["certificate"]
 
 
 @pytest.mark.parametrize("content", [b"[" * 100000 + b"]" * 100000,

@@ -15,13 +15,13 @@ from spinoriality.catalog import (CATALOG_RANK_LE_4, group_by_name,
                                   summary_suite_specs)
 from spinoriality.fundgroup import FundGroupData, fundamental_group
 from spinoriality.repcalc import (L_phi, casimir_value, classify,
-                                  freudenthal_multiplicities,
-                                  two_delta_pairing, weyl_dim)
+                                  freudenthal_multiplicities, weyl_dim)
+from spinoriality.errors import SpecificationError
 from spinoriality.rootdata import (RootDatum, _from_cartan, build_root_datum,
-                                   with_cochar_lattice)
-from spinoriality.spinor import (OrthRep, _q_forms, _sweep_basis, d_nu,
-                                 dominant_orthogonal_weights,
-                                 is_dominant_orthogonal, is_spinorial,
+                                   cartan_checked, cartan_factors,
+                                   expected_root_count, with_cochar_lattice)
+from spinoriality.spinor import (OrthRep, _q_forms, d_nu,
+                                 dominant_orthogonal_weights, is_spinorial,
                                  make_regular, q_irreducible, q_rep,
                                  q_via_weyl_sum)
 from test_ratlin import assert_smith_contract, mat_mul
@@ -36,7 +36,7 @@ def lattice_cochar(rd, coeffs):
 def orth_weight(g, coeffs):
     """A dominant orthogonal character built from box coordinates, or None."""
     lam = rl.combo(coeffs, g.weight_basis)
-    return lam if is_dominant_orthogonal(g.rd, lam) else None
+    return lam if reference_dominant_orthogonal(g.rd, lam) else None
 
 
 coeff_lists = st.lists(st.integers(-3, 3), min_size=8, max_size=8)
@@ -209,10 +209,11 @@ def test_labels_match_euclidean_definitions(case):
         rd, lam, rl.add(lam, rl.scale(2, delta)))
     self_dual = euclidean_dominant_conjugate(rd, rl.scale(-1, lam))[0] == lam
     cls = classify(rd, lam)
-    assert cls.self_dual == self_dual == rd.fixed_by_minus_w0(
-        lam, rd.dynkin_labels(lam))
+    forms, labels = rd.weight_forms(), rd.dynkin_labels(lam)
+    assert cls.self_dual == self_dual == forms.self_dual(
+        rl.scaled(lam)[0], labels)
     parity = sum(rl.dot(lam, co) for _, co in rd.positive_roots)
-    assert two_delta_pairing(rd, lam) == parity
+    assert forms.parity(labels) == parity
     assert cls.fs_parity == parity % 2
     assert cls.orthogonal == (self_dual and parity % 2 == 0)
     # -w0 is an involution permuting the simple roots
@@ -228,8 +229,126 @@ def test_gl2_weight_off_the_root_span_is_not_self_dual():
     lam = (Fraction(2), Fraction(0))
     cls = classify(g.rd, lam)
     assert not cls.self_dual and not cls.orthogonal
-    assert not g.rd.fixed_by_minus_w0(lam, g.rd.dynkin_labels(lam))
-    assert not is_dominant_orthogonal(g.rd, lam)
+    assert not reference_fixed_by_minus_w0(g.rd, lam, g.rd.dynkin_labels(lam))
+    assert forms_rejection(g.rd, None, lam) == ((2,), "self-dual")
+
+
+# ----------------------------------------------------------------------
+# the weight forms against reference copies of the predicate they replace
+
+def reference_is_character(rd, mu):
+    """mu kills the quotiented directions and pairs integrally with the
+    cocharacter basis, by Euclidean dot products."""
+    return (all(rl.dot(mu, z) == 0 for z in rd.central_cochars)
+            and all(rl.dot(mu, b).denominator == 1 for b in rd.cochar_basis))
+
+
+def reference_fixed_by_minus_w0(rd, mu, labels):
+    """-w0 mu = mu for mu with these labels: -w0 permutes the labels by
+    sigma, and is -1 on the cocharacters all simple roots kill."""
+    return (all(x == labels[s] for x, s in zip(labels, rd.minus_w0_perm))
+            and all(rl.dot(mu, z) == 0
+                    for z in rl.nullspace(rd.simple_roots, rd.dim)))
+
+
+def reference_two_delta_pairing(rd, lam):
+    """<lam, 2 delta_v>, the pairing with the sum of positive coroots."""
+    return sum(map(mul, rd.dynkin_labels(lam), rd.two_delta_coroot_coords))
+
+
+def reference_rejection(rd, lam):
+    """The first test of a dominant orthogonal character that lam fails:
+    "character", "dominant", "self-dual" or "parity"; None if it passes."""
+    labels = rd.dynkin_labels(lam)
+    if not reference_is_character(rd, lam):
+        return "character"
+    if min(labels, default=0) < 0:
+        return "dominant"
+    if not reference_fixed_by_minus_w0(rd, lam, labels):
+        return "self-dual"
+    if reference_two_delta_pairing(rd, lam) % 2:
+        return "parity"
+    return None
+
+
+def reference_dominant_orthogonal(rd, lam):
+    return reference_rejection(rd, lam) is None
+
+
+def forms_rejection(rd, basis, coords):
+    """(labels, the first test failed) as ``orth_rep`` reads them: the
+    datum's weight forms in ``basis``, then ``classify``."""
+    forms = rd.weight_forms(basis)
+    m, d = forms.lift(*rl.scaled(rl.vec(coords)))
+    labels, failed = forms.read(m, d)
+    if failed is None:
+        cls = classify(rd, tuple(Fraction(x, d) for x in m), labels)
+        failed = ("self-dual" if not cls.self_dual else
+                  "parity" if not cls.orthogonal else None)
+    return labels, failed
+
+
+@st.composite
+def data_basis_and_coords(draw):
+    """A ``random_datum``, a basis (None for ambient coordinates, or the
+    fundamental weights) and rational coordinates in it: a combination of
+    fundamental weights, symmetric under -w0 at times, with negative
+    entries at times, plus a multiple of a vector all coroots kill, times
+    k / den; so non-characters, non-dominant, non-self-dual, symplectic and
+    orthogonal weights all occur."""
+    rd, _ = random_datum(draw)
+    r = len(rd.simple_roots)
+    c = draw(st.lists(st.sampled_from([0, 0, 1, 2, 3, -1]), min_size=r,
+                      max_size=r))
+    if draw(st.booleans()):
+        c = [c[min(i, s)] for i, s in enumerate(rd.minus_w0_perm)]
+    scale = Fraction(draw(st.integers(1, 2)),
+                     draw(st.sampled_from([1, 1, 1, 2, 3])))
+    coords = [scale * x for x in c]
+    if draw(st.booleans()):
+        return rd, rd.fundamental_weights, coords
+    lam = rl.combo(coords, rd.fundamental_weights, dim=rd.dim)
+    zs = rl.nullspace(rd.simple_coroots, rd.dim)
+    if zs and draw(st.booleans()):
+        lam = rl.add(lam, rl.scale(Fraction(draw(st.integers(-2, 2)),
+                                            draw(st.integers(1, 2))),
+                                   draw(st.sampled_from(zs))))
+    return rd, None, lam
+
+
+@settings(max_examples=300, deadline=None)
+@given(data_basis_and_coords())
+def test_weight_forms_match_the_reference_predicate(case):
+    rd, basis, coords = case
+    forms = rd.weight_forms(basis)
+    m, d = forms.lift(*rl.scaled(rl.vec(coords)))
+    lam = tuple(Fraction(x, d) for x in m)
+    assert lam == (tuple(rl.vec(coords)) if basis is None
+                   else rl.combo(coords, basis, dim=rd.dim))
+    labels, failed = forms_rejection(rd, basis, coords)
+    assert failed == reference_rejection(rd, lam)
+    assert labels == (None if failed == "character" else rd.dynkin_labels(lam))
+    # a hyperbolic block stops after dominance
+    assert forms.read(m, d) == (
+        labels, failed if failed in ("character", "dominant") else None)
+    assert rd.is_character(lam) == (failed != "character")
+    assert rd.is_dominant(lam) == (min(rd.dynkin_labels(lam), default=0) >= 0)
+    if failed not in ("character", "dominant"):
+        cls = classify(rd, lam)
+        assert cls.self_dual == reference_fixed_by_minus_w0(rd, lam, labels)
+        assert cls.fs_parity == reference_two_delta_pairing(rd, lam) % 2
+        assert forms.parity(labels) == reference_two_delta_pairing(rd, lam)
+
+
+def test_weight_forms_reach_every_verdict():
+    # one weight per verdict, in fundamental-weight coordinates of C3 x A2
+    # with a central torus: a half-integral, a negative, a non-self-dual,
+    # a symplectic and an orthogonal label vector
+    rd = build_root_datum([("C", 3), ("A", 2)], central_rank=1)
+    assert [forms_rejection(rd, rd.fundamental_weights, c)[1] for c in (
+        [Fraction(1, 2), 0, 0, 0, 0], [1, -1, 1, 0, 0], [0, 0, 0, 1, 0],
+        [1, 0, 0, 0, 0], [0, 1, 0, 1, 1])] == [
+        "character", "dominant", "self-dual", "parity", None]
 
 
 # ----------------------------------------------------------------------
@@ -247,7 +366,7 @@ def data_orthogonal_weight_and_cochar(draw):
     c = [c[min(i, s)] for i, s in enumerate(rd.minus_w0_perm)]
     lam = least_character_multiple(
         rd, rl.combo(c, rd.fundamental_weights, dim=rd.dim))
-    if two_delta_pairing(rd, lam) % 2:
+    if reference_two_delta_pairing(rd, lam) % 2:
         lam = rl.scale(2, lam)
     assume(weyl_dim(rd, lam) <= 2000)
     n = len(rd.cochar_basis)
@@ -260,7 +379,7 @@ def data_orthogonal_weight_and_cochar(draw):
 @given(data_orthogonal_weight_and_cochar())
 def test_multiplicities_exactly_on_random_data(case):
     rd, central, lam, nu = case
-    assert is_dominant_orthogonal(rd, lam)
+    assert forms_rejection(rd, None, lam) == (rd.dynkin_labels(lam), None)
     table = freudenthal_multiplicities(rd, lam)
     items = list(table.items())
     assert len(items) == len(table)
@@ -539,13 +658,81 @@ def test_minus_w0_perm_matches_the_walk_with_shuffled_nodes(types, rnd):
         [cartan[i][j] for j in order] for i in order]
 
 
+def reference_finite_type(a):
+    """The components of a generalized Cartan matrix a, each with its
+    determinant, if a is of finite type, else None: its symmetrization
+    d_i a_ij, d_j = d_i a_ij / a_ji along a walk, is symmetric and every
+    leading principal minor on a component is positive, by Fraction
+    elimination without pivoting (the pivots are ratios of those minors)."""
+    n = len(a)
+    d, comps = [None] * n, []
+    for first in range(n):
+        if d[first] is not None:
+            continue
+        d[first], comp, stack = Fraction(1), [], [first]
+        while stack:
+            i = stack.pop()
+            comp.append(i)
+            for j in range(n):
+                if d[j] is None and a[i][j]:
+                    d[j] = d[i] * a[i][j] / a[j][i]
+                    stack.append(j)
+        comps.append(sorted(comp))
+    sym = [[d[i] * x for x in row] for i, row in enumerate(a)]
+    if sym != [list(col) for col in zip(*sym)]:
+        return None
+    out = []
+    for comp in comps:
+        m, det = [[sym[i][j] for j in comp] for i in comp], Fraction(1)
+        for k, top in enumerate(m):
+            if top[k] <= 0:
+                return None
+            det *= top[k]
+            for row in m[k + 1:]:
+                f = row[k] / top[k]
+                row[:] = [x - f * y for x, y in zip(row, top)]
+        out.append((comp, det / prod(d[i] for i in comp)))
+    return out
+
+
+@st.composite
+def generalized_cartan(draw):
+    """2 on the diagonal, entries 0, -1, -2, -3 off it, zero where the
+    transposed entry is."""
+    n = draw(st.integers(1, 6))
+    off = draw(st.lists(st.sampled_from([0, 0, 0, -1, -1, -1, -2, -3]),
+                        min_size=n * n, max_size=n * n))
+    return [[2 if i == j else off[i * n + j] if off[j * n + i] else 0
+             for j in range(n)] for i in range(n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(generalized_cartan())
+def test_cartan_factors_match_the_dense_minors(a):
+    want = reference_finite_type(a)
+    if want is None:
+        with pytest.raises(SpecificationError, match="not of finite type"):
+            cartan_factors(cartan_checked(a))
+        return
+    got = cartan_factors(cartan_checked(a))
+    assert [list(f.indices) for f in got] == [comp for comp, _ in want]
+    dets = {"A": lambda r: r + 1, "B": lambda r: 2, "C": lambda r: 2,
+            "D": lambda r: 4, "E": lambda r: 9 - r, "F": lambda r: 1,
+            "G": lambda r: 1}
+    assert [dets[f.family](f.rank) for f in got] == [det for _, det in want]
+    # the reflection closure finds the classified root count per factor
+    roots, coroots, _, _ = _from_cartan(a)
+    assert RootDatum(roots, coroots, coroots).num_positive_roots == sum(
+        expected_root_count(f.family, f.rank) for f in got) // 2
+
+
 # ----------------------------------------------------------------------
 # the sweep on integer forms, against the Euclidean brute force
 
 def euclidean_orthogonal(rd, lam):
     """lam is a dominant character with -w0 lam = lam and <lam, 2 delta_v>
     even, each read off the Euclidean definition."""
-    return (rd.is_character(lam)
+    return (reference_is_character(rd, lam)
             and all(rl.dot(lam, co) >= 0 for co in rd.simple_coroots)
             and euclidean_dominant_conjugate(rd, rl.scale(-1, lam))[0]
             == tuple(lam)
@@ -628,10 +815,10 @@ def test_sweep_matches_the_euclidean_brute_force(case):
     # the sweep reads -w0 off labels and central pairings
     vecs = [tuple(rl.vec(b)) for b in basis]
     images = [rl.mat_vec(rd.minus_w0_matrix, b) for b in vecs]
-    assert _sweep_basis(rd, basis)[-1] == (
+    assert rd.weight_forms(basis).coordinate_forms[0] == (
         [vecs.index(im) for im in images]
         if all(im in vecs for im in images) else None)
-    assert all(is_dominant_orthogonal(rd, lam) for _, lam in want)
+    assert all(forms_rejection(rd, None, lam)[1] is None for _, lam in want)
 
 
 # ----------------------------------------------------------------------

@@ -8,8 +8,7 @@ from spinoriality.errors import (GuardExceededError, IntegralityError,
                                  SpecificationError)
 from spinoriality.repcalc import (L_phi, classify, casimir_value,
                                   dynkin_index, dynkin_index_orth,
-                                  freudenthal_multiplicities,
-                                  two_delta_pairing, weyl_dim)
+                                  freudenthal_multiplicities, weyl_dim)
 from spinoriality.rootdata import (RootDatum, build_root_datum,
                                    with_cochar_lattice)
 
@@ -201,9 +200,11 @@ def test_L_non_integer_rejected():
 def test_two_delta_pairing_parity_matches_dim_count():
     # <lam, 2 delta_v> parity is the Frobenius-Schur discriminator
     rd = build_root_datum([("C", 3)])
-    w = rd.fundamental_weights
-    assert two_delta_pairing(rd, w[0]) % 2 == 1   # symplectic standard rep
-    assert two_delta_pairing(rd, w[1]) % 2 == 0   # orthogonal wedge-square
+    w, forms = rd.fundamental_weights, rd.weight_forms()
+    assert forms.parity(rd.dynkin_labels(w[0])) % 2 == 1   # symplectic
+    assert forms.parity(rd.dynkin_labels(w[1])) % 2 == 0   # wedge-square
+    assert forms.read(*rl.scaled(w[0])) == ((1, 0, 0), None)
+    assert not classify(rd, w[0], (1, 0, 0)).orthogonal
 
 
 def test_dynkin_index():

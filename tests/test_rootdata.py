@@ -1,3 +1,5 @@
+import gc
+import weakref
 from fractions import Fraction
 from operator import mul
 
@@ -10,7 +12,8 @@ from spinoriality.errors import SpecificationError
 from spinoriality.rootdata import (RootDatum, build_root_datum,
                                    expected_root_count, simple_system,
                                    with_cochar_lattice)
-from spinoriality.spinor import _q_forms
+from spinoriality.spinor import (_q_forms, dominant_orthogonal_weights,
+                                 orth_rep)
 from test_properties import reference_coroot_span_decomposition
 
 ALL_SIMPLE = [("A", 1), ("A", 4), ("B", 3), ("C", 4), ("D", 4), ("D", 6),
@@ -78,8 +81,8 @@ def test_dominant_conjugate_is_dominant_and_idempotent():
 
 
 def self_dual(rd, mu):
-    """-w0 mu = mu, read off the labels."""
-    return rd.fixed_by_minus_w0(mu, rd.dynkin_labels(mu))
+    """-w0 mu = mu, read off the labels by the datum's weight forms."""
+    return rd.weight_forms().self_dual(rl.scaled(mu)[0], rd.dynkin_labels(mu))
 
 
 def test_non_regular_weight_is_refused_before_its_orbit(monkeypatch):
@@ -228,3 +231,22 @@ def test_weyl_orders():
     assert build_root_datum([("D", 4)]).weyl_order == 192
     assert build_root_datum([("G", 2)]).weyl_order == 12
     assert build_root_datum([("F", 4)]).weyl_order == 1152
+
+
+@pytest.mark.parametrize("name", ["PSO8", "GL3", "SL4/mu2"])
+def test_a_datum_with_its_weight_forms_is_freed_at_once(name):
+    # the forms the datum keeps must not point back at it: a cycle would
+    # hold every cold datum and its tables until the cyclic collector runs
+    g = group_by_name(name)
+    orth_rep(g.rd, hyperbolic=[rl.scale(2, g.weight_basis[0])])
+    orth_rep(g.rd, hyperbolic=[[2] + [0] * (len(g.weight_basis) - 1)],
+             basis=g.weight_basis)
+    assert list(dominant_orthogonal_weights(g.rd, 1))
+    assert len(g.rd.__dict__["_weight_forms"]) == 2
+    gc.disable()
+    try:
+        rd = weakref.ref(g.rd)
+        del g
+        assert rd() is None
+    finally:
+        gc.enable()

@@ -11,13 +11,13 @@ from spinoriality import ratlin as rl
 from spinoriality.catalog import group_by_name, highest_root
 from spinoriality.errors import SpecificationError
 from spinoriality.repcalc import L_phi, freudenthal_multiplicities, weyl_dim
-from spinoriality.rootdata import RootDatum, build_root_datum
+from spinoriality.rootdata import RootDatum, WeightForms, build_root_datum
 from spinoriality.spinor import (OrthRep, adjoint_spinorial, descent_check,
-                                 dominant_orthogonal_weights,
-                                 is_dominant_orthogonal, is_spinorial,
+                                 dominant_orthogonal_weights, is_spinorial,
                                  make_regular, oracle_compare, orth_rep,
                                  q_irreducible, q_rep, q_tensor,
                                  q_via_weyl_sum, scan_periodicity)
+from test_properties import reference_dominant_orthogonal
 
 
 def test_pgl2_q_values():
@@ -279,7 +279,7 @@ def test_highest_root_is_adjoint_weight():
 def brute_force_sweep(rd, box, basis):
     for c in product(range(box + 1), repeat=len(basis)):
         lam = rl.combo(c, basis, dim=rd.dim)
-        if is_dominant_orthogonal(rd, lam):
+        if reference_dominant_orthogonal(rd, lam):
             yield c, lam
 
 
@@ -346,10 +346,18 @@ def test_summary_builds_no_minus_w0_matrix(monkeypatch, name):
 
 
 def test_sweep_reads_only_the_basis_labels(monkeypatch):
+    # the basis labels are pulled back once, as forms in the coordinates;
+    # no point's labels are computed.  The forms of the basis are built
+    # once, on the ambient tables, built once too
     g = group_by_name("PSO16")
     calls = count_calls(monkeypatch, RootDatum, "dynkin_labels")
+    reads = count_calls(monkeypatch, WeightForms, "labels")
+    builds = count_calls(monkeypatch, WeightForms, "__init__")
     assert catalog.sweep_all_spinorial(g, 2) == (True, None)
-    assert 0 < len(calls) <= len(g.rd.simple_roots)
+    assert calls == reads == []
+    assert [args[2] for args in builds] == [g.rd.fundamental_weights, None]
+    assert len(g.rd.weight_forms(g.weight_basis).coordinate_forms[2]) == len(
+        g.rd.simple_roots)
 
 
 @pytest.mark.parametrize("name", ["PSO16", "PSp16", "SL12/mu6", "E7adj",
@@ -375,9 +383,11 @@ def test_sweep_verdicts_match_the_validated_rep(monkeypatch, name):
 def test_check_reads_each_summand_label_once(monkeypatch):
     g = group_by_name("SO8")
     calls = count_calls(monkeypatch, RootDatum, "dynkin_labels")
+    reads = count_calls(monkeypatch, WeightForms, "labels")
     rep = cli.parse_weight_option(g, "1,0,0,0+1,1,0,0+S:2,1,0,0")
     verdict = is_spinorial(g.rd, g.fg, rep)
-    assert len(calls) == 3 and len(verdict.certificate) == 1
+    assert calls == [] and len(reads) == 3
+    assert len(verdict.certificate) == 1
     assert verdict == is_spinorial(g.rd, g.fg, OrthRep(rep.irreducible,
                                                        rep.hyperbolic))
 
