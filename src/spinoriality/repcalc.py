@@ -147,13 +147,14 @@ class WeightMultiplicityTable:
         multiplicity is sum w f(p) over the rows and p in ps, / n.  Per
         dominant mu, w = m |W mu|, ps = den <mu, y> over y in W nu and n =
         |W nu|; or, if that is more points, per x, w = m and n = 1."""
-        rd, a = self._rd, self._rd.cartan_matrix
-        n = rd.orbit_size(rd.root_pairings(nu)[0], tuple(zip(*a)))
+        nu_table = self._rd.cochar_table(nu)
+        n = nu_table.orbit_size
         if n * len(self._orbits) > len(self):
             den, pairs = self.pairings(nu)
             return den, 1, [(m, (p,)) for p, m, _ in pairs]
-        cs, k, den = rd.pairing_orbit(self._lam, nu)
-        return den, n, [(m * size, [sum(map(mul, c, mu)) + k for c in cs])
+        s, k, den = nu_table.orbit_form(self._lam)
+        return den, n, [(m * size, [s * sum(map(mul, c, mu)) + k
+                                    for c, _ in nu_table.signed_orbit])
                         for mu, m, size in self._orbits]
 
     def pairing_sums(self, nu, pairings=None):

@@ -103,11 +103,22 @@ class RootDatum:
         self._set_lattice(cochar_basis)
 
     def _set_lattice(self, cochar_basis):
-        """Take X_* spanned by these rows, checked to be independent and to
-        contain the coroot lattice; sets ``coroot_lattice_coords``."""
+        """Take X_* spanned by these rows, checked to be independent, to
+        contain the coroot lattice and to pair integrally with the simple
+        roots; sets ``coroot_lattice_coords``."""
         self.cochar_basis = tuple(vec(b) for b in cochar_basis)
         if any(len(b) != self.dim for b in self.cochar_basis):
             raise SpecificationError("inconsistent ambient dimensions")
+        self._cochar_rows = rows, bden = rl.scaled_rows(self.cochar_basis)
+        roots, rden = self._root_rows
+        supports = [[(k, x) for k, x in enumerate(b) if x] for b in rows
+                    if rden * bden > 1]     # else every pairing is integral
+        for i, r in enumerate(roots):
+            if any(sum(r[k] * x for k, x in s) % (rden * bden)
+                   for s in supports):
+                raise SpecificationError(
+                    f"simple root {i + 1} pairs non-integrally with the "
+                    "cocharacter lattice: not a root datum")
         # the simple coroots, then the quotiented directions, in coordinates
         # of the cocharacter basis (None off its span), by one elimination
         rank, coords = rl.solve_columns(
@@ -378,11 +389,20 @@ class RootDatum:
 
     def cochar_norm_sq(self, nu, factor=None):
         """|nu|^2 = sum over roots (of one factor, if given) of <beta, nu>^2,
-        <beta, nu> = c_beta . p / den, p / den = ``root_pairings(nu)``."""
-        p, den = self.root_pairings(nu)
-        return Fraction(2 * sum(
-            sum(map(mul, c, p)) ** 2 for c in self.positive_root_coords
-            if factor is None or self._factor_of_root(c) == factor), den * den)
+        read off ``cochar_table(nu).norms``."""
+        norms = self.cochar_table(nu).norms
+        return sum(norms, Fraction(0)) if factor is None else norms[factor]
+
+    def cochar_table(self, nu):
+        """The ``CocharTable`` of nu, kept by value for the last 2 rank(X_*)
+        read: room for each pi_1 generator and its regular point."""
+        key = rl.scaled(nu)
+        memo = self.__dict__.setdefault("_cochar_tables", {})
+        table = memo.pop(key, None) or CocharTable(self, nu, key)
+        memo[key] = table       # the most recently read last
+        if len(memo) > 2 * len(self.cochar_basis):
+            del memo[next(iter(memo))]
+        return table
 
     def dual_coxeter_number(self, factor):
         """h^v = 1 + ht(theta^v), theta the factor's positive root of greatest
@@ -511,36 +531,17 @@ class RootDatum:
         """<mu, nu> as one integer linear form in the labels of mu, for every
         mu with the central part of lam (mu - lam in the root span).
 
-        Returns (c, k, den) with <mu, nu> = (sum_i c_i mu_i + k) / den:
-        c_i / den = <omega_i, nu> and k / den = <lam, nu^z>, the pairing of
-        lam with the central part of nu.  In integers: <omega_i, nu> = sum_j
-        adj_ij p_j / (det den_p), p / den_p = ``root_pairings(nu)``.
-        """
-        p, pden = self.root_pairings(nu)
-        adj, det = self._cartan_adj
-        (lnums, lden), (nnums, nden) = rl.scaled(lam), rl.scaled(nu)
-        labels, d = rl.scaled(self.dynkin_labels(lam))
-        s = lden * nden * d         # den = s det pden
-        c = [sum(map(mul, row, p)) * s for row in adj]
-        k = (sum(map(mul, lnums, nnums)) * d * det * pden
-             - sum(map(mul, c, labels)) // d)
-        g = gcd(*c, k, s * det * pden)
-        return [x // g for x in c], k // g, s * det * pden // g
-
-    def pairing_orbit(self, lam, nu):
-        """``label_pairing`` at each y in the orbit of nu: (cs, k, den), one
-        c per y, one k as W fixes nu's central part.  The orbit is walked on
-        p = a c, p_j = den <alpha_j, y>, and c = adj(a) p / det exactly."""
-        a, (c, k, den) = self.cartan_matrix, self.label_pairing(lam, nu)
-        adj, det = self._cartan_adj
-        ps = self._orbit([sum(map(mul, row, c)) for row in a], tuple(zip(*a)))
-        return ([[sum(map(mul, row, p)) // det for row in adj] for p in ps],
-                k, den)
-
-    def root_pairings(self, nu):
-        """(p, den): <alpha_j, nu> = p_j / den for the simple roots."""
-        (nums, den), (rows, rden) = rl.scaled(nu), self._root_rows
-        return [sum(map(mul, row, nums)) for row in rows], den * rden
+        Returns (c, k, den) in least terms with <mu, nu> = (sum_i c_i mu_i +
+        k) / den: c_i / den = <omega_i, nu> (``CocharTable.omega``), k / den =
+        <lam, nu^z> = <lam, nu> - sum_i lam_i <omega_i, nu>, nu^z the central
+        part of nu."""
+        table = self.cochar_table(nu)
+        c, cden = table.omega   # nu^z = 0 where the coroots span the space
+        z = 0 if self.dim == len(c) else dot(lam, table.nu) - Fraction(
+            sum(map(mul, c, self.dynkin_labels(lam))), cden)
+        s = z.denominator // gcd(z.denominator, cden)
+        return ([x * s for x in c], z.numerator * cden * s // z.denominator,
+                cden * s)
 
     # ------------------------------------------------------------------
     # lattices
@@ -621,7 +622,7 @@ class WeightForms:
         # the datum keeps its forms: a proxy, so that no cycle outlives it
         self._rd, self.basis = proxy(rd), basis
         if basis is None:
-            self._xrows, self._xden = rl.scaled_rows(rd.cochar_basis)
+            self._xrows, self._xden = rd._cochar_rows
             self._arows, self._aden = rl.scaled_rows(rd.simple_coroots)
             self._central = [rl.scaled(z)[0] for z in rd.central_cochars]
         else:   # the ambient tables, shared
@@ -631,6 +632,10 @@ class WeightForms:
 
     def lift(self, nums, den):
         """(m, d): the weight with coordinates nums / den is m / d."""
+        width = self._rd.dim if self.basis is None else len(self.basis)
+        if len(nums) != width:
+            raise SpecificationError(
+                f"a weight needs {width} coordinates here, got {len(nums)}")
         if self.basis is None:
             return nums, den
         return ([sum(map(mul, nums, col)) for col in self._cols],
@@ -695,6 +700,70 @@ class WeightForms:
         perm = [index.get((tuple([ls[i] for i in rd.minus_w0_perm]),
                            tuple([-x for x in k]))) for ls, k in keys]
         return None if None in perm else perm, forms, labels
+
+
+class CocharTable:
+    """What is read of one cocharacter nu whatever the weight: ``pairings``
+    p / den = <alpha_j, nu>, ``omega`` c / cden = <omega_i, nu> in least
+    terms, ``norms``, each factor's |nu^i|^2, and ``d_nu``, from one pass
+    over the closure; ``regular``, ``orbit_size`` and ``signed_orbit`` when
+    first read."""
+
+    def __init__(self, rd, nu, scaled):
+        # the datum keeps its tables: a proxy, so that no cycle outlives it
+        self._rd, self.nu, (nums, nden) = proxy(rd), vec(nu), scaled
+        (rows, rden), (adj, det) = rd._root_rows, rd._cartan_adj
+        self.pairings = p, den = ([sum(map(mul, row, nums)) for row in rows],
+                                  nden * rden)
+        o = [sum(map(mul, row, p)) for row in adj]
+        g = gcd(*o, det * den)
+        self.omega = [x // g for x in o], det * den // g
+        # den <beta, nu> = c_beta . p for each positive root beta
+        self._values = [sum(map(mul, c, p)) for c in rd.positive_root_coords]
+        norms = [0] * len(rd.factors)
+        for c, x in zip(rd.positive_root_coords, self._values):
+            norms[rd._factor_of_root(c)] += x * x
+        self.norms = tuple(Fraction(2 * n, den * den) for n in norms)
+        # the product of <beta, nu> over the positive roots
+        self.d_nu = Fraction(prod(self._values), den ** len(self._values))
+
+    @cached_property
+    def regular(self):
+        """nu if regular, else nu + t rho_v for the least regular one, t >=
+        1: den <beta, nu + t rho_v> = c_beta . p + t den ht(beta) vanishes
+        at one t at most, so some t <= N is regular, found on integers."""
+        rd, den = self._rd, self.pairings[1]
+        lines = [(x, den * sum(c))
+                 for x, c in zip(self._values, rd.positive_root_coords)]
+        t = next(t for t in range(len(lines) + 1)
+                 if all(a + t * h for a, h in lines))
+        return self.nu if t == 0 else add(self.nu, scale(t, rl.combo(
+            (1,) * len(rd.simple_roots), rd.fundamental_coweights)))
+
+    @cached_property
+    def orbit_size(self):
+        rd = self._rd
+        return rd.orbit_size(self.pairings[0], tuple(zip(*rd.cartan_matrix)))
+
+    @cached_property
+    def signed_orbit(self):
+        """The Weyl orbit of nu, walked once by ``_orbit`` on p (a^T is the
+        dual root system's Cartan matrix), the point y = w nu as (c, det(w)),
+        c / cden = <omega_i, y>, cden that of ``omega``: s_j lowers cden
+        <omega_j, y> by cden <alpha_j, y>, an integer combination of them."""
+        rd, (p, den) = self._rd, self.pairings
+        adj, det = rd._cartan_adj
+        g, orbit = det * den // self.omega[1], rd._orbit(
+            p, tuple(zip(*rd.cartan_matrix)))
+        return [(tuple([sum(map(mul, row, y)) // g for row in adj]), sign)
+                for y, sign in orbit.items()]
+
+    def orbit_form(self, lam):
+        """(s, k, den): <mu, y> = (s c . mu + k) / den at each point (c, _) of
+        ``signed_orbit`` for every mu with the central part of lam, as (s c,
+        k, den) is ``label_pairing`` at y."""
+        _, k, den = self._rd.label_pairing(lam, self.nu)
+        return den // self.omega[1], k, den
 
 
 # ----------------------------------------------------------------------
@@ -800,14 +869,16 @@ def cartan_factors(a):
 def _family(comp, bond, det, d):
     """The family of a component, by its largest bond a_ij a_ji and its
     determinant |P/Q|: n + 1 for A_n, 2 for B_n and C_n, 4 for D_n, 9 - n
-    for E_n, 1 for F4 and G2; B if the last-listed simple root is short
-    (a larger symmetrizer entry), else C."""
+    for E_n, 1 for F4 and G2; B_n (n >= 3) has one short simple root (larger
+    d), C_n one long one; B2 = C2 is B if its last-listed root is short."""
     if bond == 3:
         return "G"
     if bond == 2 and det == 1:
         return "F"
     if bond == 2:
-        return "B" if d[comp[-1]] > min(d[i] for i in comp) else "C"
+        short = [i for i in comp if d[i] == max(d[j] for j in comp)]
+        return "B" if len(short) == 1 and (
+            len(comp) > 2 or short == [comp[-1]]) else "C"
     return "A" if det == len(comp) + 1 else "D" if det == 4 else "E"
 
 

@@ -11,11 +11,11 @@ utilities built on top.
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product, tee
-from math import factorial, prod
+from math import factorial
 from operator import mul
 
 from . import ratlin as rl
-from .ratlin import add, dot, scale, fmt_vec
+from .ratlin import dot, fmt_vec
 from . import repcalc
 from .errors import SpecificationError, IntegralityError, GuardExceededError
 from .repcalc import (weyl_dim, casimir_value, classify,
@@ -77,14 +77,10 @@ def q_irreducible(rd, lam, nu):
     Exact rational; integrality for orthogonal lam and lattice nu is a
     theorem and is asserted by the callers that need an integer.
     """
-    dim = weyl_dim(rd, lam)
-    total = Fraction(0)
-    for i in range(len(rd.factors)):
-        nsq = rd.cochar_norm_sq(nu, factor=i)
-        if nsq == 0:
-            continue
-        total += Fraction(nsq, 2) * casimir_value(rd, lam, factor=i) / rd.factor_dim(i)
-    return dim * total
+    return weyl_dim(rd, lam) * sum(
+        (nsq / 2 * casimir_value(rd, lam, factor=i) / rd.factor_dim(i)
+         for i in range(len(rd.factors))
+         if (nsq := rd.cochar_norm_sq(nu, factor=i))), Fraction(0))
 
 
 def q_tensor(dim1, q1, dim2, q2):
@@ -118,13 +114,10 @@ def _q_forms(rd, nus):
     - l . o / oden.  w_i / D = |nu^i|^2 / (2 dim g_i den_i), den_i that of
     ``_inverse_killing``; q of an irreducible with labels l is then dim V
     sum_i w_i Q_i(l) / D, Q_i = ``factor_inner_nums(l, l + 2)``."""
-    adj, det = rd._cartan_adj
-    return tuple((nu, [sum(map(mul, row, p)) for row in adj], det * pden,
-                  *rl.scaled([Fraction(rd.cochar_norm_sq(nu, factor=i),
-                                       2 * rd.factor_dim(i) * den)
-                              for i, (*_, den) in
-                              enumerate(rd._inverse_killing)]))
-                 for nu in nus for p, pden in [rd.root_pairings(nu)])
+    return tuple((nu, *t.omega, *rl.scaled(
+        [nsq / (2 * rd.factor_dim(i) * den) for i, (nsq, (*_, den)) in
+         enumerate(zip(t.norms, rd._inverse_killing))]))
+        for nu in nus for t in [rd.cochar_table(nu)])
 
 
 def _q_values(rd, forms, rep):
@@ -183,32 +176,10 @@ def adjoint_spinorial(rd):
 # ----------------------------------------------------------------------
 # oracles
 
-def d_nu(rd, nu):
-    """Product of <alpha, nu> over the positive roots, each c_alpha . p over
-    the denominator of p = ``RootDatum.root_pairings(nu)``."""
-    p, den = rd.root_pairings(nu)
-    return Fraction(prod(sum(map(mul, c, p))
-                         for c in rd.positive_root_coords),
-                    den ** rd.num_positive_roots)
-
-
 def make_regular(rd, nu):
     """nu itself if regular, else nu + t rho_v for the least regular one
-    with t >= 1.  With p / den = ``RootDatum.root_pairings(nu)``, <beta,
-    nu + t rho_v> den = c_beta . p + t den ht(beta) vanishes at one t at
-    most, so some t <= N is regular; t is scanned on these integers and
-    the vector built once."""
-    nu = tuple(rl.vec(nu))
-    p, den = rd.root_pairings(nu)
-    lines = [(sum(map(mul, c, p)), den * sum(c))
-             for c in rd.positive_root_coords]
-    t = next(t for t in range(rd.num_positive_roots + 1)
-             if all(a + t * h for a, h in lines))
-    if t == 0:
-        return nu
-    # rho_v: <alpha_i, rho_v> = 1 for every simple root
-    rho_v = rl.combo((1,) * len(rd.simple_roots), rd.fundamental_coweights)
-    return add(nu, scale(t, rho_v))
+    with t >= 1 (``CocharTable.regular``)."""
+    return rd.cochar_table(nu).regular
 
 
 def q_via_weyl_sum(rd, lam, nu, guard=WEYL_GUARD_DEFAULT):
@@ -217,24 +188,28 @@ def q_via_weyl_sum(rd, lam, nu, guard=WEYL_GUARD_DEFAULT):
     q = sum_w sgn(w) <w(lam+delta), nu>^(N+2) / ((N+2)! d_nu)
         - dim V |nu|^2 / 48,
     valid for regular nu (d_nu != 0); N is the number of positive roots.
-    The orbit is taken on labels, where <mu, nu> is one integer linear form
-    over a common denominator (``RootDatum.label_pairing``).
+    As <w(lam+delta), nu> = <lam+delta, w^-1 nu>, the sum runs over the
+    signed orbit of nu in its ``CocharTable``, walked once per cocharacter,
+    each point one integer form in the labels of lam+delta (``orbit_form``);
+    the guard on |W| is checked on every call, before the orbit is read.
     """
     fams, central = rd.lie_type
     if len(fams) != 1 or central != 0:
         raise SpecificationError("the Weyl-sum formula needs simple g")
-    repcalc.dominant_labels(rd, lam)
-    nu = tuple(rl.vec(nu))
-    den = d_nu(rd, nu)
-    if den == 0:
+    labels = repcalc.dominant_labels(rd, lam)
+    table = rd.cochar_table(nu)
+    if table.d_nu == 0:
         raise SpecificationError("nu must be regular for the Weyl-sum formula")
+    if guard is not None and rd.weyl_order > guard:
+        raise GuardExceededError(
+            f"Weyl group order {rd.weyl_order} exceeds guard {guard}")
     n2 = rd.num_positive_roots + 2
-    orbit = rd.weyl_orbit_signed(add(rl.vec(lam), rd.delta), guard=guard)
-    c, k, pden = rd.label_pairing(lam, nu)
-    acc = sum(sign * (sum(map(mul, c, w)) + k) ** n2
-              for w, sign in orbit.items())
-    main = Fraction(acc, factorial(n2) * pden ** n2) / den
-    return main - Fraction(weyl_dim(rd, lam), 48) * rd.cochar_norm_sq(nu)
+    s, k, den = table.orbit_form(lam)
+    shifted = [x + 1 for x in labels]
+    acc = sum(sign * (s * sum(map(mul, c, shifted)) + k) ** n2
+              for c, sign in table.signed_orbit)
+    main = Fraction(acc, factorial(n2) * den ** n2) / table.d_nu
+    return main - Fraction(weyl_dim(rd, lam, labels), 48) * sum(table.norms)
 
 
 def oracle_compare(rd, lam, nu, freudenthal_guard=FREUDENTHAL_GUARD_DEFAULT,
@@ -245,6 +220,9 @@ def oracle_compare(rd, lam, nu, freudenthal_guard=FREUDENTHAL_GUARD_DEFAULT,
     regular point) and the pairwise agreement flags:
     L == q mod 2, and Weyl-sum q == closed-form q exactly.  ``ok`` also
     asks that sum_x m(x) <x, nu>^2, the trace form at nu, be 2q exactly.
+    What depends on nu alone (|nu^i|^2, the regular point, d_nu, the orbits
+    of nu and of the regular point) is read from their ``CocharTable``s, so
+    a second row at the same nu walks no orbit.
     """
     nu = tuple(rl.vec(nu))
     table = freudenthal_multiplicities(rd, lam, guard=freudenthal_guard)

@@ -44,9 +44,11 @@ def test_tracing_instruments_and_restores_the_package(monkeypatch):
 
 
 def test_traced_oracle_row_matches_the_reference_counts(monkeypatch):
-    # the traced oracle run reads len(table), dominant_items() and
-    # len(orbit); their values must stay those bench/reference.json holds,
-    # on a row of each oracle group
+    # the traced oracle run reads len(table) and dominant_items(); their
+    # values must stay those bench/reference.json holds, on a row of each
+    # oracle group.  The Weyl sum no longer walks the orbit of lam + delta
+    # by weyl_orbit_signed but reads that of the regular point from its
+    # cocharacter table, which must have the recorded orbit size
     tracing = load_tracing(monkeypatch)
     reference = json.loads((BENCH / "reference.json").read_text())
     for name, coords in [("SO8", [1, 0, 0, 0]), ("Spin8", [0, 1, 0, 0]),
@@ -60,12 +62,13 @@ def test_traced_oracle_row_matches_the_reference_counts(monkeypatch):
         tracer.group = name
         with tracing.instrument(tracer):
             report = spinor.oracle_compare(g.rd, lam, nu)
-        assert report["ok"]
-        assert tracer.stats["rootdata.weyl_orbit_signed"][0] == 1
+        assert report["ok"] and report["weyl_agrees"]
+        assert "rootdata.weyl_orbit_signed" not in tracer.stats
         assert tracer.stats["repcalc.freudenthal_multiplicities"][0] == 1
-        assert {f"freudenthal {key}", f"orbit_size {key}"} <= set(
-            tracer.observed)
+        assert f"freudenthal {key}" in tracer.observed
         assert key in reference["oracle"]
+        orbit = g.rd.cochar_table(report["regular_point"]).signed_orbit
+        assert len(orbit) == reference["oracle"][key]["orbit_size"]
         assert tracing.check_counts(tracer, reference) == []
 
 

@@ -328,6 +328,31 @@ def test_group_file_root_datum(runner, tmp_path):
     assert res2.exit_code == 2
 
 
+def test_group_file_lattice_must_pair_integrally_with_the_roots(
+        runner, tmp_path):
+    # B2 x G2 with alpha_1^v / 2 in X_*: <alpha_2, alpha_1^v / 2> = -1/2,
+    # so this is no root datum, and it is refused as the file is read
+    f = tmp_path / "g.json"
+    f.write_text(json.dumps({"rootDatum": {
+        "cartan": [[2, -2, 0, 0], [-1, 2, 0, 0], [0, 0, 2, -1],
+                   [0, 0, -3, 2]],
+        "cocharGenerators": [[1, 0, 0, 0]], "denominator": 2}}))
+    for argv in (["table"], ["check", "--weight", "2,2,0,0"]):
+        res = runner.invoke(main, [argv[0], "--group", str(f), *argv[1:]])
+        assert res.exit_code == 2
+        assert res.output == ("spec error: simple root 2 pairs "
+                              "non-integrally with the cocharacter lattice: "
+                              "not a root datum\n")
+    # on B2 alone alpha_1^v / 2 pairs to -1/2 with the short root too;
+    # alpha_2^v / 2 pairs integrally with both, and the datum loads
+    for gen, code in (([1, 0], 2), ([0, 1], 0)):
+        f.write_text(json.dumps({"rootDatum": {
+            "cartan": [[2, -2], [-1, 2]], "cocharGenerators": [gen],
+            "denominator": 2}}))
+        res = runner.invoke(main, ["table", "--group", str(f)])
+        assert res.exit_code == code
+
+
 def test_group_file_malformed(runner, tmp_path):
     f = tmp_path / "bad.json"
     f.write_text("{not json")

@@ -156,10 +156,15 @@ OVERSIZED = [
      "spec error: a number in the group name SL1000000000... is too long"),
     (["summary", "--group", "SO8", "--box", "1" + "0" * 4000], None, 4,
      "guard exceeded: the box-1"),
+    (["check", "--weight", "1e1000,1e1000"], {"rootDatum": {
+        "cartan": [[2, -1], [-1, 2]], "cocharGenerators": [[1, 2]],
+        "denominator": 3}}, 4, "guard exceeded: a result of about 10^"),
+    # a generator with a 4 000-digit denominator pairs non-integrally with
+    # a root: no root datum, refused as the file is read
     (["table"], {"rootDatum": {"cartan": [[2, -1], [-1, 2]],
                                "cocharGenerators": [[1, 2]],
-                               "denominator": int("3" + "0" * 4000)}}, 4,
-     "guard exceeded: a result of about 10^"),
+                               "denominator": int("3" + "0" * 4000)}}, 2,
+     "spec error: simple root 2 pairs non-integrally"),
 ]
 
 

@@ -20,7 +20,7 @@ from spinoriality.errors import SpecificationError
 from spinoriality.rootdata import (RootDatum, _from_cartan, build_root_datum,
                                    cartan_checked, cartan_factors,
                                    expected_root_count, with_cochar_lattice)
-from spinoriality.spinor import (OrthRep, _q_forms, d_nu,
+from spinoriality.spinor import (OrthRep, _q_forms,
                                  dominant_orthogonal_weights, is_spinorial,
                                  make_regular, q_irreducible, q_rep,
                                  q_via_weyl_sum)
@@ -147,13 +147,14 @@ SMALL_TYPES = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3),
                ("D", 4), ("G", 2)]
 
 
-def random_datum(draw):
+def random_datum(draw, simple=False):
     """A product of simple types with at most one central torus, its
     cocharacter lattice enlarged by one rational generator; and whether it
-    has the central torus (the last coordinate)."""
+    has the central torus (the last coordinate).  ``simple``: one type and
+    no torus."""
     types = draw(st.lists(st.sampled_from(SMALL_TYPES), min_size=1,
-                          max_size=3))
-    central = draw(st.integers(0, 1))
+                          max_size=1 if simple else 3))
+    central = 0 if simple else draw(st.integers(0, 1))
     rd = build_root_datum(types, central_rank=central)
     r = len(rd.simple_roots)
     gen = rl.combo(draw(st.lists(st.integers(-2, 2), min_size=r, max_size=r)),
@@ -355,12 +356,12 @@ def test_weight_forms_reach_every_verdict():
 # the multiplicity oracle, exactly, on random root data
 
 @st.composite
-def data_orthogonal_weight_and_cochar(draw):
+def data_orthogonal_weight_and_cochar(draw, simple=False):
     """A ``random_datum`` and whether it has a central torus, an orthogonal
     lam of dim V <= 2000 on it (labels symmetric under -w0, no central
     part, an even multiple when the Frobenius-Schur parity is odd) and a
     lattice cocharacter nu."""
-    rd, central = random_datum(draw)
+    rd, central = random_datum(draw, simple)
     r = len(rd.simple_roots)
     c = draw(st.lists(st.sampled_from([0, 0, 1, 2]), min_size=r, max_size=r))
     c = [c[min(i, s)] for i, s in enumerate(rd.minus_w0_perm)]
@@ -415,6 +416,33 @@ def test_multiplicities_exactly_on_random_data(case):
     if len(fams) == 1 and simple_central == 0:
         reg = make_regular(rd, nu)
         assert q_via_weyl_sum(rd, lam, reg) == q_irreducible(rd, lam, reg)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data_orthogonal_weight_and_cochar(simple=True))
+def test_cochar_table_weyl_sum_matches_the_closed_form(case):
+    # over the signed orbit of the regular point, read from its table, the
+    # alternating sum is the one over the orbit of lam + delta, and the
+    # Weyl-sum q is q_irreducible there; the orbit has |W| points, half of
+    # them of each sign
+    rd, _, lam, nu = case
+    reg = make_regular(rd, nu)
+    table = rd.cochar_table(reg)
+    points, cden = table.signed_orbit, table.omega[1]
+    assert table.nu == reg and table.d_nu != 0
+    assert len(points) == rd.weyl_order
+    assert sum(sign for _, sign in points) == 0
+    n2 = rd.num_positive_roots + 2
+    shifted = [x + 1 for x in rd.dynkin_labels(lam)]
+    s, k, den = table.orbit_form(lam)
+    c, k_lam, den_lam = rd.label_pairing(lam, reg)
+    assert (k, den) == (k_lam, den_lam) and den == s * cden
+    assert sum(sign * (s * sum(map(mul, y, shifted)) + k) ** n2
+               for y, sign in points) == sum(
+        sign * (sum(map(mul, c, x)) + k) ** n2 for x, sign in
+        rd.weyl_orbit_signed(rl.add(lam, rd.delta)).items())
+    assert q_via_weyl_sum(rd, lam, reg) == q_irreducible(rd, lam, reg)
+    assert rd.cochar_table(reg) is table
 
 
 def reference_dominant_multiplicities(rd, lam):
@@ -991,9 +1019,12 @@ def test_orbit_sizes_and_the_orbit_of_nu(case):
     lam = rl.combo(labels, rd.fundamental_weights, dim=rd.dim)
     nu = rl.combo(start, rd.fundamental_coweights, dim=rd.dim)
     c, k, den = rd.label_pairing(lam, nu)
-    cs, k_orbit, den_orbit = rd.pairing_orbit(lam, nu)
+    table = rd.cochar_table(nu)
+    s, k_orbit, den_orbit = table.orbit_form(lam)
+    cs = [[s * x for x in y] for y, _ in table.signed_orbit]
     assert (k_orbit, den_orbit) == (k, den)
     assert sorted(map(tuple, cs)) == sorted(reference_pairing_orbit(rd, c))
+    assert table.orbit_size == len(cs)
     # |W nu| |W_nu| = |W|, W_nu from the zero labels of the dominant point
     top = next(y for y in cs if min(sum(map(mul, row, y))
                                     for row in rd.cartan_matrix) >= 0)
@@ -1047,7 +1078,7 @@ def test_integer_pairings_match_the_euclidean_definitions(case):
     reg = make_regular(rd, nu)
     assert reg == reference_make_regular(rd, nu)
     assert all(rl.dot(root, reg) for root, _ in rd.positive_roots)
-    assert d_nu(rd, nu) == prod((rl.dot(root, nu) for root, _ in
+    assert rd.cochar_table(nu).d_nu == prod((rl.dot(root, nu) for root, _ in
                                  rd.positive_roots), start=Fraction(1))
     for factor in (None, *range(len(rd.factors))):
         roots = (rd.positive_roots if factor is None

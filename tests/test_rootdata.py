@@ -1,6 +1,7 @@
 import gc
 import weakref
 from fractions import Fraction
+from itertools import permutations
 from operator import mul
 
 import pytest
@@ -32,6 +33,22 @@ def test_classification_roundtrip(family, rank):
     fams, central = rd.lie_type
     assert central == 0
     assert list(fams) == [(family, rank)]
+
+
+@pytest.mark.parametrize("family,rank", [("B", 3), ("C", 3), ("B", 4),
+                                         ("C", 4), ("B", 2)])
+def test_lie_type_does_not_depend_on_the_node_order(family, rank):
+    # B_n has one short simple root and C_n one long one, wherever the
+    # short end of the diagram is listed; B2 = C2 keeps the reading of its
+    # last-listed root, so both orders are checked against that
+    a = build_root_datum([(family, rank)]).cartan_matrix
+    for perm in permutations(range(rank)):
+        b = [[a[i][j] for j in perm] for i in perm]
+        rd = RootDatum(b, rl.identity(rank), rl.identity(rank))
+        # in B2, the last-listed root is the short one iff the other one's
+        # row has -2 at its column
+        want = family if rank > 2 else "CB"[b[0][1] == -2]
+        assert rd.lie_type == ([(want, rank)], 0)
 
 
 @pytest.mark.parametrize("family,rank", ALL_SIMPLE)
@@ -152,22 +169,23 @@ def test_cochar_norm_sq_values():
         assert rd.cochar_norm_sq(nu) == 2 * (n // d) ** 2 * (n - 1)
 
 
-def test_cochar_norm_sq_keeps_no_memo():
-    # |nu|^2 is summed over the closure on every call: 100 distinct nu leave
-    # the datum's tables as they were
+def test_cochar_norm_sq_keeps_a_bounded_memo():
+    # |nu|^2 is read off the cocharacter tables: 100 distinct nu leave the
+    # datum's other tables as they were and at most 2 rank(X_*) tables
     rd = build_root_datum([("D", 4)])
     rd.cochar_norm_sq(rd.simple_coroots[0], factor=0)
     roots = [root for root, _ in rd.positive_roots]
     before = {k: len(v) if isinstance(v, dict) else None
-              for k, v in vars(rd).items()}
+              for k, v in vars(rd).items() if k != "_cochar_tables"}
     for t in range(100):
         nu = rl.vec([t, 1, -t, Fraction(t, 3)])
         assert rd.cochar_norm_sq(nu) == 2 * sum(
             rl.dot(root, nu) ** 2 for root in roots)
         rd.cochar_norm_sq(nu, factor=0)
-    assert len(rd.__dict__) == len(before)
+    assert len(rd.__dict__) == len(before) + 1
     assert before == {k: len(v) if isinstance(v, dict) else None
-                      for k, v in vars(rd).items()}
+                      for k, v in vars(rd).items() if k != "_cochar_tables"}
+    assert len(rd._cochar_tables) == 2 * len(rd.cochar_basis) == 8
 
 
 def test_coroot_span_decomposition():

@@ -1,4 +1,6 @@
+import json
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 from math import comb
@@ -9,9 +11,10 @@ from click.testing import CliRunner
 from spinoriality import catalog, cli, spinor
 from spinoriality import ratlin as rl
 from spinoriality.catalog import group_by_name, highest_root
-from spinoriality.errors import SpecificationError
+from spinoriality.errors import GuardExceededError, SpecificationError
 from spinoriality.repcalc import L_phi, freudenthal_multiplicities, weyl_dim
-from spinoriality.rootdata import RootDatum, WeightForms, build_root_datum
+from spinoriality.rootdata import (CocharTable, RootDatum, WeightForms,
+                                   build_root_datum)
 from spinoriality.spinor import (OrthRep, adjoint_spinorial, descent_check,
                                  dominant_orthogonal_weights, is_spinorial,
                                  make_regular, oracle_compare, orth_rep,
@@ -82,6 +85,23 @@ def test_orth_rep_validation():
         orth_rep(g3.rd, irreducible=[(Fraction(1), Fraction(1))])
 
 
+@pytest.mark.parametrize("coords", [[2], [2, 0, 0, 0, 0]])
+def test_orth_rep_refuses_weights_of_the_wrong_length(coords):
+    # SO8 weights have 4 ambient and 4 basis coordinates; a shorter or
+    # longer one is refused, not read on its first entries
+    g = group_by_name("SO8")
+    good = orth_rep(g.rd, irreducible=[(2, 0, 0, 0)])
+    assert good.labels == ((2, 0, 0, 0),)
+    assert orth_rep(g.rd, irreducible=[[2, 0, 0, 0]],
+                    basis=g.weight_basis).labels == ((2, 0, 0, 0),)
+    for basis in (None, g.weight_basis):
+        with pytest.raises(SpecificationError, match=(
+                f"needs 4 coordinates here, got {len(coords)}")):
+            orth_rep(g.rd, irreducible=[coords], basis=basis)
+        with pytest.raises(SpecificationError, match="needs 4 coordinates"):
+            orth_rep(g.rd, hyperbolic=[coords], basis=basis)
+
+
 def test_q_rep_additivity():
     g = group_by_name("PGL2")
     nu = g.fg.generators[0]
@@ -128,24 +148,46 @@ ORACLE_ROWS = [("SO8", [1, 0, 1, 1]), ("Spin8", [1, 0, 1, 1]),
                ("F4", [0, 0, 1, 0])]
 
 
+def counting_orbits(monkeypatch):
+    """Record the rows matrix of every ``RootDatum._orbit`` walk."""
+    walks = []
+    walk = RootDatum._orbit
+    monkeypatch.setattr(RootDatum, "_orbit", lambda rd, labels, rows: (
+        walks.append(rows) or walk(rd, labels, rows)))
+    return walks
+
+
 @pytest.mark.parametrize("name, coords", ORACLE_ROWS)
 def test_oracle_sums_over_the_orbit_of_nu_only(monkeypatch, name, coords):
-    # L and the second moment come from the dominant weights against the
-    # orbit of nu: the one full orbit walked is the Weyl sum's, and the
-    # table never lists its weights
+    # L, the second moment and the Weyl sum come from the orbits of nu and
+    # of its regular point, walked on the transposed Cartan matrix once per
+    # cocharacter; no weight's orbit is walked and the table never lists its
+    # weights; a second row at the same nu walks no orbit at all
     g = group_by_name(name)
-    walks, tables = [], []
-    walk = RootDatum.label_orbit
+    nu = (g.fg.generators or g.rd.simple_coroots)[0]
+    walks, tables = counting_orbits(monkeypatch), []
     monkeypatch.setattr(RootDatum, "label_orbit",
-                        lambda rd, labels: walks.append(labels) or walk(
-                            rd, labels))
+                        lambda *a: pytest.fail("walked a weight's orbit"))
     monkeypatch.setattr(spinor, "freudenthal_multiplicities",
                         lambda *a, **kw: tables.append(
                             freudenthal_multiplicities(*a, **kw)) or tables[-1])
-    rep = oracle_compare(g.rd, g.weight_from_coords(coords), g.fg.generators[0]
-                         if g.fg.generators else g.rd.simple_coroots[0])
-    assert rep["ok"] and len(walks) == 1 and len(tables) == 1
+    rep = oracle_compare(g.rd, g.weight_from_coords(coords), nu)
+    reg = rep["regular_point"]
+    assert rep["ok"] and rep["weyl_agrees"] and len(tables) == 1
     assert "_weights" not in vars(tables[0])
+    transpose = tuple(zip(*g.rd.cartan_matrix))
+    assert 1 <= len(walks) <= 2 and all(rows == transpose for rows in walks)
+    assert len(g.rd.cochar_table(reg).signed_orbit) == g.rd.weyl_order
+    walks.clear()
+    again = oracle_compare(g.rd, g.weight_from_coords(coords), nu)
+    assert again == rep and walks == []
+    # another weight may list its weights, and walk their orbits, but not
+    # the orbits of nu or of its regular point
+    monkeypatch.undo()
+    walks = counting_orbits(monkeypatch)
+    other = oracle_compare(g.rd, g.weight_from_coords([0, 1, 0, 0]), nu)
+    assert other["ok"] and other["regular_point"] == reg
+    assert all(rows is g.rd.cartan_matrix for rows in walks)
 
 
 @pytest.mark.parametrize("name", ["E7", "E8"])
@@ -153,12 +195,13 @@ def test_regular_nu_on_a_large_weyl_group_sums_over_the_weights(
         monkeypatch, name):
     # at 2 delta_v the orbit of nu is all of W, millions of points, while
     # the adjoint representation has |Phi| + 1 distinct weights: L, the
-    # second moment and the descent check are summed over those
+    # second moment and the descent check are summed over those, and the
+    # cocharacter table never walks the orbit of nu
     g = group_by_name(name)
     rd, lam = g.rd, highest_root(g.rd)
     nu = rl.combo(rd.two_delta_coroot_coords, rd.simple_coroots, dim=rd.dim)
-    monkeypatch.setattr(RootDatum, "pairing_orbit",
-                        lambda *a: pytest.fail("walked the orbit of nu"))
+    monkeypatch.setattr(CocharTable, "signed_orbit", property(
+        lambda self: pytest.fail("walked the orbit of nu")))
     table = freudenthal_multiplicities(rd, lam)
     pairs = [(rl.dot(mu, nu), m) for mu, m in table.items()]
     L = sum(m * p for p, m in pairs if p > 0)
@@ -166,6 +209,56 @@ def test_regular_nu_on_a_large_weyl_group_sums_over_the_weights(
     assert table.pairing_sums(nu)[1] == sum(m * p * p for p, m in pairs)
     assert oracle_compare(rd, lam, nu, include_weyl=False)["ok"]
     assert descent_check(rd, lam, nu, 2) == (L % 4 == 0)
+    assert rd.cochar_table(nu).orbit_size == rd.weyl_order
+
+
+def test_weyl_guard_is_checked_on_every_call():
+    # the regular point's table and orbit exist after the first row; a
+    # smaller guard still refuses, with the message the walk gave before
+    g = group_by_name("F4")
+    lam, nu = g.weight_from_coords([0, 0, 1, 0]), g.rd.simple_coroots[0]
+    reg = make_regular(g.rd, nu)
+    assert oracle_compare(g.rd, lam, nu)["weyl_agrees"]
+    assert "signed_orbit" in vars(g.rd.cochar_table(reg))
+    for call in (lambda: q_via_weyl_sum(g.rd, lam, reg, guard=1151),
+                 lambda: oracle_compare(g.rd, lam, nu, weyl_guard=1000)):
+        with pytest.raises(GuardExceededError,
+                           match="Weyl group order 1152 exceeds guard"):
+            call()
+
+
+def test_cochar_tables_stay_within_the_cap():
+    # the datum keeps the last 2 rank(X_*) cocharacters read, by value; a
+    # table dropped and read again is built again, with the same values
+    g = group_by_name("PSO8")
+    rd, cap = g.rd, 2 * len(g.rd.cochar_basis)
+    first = rd.cochar_table(g.fg.generators[0])
+    for t in range(3 * cap):
+        nu = rl.vec([t, 1, -t, Fraction(t, 3)])
+        assert rd.cochar_table(nu) is rd.cochar_table(list(nu))
+        assert make_regular(rd, nu) == rd.cochar_table(nu).regular
+        assert len(vars(rd)["_cochar_tables"]) <= cap
+    again = rd.cochar_table(g.fg.generators[0])
+    assert again is not first and again.norms == first.norms
+
+
+def test_oracle_builds_each_generators_table_once(monkeypatch):
+    # spinor oracle runs lam outer and nu inner: with 2 generators and
+    # their regular points, no table is dropped before it is read again
+    built = Counter()
+    init = CocharTable.__init__
+    monkeypatch.setattr(CocharTable, "__init__", lambda self, rd, nu, *a: (
+        built.update([rl.vec(nu)]), init(self, rd, nu, *a))[1])
+    g = group_by_name("PSO8")
+    monkeypatch.setattr(catalog, "group_by_name", lambda name: g)
+    res = CliRunner().invoke(cli.main, ["oracle", "--group", "PSO8", "--box",
+                                        "2", "--format", "json"])
+    doc = json.loads(res.output)
+    assert res.exit_code == 0 and doc["agree"] == doc["total"]
+    assert int(doc["total"]) > 2
+    assert len(g.fg.generators) == 2
+    assert {tuple(rl.vec(nu)) for nu in g.fg.generators} <= set(built)
+    assert set(built.values()) == {1}
 
 
 def test_oracle_ok_asks_for_the_exact_second_moment(monkeypatch):
@@ -229,19 +322,14 @@ def test_descent_names_the_least_failing_weight():
 
 
 def test_descent_walks_the_orbit_of_nu_once(monkeypatch):
-    # the divisibility test and L(nu) share one walk of the orbit of nu
-    calls = []
-    real = RootDatum.pairing_orbit
-
-    def counted(self, lam, nu):
-        calls.append(nu)
-        return real(self, lam, nu)
-
-    monkeypatch.setattr(RootDatum, "pairing_orbit", counted)
+    # the divisibility test and L(nu) share one walk of the orbit of nu,
+    # kept in its table: a second check at the same nu walks none
+    walks = counting_orbits(monkeypatch)
     g = group_by_name("SL4")
     nu = rl.scale(2, g.rd.simple_coroots[0])
-    assert descent_check(g.rd, g.weight_from_coords([3, 0, 3]), nu, 2)
-    assert len(calls) == 1
+    for _ in range(2):
+        assert descent_check(g.rd, g.weight_from_coords([3, 0, 3]), nu, 2)
+    assert walks == [tuple(zip(*g.rd.cartan_matrix))]
 
 
 def test_dependent_sweep_basis_is_refused():
