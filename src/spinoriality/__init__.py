@@ -7,8 +7,8 @@ brute-force oracles, and the named group catalog.
 
 from .errors import (SpinorError, SpecificationError, IntegralityError,
                      GuardExceededError)
-from .rootdata import (RootDatum, build_root_datum, with_cochar_lattice,
-                       simple_system, expected_root_count)
+from .rootdata import (RootDatum, build_root_datum, simple_system,
+                       expected_root_count)
 from .fundgroup import FundGroupData, fundamental_group, p_value
 from .repcalc import (weyl_dim, casimir_value, classify,
                       RepClassification, WeightMultiplicityTable,
@@ -28,8 +28,7 @@ from .catalog import (GroupSpec, Group, make_group, parse_group_name,
 __all__ = [
     "SpinorError", "SpecificationError", "IntegralityError",
     "GuardExceededError",
-    "RootDatum", "build_root_datum", "with_cochar_lattice", "simple_system",
-    "expected_root_count",
+    "RootDatum", "build_root_datum", "simple_system", "expected_root_count",
     "FundGroupData", "fundamental_group", "p_value",
     "weyl_dim", "casimir_value", "classify",
     "RepClassification", "WeightMultiplicityTable",

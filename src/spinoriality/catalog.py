@@ -25,7 +25,7 @@ from fractions import Fraction
 from . import ratlin as rl
 from .errors import SpecificationError
 from .rootdata import (RootDatum, build_root_datum, check_root_guard,
-                       with_cochar_lattice, simple_system)
+                       simple_system)
 from .fundgroup import fundamental_group, p_value
 from . import repcalc
 from . import spinor
@@ -92,106 +92,94 @@ def _params_ok(fam, p):
         type(x) is int for x in p) and len(p) == _ARITY[fam])
 
 
+def _system(family, rank):
+    """(roots, coroots, central) of one simple type in its standard
+    realization (``simple_system``), after the root-count guard; central
+    holds type A's quotiented direction."""
+    check_root_guard([(family, rank)])
+    roots, coroots, _, central = simple_system(family, rank)
+    return roots, coroots, () if central is None else (central,)
+
+
+def _half_lattice(n):
+    """A basis of Z^n + Z (1/2)(1,...,1)."""
+    return rl.row_lattice_basis(rl.identity(n) + (_half_ones(n),))
+
+
 def make_group(spec):
-    """Build the root datum and fundamental group for a catalog spec."""
+    """Build the root datum, once and with its cocharacter lattice, and the
+    fundamental group for a catalog spec."""
     fam, p = spec.family, spec.params
     if not _params_ok(fam, p):
         raise SpecificationError(f"bad parameters for {fam}: {p!r}")
+    gens = None     # traditional lifts of pi_1's generators, if any
     if fam == "SL_quot":
         n, d = p
         if n < 2 or d < 1 or n % d != 0:
             raise SpecificationError(f"SL_quot needs d | n, n >= 2; got {p}")
-        rd = build_root_datum([("A", n - 1)], label=_sl_name(n, d))
-        if d == 1:
-            fg = fundamental_group(rd)
-            gens = None
-        else:
-            m = n // d
-            basis = tuple(rd.simple_coroots) + (rl.scale(m, _e(n, n - 1)),)
-            rd = with_cochar_lattice(rd, basis)
+        name, m = _sl_name(n, d), n // d
+        roots, coroots, central = _system("A", n - 1)
+        basis = coroots + [rl.scale(m, _e(n, n - 1))] if d > 1 else coroots
+        rd = RootDatum(roots, coroots, basis, central, label=name)
+        if d > 1:
             gens = [rl.scale(m, _e(n, 0))]
-            fg = fundamental_group(rd, generators=gens)
-        wb = (rd.simple_roots[0],) if (n, d) == (2, 2) else rd.fundamental_weights
-        return Group(_sl_name(n, d), spec, rd, fg, wb)
-
-    if fam == "GL":
+    elif fam == "GL":
         (n,) = p
-        check_root_guard([("A", n - 1)])
-        roots, coroots, w, _ = simple_system("A", n - 1)
-        rd = RootDatum(roots, coroots, rl.identity(w), central_cochars=(),
-                       label=f"GL{n}")
-        fg = fundamental_group(rd, generators=[_e(n, 0)])
-        return Group(f"GL{n}", spec, rd, fg, rl.identity(n))
-
-    if fam == "Sp":
+        name, gens = f"GL{n}", [_e(n, 0)]
+        roots, coroots, _ = _system("A", n - 1)
+        rd = RootDatum(roots, coroots, rl.identity(n), label=name)
+    elif fam in ("Sp", "Sp_quot"):
         (n,) = p
-        rd = build_root_datum([("C", n)], label=f"Sp{2*n}")
-        return Group(f"Sp{2*n}", spec, rd, fundamental_group(rd),
-                     rd.fundamental_weights)
-
-    if fam == "Sp_quot":
-        (n,) = p
-        rd = build_root_datum([("C", n)], label=f"PSp{2*n}")
-        rows = rl.identity(n) + (_half_ones(n),)
-        rd = with_cochar_lattice(rd, rl.row_lattice_basis(rows))
-        fg = fundamental_group(rd, generators=[_half_ones(n)])
-        return Group(f"PSp{2*n}", spec, rd, fg, rd.fundamental_weights)
-
-    if fam in ("SO", "Spin"):
+        roots, coroots, _ = _system("C", n)
+        name, basis = f"Sp{2*n}", coroots
+        if fam == "Sp_quot":
+            name, basis, gens = f"PSp{2*n}", _half_lattice(n), [_half_ones(n)]
+        rd = RootDatum(roots, coroots, basis, label=name)
+    elif fam in ("SO", "Spin"):
         (m,) = p
         if m < 3:
             raise SpecificationError("orthogonal groups need m >= 3")
-        lt = [("D", m // 2)] if m % 2 == 0 else [("B", (m - 1) // 2)]
-        rd = build_root_datum(lt, label=f"{fam}{m}")
-        n = lt[0][1]
-        if fam == "Spin":
-            return Group(f"Spin{m}", spec, rd, fundamental_group(rd),
-                         rd.fundamental_weights)
-        rd = with_cochar_lattice(rd, rl.identity(n))
-        fg = fundamental_group(rd, generators=[_e(n, 0)])
-        return Group(f"SO{m}", spec, rd, fg, rd.fundamental_weights)
-
-    if fam == "PSO":
+        n, name = m // 2, f"{fam}{m}"
+        roots, coroots, _ = _system("D" if m % 2 == 0 else "B", n)
+        basis = coroots
+        if fam == "SO":
+            basis, gens = rl.identity(n), [_e(n, 0)]
+        rd = RootDatum(roots, coroots, basis, label=name)
+    elif fam == "PSO":
         (m,) = p
         if m % 2 != 0 or m < 4:
             raise SpecificationError("PSO needs even m >= 4")
-        n = m // 2
-        rd = build_root_datum([("D", n)], label=f"PSO{m}")
-        rows = rl.identity(n) + (_half_ones(n),)
-        rd = with_cochar_lattice(rd, rl.row_lattice_basis(rows))
+        n, name = m // 2, f"PSO{m}"
+        roots, coroots, _ = _system("D", n)
+        rd = RootDatum(roots, coroots, _half_lattice(n), label=name)
         gens = [_e(n, 0), _half_ones(n)] if n % 2 == 0 else [_half_ones(n)]
-        fg = fundamental_group(rd, generators=gens)
-        return Group(f"PSO{m}", spec, rd, fg, rd.fundamental_weights)
-
-    if fam in ("Gplus", "Gminus"):
+    elif fam in ("Gplus", "Gminus"):
         (m,) = p
-        n = m // 2
+        n, name = m // 2, f"{fam}{m}"
         if m % 2 != 0 or n % 2 != 0 or n <= 2:
             raise SpecificationError(
                 "the plus/minus type D quotients need m = 2n with n even, n > 2")
-        rd = build_root_datum([("D", n)], label=f"{fam}{m}")
-        g = _half_ones(n, last_sign=1 if fam == "Gplus" else -1)
-        rows = tuple(rd.simple_coroots) + (g,)
-        rd = with_cochar_lattice(rd, rl.row_lattice_basis(rows))
-        fg = fundamental_group(rd, generators=[g])
-        return Group(f"{fam}{m}", spec, rd, fg, rd.fundamental_weights)
-
-    if fam == "simplyConnected":
-        lt = tuple(p)
-        name = "x".join(f"{f}{r}" for f, r in lt)
-        rd = build_root_datum(lt, label=name)
-        return Group(name, spec, rd, fundamental_group(rd),
-                     rd.fundamental_weights)
-
-    if fam == "adjoint":
-        lt = tuple(p)
-        name = "x".join(f"{f}{r}" for f, r in lt) + "adj"
-        rd = build_root_datum(lt, label=name)
-        rd = with_cochar_lattice(rd, rd.fundamental_coweights)
-        return Group(name, spec, rd, fundamental_group(rd),
-                     rd.fundamental_weights)
-
-    raise SpecificationError(f"unknown catalog family {fam!r}")
+        roots, coroots, _ = _system("D", n)
+        gens = [_half_ones(n, last_sign=1 if fam == "Gplus" else -1)]
+        rd = RootDatum(roots, coroots, rl.row_lattice_basis(coroots + gens),
+                       label=name)
+    elif fam in ("simplyConnected", "adjoint"):
+        name = "x".join(f"{f}{r}" for f, r in p)
+        rd = build_root_datum(p, label=name)
+        if fam == "adjoint":
+            # the lattice of the fundamental coweights, read off the simply
+            # connected datum; the adjoint one is built anew
+            name += "adj"
+            rd = RootDatum(rd.simple_roots, rd.simple_coroots,
+                           rd.fundamental_coweights, rd.central_cochars,
+                           label=name)
+    else:
+        raise SpecificationError(f"unknown catalog family {fam!r}")
+    fg = fundamental_group(rd, generators=gens)
+    wb = (rl.identity(n) if fam == "GL"
+          else (rd.simple_roots[0],) if name == "PGL2"
+          else rd.fundamental_weights)
+    return Group(name, spec, rd, fg, wb)
 
 
 def _sl_name(n, d):

@@ -23,8 +23,8 @@ from .ratlin import fmt_q, fmt_vec
 from . import catalog, spinor
 from .errors import (SpecificationError, IntegralityError, GuardExceededError)
 from .fundgroup import fundamental_group, p_value
-from .rootdata import (RootDatum, with_cochar_lattice, _from_cartan,
-                       cartan_checked, cartan_factors, check_root_guard)
+from .rootdata import (RootDatum, _from_cartan, cartan_checked,
+                       cartan_factors, check_root_guard)
 from .repcalc import FREUDENTHAL_GUARD_DEFAULT
 
 EXIT_SPEC = 2
@@ -94,12 +94,10 @@ def _group_from_root_datum(entry, origin):
     check_root_guard([(f.family, f.rank)
                       for f in cartan_factors(cartan_checked(cartan))])
     roots, coroots, width, _ = _from_cartan(cartan)
-    rd = RootDatum(tuple(roots), tuple(coroots), tuple(coroots),
-                   central_cochars=(), label="custom")
     gens = entry.get("cocharGenerators", [])
     if not isinstance(gens, list):
         raise SpecificationError(f"{origin}: cocharGenerators must be a list")
-    rows = list(rd.simple_coroots)
+    rows = list(coroots)
     for i, g in enumerate(gens):
         if not (isinstance(g, list) and len(g) == width
                 and all(type(x) is int for x in g)):
@@ -107,7 +105,7 @@ def _group_from_root_datum(entry, origin):
                 f"{origin}: cocharGenerators[{i}] = {g!r} must be a list of "
                 f"{width} integers, one per simple coroot")
         rows.append(tuple(Fraction(x, den) for x in g))
-    rd = with_cochar_lattice(rd, rl.row_lattice_basis(rows), label="custom")
+    rd = RootDatum(roots, coroots, rl.row_lattice_basis(rows), label="custom")
     fg = fundamental_group(rd)
     return catalog.Group("custom", catalog.GroupSpec("rootDatum", ()),
                          rd, fg, rd.fundamental_weights)
@@ -378,14 +376,22 @@ def run_summary(group, box, fmt):
 # ----------------------------------------------------------------------
 # click wiring
 
-def _guard_default():
-    env = os.environ.get("SPINOR_GUARD")
-    if env is None:
-        return FREUDENTHAL_GUARD_DEFAULT
-    try:
-        return int(env)
-    except ValueError:
-        raise SpecificationError(f"SPINOR_GUARD must be an integer, got {env!r}")
+def _guard_value(guard):
+    """The multiplicity guard: ``--guard``, else SPINOR_GUARD, else the
+    built-in default; a negative one is malformed."""
+    source = "--guard"
+    if guard is None:
+        env = os.environ.get("SPINOR_GUARD")
+        if env is None:
+            return FREUDENTHAL_GUARD_DEFAULT
+        try:
+            guard, source = int(env), "SPINOR_GUARD"
+        except ValueError:
+            raise SpecificationError(
+                f"SPINOR_GUARD must be an integer, got {env!r}")
+    if guard < 0:
+        raise SpecificationError(f"{source} must be >= 0, got {guard}")
+    return guard
 
 
 def _common(fn):
@@ -442,7 +448,7 @@ def table(group_arg, fmt):
 def oracle(group_arg, box, guard, fmt):
     """Cross-check the closed form against the brute-force oracles."""
     def body():
-        g = guard if guard is not None else _guard_default()
+        g = _guard_value(guard)
         run_oracle(load_group(group_arg), box, g, fmt)
     _run(body)
 

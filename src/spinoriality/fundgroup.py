@@ -1,10 +1,13 @@
 """Fundamental groups pi_1(G) = X_*(T)/Q(T) and the invariant p of a generating set.
 
-The coroot lattice Q(T) is expressed in the declared cocharacter basis as an
-integer matrix; its Smith normal form gives the invariant factors of the
-quotient and lifts of a generating set.  Named catalog groups override the
-generator lifts with their traditional representatives (which are validated to
-generate), so certificates are reported against the familiar cocharacters.
+The datum holds the relations of pi_1 in its cocharacter basis, from the
+lattice table made when it was built: the coroots, and the least lattice
+vector along each quotiented ambient direction in the lattice's span (type
+A realizations carry the all-ones direction).  Their Smith normal form
+gives the invariant factors of the quotient and lifts of a generating set.
+Named catalog groups override the lifts with their traditional
+representatives, checked to generate from their coordinates on the same
+table, so certificates are reported against the familiar cocharacters.
 """
 
 from dataclasses import dataclass
@@ -40,18 +43,6 @@ class FundGroupData:
         return n
 
 
-def _coroot_matrix(rd):
-    """Generators of the trivial-direction sublattice in basis coordinates.
-
-    These are the simple coroots (integral, as the datum checked) plus any
-    quotiented ambient central direction that happens to lie in the
-    cocharacter lattice (type A realizations carry the all-ones direction
-    this way).
-    """
-    return [[int(v) for v in x] for x in rd.coroot_lattice_coords
-            if x is not None and all(v.denominator == 1 for v in x)]
-
-
 def fundamental_group(rd, generators=None):
     """Compute pi_1(G) for the datum's cocharacter lattice.
 
@@ -60,7 +51,7 @@ def fundamental_group(rd, generators=None):
     invariant factors always come from the Smith normal form.
     """
     n = len(rd.cochar_basis)
-    rows = _coroot_matrix(rd)
+    rows = list(rd.relations)
     d, v_inv = rl.smith_normal_form(rows) if rows else ((), rl.identity(n))
     factors, gens = [], []
     for di, row in zip(list(d) + [0] * (n - len(d)), v_inv):
@@ -70,23 +61,14 @@ def fundamental_group(rd, generators=None):
 
     if generators is not None:
         gens = tuple(rl.vec(g) for g in generators)
-        for g in gens:
-            rd.assert_cocharacter(g)
-        if not _generate_quotient(rd, rows, gens, n):
+        # each generator's basis coordinates, read off the datum's table
+        d, _ = rl.smith_normal_form(rows + [rd.assert_cocharacter(g)
+                                            for g in gens])
+        if len(d) != n or any(x != 1 for x in d):
             raise SpecificationError(
                 "provided cocharacters do not generate X_*/Q(T)")
-        if len(gens) < len(factors):
-            raise SpecificationError("too few generators for the quotient")
 
     return FundGroupData(tuple(factors), tuple(gens))
-
-
-def _generate_quotient(rd, coroot_rows, gens, n):
-    """Do the images of ``gens`` generate X_*(T)/Q(T)?"""
-    stacked = coroot_rows + [[int(v) for v in rl.lattice_coords(
-        rd.cochar_basis, g)] for g in gens]
-    d, _ = rl.smith_normal_form(stacked)
-    return len(d) == n and all(x == 1 for x in d)
 
 
 def p_value(rd, generators):

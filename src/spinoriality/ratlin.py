@@ -193,16 +193,36 @@ def solve_columns(a_rows, rhs):
 
 
 def int_inverse(m):
-    """(adj, det) for a square integer matrix: adj . m = det . I, from the
-    elimination of [m | I].  Raises ZeroDivisionError when m is singular."""
-    n = len(m)
+    """(adj, det) for a square integer matrix: adj . m = det . I, by
+    ``row_span_table``.  Raises ZeroDivisionError when m is singular."""
+    table = row_span_table(m, len(m))
+    if table is None:
+        raise ZeroDivisionError("matrix is singular")
+    return table[1], table[2]
+
+
+def row_span_table(rows, width):
+    """Coordinates in the row span of independent integer rows B of length
+    ``width``, from one elimination of [B | 1]: (pivots, adj, det, kernel),
+    the columns P of a nonsingular minor M = B[:, P] with adj . M = det . I,
+    and a basis of {k : B k = 0}.  v is in the row span iff v . k = 0 for
+    every k, and then x . B = det v for x = v[P] . adj.  None when the rows
+    are dependent."""
+    n = len(rows)
     a, base, pivots, det = _bareiss(
         [list(row) + [int(i == j) for j in range(n)]
-         for i, row in enumerate(m)], n)
+         for i, row in enumerate(rows)], width)
     if len(pivots) < n:
-        raise ZeroDivisionError("matrix is singular")
-    return tuple(tuple(det * x // b for x in row[n:])
-                 for row, b in zip(a, base)), det
+        return None
+    kernel = []
+    for free in (c for c in range(width) if c not in pivots):
+        k = [0] * width
+        k[free] = det
+        for row, b, c in zip(a, base, pivots):
+            k[c] = -det * row[free] // b
+        kernel.append(k)
+    return (pivots, tuple(tuple(det * x // b for x in row[width:])
+                          for row, b in zip(a, base)), det, kernel)
 
 
 def rank(m):
@@ -231,12 +251,6 @@ def lattice_coords(basis_rows, v):
     if not basis_rows:
         return () if not any(v) else None
     return solve_columns(transpose(basis_rows), [v])[1][0]
-
-
-def in_lattice(basis_rows, v):
-    """True iff ``v`` is an integer combination of the basis rows."""
-    x = lattice_coords(basis_rows, v)
-    return x is not None and all(c.denominator == 1 for c in x)
 
 
 def frac_gcd(values):

@@ -7,10 +7,15 @@ types use the basis of simple coroots, so character coordinates there are
 fundamental-weight coordinates.
 
 Central quotients are realized by enlarging the cocharacter lattice with
-rational generators, never by changing basis.  For type A the ambient space
-keeps the direction (1,...,1); it is recorded in ``central_cochars`` and all
-characters are required to be orthogonal to it, which makes the pairing with
-any representative of a quotient cocharacter well defined.
+rational generators, never by changing basis; each group's datum is built
+once, with its lattice.  For type A the ambient space keeps the direction
+(1,...,1); it is recorded in ``central_cochars`` and all characters are
+required to be orthogonal to it, which makes the pairing with any
+representative of a quotient cocharacter well defined.  One integer
+elimination of the lattice basis, made with the datum, answers each lattice
+question: independence, pi_1's relations (the coroots, and the least vector
+of X_* along each quotiented direction in its span), any cocharacter's
+coordinates.
 
 Hot paths read a weight as its Dynkin labels <mu, alpha_i^v> and use lazy
 integer tables: the labels of the simple and positive roots, the positive
@@ -28,7 +33,7 @@ on its pairings with the simple roots and the fundamental weights.
 
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, prod
+from math import gcd, lcm, prod
 from operator import mul
 from weakref import proxy
 
@@ -95,7 +100,7 @@ class RootDatum:
             if len(v) != self.dim:
                 raise SpecificationError("inconsistent ambient dimensions")
         roots, rden = self._root_rows = rl.scaled_rows(self.simple_roots)
-        coroots, cden = rl.scaled_rows(self.simple_coroots)
+        coroots, cden = self._coroot_rows = rl.scaled_rows(self.simple_coroots)
         self.cartan_matrix = cartan_checked(
             [[sum(map(mul, r, c)) for c in coroots] for r in roots], rden * cden)
         self.factors = cartan_factors(self.cartan_matrix)
@@ -103,9 +108,13 @@ class RootDatum:
         self._set_lattice(cochar_basis)
 
     def _set_lattice(self, cochar_basis):
-        """Take X_* spanned by these rows, checked to be independent, to
-        contain the coroot lattice and to pair integrally with the simple
-        roots; sets ``coroot_lattice_coords``."""
+        """Take X_* spanned by these rows, checked to pair integrally with
+        the simple roots, to be independent and to contain the coroot
+        lattice, by one elimination of the scaled rows (``row_span_table``),
+        kept for ``_lattice_coords``.  Sets ``relations``, pi_1's relation
+        matrix in basis coordinates, and ``central_torus_rank``: a
+        quotiented direction in the span of X_* is no torus of the group,
+        but trivial in it, and so is the least vector of X_* along it."""
         self.cochar_basis = tuple(vec(b) for b in cochar_basis)
         if any(len(b) != self.dim for b in self.cochar_basis):
             raise SpecificationError("inconsistent ambient dimensions")
@@ -119,32 +128,38 @@ class RootDatum:
                 raise SpecificationError(
                     f"simple root {i + 1} pairs non-integrally with the "
                     "cocharacter lattice: not a root datum")
-        # the simple coroots, then the quotiented directions, in coordinates
-        # of the cocharacter basis (None off its span), by one elimination
-        rank, coords = rl.solve_columns(
-            [[b[i] for b in self.cochar_basis] for i in range(self.dim)],
-            self.simple_coroots + self.central_cochars)
-        if rank != len(self.cochar_basis):
+        table = rl.row_span_table(rows, self.dim)
+        if table is None:
             raise SpecificationError("cocharacter basis is not independent")
-        if any(x is None or any(v.denominator != 1 for v in x)
-               for x in coords[:len(self.simple_coroots)]):
+        pivots, adj, det, kernel = table
+        sign = -1 if det < 0 else 1     # d > 0 in ``_lattice_coords``
+        self._lattice = (pivots, tuple(tuple(sign * a for a in col)
+                                       for col in zip(*adj)),
+                         sign * det, kernel)
+        coroots, cden = self._coroot_rows
+        coords = [self._lattice_coords(c, cden) for c in coroots]
+        if any(xd is None or any(a % xd[1] for a in xd[0]) for xd in coords):
             raise SpecificationError(
                 "cocharacter lattice does not contain the coroot lattice")
-        self.coroot_lattice_coords = tuple(coords)
+        central = [xd[0] for z in self.central_cochars
+                   if (xd := self._lattice_coords(*rl.scaled(z)))]
+        self.relations = tuple(tuple(a // d for a in x) for x, d in coords)
+        self.relations += tuple(tuple(a // gcd(*x) for a in x)
+                                for x in central)
+        self.central_torus_rank = len(rows) - len(coroots) - len(central)
 
-    # ------------------------------------------------------------------
-    # basic structure
-
-    @cached_property
-    def central_torus_rank(self):
-        """Rank of the connected center as a torus of the group itself.
-
-        Quotiented ambient directions (type A realizations) that lie in the
-        span of the cocharacter lattice do not count.
-        """
-        r = len(self.simple_coroots)
-        return (len(self.cochar_basis) - r - sum(
-            1 for x in self.coroot_lattice_coords[r:] if x is not None))
+    def _lattice_coords(self, nums, den):
+        """(x, d), x integers, d > 0, x / d the coordinates of nums / den in
+        the cocharacter basis, or None off its span, read off the lattice
+        table: v is in the span iff it is orthogonal to the kernel, and then
+        its coordinates are v[P] . adj / det."""
+        pivots, cols, det, kernel = self._lattice
+        if len(nums) != self.dim or any(sum(map(mul, nums, k))
+                                        for k in kernel):
+            return None
+        picked = [nums[p] for p in pivots]
+        return [sum(map(mul, picked, col)) * self._cochar_rows[1]
+                for col in cols], den * det
 
     @cached_property
     def lie_type(self):
@@ -533,23 +548,25 @@ class RootDatum:
 
         Returns (c, k, den) in least terms with <mu, nu> = (sum_i c_i mu_i +
         k) / den: c_i / den = <omega_i, nu> (``CocharTable.omega``), k / den =
-        <lam, nu^z> = <lam, nu> - sum_i lam_i <omega_i, nu>, nu^z the central
-        part of nu."""
+        <lam, nu^z>, nu^z the central part of nu (``CocharTable.central``)."""
         table = self.cochar_table(nu)
-        c, cden = table.omega   # nu^z = 0 where the coroots span the space
-        z = 0 if self.dim == len(c) else dot(lam, table.nu) - Fraction(
-            sum(map(mul, c, self.dynkin_labels(lam))), cden)
-        s = z.denominator // gcd(z.denominator, cden)
-        return ([x * s for x in c], z.numerator * cden * s // z.denominator,
-                cden * s)
+        (c, cden), (z, zden) = table.omega, table.central
+        m, d = rl.scaled(lam)
+        k, d = sum(map(mul, m, z)), d * zden    # <lam, nu^z> = k / d
+        den = lcm(cden, d // gcd(k, d))
+        return [x * (den // cden) for x in c], k * den // d, den
 
     # ------------------------------------------------------------------
     # lattices
 
     def assert_cocharacter(self, nu):
-        if not rl.in_lattice(self.cochar_basis, vec(nu)):
+        """nu's integer coordinates in the cocharacter basis, or a refusal
+        if nu is not in the lattice."""
+        xd = self._lattice_coords(*rl.scaled(vec(nu)))
+        if xd is None or any(a % xd[1] for a in xd[0]):
             raise SpecificationError(
                 f"{rl.fmt_vec(nu)} is not in the cocharacter lattice")
+        return tuple(a // xd[1] for a in xd[0])
 
     def is_character(self, mu):
         """mu kills the quotiented directions, pairs integrally with X_*."""
@@ -623,7 +640,7 @@ class WeightForms:
         self._rd, self.basis = proxy(rd), basis
         if basis is None:
             self._xrows, self._xden = rd._cochar_rows
-            self._arows, self._aden = rl.scaled_rows(rd.simple_coroots)
+            self._arows, self._aden = rd._coroot_rows
             self._central = [rl.scaled(z)[0] for z in rd.central_cochars]
         else:   # the ambient tables, shared
             vars(self).update(vars(rd.weight_forms()), basis=basis)
@@ -706,8 +723,8 @@ class CocharTable:
     """What is read of one cocharacter nu whatever the weight: ``pairings``
     p / den = <alpha_j, nu>, ``omega`` c / cden = <omega_i, nu> in least
     terms, ``norms``, each factor's |nu^i|^2, and ``d_nu``, from one pass
-    over the closure; ``regular``, ``orbit_size`` and ``signed_orbit`` when
-    first read."""
+    over the closure; ``central``, ``regular``, ``orbit_size`` and
+    ``signed_orbit`` when first read."""
 
     def __init__(self, rd, nu, scaled):
         # the datum keeps its tables: a proxy, so that no cycle outlives it
@@ -726,6 +743,17 @@ class CocharTable:
         self.norms = tuple(Fraction(2 * n, den * den) for n in norms)
         # the product of <beta, nu> over the positive roots
         self.d_nu = Fraction(prod(self._values), den ** len(self._values))
+
+    @cached_property
+    def central(self):
+        """nu^z = nu - sum_i <omega_i, nu> alpha_i^v, the part of nu that
+        every root kills, as (z, zden) in least terms, z integers."""
+        (nums, nden), (rows, aden) = rl.scaled(self.nu), self._rd._coroot_rows
+        c, cden = self.omega
+        z = [x * cden * aden - nden * sum(map(mul, c, col))
+             for x, col in zip(nums, zip(*rows))]
+        g = gcd(*z, nden * cden * aden)
+        return tuple(x // g for x in z), nden * cden * aden // g
 
     @cached_property
     def regular(self):
@@ -894,8 +922,9 @@ def build_root_datum(lie_type, central_rank=0, label=""):
 
     ``lie_type`` is a list of (family, rank) pairs; ``central_rank`` adds a
     split central torus.  The cocharacter lattice is the coroot lattice plus
-    the unit vectors of the central torus block.  Quotient lattices are built
-    by replacing ``cochar_basis`` (see :func:`with_cochar_lattice`).
+    the unit vectors of the central torus block.  A datum with another
+    lattice is built once with it: ``RootDatum(roots, coroots, basis,
+    central)`` on the same vectors (see ``catalog``).
     """
     check_root_guard(lie_type)
     systems = [simple_system(family, rank) for family, rank in lie_type]
@@ -910,24 +939,6 @@ def build_root_datum(lie_type, central_rank=0, label=""):
         offset += w
     basis = coroots + [rl.unit(total, offset + k) for k in range(central_rank)]
     return RootDatum(roots, coroots, basis, centrals, label=label)
-
-
-_ROOT_TABLES = ("simple_roots", "simple_coroots", "central_cochars", "dim",
-                "_root_rows", "cartan_matrix", "factors",
-                "_cartan_adj", "_root_closure", "_freudenthal_tables",
-                "_parabolic_tables", "weyl_order")
-
-
-def with_cochar_lattice(rd, basis, label=None):
-    """Same roots/coroots, different cocharacter lattice: what depends only
-    on those, ``_ROOT_TABLES`` (the lazy ones when built), is passed on and
-    only the lattice is checked again."""
-    new = object.__new__(RootDatum)
-    new.__dict__.update((k, v) for k, v in vars(rd).items()
-                        if k in _ROOT_TABLES)
-    new.label = label or rd.label
-    new._set_lattice(basis)
-    return new
 
 
 def expected_root_count(family, rank):

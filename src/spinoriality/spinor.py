@@ -15,7 +15,7 @@ from math import factorial
 from operator import mul
 
 from . import ratlin as rl
-from .ratlin import dot, fmt_vec
+from .ratlin import fmt_vec
 from . import repcalc
 from .errors import SpecificationError, IntegralityError, GuardExceededError
 from .repcalc import (weyl_dim, casimir_value, classify,
@@ -101,20 +101,22 @@ class Verdict:
         return tuple(q for _, q in self.certificate)
 
 
-def _require_int(x, what, v):
-    """x as an int; the message naming v is formatted only on failure."""
-    if x.denominator != 1:
-        raise IntegralityError(f"{what} {fmt_vec(v)} = {x} is not an integer")
-    return int(x)
+def _require_int(num, den, what, v):
+    """num / den as an int; the message naming v is formatted only on
+    failure."""
+    if num % den:
+        raise IntegralityError(
+            f"{what} {fmt_vec(v)} = {Fraction(num, den)} is not an integer")
+    return num // den
 
 
 def _q_forms(rd, nus):
-    """Per cocharacter nu: (nu, o, oden, w, D).  <omega_i, nu> = o_i / oden,
-    so gamma with labels l pairs with the central part of nu as <gamma, nu>
-    - l . o / oden.  w_i / D = |nu^i|^2 / (2 dim g_i den_i), den_i that of
-    ``_inverse_killing``; q of an irreducible with labels l is then dim V
-    sum_i w_i Q_i(l) / D, Q_i = ``factor_inner_nums(l, l + 2)``."""
-    return tuple((nu, *t.omega, *rl.scaled(
+    """Per cocharacter nu: (nu, z, zden, w, D).  z / zden = nu^z, the
+    central part of nu (``CocharTable.central``).  w_i / D = |nu^i|^2 /
+    (2 dim g_i den_i), den_i that of ``_inverse_killing``; q of an
+    irreducible with labels l is then dim V sum_i w_i Q_i(l) / D, Q_i =
+    ``factor_inner_nums(l, l + 2)``."""
+    return tuple((nu, *t.central, *rl.scaled(
         [nsq / (2 * rd.factor_dim(i) * den) for i, (nsq, (*_, den)) in
          enumerate(zip(t.norms, rd._inverse_killing))]))
         for nu in nus for t in [rd.cochar_table(nu)])
@@ -126,22 +128,19 @@ def _q_values(rd, forms, rep):
     labels = rep.labels or [repcalc.dominant_labels(rd, lam) for lam in
                             rep.irreducible + rep.hyperbolic]
     n = len(rep.irreducible)
-    hyp = [(gamma, ls, weyl_dim(rd, gamma, ls))
+    hyp = [(gamma, *rl.scaled(gamma), weyl_dim(rd, gamma, ls))
            for gamma, ls in zip(rep.hyperbolic, labels[n:])]
     irr = [(lam, weyl_dim(rd, lam, ls),
             rd.factor_inner_nums(ls, [x + 2 for x in ls]))
            for lam, ls in zip(rep.irreducible, labels)]
     qs = []
-    for nu, o, oden, w, den in forms:
-        q = sum(_require_int((dot(gamma, nu) - Fraction(
-            sum(map(mul, ls, o)), oden)) * dim, "hyperbolic term at", gamma)
-            for gamma, ls, dim in hyp)
+    for _, z, zden, w, den in forms:
+        q = sum(_require_int(dim * sum(map(mul, m, z)), d * zden,
+                             "hyperbolic term at", gamma)
+                for gamma, m, d, dim in hyp)
         for lam, dim, casimirs in irr:
-            num = dim * sum(map(mul, w, casimirs))
-            if num % den:
-                _require_int(Fraction(num, den), "q at irreducible summand",
-                             lam)
-            q += num // den
+            q += _require_int(dim * sum(map(mul, w, casimirs)), den,
+                              "q at irreducible summand", lam)
         qs.append(q)
     return qs
 

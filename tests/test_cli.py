@@ -111,6 +111,23 @@ def test_guard_env_override(runner, monkeypatch):
     assert res2.exit_code == 0
 
 
+def test_negative_guard_is_a_spec_error(runner, monkeypatch):
+    # below 0 the guard is malformed, from the flag or the environment;
+    # 0 skips every row (test_guard_exit_code)
+    res = runner.invoke(main, ["oracle", "--group", "GL3", "--box", "1",
+                               "--guard", "-5"])
+    assert (res.exit_code, res.stdout) == (2, "")
+    assert res.stderr == "spec error: --guard must be >= 0, got -5\n"
+    monkeypatch.setenv("SPINOR_GUARD", "-5")
+    res = runner.invoke(main, ["oracle", "--group", "GL3", "--box", "1"])
+    assert (res.exit_code, res.stdout) == (2, "")
+    assert res.stderr == "spec error: SPINOR_GUARD must be >= 0, got -5\n"
+    # the flag is read first
+    res = runner.invoke(main, ["oracle", "--group", "GL3", "--box", "1",
+                               "--guard", "1000"])
+    assert res.exit_code == 0
+
+
 def test_oracle_agreement(runner):
     res = runner.invoke(main, ["oracle", "--group", "PGL2", "--box", "6"])
     assert res.exit_code == 0
@@ -454,3 +471,22 @@ def test_error_messages_name_the_vector(runner):
                                "--weight", "-1,0,0,0"])
     assert res.stderr == "spec error: weight (-1,0,0,0) is not dominant\n"
 
+
+
+def test_group_file_builds_one_datum(tmp_path, monkeypatch):
+    # the rootDatum reader builds its datum once, with the file's lattice
+    built = []
+    init = rootdata.RootDatum.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(rootdata.RootDatum, "__init__", counted)
+    f = tmp_path / "g.json"
+    f.write_text(json.dumps({"rootDatum": {
+        "cartan": [[2, -1, 0], [-1, 2, -1], [0, -1, 2]],
+        "cocharGenerators": [[1, 2, 3]], "denominator": 4}}))
+    g = cli.load_group(str(f))
+    assert built == [g.rd]
+    assert g.fg.invariant_factors == (4,)

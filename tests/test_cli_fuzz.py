@@ -8,7 +8,7 @@ import time
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spinoriality.cli import main
 
@@ -76,10 +76,11 @@ catalog_document = st.builds(
 
 @st.composite
 def cli_case(draw):
-    """(group, argv without the group): a catalog name or a group document,
-    and a check with weights sized for it, a table, or an oracle, summary
-    or atlas with a small box, some of them negative, as are some atlas
-    exponents."""
+    """(group, argv without the group, environment): a catalog name or a
+    group document, and a check with weights sized for it, a table, or an
+    oracle, summary or atlas with a small box, some of them negative, as
+    are some atlas exponents and oracle guards, given by flag or by
+    SPINOR_GUARD."""
     group = draw(st.one_of(st.sampled_from(sorted(VALID)),
                            st.sampled_from(sorted(VALID)),
                            st.sampled_from(MALFORMED), root_datum(),
@@ -99,9 +100,17 @@ def cli_case(draw):
         argv += ["--box", str(draw(st.sampled_from([1, 1, 0, -1, -3])))]
     if name == "atlas":
         argv += ["--k", str(draw(st.sampled_from([0, 1, 2, -1])))]
+    env = {}
+    if name == "oracle":
+        guard = draw(st.sampled_from([None, None, -5, -1, 0, 3, 10 ** 6]))
+        where = draw(st.sampled_from(["flag", "env"]))
+        if guard is not None and where == "flag":
+            argv += ["--guard", str(guard)]
+        elif guard is not None:
+            env["SPINOR_GUARD"] = str(guard)
     if draw(st.booleans()):
         argv += ["--format", "json"]
-    return group, argv
+    return group, argv, env
 
 
 def write_document(path, doc):
@@ -112,19 +121,22 @@ def write_document(path, doc):
 
 @settings(max_examples=200, deadline=None)
 @given(cli_case())
+@example(("SL2", ["oracle", "--box", "1", "--guard", "-5"], {}))
+@example(("SL2", ["oracle", "--box", "1"], {"SPINOR_GUARD": "-5"}))
 def test_cli_exit_codes_on_random_input(case):
-    group, argv = case
+    group, argv, env = case
     with tempfile.TemporaryDirectory() as tmp:
         if isinstance(group, dict):
             path = os.path.join(tmp, "group.json")
             write_document(path, group)
             group = path
         argv = argv[:1] + ["--group", group] + argv[1:]
-        res = CliRunner().invoke(main, argv)
+        res = CliRunner().invoke(main, argv, env=env)
     assert res.exit_code in (0, 2, 3, 4), (argv, res.exception)
     if argv[0] != "check" and any(a[:1] == "-" and a[1:].isdigit()
-                                  for a in argv):
-        assert res.exit_code == 2, argv     # a negative box or exponent
+                                  for a in argv + list(env.values())):
+        # a negative box, exponent or guard, by flag or environment
+        assert res.exit_code == 2, (argv, env)
     assert res.exception is None or isinstance(res.exception, SystemExit)
     assert "Traceback" not in res.output
 

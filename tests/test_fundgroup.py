@@ -5,7 +5,8 @@ import pytest
 from spinoriality.catalog import group_by_name
 from spinoriality.errors import SpecificationError
 from spinoriality.fundgroup import fundamental_group, p_value
-from spinoriality.rootdata import build_root_datum
+from spinoriality import ratlin as rl
+from spinoriality.rootdata import RootDatum, build_root_datum, simple_system
 
 
 @pytest.mark.parametrize("name,factors", [
@@ -65,6 +66,18 @@ def test_explicit_generators_validated():
     # a coroot does not generate the quotient
     with pytest.raises(SpecificationError):
         fundamental_group(rd, generators=[rd.simple_coroots[0]])
+
+
+def test_a_quotiented_direction_in_the_lattice_span_is_trivial():
+    # A2 in Z^3 with X_* = {x : sum x even}: (1,1,1) is not in X_*, but
+    # 2(1,1,1) is, and is trivial in the group, whose cocharacter lattice
+    # is the image of X_* in Q^3 / Q(1,1,1): pi_1 = (2Z)/(6Z), as for PGL3
+    roots, coroots, _, central = simple_system("A", 2)
+    rd = RootDatum(roots, coroots, coroots + [rl.scale(2, rl.unit(3, 2))],
+                   [central])
+    assert rd.central_torus_rank == 0
+    assert fundamental_group(rd).invariant_factors == (3,)
+    assert rd.relations[-1] == rd.assert_cocharacter(rl.scale(2, central))
 
 
 def test_simply_connected_defaults():

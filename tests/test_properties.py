@@ -1,6 +1,7 @@
 """Algebraic identities checked on randomized inputs."""
 
 import importlib.util
+import re
 from fractions import Fraction
 from itertools import product
 from math import factorial, gcd, lcm, prod
@@ -19,7 +20,7 @@ from spinoriality.repcalc import (L_phi, casimir_value, classify,
 from spinoriality.errors import SpecificationError
 from spinoriality.rootdata import (RootDatum, _from_cartan, build_root_datum,
                                    cartan_checked, cartan_factors,
-                                   expected_root_count, with_cochar_lattice)
+                                   expected_root_count)
 from spinoriality.spinor import (OrthRep, _q_forms,
                                  dominant_orthogonal_weights, is_spinorial,
                                  make_regular, q_irreducible, q_rep,
@@ -161,8 +162,9 @@ def random_datum(draw, simple=False):
                    rd.fundamental_coweights, dim=rd.dim)
     if central:
         gen = gen[:-1] + (Fraction(draw(st.integers(0, 3)), 4),)
-    rd = with_cochar_lattice(rd, rl.row_lattice_basis(rd.cochar_basis
-                                                      + (gen,)))
+    rd = RootDatum(rd.simple_roots, rd.simple_coroots,
+                   rl.row_lattice_basis(rd.cochar_basis + (gen,)),
+                   rd.central_cochars)
     return rd, central
 
 
@@ -1205,15 +1207,150 @@ def test_weyl_order_and_dual_coxeter_number_on_random_data(case):
 @settings(max_examples=60, deadline=None)
 @given(data_weight_and_cochar())
 def test_central_pairing_matches_the_coroot_span_split(case):
-    # the verdict's forms read <gamma, nu^z> as <gamma, nu> - l . o / oden
+    # the verdict's forms and the label pairing read nu^z off the table
     rd, lam, nu = case
     prime, nu_z = reference_coroot_span_decomposition(rd, nu)
     assert all(rl.dot(a, nu_z) == 0 for a in rd.simple_roots)
     assert rl.lattice_coords(rd.simple_coroots, prime) is not None
-    (form_nu, o, oden, *_), = _q_forms(rd, [nu])
-    labels = rd.dynkin_labels(lam)
+    (form_nu, z, zden, *_), = _q_forms(rd, [nu])
     assert form_nu == nu
-    assert rl.dot(lam, nu) - sum(Fraction(x * y, oden) for x, y in
-                                 zip(labels, o)) == rl.dot(lam, nu_z)
+    assert gcd(*z, zden) == 1
+    assert tuple(Fraction(x, zden) for x in z) == nu_z
+    assert Fraction(sum(map(mul, rl.scaled(lam)[0], z)),
+                    rl.scaled(lam)[1] * zden) == rl.dot(lam, nu_z)
     _, k, den = rd.label_pairing(lam, nu)
     assert Fraction(k, den) == rl.dot(lam, nu_z)
+
+
+# ----------------------------------------------------------------------
+# the lattice table against Fraction solves and a test-side Smith form
+
+def reference_invariant_factors(rows, n):
+    """The invariant factors > 1 (0 for each free rank) of Z^n / rowspan
+    of integer rows: row and column echelon forms by Euclid's algorithm in
+    turn until the matrix is diagonal, then (gcd, lcm) for each pair of
+    diagonal entries until each divides the next."""
+    def echelon(m):
+        m, r = [list(row) for row in m], 0
+        for c in range(len(m[0]) if m else 0):
+            while nz := [i for i in range(r, len(m)) if m[i][c]]:
+                p = min(nz, key=lambda i: abs(m[i][c]))
+                m[r], m[p] = m[p], m[r]
+                for i in range(r + 1, len(m)):
+                    q = m[i][c] // m[r][c]
+                    m[i] = [a - q * b for a, b in zip(m[i], m[r])]
+                if not any(m[i][c] for i in range(r + 1, len(m))):
+                    r += 1
+                    break
+        return m[:r]
+
+    m = echelon(rows)
+    while any(x for i, row in enumerate(m) for j, x in enumerate(row)
+              if i != j):
+        m = echelon(list(zip(*echelon(list(zip(*m))))))
+    diag = [abs(m[i][i]) for i in range(len(m))] + [0] * (n - len(m))
+    for i in range(n):
+        for j in range(i + 1, n):
+            g = gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] * diag[j] // g if g else 0
+    return tuple(x for x in diag if x != 1)
+
+
+def reference_lattice_coords(rd, v):
+    """v's integer coordinates in the cocharacter basis, or None, by a
+    Fraction solve."""
+    x = rl.lattice_coords(rd.cochar_basis, v)
+    if x is None or any(c.denominator != 1 for c in x):
+        return None
+    return tuple(int(c) for c in x)
+
+
+@st.composite
+def quotient_lattice_and_cochars(draw):
+    """A ``random_datum``, its lattice at times enlarged by m e_j (which
+    pairs integrally with every root, and on a type A block spans its
+    quotiented direction, as in SL_n/mu_d), and cocharacters of three
+    kinds: in the lattice, in its span off it (a basis row over 2 or 3
+    added), off its span (a kernel vector added), plus its quotiented
+    directions and coroots."""
+    rd, _ = random_datum(draw)
+    if draw(st.booleans()):
+        e = rl.scale(draw(st.integers(1, 3)),
+                     rl.unit(rd.dim, draw(st.integers(0, rd.dim - 1))))
+        rd = RootDatum(rd.simple_roots, rd.simple_coroots,
+                       rl.row_lattice_basis(rd.cochar_basis + (e,)),
+                       rd.central_cochars)
+    basis, n = rd.cochar_basis, len(rd.cochar_basis)
+    kernel = rl.nullspace(basis, rd.dim)
+    cochars = list(rd.central_cochars) + list(rd.simple_coroots)
+    for _ in range(draw(st.integers(1, 4))):
+        v = rl.combo(draw(st.lists(st.integers(-2, 2), min_size=n,
+                                   max_size=n)), basis, dim=rd.dim)
+        kind = draw(st.sampled_from(["member", "span", "off"]))
+        if kind == "span":
+            v = rl.add(v, rl.scale(Fraction(1, draw(st.integers(2, 3))),
+                                   basis[draw(st.integers(0, n - 1))]))
+        elif kind == "off" and kernel:
+            v = rl.add(v, draw(st.sampled_from(kernel)))
+        cochars.append(v)
+    return rd, cochars, draw(st.lists(st.sampled_from(cochars), min_size=1,
+                                      max_size=3))
+
+
+@settings(max_examples=80, deadline=None)
+@given(quotient_lattice_and_cochars())
+def test_lattice_table_matches_the_fraction_solves(case):
+    rd, cochars, gens = case
+    for v in cochars:
+        x = rl.lattice_coords(rd.cochar_basis, v)
+        got = rd._lattice_coords(*rl.scaled(v))
+        assert (got is None) == (x is None)
+        if got is not None:
+            assert tuple(Fraction(a, got[1]) for a in got[0]) == x
+        want = reference_lattice_coords(rd, v)
+        if want is None:
+            with pytest.raises(SpecificationError, match=(
+                    f"^{re.escape(rl.fmt_vec(v))} is not in the cocharacter "
+                    "lattice$")):
+                rd.assert_cocharacter(v)
+        else:
+            assert rd.assert_cocharacter(v) == want
+    # pi_1's relations: the coroots, and for each quotiented direction in
+    # the span of X_* the least vector of X_* along it
+    n = len(rd.cochar_basis)
+    rows = [reference_lattice_coords(rd, c) for c in rd.simple_coroots]
+    spans = [rl.scaled(x)[0] for z in rd.central_cochars
+             if (x := rl.lattice_coords(rd.cochar_basis, z)) is not None]
+    rows += [tuple(a // gcd(*x) for a in x) for x in spans]
+    assert rd.relations == tuple(rows)
+    assert rd.central_torus_rank == n - len(rd.simple_coroots) - len(spans)
+    factors = reference_invariant_factors(rows, n)
+    fg = fundamental_group(rd)
+    assert fg.invariant_factors == factors
+    assert fundamental_group(rd, fg.generators).generators == tuple(
+        fg.generators)
+    # given generators: refused off the lattice, else iff they do not
+    # generate X_*/Q(T) (then they are at least as many as the factors)
+    coords = [reference_lattice_coords(rd, g) for g in gens]
+    if None in coords:
+        bad = gens[coords.index(None)]
+        message = (f"^{re.escape(rl.fmt_vec(bad))} is not in the "
+                   "cocharacter lattice$")
+    elif reference_invariant_factors(rows + coords, n):
+        message = r"^provided cocharacters do not generate X_\*/Q\(T\)$"
+    else:
+        got = fundamental_group(rd, gens)
+        assert len(gens) >= len(factors)
+        assert got.invariant_factors == factors
+        assert got.generators == tuple(map(tuple, gens))
+        return
+    with pytest.raises(SpecificationError, match=message):
+        fundamental_group(rd, gens)
+
+
+@pytest.mark.parametrize("rows,n,want", [
+    ([[2, 0], [0, 3]], 2, (6,)), ([[2, 4], [6, 8]], 2, (2, 4)),
+    ([[1, 1, 1]], 3, (0, 0)), ([], 2, (0, 0)), ([[4, 6], [6, 9]], 2, (0,)),
+    ([[12]], 1, (12,))])
+def test_reference_invariant_factors(rows, n, want):
+    assert reference_invariant_factors(rows, n) == want

@@ -116,11 +116,17 @@ def test_smith_normal_form_nonsquare():
     assert len(v_inv) == 3 and all(len(row) == 3 for row in v_inv)
 
 
+def in_lattice(basis_rows, v):
+    """v is an integer combination of the independent basis rows."""
+    x = rl.lattice_coords(basis_rows, v)
+    return x is not None and all(c.denominator == 1 for c in x)
+
+
 def test_lattice_coords_and_membership():
     basis = ((2, 0), (1, 1))
     assert rl.lattice_coords(basis, (3, 1)) == (Fraction(1), Fraction(1))
-    assert rl.in_lattice(basis, (3, 1))
-    assert not rl.in_lattice(basis, (1, 0))
+    assert in_lattice(basis, (3, 1))
+    assert not in_lattice(basis, (1, 0))
 
 
 def test_frac_gcd():
@@ -133,9 +139,9 @@ def test_row_lattice_basis_halves():
     basis = rl.row_lattice_basis(rows)
     assert len(basis) == 2
     for r in rows:
-        assert rl.in_lattice(basis, r)
-    assert rl.in_lattice(basis, (Fraction(1, 2), Fraction(-1, 2)))
-    assert not rl.in_lattice(basis, (Fraction(1, 4), Fraction(1, 4)))
+        assert in_lattice(basis, r)
+    assert in_lattice(basis, (Fraction(1, 2), Fraction(-1, 2)))
+    assert not in_lattice(basis, (Fraction(1, 4), Fraction(1, 4)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -166,6 +172,40 @@ def test_int_inverse_is_the_adjugate_or_raises(a):
     assert all(type(x) is int for row in adj for x in row)
     assert mat_mul(adj, a) == tuple(
         tuple(d * (i == j) for j in range(len(a))) for i in range(len(a)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.integers(n, 6).flatmap(
+    lambda width: st.lists(st.lists(INTEGERS, min_size=width,
+                                    max_size=width),
+                           min_size=n, max_size=n))), st.data())
+def test_row_span_table_solves_in_the_row_span(rows, data):
+    table = rl.row_span_table(rows, len(rows[0]))
+    if rank_by_minors(rows) < len(rows):
+        assert table is None
+        return
+    pivots, adj, d, kernel = table
+    minor = [[row[c] for c in pivots] for row in rows]
+    assert d == det(minor) != 0
+    assert mat_mul(adj, minor) == tuple(
+        tuple(d * (i == j) for j in range(len(rows)))
+        for i in range(len(rows)))
+    assert len(kernel) == len(rows[0]) - len(rows)
+    assert not kernel or rl.rank(kernel) == len(kernel)
+    for k in kernel:
+        assert rl.mat_vec(rows, k) == (0,) * len(rows)
+    # a combination of the rows, then maybe pushed off their span
+    v = [sum(c * row[j] for c, row in zip(
+        data.draw(st.lists(INTEGERS, min_size=len(rows),
+                           max_size=len(rows))), rows))
+         for j in range(len(rows[0]))]
+    v[data.draw(st.integers(0, len(v) - 1))] += data.draw(INTEGERS)
+    x = rl.lattice_coords(rows, v)
+    assert (x is None) == any(rl.dot(v, k) for k in kernel)
+    if x is not None:
+        picked = [v[p] for p in pivots]
+        assert tuple(Fraction(sum(a * b for a, b in zip(picked, col)), d)
+                     for col in zip(*adj)) == x
 
 
 @settings(max_examples=150, deadline=None)

@@ -9,8 +9,7 @@ from spinoriality.errors import (GuardExceededError, IntegralityError,
 from spinoriality.repcalc import (L_phi, classify, casimir_value,
                                   dynkin_index, dynkin_index_orth,
                                   freudenthal_multiplicities, weyl_dim)
-from spinoriality.rootdata import (RootDatum, build_root_datum,
-                                   with_cochar_lattice)
+from spinoriality.rootdata import RootDatum, build_root_datum
 
 
 def fw(rd, coeffs):
@@ -176,9 +175,12 @@ def test_parabolic_memo_holds_one_table_per_zero_pattern():
     patterns = {tuple(i for i, x in enumerate(rd.dynkin_labels(mu)) if not x)
                 for mu, _ in table.dominant_items()}
     assert set(rd._parabolic_tables) == patterns
-    # the tables depend only on the roots: a new lattice shares them
-    other = with_cochar_lattice(rd, rd.cochar_basis)
-    assert other._parabolic_tables is rd._parabolic_tables
+    # the tables depend only on the roots: a datum built with the same
+    # roots and its own lattice builds the same ones
+    other = RootDatum(rd.simple_roots, rd.simple_coroots,
+                      rd.fundamental_coweights)
+    freudenthal_multiplicities(other, fw(other, [0, 1, 0, 1]))
+    assert other._parabolic_tables == rd._parabolic_tables
 
 
 def test_L_values():

@@ -11,8 +11,7 @@ from spinoriality.catalog import (CATALOG_RANK_LE_4, group_by_name,
                                   summary_suite_specs)
 from spinoriality.errors import SpecificationError
 from spinoriality.rootdata import (RootDatum, build_root_datum,
-                                   expected_root_count, simple_system,
-                                   with_cochar_lattice)
+                                   expected_root_count, simple_system)
 from spinoriality.spinor import (_q_forms, dominant_orthogonal_weights,
                                  orth_rep)
 from test_properties import reference_coroot_span_decomposition
@@ -200,10 +199,9 @@ def test_coroot_span_decomposition():
         assert rl.dot(root, central) == 0
     gamma = (Fraction(3), Fraction(1))
     _, k, den = rd.label_pairing(gamma, e1)
-    (_, o, oden, *_), = _q_forms(rd, [e1])
-    labels = rd.dynkin_labels(gamma)
+    (_, z, zden, *_), = _q_forms(rd, [e1])
     assert Fraction(k, den) == rl.dot(gamma, central) == 2
-    assert rl.dot(gamma, e1) - Fraction(sum(map(mul, labels, o)), oden) == 2
+    assert Fraction(sum(map(mul, gamma, z)), zden) == 2
 
 
 def test_invalid_family_and_rank():
@@ -214,30 +212,45 @@ def test_invalid_family_and_rank():
 
 
 def test_quotient_lattice_must_contain_coroots():
-    rd = build_root_datum([("C", 2)])
+    roots, coroots, _, _ = simple_system("C", 2)
     with pytest.raises(SpecificationError,
                        match="^cocharacter lattice does not contain the "
                              "coroot lattice$"):
-        with_cochar_lattice(rd, (rl.scale(2, rd.simple_coroots[0]),
-                                 rd.simple_coroots[1]))
+        RootDatum(roots, coroots, (rl.scale(2, coroots[0]), coroots[1]))
     with pytest.raises(SpecificationError,
                        match="^cocharacter basis is not independent$"):
-        with_cochar_lattice(rd, rd.simple_coroots + (rl.unit(2, 0),))
+        RootDatum(roots, coroots, coroots + [rl.unit(2, 0)])
 
 
 def _tables(rd):
     return (rd.cartan_matrix,
             [(f.indices, f.family, f.rank) for f in rd.factors],
             rd._cartan_adj, rd.fundamental_weights, rd.positive_roots,
-            rd.coroot_lattice_coords, rd.central_torus_rank)
+            rd.relations, rd.central_torus_rank)
 
 
 @pytest.mark.parametrize("name", list(dict.fromkeys(
     CATALOG_RANK_LE_4 + summary_suite_specs())))
-def test_handed_over_datum_equals_a_fresh_one(name):
-    # with_cochar_lattice passes on the root tables of the datum it starts
-    # from; a datum validated from scratch must agree with it
+def test_handed_over_datum_equals_a_fresh_one(name, monkeypatch):
+    # the catalog hands over a datum built once, with its lattice, and no
+    # table of another datum: one RootDatum per group (the adjoint family
+    # reads its coweights off a simply connected one), equal to a datum
+    # validated from scratch on its vectors
+    built = []
+    init = RootDatum.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RootDatum, "__init__", counted)
     rd = group_by_name(name).rd
+    assert built[-1] is rd
+    assert len(built) == (2 if name.endswith("adj") else 1)
+    shared = [k for k, v in vars(built[0]).items() if len(built) == 2
+              and isinstance(v, (tuple, list, dict)) and v
+              and vars(rd).get(k) is v]
+    assert shared == []
     fresh = RootDatum(rd.simple_roots, rd.simple_coroots, rd.cochar_basis,
                       rd.central_cochars, label=rd.label)
     assert _tables(rd) == _tables(fresh)
