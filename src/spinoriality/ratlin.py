@@ -4,18 +4,21 @@ Everything here works on tuples of :class:`fractions.Fraction` (vectors) and
 tuples of such tuples (row-major matrices).  No floating point is used
 anywhere; parity questions about huge integers are the whole point of the
 package, so all arithmetic is exact.  Row reduction is one fraction-free
-elimination on integers: rational rows are scaled to integers on entry, and
-Fractions are made only for the solutions it returns.
+elimination on integers, ``row_span_table``; independence, kernels and
+coordinates in a row span (``span_coords``) are all read off its table.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .errors import GuardExceededError
 
 
 def vec(values):
-    return tuple(Fraction(x) for x in values)
+    """values as Fractions; Fraction entries are kept as they are."""
+    return tuple(x if isinstance(x, Fraction) else Fraction(x)
+                 for x in values)
 
 
 def add(u, v):
@@ -168,30 +171,6 @@ def _bareiss(rows, ncols):
     return a, base, pivots, sign * prev
 
 
-def solve_columns(a_rows, rhs):
-    """Solve ``A x = b`` exactly for every right-hand side b in ``rhs`` by
-    one elimination.
-
-    Returns the rank of ``A`` and, per b, a solution vector or None when
-    the system is inconsistent.  ``a_rows`` need not be square; when the
-    system is underdetermined one particular solution is returned (free
-    variables set to 0).
-    """
-    ncols = len(a_rows[0]) if a_rows else 0
-    a, base, pivots, _ = _bareiss([list(row) + [b[i] for b in rhs]
-                                   for i, row in enumerate(a_rows)], ncols)
-    sols = []
-    for t in range(ncols, ncols + len(rhs)):
-        if any(row[t] for row in a[len(pivots):]):
-            sols.append(None)
-            continue
-        sol = [Fraction(0)] * ncols
-        for row, b, c in zip(a, base, pivots):
-            sol[c] = Fraction(row[t], b)
-        sols.append(tuple(sol))
-    return len(pivots), sols
-
-
 def int_inverse(m):
     """(adj, det) for a square integer matrix: adj . m = det . I, by
     ``row_span_table``.  Raises ZeroDivisionError when m is singular."""
@@ -225,32 +204,27 @@ def row_span_table(rows, width):
                           for row, b in zip(a, base)), det, kernel)
 
 
-def rank(m):
-    return len(_bareiss(m, len(m[0]))[2]) if m else 0
-
-
-def nullspace(m, ncols):
-    """Basis of the kernel {x : m x = 0}, x of length ``ncols``."""
-    a, base, pivots, _ = _bareiss(m, ncols)
-    basis = []
-    for free in (c for c in range(ncols) if c not in pivots):
-        x = [Fraction(0)] * ncols
-        x[free] = Fraction(1)
-        for row, b, c in zip(a, base, pivots):
-            x[c] = Fraction(-row[free], b)
-        basis.append(tuple(x))
-    return basis
+def span_coords(table, nums):
+    """(x, d), d = |det| > 0 and x integers with x . B = d v, for v = nums in
+    the row span of the rows B of a ``row_span_table``, or None off it."""
+    pivots, adj, det, kernel = table
+    if any(sum(map(mul, nums, k)) for k in kernel):
+        return None
+    picked = [nums[p] if det > 0 else -nums[p] for p in pivots]
+    return [sum(map(mul, picked, col)) for col in zip(*adj)], abs(det)
 
 
 def lattice_coords(basis_rows, v):
-    """Coordinates of ``v`` in the row span of ``basis_rows``, or None.
-
-    The basis rows must be linearly independent.  Returns the (rational)
-    coefficient vector x with ``x . basis = v``.
-    """
-    if not basis_rows:
-        return () if not any(v) else None
-    return solve_columns(transpose(basis_rows), [v])[1][0]
+    """The rational x with x . basis_rows = v, or None off their span, by
+    ``span_coords``; ValueError if the rows are dependent."""
+    rows, bden = scaled_rows(basis_rows)
+    nums, den = scaled(v)
+    table = row_span_table(rows, len(nums))
+    if table is None:
+        raise ValueError("the basis rows are not independent")
+    xd = span_coords(table, nums)
+    return None if xd is None else tuple(
+        Fraction(a * bden, xd[1] * den) for a in xd[0])
 
 
 def frac_gcd(values):

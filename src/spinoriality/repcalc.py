@@ -10,7 +10,7 @@ feeds (L_phi, descent checks) is computed straight from the definition
 with no closed forms, so it can cross-check the closed-form engine.  It
 also runs on labels: Freudenthal's recursion over the dominant weights,
 and <mu, nu> as one integer linear form in the labels of mu
-(``RootDatum.label_pairing``).  At a dominant mu, W_mu = W_J, J = {j :
+(``CocharTable.pairing_form``).  At a dominant mu, W_mu = W_J, J = {j :
 mu_j = 0}, and the recursion's term for alpha > 0, sum_k m(mu + k alpha)
 B(mu + k alpha, alpha), is that for +-w alpha, w in W_J (if w alpha < 0,
 alpha is in Phi_J and the alpha-string through mu is symmetric); so it is
@@ -138,8 +138,9 @@ class WeightMultiplicityTable:
     def pairings(self, nu):
         """<mu, nu> over every weight mu, as integers over one denominator:
         (den, [(p, m, labels)]) with <mu, nu> = p / den and m = mult(mu)."""
-        c, k, den = self._rd.label_pairing(self._lam, nu)
-        return den, [(sum(map(mul, c, w)) + k, m, w)
+        nu_table = self._rd.cochar_table(nu)
+        s, k, den = nu_table.pairing_form(self._lam)
+        return den, [(s * sum(map(mul, nu_table.omega[0], w)) + k, m, w)
                      for w, m in self._weights.items()]
 
     def orbit_pairings(self, nu):
@@ -152,7 +153,7 @@ class WeightMultiplicityTable:
         if n * len(self._orbits) > len(self):
             den, pairs = self.pairings(nu)
             return den, 1, [(m, (p,)) for p, m, _ in pairs]
-        s, k, den = nu_table.orbit_form(self._lam)
+        s, k, den = nu_table.pairing_form(self._lam)
         return den, n, [(m * size, [s * sum(map(mul, c, mu)) + k
                                     for c, _ in nu_table.signed_orbit])
                         for mu, m, size in self._orbits]
@@ -193,12 +194,12 @@ def freudenthal_multiplicities(rd, lam, guard=FREUDENTHAL_GUARD_DEFAULT):
     Refuses representations with dim > ``guard`` (this is the oracle path;
     the closed-form engine has no such limit).
     """
-    dim = weyl_dim(rd, lam)
+    lam = tuple(rl.vec(lam))
+    top = dominant_labels(rd, lam)
+    dim = weyl_dim(rd, lam, top)
     if guard is not None and dim > guard:
         raise GuardExceededError(
             f"dim V = {dim} exceeds the multiplicity guard {guard}")
-    lam = tuple(rl.vec(lam))
-    top = rd.dynkin_labels(lam)
     dominant = [(top, rd.parabolic_table(top))]
     seen = {top}
     for mu, (_, _, candidates) in dominant:

@@ -128,14 +128,9 @@ class RootDatum:
                 raise SpecificationError(
                     f"simple root {i + 1} pairs non-integrally with the "
                     "cocharacter lattice: not a root datum")
-        table = rl.row_span_table(rows, self.dim)
-        if table is None:
+        self._lattice = rl.row_span_table(rows, self.dim)
+        if self._lattice is None:
             raise SpecificationError("cocharacter basis is not independent")
-        pivots, adj, det, kernel = table
-        sign = -1 if det < 0 else 1     # d > 0 in ``_lattice_coords``
-        self._lattice = (pivots, tuple(tuple(sign * a for a in col)
-                                       for col in zip(*adj)),
-                         sign * det, kernel)
         coroots, cden = self._coroot_rows
         coords = [self._lattice_coords(c, cden) for c in coroots]
         if any(xd is None or any(a % xd[1] for a in xd[0]) for xd in coords):
@@ -150,16 +145,12 @@ class RootDatum:
 
     def _lattice_coords(self, nums, den):
         """(x, d), x integers, d > 0, x / d the coordinates of nums / den in
-        the cocharacter basis, or None off its span, read off the lattice
-        table: v is in the span iff it is orthogonal to the kernel, and then
-        its coordinates are v[P] . adj / det."""
-        pivots, cols, det, kernel = self._lattice
-        if len(nums) != self.dim or any(sum(map(mul, nums, k))
-                                        for k in kernel):
+        the cocharacter basis, or None off its span (``rl.span_coords`` on
+        the lattice table)."""
+        xd = len(nums) == self.dim and rl.span_coords(self._lattice, nums)
+        if not xd:
             return None
-        picked = [nums[p] for p in pivots]
-        return [sum(map(mul, picked, col)) * self._cochar_rows[1]
-                for col in cols], den * det
+        return [a * self._cochar_rows[1] for a in xd[0]], den * xd[1]
 
     @cached_property
     def lie_type(self):
@@ -352,9 +343,9 @@ class RootDatum:
 
     @cached_property
     def _root_kernel(self):
-        """The cocharacter-side vectors all simple roots kill, as integers."""
-        return tuple(rl.scaled(z)[0]
-                     for z in rl.nullspace(self.simple_roots, self.dim))
+        """Primitive integer vectors all simple roots kill: their table's."""
+        kernel = rl.row_span_table(self._root_rows[0], self.dim)[3]
+        return tuple(tuple(x // gcd(*k) for x in k) for k in kernel)
 
     # ------------------------------------------------------------------
     # pairings and forms
@@ -402,11 +393,10 @@ class RootDatum:
         return self.label_inner(self.dynkin_labels(mu1),
                                 self.dynkin_labels(mu2))
 
-    def cochar_norm_sq(self, nu, factor=None):
-        """|nu|^2 = sum over roots (of one factor, if given) of <beta, nu>^2,
-        read off ``cochar_table(nu).norms``."""
-        norms = self.cochar_table(nu).norms
-        return sum(norms, Fraction(0)) if factor is None else norms[factor]
+    def cochar_norm_sq(self, nu):
+        """|nu|^2 = sum over roots of <beta, nu>^2, read off
+        ``cochar_table(nu).norms``."""
+        return sum(self.cochar_table(nu).norms, Fraction(0))
 
     def cochar_table(self, nu):
         """The ``CocharTable`` of nu, kept by value for the last 2 rank(X_*)
@@ -542,20 +532,6 @@ class RootDatum:
             raise SpecificationError("weyl_orbit_signed needs regular input")
         return self.label_orbit(labels)
 
-    def label_pairing(self, lam, nu):
-        """<mu, nu> as one integer linear form in the labels of mu, for every
-        mu with the central part of lam (mu - lam in the root span).
-
-        Returns (c, k, den) in least terms with <mu, nu> = (sum_i c_i mu_i +
-        k) / den: c_i / den = <omega_i, nu> (``CocharTable.omega``), k / den =
-        <lam, nu^z>, nu^z the central part of nu (``CocharTable.central``)."""
-        table = self.cochar_table(nu)
-        (c, cden), (z, zden) = table.omega, table.central
-        m, d = rl.scaled(lam)
-        k, d = sum(map(mul, m, z)), d * zden    # <lam, nu^z> = k / d
-        den = lcm(cden, d // gcd(k, d))
-        return [x * (den // cden) for x in c], k * den // d, den
-
     # ------------------------------------------------------------------
     # lattices
 
@@ -612,13 +588,14 @@ class RootDatum:
         on them.  Quotiented-out ambient directions are excluded.
         """
         # combinations of the cochar basis that every simple root kills
-        system = tuple(tuple(dot(a, b) for b in self.cochar_basis)
-                       for a in self.simple_roots)
-        kernel = [rl.combo(x, self.cochar_basis)
-                  for x in rl.nullspace(system, len(self.cochar_basis))]
+        system = rl.scaled_rows([[dot(a, b) for b in self.cochar_basis]
+                                 for a in self.simple_roots])[0]
+        _, _, det, kernel = rl.row_span_table(system, len(self.cochar_basis))
         # drop those along the quotiented central directions
         z = self.central_cochars
-        return tuple(v for v in kernel if rl.rank(z + (v,)) > len(z))
+        return tuple(v for v in rl.int_combos(kernel, self.cochar_basis, det)
+                     if rl.row_span_table(rl.scaled_rows(z + (v,))[0],
+                                          self.dim) is not None)
 
 
 class WeightForms:
@@ -695,7 +672,7 @@ class WeightForms:
         or None: b' = -w0 b iff labels(b') = sigma labels(b) and <b', z> =
         -<b, z> for each z all roots kill."""
         rd, rows, d = self._rd, self._rows, self._bden
-        if rl.rank(self.basis) < len(self.basis):
+        if rl.row_span_table(rows, rd.dim) is None:
             raise SpecificationError("the sweep basis is not independent")
 
         def pull(f):
@@ -720,11 +697,11 @@ class WeightForms:
 
 
 class CocharTable:
-    """What is read of one cocharacter nu whatever the weight: ``pairings``
-    p / den = <alpha_j, nu>, ``omega`` c / cden = <omega_i, nu> in least
-    terms, ``norms``, each factor's |nu^i|^2, and ``d_nu``, from one pass
-    over the closure; ``central``, ``regular``, ``orbit_size`` and
-    ``signed_orbit`` when first read."""
+    """Every form of one cocharacter nu: ``pairings`` p / den = <alpha_j,
+    nu>, ``omega`` c / cden = <omega_i, nu> in least terms, ``norms``, each
+    factor's |nu^i|^2, and ``d_nu``, from one pass over the closure;
+    ``central``, ``q_form``, ``regular``, ``orbit_size`` and ``signed_orbit``
+    when first read; ``pairing_form`` per weight."""
 
     def __init__(self, rd, nu, scaled):
         # the datum keeps its tables: a proxy, so that no cycle outlives it
@@ -786,12 +763,27 @@ class CocharTable:
         return [(tuple([sum(map(mul, row, y)) // g for row in adj]), sign)
                 for y, sign in orbit.items()]
 
-    def orbit_form(self, lam):
-        """(s, k, den): <mu, y> = (s c . mu + k) / den at each point (c, _) of
-        ``signed_orbit`` for every mu with the central part of lam, as (s c,
-        k, den) is ``label_pairing`` at y."""
-        _, k, den = self._rd.label_pairing(lam, self.nu)
-        return den // self.omega[1], k, den
+    @cached_property
+    def q_form(self):
+        """(z, zden, w, D): z / zden = nu^z (``central``), and w_i / D =
+        |nu^i|^2 / (2 dim g_i den_i), den_i that of ``_inverse_killing``; q
+        of an irreducible with labels l is then dim V sum_i w_i Q_i(l) / D,
+        Q_i = ``factor_inner_nums(l, l + 2)``."""
+        rd = self._rd
+        return (*self.central, *rl.scaled(
+            [nsq / (2 * rd.factor_dim(i) * den) for i, (nsq, (*_, den)) in
+             enumerate(zip(self.norms, rd._inverse_killing))]))
+
+    def pairing_form(self, lam):
+        """(s, k, den) in least terms: <mu, y> = (s c . mu + k) / den for
+        every mu with lam's central part (mu - lam in the root span) and y =
+        w nu, c / cden = <omega_i, y> (``omega``, ``signed_orbit``); k / den
+        = <lam, nu^z>, nu^z the W-fixed central part of nu (``central``)."""
+        (z, zden), cden = self.central, self.omega[1]
+        m, d = rl.scaled(lam)
+        k, d = sum(map(mul, m, z)), d * zden    # <lam, nu^z> = k / d
+        den = lcm(cden, d // gcd(k, d))
+        return den // cden, k * den // d, den
 
 
 # ----------------------------------------------------------------------

@@ -79,8 +79,8 @@ def q_irreducible(rd, lam, nu):
     """
     return weyl_dim(rd, lam) * sum(
         (nsq / 2 * casimir_value(rd, lam, factor=i) / rd.factor_dim(i)
-         for i in range(len(rd.factors))
-         if (nsq := rd.cochar_norm_sq(nu, factor=i))), Fraction(0))
+         for i, nsq in enumerate(rd.cochar_table(nu).norms) if nsq),
+        Fraction(0))
 
 
 def q_tensor(dim1, q1, dim2, q2):
@@ -110,20 +110,8 @@ def _require_int(num, den, what, v):
     return num // den
 
 
-def _q_forms(rd, nus):
-    """Per cocharacter nu: (nu, z, zden, w, D).  z / zden = nu^z, the
-    central part of nu (``CocharTable.central``).  w_i / D = |nu^i|^2 /
-    (2 dim g_i den_i), den_i that of ``_inverse_killing``; q of an
-    irreducible with labels l is then dim V sum_i w_i Q_i(l) / D, Q_i =
-    ``factor_inner_nums(l, l + 2)``."""
-    return tuple((nu, *t.central, *rl.scaled(
-        [nsq / (2 * rd.factor_dim(i) * den) for i, (nsq, (*_, den)) in
-         enumerate(zip(t.norms, rd._inverse_killing))]))
-        for nu in nus for t in [rd.cochar_table(nu)])
-
-
 def _q_values(rd, forms, rep):
-    """q of rep at each cocharacter of ``forms``; every summand's
+    """q of rep at each ``CocharTable.q_form`` of ``forms``; every summand's
     contribution is an integer, or IntegralityError."""
     labels = rep.labels or [repcalc.dominant_labels(rd, lam) for lam in
                             rep.irreducible + rep.hyperbolic]
@@ -134,7 +122,7 @@ def _q_values(rd, forms, rep):
             rd.factor_inner_nums(ls, [x + 2 for x in ls]))
            for lam, ls in zip(rep.irreducible, labels)]
     qs = []
-    for _, z, zden, w, den in forms:
+    for z, zden, w, den in forms:
         q = sum(_require_int(dim * sum(map(mul, m, z)), d * zden,
                              "hyperbolic term at", gamma)
                 for gamma, m, d, dim in hyp)
@@ -149,7 +137,7 @@ def q_rep(rd, rep, nu):
     """q of an :class:`OrthRep` at nu, as an exact integer: each hyperbolic
     block contributes <gamma, nu^z> dim V_gamma, nu^z the central part of
     nu, each irreducible summand the closed form of ``q_irreducible``."""
-    return _q_values(rd, _q_forms(rd, [tuple(rl.vec(nu))]), rep)[0]
+    return _q_values(rd, [rd.cochar_table(rl.vec(nu)).q_form], rep)[0]
 
 
 def is_spinorial(rd, fg, rep):
@@ -160,7 +148,8 @@ def is_spinorial(rd, fg, rep):
     an empty certificate."""
     memo = rd.__dict__.get("_q_forms")
     if memo is None or memo[0] is not fg:
-        memo = rd.__dict__["_q_forms"] = (fg, _q_forms(rd, fg.generators))
+        memo = rd.__dict__["_q_forms"] = (fg, tuple(
+            rd.cochar_table(nu).q_form for nu in fg.generators))
     qs = _q_values(rd, memo[1], rep) if memo[1] else []
     return Verdict(spinorial=all(q % 2 == 0 for q in qs),
                    certificate=tuple(zip(fg.generators, qs)),
@@ -189,7 +178,7 @@ def q_via_weyl_sum(rd, lam, nu, guard=WEYL_GUARD_DEFAULT):
     valid for regular nu (d_nu != 0); N is the number of positive roots.
     As <w(lam+delta), nu> = <lam+delta, w^-1 nu>, the sum runs over the
     signed orbit of nu in its ``CocharTable``, walked once per cocharacter,
-    each point one integer form in the labels of lam+delta (``orbit_form``);
+    each point one integer form in the labels of lam+delta (``pairing_form``);
     the guard on |W| is checked on every call, before the orbit is read.
     """
     fams, central = rd.lie_type
@@ -203,7 +192,7 @@ def q_via_weyl_sum(rd, lam, nu, guard=WEYL_GUARD_DEFAULT):
         raise GuardExceededError(
             f"Weyl group order {rd.weyl_order} exceeds guard {guard}")
     n2 = rd.num_positive_roots + 2
-    s, k, den = table.orbit_form(lam)
+    s, k, den = table.pairing_form(lam)
     shifted = [x + 1 for x in labels]
     acc = sum(sign * (s * sum(map(mul, c, shifted)) + k) ** n2
               for c, sign in table.signed_orbit)
@@ -213,12 +202,14 @@ def q_via_weyl_sum(rd, lam, nu, guard=WEYL_GUARD_DEFAULT):
 
 def oracle_compare(rd, lam, nu, freudenthal_guard=FREUDENTHAL_GUARD_DEFAULT,
                    weyl_guard=WEYL_GUARD_DEFAULT, include_weyl=True):
-    """Cross-check L (multiplicity oracle), closed-form q, and the Weyl-sum q.
+    """Cross-check L (multiplicity oracle) and the Weyl-sum q against the q
+    that verdicts print (``q_rep``).
 
     Returns a dict with the three values (Weyl sum only for simple g at a
-    regular point) and the pairwise agreement flags:
-    L == q mod 2, and Weyl-sum q == closed-form q exactly.  ``ok`` also
-    asks that sum_x m(x) <x, nu>^2, the trace form at nu, be 2q exactly.
+    regular point) and the pairwise agreement flags: L == q mod 2, and
+    Weyl-sum q == q exactly (``q_irreducible`` at a regular point other
+    than nu).  ``ok`` also asks that sum_x m(x) <x, nu>^2, the trace form
+    at nu, be 2q exactly.
     What depends on nu alone (|nu^i|^2, the regular point, d_nu, the orbits
     of nu and of the regular point) is read from their ``CocharTable``s, so
     a second row at the same nu walks no orbit.
@@ -227,7 +218,7 @@ def oracle_compare(rd, lam, nu, freudenthal_guard=FREUDENTHAL_GUARD_DEFAULT,
     table = freudenthal_multiplicities(rd, lam, guard=freudenthal_guard)
     pos, moment = table.pairing_sums(nu)    # both sums in one pass
     l_val = integral_L(pos)
-    q_val = q_irreducible(rd, lam, nu)
+    q_val = q_rep(rd, OrthRep((lam,)), nu)
     report = {
         "L": l_val,
         "q": q_val,

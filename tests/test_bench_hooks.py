@@ -89,3 +89,31 @@ def test_traced_summary_matches_the_reference_counts(monkeypatch):
                if name.startswith("spinor.is_spinorial")) == 729
     assert "sweep SL12/mu6" in tracer.observed
     assert tracing.check_counts(tracer, reference) == []
+
+
+def load_harness(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import harness
+    return harness
+
+
+def test_every_oracle_row_matches_its_reference_digest(monkeypatch):
+    # the benchmark digests oracle_compare's whole report: a change to its
+    # keys or values must fail here, not only in the benchmark's runs
+    harness = load_harness(monkeypatch)
+    reference = harness.load_reference()
+    wl = harness.setup("oracle", harness.DEFAULT_SEED, reference)
+    assert wl.ops and not wl.missing
+    runner = harness.Runner("oracle")
+    failed = [(op.key, out.reason) for op in wl.ops
+              if not (out := runner.run(op)).ok]
+    assert failed == []
+
+
+def test_sweep_op_matches_its_reference_digest(monkeypatch):
+    harness = load_harness(monkeypatch)
+    reference = harness.load_reference()
+    wl = harness.setup("sweep", harness.DEFAULT_SEED, reference)
+    op, = [op for op in wl.ops if op.key == "SL12/mu6"]
+    out = harness.Runner("sweep").run(op)
+    assert out.ok, out.reason

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 from math import gcd
 
 import pytest
@@ -8,6 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 from spinoriality import ratlin as rl
 from spinoriality.errors import SpecificationError
 from spinoriality.rootdata import RootDatum, _from_cartan
+from linalg_reference import (det, rank_by_minors, reference_nullspace,
+                              reference_row_coords, reference_solve_columns)
 
 # zeros are likely, so singular and rank-deficient matrices are common
 ENTRIES = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)])
@@ -21,41 +23,27 @@ def matrices(draw, square=False):
                  for _ in range(nrows))
 
 
-def det(m):
-    """Leibniz expansion: a reference independent of row reduction."""
-    total = Fraction(0)
-    for perm in permutations(range(len(m))):
-        inversions = sum(1 for i, j in combinations(perm, 2) if i > j)
-        term = Fraction((-1) ** inversions)
-        for row, col in enumerate(perm):
-            term *= m[row][col]
-        total += term
-    return total
-
-
 def mat_mul(a, b):
     return tuple(tuple(rl.dot(row, col) for col in zip(*b)) for row in a)
 
 
-def rank_by_minors(m):
-    """The size of the largest nonzero minor."""
-    for k in range(min(len(m), len(m[0])), 0, -1):
-        for rows in combinations(m, k):
-            for cols in combinations(range(len(m[0])), k):
-                if det([[row[c] for c in cols] for row in rows]) != 0:
-                    return k
-    return 0
-
-
 def test_solve_exact():
-    a = ((2, 1), (1, 3))
-    assert rl.solve_columns(a, [(5, 10)]) == (2, [(Fraction(1), Fraction(3))])
+    # x . B = v: the system B^T x = v with B^T = ((2, 1), (1, 3))
+    basis = ((2, 1), (1, 3))
+    assert rl.lattice_coords(basis, (5, 10)) == (Fraction(1), Fraction(3))
+    assert rl.span_coords(rl.row_span_table(basis, 2), (5, 10)) == (
+        [5, 15], 5)
 
 
 def test_solve_inconsistent_returns_none():
-    a = ((1, 1), (2, 2))
-    assert rl.solve_columns(a, [(1, 3), (1, 2)]) == (
-        1, [None, (Fraction(1), Fraction(0))])
+    table = rl.row_span_table(((1, 2),), 2)
+    assert rl.span_coords(table, (1, 3)) is None
+    assert rl.span_coords(table, (2, 4)) == ([2], 1)
+    assert rl.lattice_coords(((1, 2),), (1, 3)) is None
+    assert rl.lattice_coords(((1, 2),), (Fraction(1, 2), 1)) == (
+        Fraction(1, 2),)
+    with pytest.raises(ValueError, match="not independent"):
+        rl.lattice_coords(((1, 1), (2, 2)), (1, 1))
 
 
 def test_int_inverse_roundtrip():
@@ -72,7 +60,11 @@ def test_int_inverse_singular():
 
 
 def test_rank():
-    assert rl.rank(((1, 2, 3), (2, 4, 6), (0, 1, 0))) == 2
+    # dependent rows have no table; two independent ones do
+    m = ((1, 2, 3), (2, 4, 6), (0, 1, 0))
+    assert rank_by_minors(m) == 2
+    assert rl.row_span_table(m, 3) is None
+    assert rl.row_span_table(m[1:], 3) is not None
 
 
 def minors(m, k):
@@ -147,12 +139,16 @@ def test_row_lattice_basis_halves():
 @settings(max_examples=150, deadline=None)
 @given(matrices(), st.data())
 def test_solve_exact_or_inconsistent(a, data):
-    b = tuple(data.draw(ENTRIES) for _ in a)
-    x = rl.solve_columns(a, [b])[1][0]
-    augmented = tuple(row + (bi,) for row, bi in zip(a, b))
-    assert (x is None) == (rank_by_minors(augmented) > rank_by_minors(a))
+    # x . a = b for independent rows a; dependent ones are refused
+    b = tuple(data.draw(ENTRIES) for _ in a[0])
+    if rank_by_minors(a) < len(a):
+        with pytest.raises(ValueError, match="not independent"):
+            rl.lattice_coords(a, b)
+        return
+    x = rl.lattice_coords(a, b)
+    assert (x is None) == (rank_by_minors(a + (b,)) > rank_by_minors(a))
     if x is not None:
-        assert rl.mat_vec(a, x) == b
+        assert rl.mat_vec(rl.transpose(a), x) == b
 
 
 INTEGERS = st.sampled_from([0, 0, 0, 1, -1, 2, -2, 3, -5])
@@ -191,7 +187,7 @@ def test_row_span_table_solves_in_the_row_span(rows, data):
         tuple(d * (i == j) for j in range(len(rows)))
         for i in range(len(rows)))
     assert len(kernel) == len(rows[0]) - len(rows)
-    assert not kernel or rl.rank(kernel) == len(kernel)
+    assert not kernel or rank_by_minors(kernel) == len(kernel)
     for k in kernel:
         assert rl.mat_vec(rows, k) == (0,) * len(rows)
     # a combination of the rows, then maybe pushed off their span
@@ -211,60 +207,17 @@ def test_row_span_table_solves_in_the_row_span(rows, data):
 @settings(max_examples=150, deadline=None)
 @given(matrices())
 def test_rank_plus_nullity(a):
+    # the table of independent rows has a kernel of the rest of the width
     ncols = len(a[0])
-    kernel = rl.nullspace(a, ncols)
-    assert rl.rank(a) == rank_by_minors(a)
-    assert rl.rank(a) + len(kernel) == ncols
+    table = rl.row_span_table(rl.scaled_rows(a)[0], ncols)
+    assert (table is None) == (rank_by_minors(a) < len(a))
+    if table is None:
+        return
+    kernel = table[3]
+    assert len(a) + len(kernel) == ncols
     for x in kernel:
         assert rl.mat_vec(a, x) == rl.zero(len(a))
-    assert rl.rank(kernel) == len(kernel)
-
-
-def reference_row_reduce(rows, ncols):
-    """The Fraction Gauss-Jordan elimination ratlin ran before its integer
-    one: the reduced rows and their pivot columns."""
-    m = [list(map(Fraction, row)) for row in rows]
-    pivots = []
-    for c in range(ncols):
-        r = len(pivots)
-        if r == len(m):
-            break
-        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        m[r] = [x / m[r][c] for x in m[r]]
-        for i, row in enumerate(m):
-            if i != r and row[c]:
-                m[i] = [x - row[c] * y for x, y in zip(row, m[r])]
-        pivots.append(c)
-    return m, pivots
-
-
-def reference_solve_columns(a, rhs):
-    ncols = len(a[0])
-    m, pivots = reference_row_reduce(
-        [list(row) + [b[i] for b in rhs] for i, row in enumerate(a)], ncols)
-    sols = []
-    for t in range(ncols, ncols + len(rhs)):
-        sol = [Fraction(0)] * ncols
-        for row, c in zip(m, pivots):
-            sol[c] = row[t]
-        consistent = all(row[t] == 0 for row in m[len(pivots):])
-        sols.append(tuple(sol) if consistent else None)
-    return len(pivots), sols
-
-
-def reference_nullspace(a, ncols):
-    m, pivots = reference_row_reduce(a, ncols)
-    basis = []
-    for free in (c for c in range(ncols) if c not in pivots):
-        x = [Fraction(0)] * ncols
-        x[free] = Fraction(1)
-        for row, c in zip(m, pivots):
-            x[c] = -row[free]
-        basis.append(tuple(x))
-    return basis
+    assert not kernel or rank_by_minors(kernel) == len(kernel)
 
 
 # wider and longer than ``matrices``, with larger entries, so that rows
@@ -279,13 +232,38 @@ WIDE_ENTRIES = st.sampled_from([0, 0, 0, 0, 1, -1, 2, 3, -7, Fraction(1, 2),
         st.lists(st.lists(WIDE_ENTRIES, min_size=ncols, max_size=ncols),
                  min_size=nrows, max_size=nrows),
         st.lists(st.lists(WIDE_ENTRIES, min_size=nrows, max_size=nrows),
+                 max_size=3),
+        st.lists(st.lists(WIDE_ENTRIES, min_size=ncols, max_size=ncols),
                  max_size=3)))))
 def test_integer_elimination_matches_the_fraction_one(case):
-    a, rhs = case
+    # the table exists iff the rows are independent; its kernel is the
+    # reference one times det, and the coordinates of the row combinations
+    # c . a and of the vectors vs are the reference solve's, None off the
+    # span
+    a, coeffs, vs = case
     ncols = len(a[0])
-    assert rl.solve_columns(a, rhs) == reference_solve_columns(a, rhs)
-    assert rl.rank(a) == reference_solve_columns(a, [])[0]
-    assert rl.nullspace(a, ncols) == reference_nullspace(a, ncols)
+    rows, aden = rl.scaled_rows(a)
+    table = rl.row_span_table(rows, ncols)
+    assert (table is None) == (reference_solve_columns(a, [])[0] < len(a))
+    if table is None:
+        with pytest.raises(ValueError, match="not independent"):
+            rl.lattice_coords(a, vs[0] if vs else a[0])
+        return
+    _, _, d, kernel = table
+    assert [tuple(Fraction(x, d) for x in k) for k in kernel] == (
+        reference_nullspace(a, ncols))
+    for v in vs + [[sum(x * row[j] for x, row in zip(c, a))
+                    for j in range(ncols)] for c in coeffs]:
+        want = reference_row_coords(a, v)
+        assert rl.lattice_coords(a, v) == want
+        nums, vden = rl.scaled(v)
+        xd = rl.span_coords(table, nums)
+        assert (xd is None) == (want is None)
+        if xd is not None:
+            x, d = xd
+            assert [sum(c * row[j] for c, row in zip(x, rows))
+                    for j in range(ncols)] == [d * n for n in nums]
+            assert [Fraction(c * aden, d * vden) for c in x] == list(want)
 
 
 def fraction_finite_type(a):

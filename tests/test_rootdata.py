@@ -12,8 +12,7 @@ from spinoriality.catalog import (CATALOG_RANK_LE_4, group_by_name,
 from spinoriality.errors import SpecificationError
 from spinoriality.rootdata import (RootDatum, build_root_datum,
                                    expected_root_count, simple_system)
-from spinoriality.spinor import (_q_forms, dominant_orthogonal_weights,
-                                 orth_rep)
+from spinoriality.spinor import dominant_orthogonal_weights, orth_rep
 from test_properties import reference_coroot_span_decomposition
 
 ALL_SIMPLE = [("A", 1), ("A", 4), ("B", 3), ("C", 4), ("D", 4), ("D", 6),
@@ -172,15 +171,14 @@ def test_cochar_norm_sq_keeps_a_bounded_memo():
     # |nu|^2 is read off the cocharacter tables: 100 distinct nu leave the
     # datum's other tables as they were and at most 2 rank(X_*) tables
     rd = build_root_datum([("D", 4)])
-    rd.cochar_norm_sq(rd.simple_coroots[0], factor=0)
+    rd.cochar_table(rd.simple_coroots[0])
     roots = [root for root, _ in rd.positive_roots]
     before = {k: len(v) if isinstance(v, dict) else None
               for k, v in vars(rd).items() if k != "_cochar_tables"}
     for t in range(100):
         nu = rl.vec([t, 1, -t, Fraction(t, 3)])
-        assert rd.cochar_norm_sq(nu) == 2 * sum(
-            rl.dot(root, nu) ** 2 for root in roots)
-        rd.cochar_norm_sq(nu, factor=0)
+        norm = 2 * sum(rl.dot(root, nu) ** 2 for root in roots)
+        assert rd.cochar_norm_sq(nu) == rd.cochar_table(nu).norms[0] == norm
     assert len(rd.__dict__) == len(before) + 1
     assert before == {k: len(v) if isinstance(v, dict) else None
                       for k, v in vars(rd).items() if k != "_cochar_tables"}
@@ -198,8 +196,9 @@ def test_coroot_span_decomposition():
     for root, _ in rd.positive_roots:
         assert rl.dot(root, central) == 0
     gamma = (Fraction(3), Fraction(1))
-    _, k, den = rd.label_pairing(gamma, e1)
-    (_, z, zden, *_), = _q_forms(rd, [e1])
+    table = rd.cochar_table(e1)
+    _, k, den = table.pairing_form(gamma)
+    z, zden, *_ = table.q_form
     assert Fraction(k, den) == rl.dot(gamma, central) == 2
     assert Fraction(sum(map(mul, gamma, z)), zden) == 2
 

@@ -261,16 +261,35 @@ def test_oracle_builds_each_generators_table_once(monkeypatch):
     assert set(built.values()) == {1}
 
 
+def shifted_q_values(shift):
+    """``spinor._q_values``, the verdict's q, with every q moved by shift."""
+    q_values = spinor._q_values
+    return lambda *a: [q + shift for q in q_values(*a)]
+
+
 def test_oracle_ok_asks_for_the_exact_second_moment(monkeypatch):
-    # q off by 2 keeps the parity of L but not the second moment 2q
+    # the verdict's q off by 2 keeps the parity of L but not the second
+    # moment 2q
     g = group_by_name("SO8")
     lam = g.weight_from_coords([0, 1, 0, 0])
     nu = g.fg.generators[0]
     assert oracle_compare(g.rd, lam, nu, include_weyl=False)["ok"]
-    monkeypatch.setattr(spinor, "q_irreducible",
-                        lambda *a: q_irreducible(*a) + 2)
+    monkeypatch.setattr(spinor, "_q_values", shifted_q_values(2))
     rep = oracle_compare(g.rd, lam, nu, include_weyl=False)
     assert rep["parity_agrees"] and not rep["ok"]
+
+
+@pytest.mark.parametrize("name,rows", [("F4", 34), ("PGL3", 4)])
+def test_oracle_checks_the_verdict_q(monkeypatch, name, rows):
+    # the oracle reads q off the verdict path: moved by 1, no row agrees
+    argv = ["oracle", "--group", name, "--box", "3", "--format", "json"]
+    doc = json.loads(CliRunner().invoke(cli.main, argv).output)
+    assert doc["agree"] == doc["total"] == str(rows)
+    monkeypatch.setattr(spinor, "_q_values", shifted_q_values(1))
+    doc = json.loads(CliRunner().invoke(cli.main, argv).output)
+    assert doc["total"] == str(rows) and doc["agree"] == "0"
+    assert [row["parity_agrees"] for row in doc["rows"]
+            if "skipped" not in row] == [False] * rows
 
 
 def test_adjoint_spinorial_criterion():
