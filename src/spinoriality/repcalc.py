@@ -17,18 +17,23 @@ alpha is in Phi_J and the alpha-string through mu is symmetric); so it is
 summed once per class, times the class size (``RootDatum.parabolic_table``):
 each class holds one J-dominant root (Chevalley's lemma for W_J) and
 |W_J| / |W_{J_alpha}| roots, J_alpha = {j in J : alpha_j = 0}, half that
-if alpha is in Phi_J, each |W_K| by Macdonald's formula.  A sum over all
-weights, such as L_phi, runs per dominant weight mu over the orbit of nu
-when that is fewer points, by
+if alpha is in Phi_J, each |W_K| by Macdonald's formula.  Down a string,
+nu_k = (mu + k alpha)^+ and size B(mu + k alpha, alpha) depend on the datum
+alone, not on lam: the datum keeps them (``RootStrings``), each string
+grown one step when a row first walks past its end, at most
+``ROOT_STRING_STEPS`` steps in all, and a row reads m(nu_k) times each
+kept coefficient.  A sum over all weights, such as L_phi, runs per
+dominant weight mu over the orbit of nu when that is fewer points, by
 sum_{x in W mu} f(<x, nu>) = |W mu| / |W nu| sum_{y in W nu} f(<mu, y>),
-as <w mu, nu> = <mu, w^-1 nu>; |W mu| = |W| / |W_J|.
+as <w mu, nu> = <mu, w^-1 nu>; |W mu| = |W| / |W_J|; the <mu, y> of one mu
+are one update per nonzero label of mu over ``CocharTable.orbit_columns``.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import prod
-from operator import mul
+from operator import add, mul
 
 from . import ratlin as rl
 from .ratlin import fmt_vec
@@ -61,10 +66,11 @@ def weyl_dim(rd, lam, labels=None):
     return dim
 
 
-def casimir_value(rd, lam, factor=None):
+def casimir_value(rd, lam, factor=None, labels=None):
     """Casimir eigenvalue (lam, lam + 2 delta) under the inverse Killing form,
-    restricted to one simple factor when requested; 2 delta has labels 2."""
-    labels = dominant_labels(rd, lam)
+    restricted to one simple factor when requested; 2 delta has labels 2;
+    ``labels``: lam's, if the caller has checked them."""
+    labels = dominant_labels(rd, lam) if labels is None else labels
     return rd.label_inner(labels, [x + 2 for x in labels], factor)
 
 
@@ -154,9 +160,14 @@ class WeightMultiplicityTable:
             den, pairs = self.pairings(nu)
             return den, 1, [(m, (p,)) for p, m, _ in pairs]
         s, k, den = nu_table.pairing_form(self._lam)
-        return den, n, [(m * size, [s * sum(map(mul, c, mu)) + k
-                                    for c, _ in nu_table.signed_orbit])
-                        for mu, m, size in self._orbits]
+        cols, rows = nu_table.orbit_columns, []
+        for mu, m, size in self._orbits:
+            ps = [k] * n
+            for x, col in zip(mu, cols):
+                if x:
+                    ps = list(map(add, ps, map((s * x).__mul__, col)))
+            rows.append((m * size, ps))
+        return den, n, rows
 
     def pairing_sums(self, nu, pairings=None):
         """Over all weights x with multiplicity, the sums of the positive
@@ -177,7 +188,50 @@ class WeightMultiplicityTable:
         return sum(size for *_, size in self._orbits)
 
 
-def freudenthal_multiplicities(rd, lam, guard=FREUDENTHAL_GUARD_DEFAULT):
+# steps nu_k a datum's ``RootStrings`` may hold, so that its memory stays
+# bounded whatever rows it is asked for.  A step (two list slots, its
+# coefficient, a share of an interned tuple) takes 45-60 bytes, so one
+# datum's strings stay under 2 MB; one benchmark oracle pass (every row of
+# SO8, Spin8 and F4) stores 1 537, 3 299 and 318.  The step past the bound
+# drops the memo whole.
+ROOT_STRING_STEPS = 2 ** 15
+
+
+class RootStrings:
+    """The part of Freudenthal's recursion that does not depend on lam,
+    kept on the datum as ``_root_strings``: for a dominant mu and each class
+    (alpha, B(., alpha), size) of ``parabolic_table(mu)``, a flat list nu_1,
+    c_1, nu_2, c_2, ... with nu_k = (mu + k alpha)^+, interned, and c_k =
+    size B(mu + k alpha, alpha) = size (B(mu, alpha) + k B(alpha, alpha)).
+    A list grows by one step when a row walks past its end; ``steps``
+    counts the steps made since the last drop, those stored and those a
+    drop left to the row that made it, and the one past
+    ``ROOT_STRING_STEPS`` first drops every list."""
+
+    def __init__(self):
+        self.lists = {}         # dominant mu: one flat list per class
+        self.interned = {}
+        self.steps = 0
+
+    def step(self, rd, mu, cls, flat):
+        """Append the next step of the string of ``cls`` through mu to
+        ``flat``; return its nu_k."""
+        if self.steps >= ROOT_STRING_STEPS:
+            self.lists.clear()
+            self.interned.clear()
+            self.steps = 0
+        self.steps += 1
+        alpha, fa, size = cls
+        k = len(flat) // 2 + 1
+        nu = rd.dominant_point([a + k * b for a, b in zip(mu, alpha)])[0]
+        nu = self.interned.setdefault(nu, nu)
+        flat += (nu, size * (sum(map(mul, mu, fa))
+                             + k * sum(map(mul, alpha, fa))))
+        return nu
+
+
+def freudenthal_multiplicities(rd, lam, guard=FREUDENTHAL_GUARD_DEFAULT,
+                               top=None):
     """Weight multiplicity table of V_lam via Freudenthal's recursion, run
     on Dynkin labels.
 
@@ -192,10 +246,11 @@ def freudenthal_multiplicities(rd, lam, guard=FREUDENTHAL_GUARD_DEFAULT):
     it as for any invariant form.  delta has labels all 1.
 
     Refuses representations with dim > ``guard`` (this is the oracle path;
-    the closed-form engine has no such limit).
+    the closed-form engine has no such limit).  ``top``: the labels of lam,
+    if the caller has checked them.
     """
     lam = tuple(rl.vec(lam))
-    top = dominant_labels(rd, lam)
+    top = dominant_labels(rd, lam) if top is None else top
     dim = weyl_dim(rd, lam, top)
     if guard is not None and dim > guard:
         raise GuardExceededError(
@@ -214,41 +269,32 @@ def freudenthal_multiplicities(rd, lam, guard=FREUDENTHAL_GUARD_DEFAULT):
     heights, form, _ = rd._freudenthal_tables
     dominant.sort(key=lambda t: -sum(map(mul, heights, t[0])))
 
-    rows = rd.cartan_matrix
-    memo = {}
-
-    def dominant_of(v):
-        trail = []
-        while v not in memo:
-            for i, x in enumerate(v):
-                if x < 0:
-                    trail.append(v)
-                    v = tuple([a - x * b for a, b in zip(v, rows[i])])
-                    break
-            else:
-                memo[v] = v
-        hit = memo[v]
-        for t in trail:
-            memo[t] = hit
-        return hit
-
     def norm(v):
         shifted = [x + 1 for x in v]
         return sum(x * sum(map(mul, row, shifted))
                    for x, row in zip(shifted, form))
 
+    strings = rd.__dict__.setdefault("_root_strings", RootStrings())
+    lists = strings.lists
     top_norm = norm(top)
     mults = {top: 1}
     for mu, (_, classes, _) in dominant[1:]:
+        flats = lists.get(mu)
+        if flats is None:
+            flats = lists[mu] = [[] for _ in range(len(classes))]
         num = 0
-        for alpha, fa, size in classes:
-            cur = mu
-            while True:
-                cur = tuple([a + b for a, b in zip(cur, alpha)])
-                m = mults.get(dominant_of(cur))
+        for cls, flat in zip(classes, flats):
+            # the string is unbroken: it ends at the first nu_k that is not
+            # a weight, whether stored or not
+            steps = iter(flat)
+            for nu in steps:
+                m = mults.get(nu)
                 if m is None:
                     break
-                num += size * m * sum(map(mul, cur, fa))
+                num += m * next(steps)
+            else:
+                while m := mults.get(strings.step(rd, mu, cls, flat)):
+                    num += m * flat[-1]
         den = top_norm - norm(mu)
         m, rem = divmod(2 * num, den)
         if rem != 0 or m <= 0:

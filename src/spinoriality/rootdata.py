@@ -764,6 +764,12 @@ class CocharTable:
                 for y, sign in orbit.items()]
 
     @cached_property
+    def orbit_columns(self):
+        """``signed_orbit`` by coordinate: column i holds cden <omega_i, y>
+        over the points y, in the orbit's order."""
+        return tuple(zip(*(c for c, _ in self.signed_orbit)))
+
+    @cached_property
     def q_form(self):
         """(z, zden, w, D): z / zden = nu^z (``central``), and w_i / D =
         |nu^i|^2 / (2 dim g_i den_i), den_i that of ``_inverse_killing``; q

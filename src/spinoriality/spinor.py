@@ -71,14 +71,17 @@ def orth_rep(rd, irreducible=(), hyperbolic=(), basis=None):
 # ----------------------------------------------------------------------
 # closed-form q
 
-def q_irreducible(rd, lam, nu):
+def q_irreducible(rd, lam, nu, labels=None):
     """q for one irreducible: (dim V / 2) sum_i |nu^i|^2 chi_i(C) / dim g_i.
 
     Exact rational; integrality for orthogonal lam and lattice nu is a
     theorem and is asserted by the callers that need an integer.
+    ``labels``: lam's, if the caller has checked them.
     """
-    return weyl_dim(rd, lam) * sum(
-        (nsq / 2 * casimir_value(rd, lam, factor=i) / rd.factor_dim(i)
+    labels = repcalc.dominant_labels(rd, lam) if labels is None else labels
+    return weyl_dim(rd, lam, labels) * sum(
+        (nsq / 2 * casimir_value(rd, lam, factor=i, labels=labels)
+         / rd.factor_dim(i)
          for i, nsq in enumerate(rd.cochar_table(nu).norms) if nsq),
         Fraction(0))
 
@@ -170,7 +173,7 @@ def make_regular(rd, nu):
     return rd.cochar_table(nu).regular
 
 
-def q_via_weyl_sum(rd, lam, nu, guard=WEYL_GUARD_DEFAULT):
+def q_via_weyl_sum(rd, lam, nu, guard=WEYL_GUARD_DEFAULT, labels=None):
     """Independent q formula for simple g by an alternating Weyl sum.
 
     q = sum_w sgn(w) <w(lam+delta), nu>^(N+2) / ((N+2)! d_nu)
@@ -180,11 +183,12 @@ def q_via_weyl_sum(rd, lam, nu, guard=WEYL_GUARD_DEFAULT):
     signed orbit of nu in its ``CocharTable``, walked once per cocharacter,
     each point one integer form in the labels of lam+delta (``pairing_form``);
     the guard on |W| is checked on every call, before the orbit is read.
+    ``labels``: lam's, if the caller has checked them.
     """
     fams, central = rd.lie_type
     if len(fams) != 1 or central != 0:
         raise SpecificationError("the Weyl-sum formula needs simple g")
-    labels = repcalc.dominant_labels(rd, lam)
+    labels = repcalc.dominant_labels(rd, lam) if labels is None else labels
     table = rd.cochar_table(nu)
     if table.d_nu == 0:
         raise SpecificationError("nu must be regular for the Weyl-sum formula")
@@ -212,13 +216,16 @@ def oracle_compare(rd, lam, nu, freudenthal_guard=FREUDENTHAL_GUARD_DEFAULT,
     at nu, be 2q exactly.
     What depends on nu alone (|nu^i|^2, the regular point, d_nu, the orbits
     of nu and of the regular point) is read from their ``CocharTable``s, so
-    a second row at the same nu walks no orbit.
+    a second row at the same nu walks no orbit.  lam's labels are read
+    once, and passed on.
     """
     nu = tuple(rl.vec(nu))
-    table = freudenthal_multiplicities(rd, lam, guard=freudenthal_guard)
+    labels = repcalc.dominant_labels(rd, lam)
+    table = freudenthal_multiplicities(rd, lam, guard=freudenthal_guard,
+                                       top=labels)
     pos, moment = table.pairing_sums(nu)    # both sums in one pass
     l_val = integral_L(pos)
-    q_val = q_rep(rd, OrthRep((lam,)), nu)
+    q_val = q_rep(rd, OrthRep((lam,), labels=(labels,)), nu)
     report = {
         "L": l_val,
         "q": q_val,
@@ -229,10 +236,10 @@ def oracle_compare(rd, lam, nu, freudenthal_guard=FREUDENTHAL_GUARD_DEFAULT,
     fams, central = rd.lie_type
     if include_weyl and len(fams) == 1 and central == 0:
         reg = make_regular(rd, nu)
-        qw = q_via_weyl_sum(rd, lam, reg, guard=weyl_guard)
+        qw = q_via_weyl_sum(rd, lam, reg, guard=weyl_guard, labels=labels)
         report["weyl_sum"] = qw
         report["weyl_agrees"] = qw == (
-            q_val if reg == nu else q_irreducible(rd, lam, reg))
+            q_val if reg == nu else q_irreducible(rd, lam, reg, labels))
         report["regular_point"] = reg
     report["ok"] = (bool(report["parity_agrees"]) and moment == 2 * q_val
                     and report["weyl_agrees"] in (None, True))

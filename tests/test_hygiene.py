@@ -1,13 +1,19 @@
 """Source hygiene: no module of the package imports a name it never uses,
 and every function of ``ratlin`` is used by the package or the benchmark,
-so ``ratlin`` carries no API that only tests call."""
+so ``ratlin`` carries no API that only tests call; and what a root datum
+keeps past its construction is a cached property or a bounded memo."""
 
 import ast
+from functools import cached_property
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
 import spinoriality
+from spinoriality import cli
+from spinoriality.repcalc import ROOT_STRING_STEPS
+from spinoriality.rootdata import RootDatum
 
 PACKAGE = Path(spinoriality.__file__).resolve().parent
 # __init__ imports names only to re-export them
@@ -69,3 +75,44 @@ def test_ratlin_references_are_found():
     source = "from .ratlin import vec\nimport ratlin as rl\nvec(rl.dot(a))\n"
     assert set(ratlin_uses(source)) == {"vec", "dot"}
     assert set(ratlin_uses("def f():\n    return g()\n")) == set()
+
+
+# the memos a datum keeps besides its cached properties, each with its bound
+BOUNDED_MEMOS = {
+    "_cochar_tables": lambda rd, m: len(m) <= 2 * len(rd.cochar_basis),
+    "_parabolic_tables": lambda rd, m: len(m) <= 2 ** len(rd.simple_roots),
+    "_weight_forms": lambda rd, m: len(m) <= 2,
+    "_q_forms": lambda rd, m: len(m[1]) == len(m[0].generators),
+    "_root_strings": lambda rd, m: m.steps <= ROOT_STRING_STEPS,
+}
+
+
+@pytest.mark.parametrize("name", ["SO8", "Spin8", "F4", "PGL3", "GL3",
+                                  "SL6/mu3"])
+def test_datum_memos_are_cached_properties_or_bounded(monkeypatch, name):
+    groups = []
+
+    def load(spec):
+        groups.append(real(spec))
+        return groups[-1]
+
+    real = cli.load_group
+    monkeypatch.setattr(cli, "load_group", load)
+    runner = CliRunner()
+    zero = ",".join(["0"] * len(real(name).weight_basis))
+    commands = (["check", "--weight", zero], ["summary", "--box", "1"],
+                ["oracle", "--box", "2"])
+    for argv in commands:
+        res = runner.invoke(cli.main, argv + ["--group", name])
+        assert res.exit_code == 0, res.output
+    assert len(groups) == len(commands)
+    for g, argv in zip(groups, commands):
+        rd = g.rd
+        built = vars(RootDatum(rd.simple_roots, rd.simple_coroots,
+                               rd.cochar_basis, rd.central_cochars))
+        kept = {k for k in vars(rd) if k not in built and not isinstance(
+            RootDatum.__dict__.get(k), cached_property)}
+        assert kept <= set(BOUNDED_MEMOS)
+        assert ("_root_strings" in kept) == (argv[0] == "oracle")
+        for k in kept:
+            assert BOUNDED_MEMOS[k](rd, vars(rd)[k]), k

@@ -7,11 +7,13 @@ from itertools import product
 from math import factorial, gcd, lcm, prod
 from operator import mul
 from pathlib import Path
+from random import Random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from spinoriality import ratlin as rl
+from spinoriality import ratlin as rl, repcalc
 from spinoriality.catalog import (CATALOG_RANK_LE_4, group_by_name,
                                   summary_suite_specs)
 from spinoriality.fundgroup import FundGroupData, fundamental_group
@@ -512,6 +514,56 @@ def test_class_sum_matches_the_plain_loop_on_box_2(name):
     assert len(rows) > 5
     for lam in rows:
         assert_class_sum_matches_the_plain_loop(g.rd, lam)
+
+
+def same_roots(rd):
+    """A fresh datum with rd's roots and lattice, holding none of its memos."""
+    return RootDatum(rd.simple_roots, rd.simple_coroots, rd.cochar_basis,
+                     rd.central_cochars)
+
+
+def dominant_table(rd, lam):
+    return {rd.dynkin_labels(mu): m for mu, m in
+            freudenthal_multiplicities(rd, lam).dominant_items()}
+
+
+def assert_shared_strings_match_fresh_data(rd, rows, drop_at, bound):
+    """The rows, in this order on one datum whose root strings are held
+    to ``bound`` steps and dropped before row ``drop_at``, give the tables
+    of the plain loop and of a fresh datum per row."""
+    expected = [reference_dominant_multiplicities(rd, lam) for lam in rows]
+    assert [dominant_table(same_roots(rd), lam) for lam in rows] == expected
+    shared = same_roots(rd)
+    with patch.object(repcalc, "ROOT_STRING_STEPS", bound):
+        for i, (lam, want) in enumerate(zip(rows, expected)):
+            if i == drop_at:
+                shared.__dict__.pop("_root_strings", None)
+            assert dominant_table(shared, lam) == want
+            assert shared._root_strings.steps <= bound
+
+
+@settings(max_examples=30, deadline=None)
+@given(data_orthogonal_weight_and_cochar(), st.data())
+def test_shared_root_strings_match_fresh_data_on_random_data(case, data):
+    # the rows are lam and the dominant weights of V_lam, which share most
+    # of their strings; a small bound drops the memo inside a row
+    rd, _, lam, _ = case
+    rows = [mu for mu, _ in
+            freudenthal_multiplicities(same_roots(rd), lam).dominant_items()]
+    rows = data.draw(st.permutations(rows))[:8]
+    assert_shared_strings_match_fresh_data(
+        rd, rows, data.draw(st.integers(0, len(rows))),
+        data.draw(st.integers(1, 64)))
+
+
+@pytest.mark.parametrize("name", ["SO8", "Spin8", "F4", "G2", "SO7", "Sp6"])
+def test_shared_root_strings_match_fresh_data_on_box_2(name):
+    g = group_by_name(name)
+    rows = [lam for _, lam in dominant_orthogonal_weights(
+        g.rd, 2, basis=g.weight_basis) if weyl_dim(g.rd, lam) <= 10 ** 4]
+    Random(name).shuffle(rows)
+    assert_shared_strings_match_fresh_data(g.rd, rows, len(rows) // 2,
+                                           repcalc.ROOT_STRING_STEPS)
 
 
 def reference_root_classes(rd, zeros):

@@ -6,10 +6,13 @@ from spinoriality import ratlin as rl
 from spinoriality.catalog import group_by_name
 from spinoriality.errors import (GuardExceededError, IntegralityError,
                                  SpecificationError)
-from spinoriality.repcalc import (L_phi, classify, casimir_value,
-                                  dynkin_index, dynkin_index_orth,
+from spinoriality.repcalc import (FREUDENTHAL_GUARD_DEFAULT,
+                                  ROOT_STRING_STEPS, L_phi, classify,
+                                  casimir_value, dynkin_index,
+                                  dynkin_index_orth,
                                   freudenthal_multiplicities, weyl_dim)
 from spinoriality.rootdata import RootDatum, build_root_datum
+from spinoriality.spinor import dominant_orthogonal_weights
 
 
 def fw(rd, coeffs):
@@ -167,6 +170,45 @@ def test_freudenthal_walks_one_string_per_root_class(monkeypatch):
     dominant = sum(1 for _ in table.dominant_items())
     assert dominant == 14
     assert 0 < len(walks) < (dominant - 1) * g.rd.num_positive_roots
+    # exactly one per class, on a fresh datum and again once its strings
+    # are stored
+    classes = sum(len(real(g.rd, g.rd.dynkin_labels(mu))[1])
+                  for mu, _ in list(table.dominant_items())[1:])
+    assert len(walks) == classes == 95
+    freudenthal_multiplicities(g.rd, lam)
+    assert len(walks) == 2 * classes
+
+
+def stored_steps(strings):
+    return sum(len(flat) // 2 for flats in strings.lists.values()
+               for flat in flats)
+
+
+def test_root_strings_stay_within_their_bound():
+    # SL4's rows up to box 16 walk more than ROOT_STRING_STEPS steps: the
+    # memo is dropped whole inside a row, never holds more than the bound,
+    # and the rows after the drop give the tables of a fresh datum
+    g = group_by_name("SL4")
+    rd, drops, after = g.rd, 0, []
+    for _, lam in dominant_orthogonal_weights(rd, 16, basis=g.weight_basis):
+        if weyl_dim(rd, lam) > FREUDENTHAL_GUARD_DEFAULT:
+            continue
+        strings = rd.__dict__.get("_root_strings")
+        steps = strings.steps if strings else 0
+        table = freudenthal_multiplicities(rd, lam)
+        strings = rd._root_strings
+        assert stored_steps(strings) <= strings.steps <= ROOT_STRING_STEPS
+        if drops:
+            after.append((lam, list(table.dominant_items())))
+            if len(after) == 2:
+                break
+        drops += strings.steps < steps
+    assert drops == 1
+    fresh = RootDatum(rd.simple_roots, rd.simple_coroots, rd.cochar_basis,
+                      rd.central_cochars)
+    for lam, items in after:
+        assert list(freudenthal_multiplicities(
+            fresh, lam).dominant_items()) == items
 
 
 def test_parabolic_memo_holds_one_table_per_zero_pattern():
