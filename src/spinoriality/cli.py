@@ -327,11 +327,14 @@ def run_atlas(group, box, k, fmt, grid_file):
 
 def _write_grid(group, verdicts, path):
     """Plain CSV of weight coordinates and the verdict bit, for plotting."""
-    with open(path, "w") as fh:
-        r = len(group.weight_basis)
-        fh.write(",".join(f"c{i+1}" for i in range(r)) + ",spinorial\n")
-        for coords, spinorial in verdicts.items():
-            fh.write(",".join(map(str, coords)) + f",{int(spinorial)}\n")
+    try:
+        with open(path, "w") as fh:
+            r = len(group.weight_basis)
+            fh.write(",".join(f"c{i+1}" for i in range(r)) + ",spinorial\n")
+            for coords, spinorial in verdicts.items():
+                fh.write(",".join(map(str, coords)) + f",{int(spinorial)}\n")
+    except OSError as exc:
+        raise SpecificationError(f"cannot write grid file: {exc}")
 
 
 def run_summary(group, box, fmt):

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import prod
-from operator import add, mul
+from operator import add, itemgetter, mul
 
 from . import ratlin as rl
 from .ratlin import fmt_vec
@@ -243,7 +243,8 @@ def freudenthal_multiplicities(rd, lam, guard=FREUDENTHAL_GUARD_DEFAULT,
     m(mu + k alpha) is read at the dominant conjugate.  The form is the
     W-invariant B(x, y) = sum over positive coroots of <x, beta^v><y,
     beta^v>, an integer matrix on labels; Freudenthal's formula holds for
-    it as for any invariant form.  delta has labels all 1.
+    it as for any invariant form.  delta has labels all 1, and each
+    |mu + delta|^2 gives both mu's place in the order and its denominator.
 
     Refuses representations with dim > ``guard`` (this is the oracle path;
     the closed-form engine has no such limit).  ``top``: the labels of lam,
@@ -255,30 +256,28 @@ def freudenthal_multiplicities(rd, lam, guard=FREUDENTHAL_GUARD_DEFAULT,
     if guard is not None and dim > guard:
         raise GuardExceededError(
             f"dim V = {dim} exceeds the multiplicity guard {guard}")
-    dominant = [(top, rd.parabolic_table(top))]
-    seen = {top}
-    for mu, (_, _, candidates) in dominant:
-        for beta in candidates:
-            nxt = tuple([a - b for a, b in zip(mu, beta)])
-            if min(nxt) >= 0 and nxt not in seen:
-                seen.add(nxt)
-                dominant.append((nxt, rd.parabolic_table(nxt)))
-    # recurse downward from lam by the height of lam - mu, against the
-    # heights of the fundamental weights: the dominant conjugate of
-    # mu + k alpha lies above mu, so its multiplicity is known first
-    heights, form, _ = rd._freudenthal_tables
-    dominant.sort(key=lambda t: -sum(map(mul, heights, t[0])))
+    form = rd._invariant_form[0]
 
-    def norm(v):
+    def norm(v):    # |v + delta|^2 under B
         shifted = [x + 1 for x in v]
         return sum(x * sum(map(mul, row, shifted))
                    for x, row in zip(shifted, form))
 
+    dominant = [(norm(top), top, rd.parabolic_table(top))]
+    seen = {top}
+    for _, mu, (_, _, candidates) in dominant:
+        for beta in candidates:
+            nxt = tuple([a - b for a, b in zip(mu, beta)])
+            if min(nxt) >= 0 and nxt not in seen:
+                seen.add(nxt)
+                dominant.append((norm(nxt), nxt, rd.parabolic_table(nxt)))
+    # downward by the norm, which grows by B(nu - mu, nu + mu + 2 delta) > 0
+    # from mu to a dominant nu > mu, such as (mu + k alpha)^+: known first
+    dominant.sort(key=itemgetter(0), reverse=True)
     strings = rd.__dict__.setdefault("_root_strings", RootStrings())
     lists = strings.lists
-    top_norm = norm(top)
     mults = {top: 1}
-    for mu, (_, classes, _) in dominant[1:]:
+    for n, mu, (_, classes, _) in dominant[1:]:
         flats = lists.get(mu)
         if flats is None:
             flats = lists[mu] = [[] for _ in range(len(classes))]
@@ -295,7 +294,7 @@ def freudenthal_multiplicities(rd, lam, guard=FREUDENTHAL_GUARD_DEFAULT,
             else:
                 while m := mults.get(strings.step(rd, mu, cls, flat)):
                     num += m * flat[-1]
-        den = top_norm - norm(mu)
+        den = dominant[0][0] - n
         m, rem = divmod(2 * num, den)
         if rem != 0 or m <= 0:
             raise IntegralityError(
@@ -303,7 +302,7 @@ def freudenthal_multiplicities(rd, lam, guard=FREUDENTHAL_GUARD_DEFAULT,
                 f"labels {fmt_vec(mu)} is not a positive integer")
         mults[mu] = m
     table = WeightMultiplicityTable(rd, lam, top, [
-        (mu, mults[mu], size) for mu, (size, _, _) in dominant])
+        (mu, mults[mu], size) for _, mu, (size, _, _) in dominant])
     if table.total_dim != dim:
         raise IntegralityError(
             f"multiplicity total {table.total_dim} != Weyl dimension {dim}")

@@ -20,15 +20,16 @@ coordinates.
 Hot paths read a weight as its Dynkin labels <mu, alpha_i^v> and use lazy
 integer tables: the labels of the simple and positive roots, the positive
 coroots in simple-coroot coordinates, -w0 as a permutation of the labels, and
-per factor the inverse Killing Gram matrix on the simple coroots, computed
-from the definition (x,y) = sum_a a(x)a(y) over all roots, scaled to
-integers.  ``WeightForms`` reads labels and decides, in integers, whether a
-weight is a dominant orthogonal character, in any coordinate basis.  No
-table per family: |W| and |W_K| come from Macdonald's product, h^v from the
-highest root, Killing norms from the pairings with the simple roots, all on
-the integer root closure.  Weyl orbits are walked on labels, where s_i
-subtracts v_i times the labels of alpha_i; that of a cocharacter is walked
-on its pairings with the simple roots and the fundamental weights.
+one form B(x, y) = sum_{beta > 0} <x, beta^v><y, beta^v>, on a simple factor
+the inverse Killing form times B(theta, theta + 2 delta), theta its highest
+root, as the adjoint Casimir is 1.  ``WeightForms`` reads labels and decides,
+in integers, whether a weight is a dominant orthogonal character, in any
+coordinate basis.  No table per family: |W| and |W_K| come from Macdonald's
+product, h^v from the highest root, Killing norms from the pairings with the
+simple roots, all on the integer root closure.  Weyl orbits are walked on
+labels, where s_i subtracts v_i times the labels of alpha_i; that of a
+cocharacter is walked on its pairings with the simple roots and the
+fundamental weights.
 """
 
 from fractions import Fraction
@@ -291,16 +292,14 @@ class RootDatum:
         return prod(map(sum, self.positive_coroot_coords))
 
     @cached_property
-    def _freudenthal_tables(self):
-        """Freudenthal's tables on labels: the heights of the fundamental
-        weights times det^2 (det times the adjugate's row sums), the form
-        B(x, y) = sum_{beta > 0} <x, beta^v><y, beta^v>, B(., beta) each."""
-        adj, det = self._cartan_adj
+    def _invariant_form(self):
+        """B(x, y) = sum_{beta > 0} <x, beta^v><y, beta^v>, W-invariant, as
+        an integer matrix on labels, and B(., beta) for each beta > 0."""
+        n = len(self.cartan_matrix)
         form = [[sum(k[i] * k[j] for k in self.positive_coroot_coords)
-                 for j in range(len(adj))] for i in range(len(adj))]
-        return ([sum(row) * det for row in adj], form,
-                [tuple(sum(map(mul, row, a)) for row in form)
-                 for a in self.positive_root_labels])
+                 for j in range(n)] for i in range(n)]
+        return form, [tuple(sum(map(mul, row, a)) for row in form)
+                      for a in self.positive_root_labels]
 
     @cached_property
     def minus_w0_perm(self):
@@ -351,42 +350,40 @@ class RootDatum:
     # pairings and forms
 
     @cached_property
-    def _inverse_killing(self):
-        """Per factor: its indices and the inverse of its Gram matrix
-        K(alpha_a^v, alpha_b^v) = 2 sum_beta <beta, alpha_a^v><beta,
-        alpha_b^v> over the positive roots, as integers over a denominator;
-        each root adds the outer product of its nonzero labels."""
-        gram = [[0] * len(self.cartan_matrix) for _ in self.cartan_matrix]
-        for labels in self.positive_root_labels:
-            support = [(i, x) for i, x in enumerate(labels) if x]
-            for i, x in support:
-                for j, y in support:
-                    gram[i][j] += 2 * x * y
-        out = []
-        for f in self.factors:
-            block = [[gram[a][b] for b in f.indices] for a in f.indices]
-            g = gcd(*(x for row in block for x in row))   # smaller minors
-            adj, det = rl.int_inverse([[x // g for x in row] for row in block])
-            out.append((f.indices, *rl.scaled_rows(
-                [[Fraction(x, g * det) for x in row] for row in adj])))
-        return tuple(out)
+    def _highest_roots(self):
+        """Per simple factor, the position of its root of greatest height
+        theta in the closure."""
+        top = [(0, 0)] * len(self.factors)
+        for p, c in enumerate(self.positive_root_coords):
+            fi = self._factor_of_root(c)
+            top[fi] = max(top[fi], (sum(c), p))
+        return [p for _, p in top]
 
-    def factor_inner_nums(self, labels1, labels2):
-        """Per simple factor, ``label_inner`` times the factor's denominator
-        in ``_inverse_killing``: integers for integer labels."""
-        out = []
-        for idx, inv, _ in self._inverse_killing:
-            b = [labels2[i] for i in idx]
-            out.append(sum(labels1[i] * sum(map(mul, row, b))
-                           for i, row in zip(idx, inv)))
-        return out
+    @cached_property
+    def _inverse_killing(self):
+        """Per factor: its indices, the rows of B at them and den = B(theta,
+        theta + 2 delta).  B / den is the inverse Killing form there, which
+        is a multiple of B and gives the adjoint Casimir 1 (Humphreys,
+        Introduction to Lie algebras and representation theory, 6.2)."""
+        form, by_root = self._invariant_form
+        labels = self.positive_root_labels
+        return tuple((f.indices, [form[a] for a in f.indices],
+                      sum(map(mul, by_root[p], [x + 2 for x in labels[p]])))
+                     for f, p in zip(self.factors, self._highest_roots))
+
+    def factor_inner_nums(self, labels1, labels2, factors=slice(None)):
+        """``label_inner`` on each simple factor of the slice ``factors``,
+        times its den in ``_inverse_killing``: integers for integer labels."""
+        return [sum(labels1[i] * sum(map(mul, row, labels2))
+                    for i, row in zip(idx, rows))
+                for idx, rows, _ in self._inverse_killing[factors]]
 
     def label_inner(self, labels1, labels2, factor=None):
-        """``weight_inner`` of two weights given by their labels."""
-        terms = zip(self.factor_inner_nums(labels1, labels2),
-                    self._inverse_killing)
-        return sum((Fraction(x, den) for i, (x, (*_, den)) in enumerate(terms)
-                    if factor in (None, i)), Fraction(0))
+        """``weight_inner`` of weights given by labels, or on one factor."""
+        factors = slice(None) if factor is None else slice(factor, factor + 1)
+        nums = self.factor_inner_nums(labels1, labels2, factors)
+        dens = [den for *_, den in self._inverse_killing[factors]]
+        return sum(map(Fraction, nums, dens), Fraction(0))
 
     def weight_inner(self, mu1, mu2):
         """Inverse Killing form on characters; central parts do not count."""
@@ -412,10 +409,8 @@ class RootDatum:
     def dual_coxeter_number(self, factor):
         """h^v = 1 + ht(theta^v), theta the factor's positive root of greatest
         height (Kac, Infinite dimensional Lie algebras, 6.1)."""
-        _, k, *_ = max((t for t in self._root_closure
-                        if self._factor_of_root(t[0]) == factor),
-                       key=lambda t: sum(t[0]))
-        return 1 + sum(k)
+        return 1 + sum(self.positive_coroot_coords[
+            self._highest_roots[factor]])
 
     # ------------------------------------------------------------------
     # dominance and the Weyl group
@@ -507,7 +502,7 @@ class RootDatum:
             classes = [(a, fa, order // self._parabolic_order(
                 [1 if x else y for x, y in zip(mu, a)])
                 // (2 if not any(map(mul, c, mu)) else 1))
-                for a, fa, c in zip(roots, self._freudenthal_tables[2],
+                for a, fa, c in zip(roots, self._invariant_form[1],
                                     self.positive_root_coords)
                 if all(a[j] >= 0 for j in key)]
             tables[key] = (self.weyl_order // order, classes,
@@ -774,7 +769,7 @@ class CocharTable:
         """(z, zden, w, D): z / zden = nu^z (``central``), and w_i / D =
         |nu^i|^2 / (2 dim g_i den_i), den_i that of ``_inverse_killing``; q
         of an irreducible with labels l is then dim V sum_i w_i Q_i(l) / D,
-        Q_i = ``factor_inner_nums(l, l + 2)``."""
+        Q_i = ``factor_inner_nums(l, l + 2)``, B on the factor."""
         rd = self._rd
         return (*self.central, *rl.scaled(
             [nsq / (2 * rd.factor_dim(i) * den) for i, (nsq, (*_, den)) in

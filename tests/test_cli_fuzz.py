@@ -217,6 +217,18 @@ def test_a_plus_after_an_exponent_mark_is_no_summand_plus(plus, bare):
         want[1])["results"][0]["certificate"]
 
 
+@pytest.mark.parametrize("where", ["missing/grid.csv", "."])
+def test_unwritable_grid_file_exits_2(where, tmp_path):
+    # a path under a directory that does not exist, and a directory
+    path = tmp_path / where
+    res = CliRunner().invoke(main, ["atlas", "--group", "PGL2", "--box", "8",
+                                    "--grid-file", str(path)])
+    assert res.exit_code == 2, res.exception
+    assert res.stderr.startswith("spec error: cannot write grid file: ")
+    assert res.stderr.count("\n") == 1
+    assert res.stdout == ""
+
+
 @pytest.mark.parametrize("content", [b"[" * 100000 + b"]" * 100000,
                                      b'{"catalog": "\xff\xfe"}'])
 def test_unreadable_group_file_exits_2(content, tmp_path):

@@ -1,7 +1,8 @@
 """Source hygiene: no module of the package imports a name it never uses,
-and every function of ``ratlin`` is used by the package or the benchmark,
-so ``ratlin`` carries no API that only tests call; and what a root datum
-keeps past its construction is a cached property or a bounded memo."""
+every function of ``ratlin`` is used by the package or the benchmark, so
+``ratlin`` carries no API that only tests call, and neither does any other
+module, past the public names of ``__init__``; and what a root datum keeps
+past its construction is a cached property or a bounded memo."""
 
 import ast
 from functools import cached_property
@@ -75,6 +76,56 @@ def test_ratlin_references_are_found():
     source = "from .ratlin import vec\nimport ratlin as rl\nvec(rl.dot(a))\n"
     assert set(ratlin_uses(source)) == {"vec", "dot"}
     assert set(ratlin_uses("def f():\n    return g()\n")) == set()
+
+
+def names_read(tree):
+    """The names a syntax tree reads: loaded names and attributes."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute)}
+
+
+def is_command(node):
+    """A function registered as a CLI command by ``@main.command()``."""
+    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
+               and d.func.attr == "command" for d in node.decorator_list)
+
+
+def unread_definitions(sources, public=()):
+    """(module, name) of each top-level function or class of the package
+    sources (a dict from module name to source) that no code reads outside
+    its own definition, in the package or in ``sources[None]``, the
+    benchmark; public names and CLI commands are exempt."""
+    bodies = {m: ast.parse(src).body for m, src in sources.items()}
+    reads = {m: [names_read(node) for node in body]
+             for m, body in bodies.items()}
+    out = []
+    for m, body in bodies.items():
+        for k, node in enumerate(body):
+            if (m is None or not isinstance(node, (ast.FunctionDef,
+                                                    ast.ClassDef))
+                    or node.name in public or is_command(node)):
+                continue
+            if not any(node.name in r for n, rs in reads.items()
+                       for j, r in enumerate(rs) if (n, j) != (m, k)):
+                out.append((m, node.name))
+    return sorted(out)
+
+
+def test_every_module_level_name_is_read_or_public():
+    sources = {p.name: p.read_text() for p in MODULES}
+    sources[None] = "\n".join(p.read_text() for p in BENCH)
+    assert unread_definitions(sources, set(spinoriality.__all__)) == []
+
+
+def test_unread_definitions_are_found():
+    sources = {"a.py": "def f():\n    return f()\n\nclass C:\n    pass\n"
+                       "\ndef g():\n    pass\n\ndef _h():\n    return g\n",
+               "b.py": "@main.command()\ndef cmd():\n    pass\n",
+               None: "x = a._h\n"}
+    assert unread_definitions(sources) == [("a.py", "C"), ("a.py", "f")]
+    assert unread_definitions(sources, {"C"}) == [("a.py", "f")]
 
 
 # the memos a datum keeps besides its cached properties, each with its bound

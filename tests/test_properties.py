@@ -469,7 +469,15 @@ def reference_dominant_multiplicities(rd, lam):
             if min(nxt) >= 0 and nxt not in seen:
                 seen.add(nxt)
                 dominant.append(nxt)
-    heights, form, form_roots = rd._freudenthal_tables
+    # the heights of the fundamental weights times det^2, and B(x, y) =
+    # sum_{beta > 0} <x, beta^v><y, beta^v>, built here rather than read
+    # off the datum's tables
+    adj, det = rl.int_inverse(rd.cartan_matrix)
+    heights = [sum(row) * det for row in adj]
+    coroots = rd.positive_coroot_coords
+    form = [[sum(k[i] * k[j] for k in coroots) for j in range(len(adj))]
+            for i in range(len(adj))]
+    form_roots = [[sum(map(mul, row, a)) for row in form] for a in roots]
     dominant.sort(key=lambda mu: -sum(map(mul, heights, mu)))
 
     def norm(v):
@@ -1162,7 +1170,8 @@ def test_integer_pairings_match_the_euclidean_definitions(case):
 
 
 def reference_inverse_killing(rd):
-    """The inverse Killing Gram matrices from the dense sum over every root
+    """Per factor: its indices and the inverse of its Killing Gram matrix
+    on the simple coroots, as Fractions, from the dense sum over every root
     of every pair of labels."""
     roots = rd.positive_root_labels
     out = []
@@ -1170,22 +1179,47 @@ def reference_inverse_killing(rd):
         gram = [[2 * sum(l[a] * l[b] for l in roots) for b in f.indices]
                 for a in f.indices]
         adj, det = rl.int_inverse(gram)
-        out.append((f.indices, *rl.scaled_rows(
-            [[Fraction(x, det) for x in row] for row in adj])))
-    return tuple(out)
+        out.append((f.indices, [[Fraction(x, det) for x in row]
+                                for row in adj]))
+    return out
+
+
+def assert_inverse_killing_matches_the_dense_inverse(rd, pairs):
+    """``label_inner`` on each factor and in all is l1 . K^-1 l2 for each
+    pair of labels, K the dense Gram matrix; and the Casimir of each
+    factor's highest root (of greatest height) is 1 on that factor."""
+    reference = reference_inverse_killing(rd)
+    for l1, l2 in pairs:
+        want = [sum(l1[a] * x * l2[b] for a, row in zip(idx, inv)
+                    for b, x in zip(idx, row)) for idx, inv in reference]
+        assert [rd.label_inner(l1, l2, factor=i)
+                for i in range(len(want))] == want
+        assert rd.label_inner(l1, l2) == sum(want)
+    for i, f in enumerate(rd.factors):
+        theta = max((c for c in rd.positive_root_coords
+                     if any(c[j] for j in f.indices)), key=sum)
+        lam = rl.combo(theta, rd.simple_roots, dim=rd.dim)
+        assert casimir_value(rd, lam, factor=i) == 1
 
 
 @pytest.mark.parametrize("name", CATALOG_NAMES)
 def test_sparse_inverse_killing_matches_the_dense_sum_on_the_catalog(name):
     rd = group_by_name(name).rd
-    assert rd._inverse_killing == reference_inverse_killing(rd)
+    rng, r = Random(name), len(rd.simple_roots)
+    assert_inverse_killing_matches_the_dense_inverse(rd, [
+        tuple([rng.randint(-4, 4) for _ in range(r)] for _ in range(2))
+        for _ in range(5)])
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.composite(random_datum)())
-def test_sparse_inverse_killing_matches_the_dense_sum_on_random_data(case):
+@given(st.data(), st.composite(random_datum)())
+def test_sparse_inverse_killing_matches_the_dense_sum_on_random_data(data,
+                                                                     case):
     rd = case[0]
-    assert rd._inverse_killing == reference_inverse_killing(rd)
+    labels = st.lists(st.integers(-4, 4), min_size=len(rd.simple_roots),
+                      max_size=len(rd.simple_roots))
+    assert_inverse_killing_matches_the_dense_inverse(rd, [
+        (data.draw(labels), data.draw(labels)) for _ in range(5)])
 
 
 # ----------------------------------------------------------------------
