@@ -101,6 +101,14 @@ def _system(family, rank):
     return roots, coroots, () if central is None else (central,)
 
 
+def _orthogonal_generators(fam, n):
+    """Traditional lifts of pi_1's generators: SO, PSO, G+- on B_n, D_n."""
+    half = _half_ones(n, last_sign=-1 if fam == "Gminus" else 1)
+    if fam == "SO":
+        return [_e(n, 0)]
+    return [_e(n, 0), half] if fam == "PSO" and n % 2 == 0 else [half]
+
+
 def _half_lattice(n):
     """A basis of Z^n + Z (1/2)(1,...,1)."""
     return rl.row_lattice_basis(rl.identity(n) + (_half_ones(n),))
@@ -141,10 +149,10 @@ def make_group(spec):
             raise SpecificationError("orthogonal groups need m >= 3")
         n, name = m // 2, f"{fam}{m}"
         roots, coroots, _ = _system("D" if m % 2 == 0 else "B", n)
-        basis = coroots
         if fam == "SO":
-            basis, gens = rl.identity(n), [_e(n, 0)]
-        rd = RootDatum(roots, coroots, basis, label=name)
+            gens = _orthogonal_generators(fam, n)
+        rd = RootDatum(roots, coroots, rl.identity(n) if gens else coroots,
+                       label=name)
     elif fam == "PSO":
         (m,) = p
         if m % 2 != 0 or m < 4:
@@ -152,7 +160,7 @@ def make_group(spec):
         n, name = m // 2, f"PSO{m}"
         roots, coroots, _ = _system("D", n)
         rd = RootDatum(roots, coroots, _half_lattice(n), label=name)
-        gens = [_e(n, 0), _half_ones(n)] if n % 2 == 0 else [_half_ones(n)]
+        gens = _orthogonal_generators(fam, n)
     elif fam in ("Gplus", "Gminus"):
         (m,) = p
         n, name = m // 2, f"{fam}{m}"
@@ -160,7 +168,7 @@ def make_group(spec):
             raise SpecificationError(
                 "the plus/minus type D quotients need m = 2n with n even, n > 2")
         roots, coroots, _ = _system("D", n)
-        gens = [_half_ones(n, last_sign=1 if fam == "Gplus" else -1)]
+        gens = _orthogonal_generators(fam, n)
         rd = RootDatum(roots, coroots, rl.row_lattice_basis(coroots + gens),
                        label=name)
     elif fam in ("simplyConnected", "adjoint"):
@@ -374,21 +382,16 @@ def type_d_weight(n, name):
 
 def type_d_table(n):
     """p values per isogeny class and (dim, Casimir) rows for the named
-    weights of D_n, computed by the engine."""
-    rows = {}
-    groups = [f"SO{2*n}", f"PSO{2*n}"]
-    if n % 2 == 0 and n > 2:
-        groups += [f"Gplus{2*n}", f"Gminus{2*n}"]
-    for name in groups:
-        g = group_by_name(name)
-        rows[name] = p_value(g.rd, g.fg.generators)
+    weights of D_n, all on one D_n datum: a Killing norm reads the roots."""
     rd = build_root_datum([("D", n)])
-    weights = {}
+    fams = ["SO", "PSO"] + ["Gplus", "Gminus"] * (n % 2 == 0 and n > 2)
+    rows = {f"{fam}{2*n}": p_value(rd, _orthogonal_generators(fam, n))
+            for fam in fams}
     names = [f"w{k}" for k in range(1, n + 1)] + ["half_wn", "half_wminus", "wminus"]
-    for wname in names:
-        lam = type_d_weight(n, wname)
-        weights[wname] = (repcalc.weyl_dim(rd, lam), repcalc.casimir_value(rd, lam))
-    return {"p": rows, "weights": weights}
+    lams = {w: type_d_weight(n, w) for w in names}
+    return {"p": rows, "weights": {w: (repcalc.weyl_dim(rd, lam),
+                                       repcalc.casimir_value(rd, lam))
+                                   for w, lam in lams.items()}}
 
 
 # ----------------------------------------------------------------------

@@ -200,20 +200,14 @@ def run_check(group, weights, fmt):
     click.echo("\n".join(lines))
 
 
-def _type_d_rank(group):
-    fams, _ = group.rd.lie_type
-    if len(fams) == 1 and fams[0][0] == "D":
-        return fams[0][1]
-    return None
-
-
 def run_table(group, fmt):
     report = {"group": group.name,
               "fundamental_group": list(group.fg.invariant_factors)}
     if group.fg.generators:
         report["p"] = p_value(group.rd, group.fg.generators)
         report["generators"] = [list(nu) for nu in group.fg.generators]
-    n = _type_d_rank(group)
+    fams, _ = group.rd.lie_type
+    n = fams[0][1] if len(fams) == 1 and fams[0][0] == "D" else None
     dtable = catalog.type_d_table(n) if n is not None else None
     if dtable is not None:
         report["isogeny_p"] = dtable["p"]

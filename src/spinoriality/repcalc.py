@@ -241,10 +241,10 @@ def freudenthal_multiplicities(rd, lam, guard=FREUDENTHAL_GUARD_DEFAULT,
     needs only those, and one root per W_mu-class as above (Moody-Patera,
     "Fast recursion formula for weight multiplicities", Bull. AMS 1982):
     m(mu + k alpha) is read at the dominant conjugate.  The form is the
-    W-invariant B(x, y) = sum over positive coroots of <x, beta^v><y,
-    beta^v>, an integer matrix on labels; Freudenthal's formula holds for
-    it as for any invariant form.  delta has labels all 1, and each
-    |mu + delta|^2 gives both mu's place in the order and its denominator.
+    datum's W-invariant B (``RootDatum._invariant_form``), integers on
+    labels; Freudenthal's formula holds for it as for any invariant form.
+    delta has labels all 1, and each |mu + delta|^2 gives both mu's place
+    in the order and its denominator.
 
     Refuses representations with dim > ``guard`` (this is the oracle path;
     the closed-form engine has no such limit).  ``top``: the labels of lam,

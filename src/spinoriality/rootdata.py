@@ -20,16 +20,15 @@ coordinates.
 Hot paths read a weight as its Dynkin labels <mu, alpha_i^v> and use lazy
 integer tables: the labels of the simple and positive roots, the positive
 coroots in simple-coroot coordinates, -w0 as a permutation of the labels, and
-one form B(x, y) = sum_{beta > 0} <x, beta^v><y, beta^v>, on a simple factor
-the inverse Killing form times B(theta, theta + 2 delta), theta its highest
-root, as the adjoint Casimir is 1.  ``WeightForms`` reads labels and decides,
-in integers, whether a weight is a dominant orthogonal character, in any
-coordinate basis.  No table per family: |W| and |W_K| come from Macdonald's
-product, h^v from the highest root, Killing norms from the pairings with the
-simple roots, all on the integer root closure.  Weyl orbits are walked on
-labels, where s_i subtracts v_i times the labels of alpha_i; that of a
-cocharacter is walked on its pairings with the simple roots and the
-fundamental weights.
+one form B = adj_ij e_j = det (omega_i, omega_j), |alpha_i|^2 = 2 e_i, on a
+simple factor the inverse Killing form times B(theta, theta + 2 delta), theta
+its highest root, as the adjoint Casimir is 1.  ``WeightForms`` decides on
+labels, in integers, whether a weight is a dominant orthogonal character, in
+any basis.  No table per family: |W| and |W_K| come from Macdonald's product,
+h^v from the highest root, Killing norms from the pairings with the simple
+roots, all on the integer root closure.  Weyl orbits are walked on labels, s_i
+subtracting v_i times the labels of alpha_i, and that of a cocharacter on its
+pairings with the simple roots and the fundamental weights.
 """
 
 from fractions import Fraction
@@ -62,12 +61,13 @@ _G2_CARTAN = [
 ]
 
 class Factor:
-    """One simple factor: indices of its simple roots plus its type label."""
+    """One simple factor: its simple roots' indices and lengths, its type."""
 
-    def __init__(self, indices, family, rank):
+    def __init__(self, indices, family, rank, lengths):
         self.indices = tuple(indices)
         self.family = family
         self.rank = rank
+        self.lengths = tuple(lengths)
 
     @property
     def label(self):
@@ -293,13 +293,14 @@ class RootDatum:
 
     @cached_property
     def _invariant_form(self):
-        """B(x, y) = sum_{beta > 0} <x, beta^v><y, beta^v>, W-invariant, as
-        an integer matrix on labels, and B(., beta) for each beta > 0."""
-        n = len(self.cartan_matrix)
-        form = [[sum(k[i] * k[j] for k in self.positive_coroot_coords)
-                 for j in range(n)] for i in range(n)]
-        return form, [tuple(sum(map(mul, row, a)) for row in form)
-                      for a in self.positive_root_labels]
+        """(B, s): B = adj_ij e_j on labels, det (omega_i, omega_j) if
+        |alpha_i|^2 = 2 e_i (``Factor`` lengths): W-invariant, a e the Gram
+        matrix of the simple roots (Humphreys, Introduction to Lie algebras,
+        13.1); s_i = det e_i, B(x, sum c_i alpha_i) = sum_i s_i c_i x_i."""
+        adj, det = self._cartan_adj
+        e = dict(x for f in self.factors for x in zip(f.indices, f.lengths))
+        e = [e[i] for i in range(len(adj))]
+        return [list(map(mul, row, e)) for row in adj], [det * x for x in e]
 
     @cached_property
     def minus_w0_perm(self):
@@ -362,13 +363,14 @@ class RootDatum:
     @cached_property
     def _inverse_killing(self):
         """Per factor: its indices, the rows of B at them and den = B(theta,
-        theta + 2 delta).  B / den is the inverse Killing form there, which
-        is a multiple of B and gives the adjoint Casimir 1 (Humphreys,
-        Introduction to Lie algebras and representation theory, 6.2)."""
-        form, by_root = self._invariant_form
-        labels = self.positive_root_labels
+        theta + 2 delta) = sum_i s_i c_i (x_i + 2), ``_invariant_form``.
+        B / den is the inverse Killing form there, a multiple of B giving
+        the adjoint Casimir 1 (Humphreys, 6.2)."""
+        form, s = self._invariant_form
+        coords, labels = self.positive_root_coords, self.positive_root_labels
         return tuple((f.indices, [form[a] for a in f.indices],
-                      sum(map(mul, by_root[p], [x + 2 for x in labels[p]])))
+                      sum(w * c * (x + 2) for w, c, x in zip(
+                          s, coords[p], labels[p])))
                      for f, p in zip(self.factors, self._highest_roots))
 
     def factor_inner_nums(self, labels1, labels2, factors=slice(None)):
@@ -499,11 +501,12 @@ class RootDatum:
         tables = self.__dict__.setdefault("_parabolic_tables", {})
         if key not in tables:
             order, roots = self._parabolic_order(mu), self.positive_root_labels
-            classes = [(a, fa, order // self._parabolic_order(
-                [1 if x else y for x, y in zip(mu, a)])
-                // (2 if not any(map(mul, c, mu)) else 1))
-                for a, fa, c in zip(roots, self._invariant_form[1],
-                                    self.positive_root_coords)
+            s = self._invariant_form[1]
+            classes = [(a, tuple(map(mul, s, c)),
+                        order // self._parabolic_order(
+                            [1 if x else y for x, y in zip(mu, a)])
+                        // (2 if not any(map(mul, c, mu)) else 1))
+                for a, c in zip(roots, self.positive_root_coords)
                 if all(a[j] >= 0 for j in key)]
             tables[key] = (self.weyl_order // order, classes,
                            [a for a in roots if all(a[j] <= 0 for j in key)])
@@ -580,17 +583,17 @@ class RootDatum:
 
         These are the directions a genuine central torus of the group points
         in; characters of irreducible orthogonal representations must vanish
-        on them.  Quotiented-out ambient directions are excluded.
+        on them; a basis modulo the quotiented-out ambient directions.
         """
         # combinations of the cochar basis that every simple root kills
         system = rl.scaled_rows([[dot(a, b) for b in self.cochar_basis]
                                  for a in self.simple_roots])[0]
         _, _, det, kernel = rl.row_span_table(system, len(self.cochar_basis))
-        # drop those along the quotiented central directions
-        z = self.central_cochars
-        return tuple(v for v in rl.int_combos(kernel, self.cochar_basis, det)
-                     if rl.row_span_table(rl.scaled_rows(z + (v,))[0],
-                                          self.dim) is not None)
+        kept = self.central_cochars
+        for v in rl.int_combos(kernel, self.cochar_basis, det):
+            if rl.row_span_table(rl.scaled_rows(kept + (v,))[0], self.dim):
+                kept += (v,)
+        return kept[len(self.central_cochars):]
 
 
 class WeightForms:
@@ -856,23 +859,23 @@ def cartan_checked(a, den=1):
 
 def cartan_factors(a):
     """The simple factors of a ``cartan_checked`` a, the components of its
-    Dynkin diagram, each checked to be of finite type (Kac, Infinite
-    dimensional Lie algebras, ch. 4) so that every chamber walk ends: a tree
-    whose leaf-first pivots q_i = 2 - sum_j a_ij a_ji / q_j (those of the
-    symmetrization, over the symmetrizer) are > 0, their product its det."""
-    factors, d = [], {}
+    Dynkin diagram, each with its root lengths e (a e symmetric), checked to
+    be of finite type (Kac, Infinite dimensional Lie algebras, ch. 4) so that
+    every chamber walk ends: a tree whose leaf-first pivots q_i = 2 - sum_j
+    a_ij a_ji / q_j (over e, those of a e) are > 0, their product its det."""
+    factors, e = [], {}
     for first in range(len(a)):
-        if first in d:
+        if first in e:
             continue
-        # a walk of the component, each vertex with its parent; the
-        # symmetrizer d_j = d_i a_ij / a_ji, 1/|alpha_i|^2 up to scale
-        walk, edges, d[first] = [(first, None)], 0, Fraction(1)
+        # a walk of the component, each vertex with its parent; the root
+        # lengths e_j = e_i a_ji / a_ij ~ |alpha_j|^2, integers from e = 6
+        walk, edges, e[first] = [(first, None)], 0, 6
         for i, _ in walk:
             for j, x in enumerate(a[i]):
                 if x and j != i:
                     edges += 1
-                    if j not in d:
-                        d[j] = d[i] * x / a[j][i]
+                    if j not in e:
+                        e[j] = e[i] * a[j][i] // x
                         walk.append((j, i))
         comp = sorted(i for i, _ in walk)
         q = dict.fromkeys(comp, Fraction(2))
@@ -882,22 +885,22 @@ def cartan_factors(a):
         if edges != 2 * len(walk) - 2 or min(q.values()) <= 0:
             raise SpecificationError("the Cartan matrix is not of finite type")
         bond = max((a[i][p] * a[p][i] for i, p in walk[1:]), default=0)
-        factors.append(Factor(comp, _family(comp, bond, prod(q.values()), d),
-                              len(comp)))
+        factors.append(Factor(comp, _family(comp, bond, prod(q.values()), e),
+                              len(comp), [e[i] for i in comp]))
     return tuple(factors)
 
 
-def _family(comp, bond, det, d):
+def _family(comp, bond, det, e):
     """The family of a component, by its largest bond a_ij a_ji and its
     determinant |P/Q|: n + 1 for A_n, 2 for B_n and C_n, 4 for D_n, 9 - n
-    for E_n, 1 for F4 and G2; B_n (n >= 3) has one short simple root (larger
-    d), C_n one long one; B2 = C2 is B if its last-listed root is short."""
+    for E_n, 1 for F4 and G2; B_n (n >= 3) has one short simple root (least
+    e), C_n one long one; B2 = C2 is B if its last-listed root is short."""
     if bond == 3:
         return "G"
     if bond == 2 and det == 1:
         return "F"
     if bond == 2:
-        short = [i for i in comp if d[i] == max(d[j] for j in comp)]
+        short = [i for i in comp if e[i] == min(e[j] for j in comp)]
         return "B" if len(short) == 1 and (
             len(comp) > 2 or short == [comp[-1]]) else "C"
     return "A" if det == len(comp) + 1 else "D" if det == 4 else "E"

@@ -79,6 +79,12 @@ def test_witness_none_when_all_spinorial():
     assert known_aspinorial_witness(parse_group_name("PSp8")) is None
 
 
+def test_no_witness_where_the_classification_makes_no_claim():
+    with pytest.raises(SpecificationError, match=r"no witness known for "
+                       r"GL\(3,\)$"):
+        known_aspinorial_witness(parse_group_name("GL3"))
+
+
 def test_sweep_small():
     ok, cex = sweep_all_spinorial(group_by_name("PGL3"), box=2)
     assert ok and cex is None

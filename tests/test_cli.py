@@ -226,6 +226,19 @@ def test_atlas_lists_violations_in_json(runner):
     assert doc["violations"][0] == [["0", "0", "1", "1"], "0"]
 
 
+def test_large_rank_check_stays_fast(runner):
+    # SL120/mu2 has 7 140 positive roots: the datum's invariant form costs
+    # n^2 entries of the Cartan adjugate, not a sum over them
+    weight = ",".join(["1"] + ["0"] * 117 + ["1"])
+    t0 = time.perf_counter()
+    res = runner.invoke(main, ["check", "--group", "SL120/mu2",
+                               "--weight", weight])
+    assert time.perf_counter() - t0 < 6
+    assert res.exit_code == 0
+    assert res.output.splitlines()[0].endswith(": spinorial")
+    assert res.output.endswith(") = 428400\n")
+
+
 def test_atlas_exponent_past_the_box_ends_at_once(runner):
     t0 = time.perf_counter()
     res = runner.invoke(main, ["atlas", "--group", "PGL2", "--box", "2",

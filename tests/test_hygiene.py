@@ -78,12 +78,44 @@ def test_ratlin_references_are_found():
     assert set(ratlin_uses("def f():\n    return g()\n")) == set()
 
 
-def names_read(tree):
-    """The names a syntax tree reads: loaded names and attributes."""
-    return {node.id if isinstance(node, ast.Name) else node.attr
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
-            or isinstance(node, ast.Attribute)}
+def import_bindings(tree, modules):
+    """(aliases, imported) of a module: the names it binds to package
+    modules (``from . import ratlin as rl``), and those it imports from one
+    (``from .ratlin import vec``), each with its (module, name).
+    ``modules``: the package's module names."""
+    aliases, imported = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            source = (node.module or "").rpartition(".")[2]
+            for alias in node.names:
+                bound = alias.asname or alias.name
+                if source in modules:
+                    imported[bound] = (source, alias.name)
+                elif alias.name in modules:
+                    aliases[bound] = alias.name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                last = alias.name.rpartition(".")[2]
+                if alias.asname and last in modules:
+                    aliases[alias.asname] = last
+    return aliases, imported
+
+
+def names_read(tree, module, bindings):
+    """The (module, name) pairs a syntax tree of ``module`` reads, resolved
+    as Python does at top level through its ``import_bindings``:
+    ``alias.name`` as the aliased module's, an imported bare name as its
+    source's and any other bare name as ``module``'s own."""
+    aliases, imported = bindings
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(imported.get(node.id, (module, node.id)))
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name)
+              and node.value.id in aliases):
+            out.add((aliases[node.value.id], node.attr))
+    return out
 
 
 def is_command(node):
@@ -94,20 +126,26 @@ def is_command(node):
 
 def unread_definitions(sources, public=()):
     """(module, name) of each top-level function or class of the package
-    sources (a dict from module name to source) that no code reads outside
+    sources (a dict from file name to source) that no code reads outside
     its own definition, in the package or in ``sources[None]``, the
-    benchmark; public names and CLI commands are exempt."""
-    bodies = {m: ast.parse(src).body for m, src in sources.items()}
-    reads = {m: [names_read(node) for node in body]
-             for m, body in bodies.items()}
+    benchmark, a read resolved to its module by ``names_read``; public
+    names and CLI commands are exempt."""
+    trees = {m: ast.parse(src) for m, src in sources.items()}
+    stems = {m: m and m.removesuffix(".py") for m in sources}
+    modules = set(stems.values()) - {None}
+    reads = {}
+    for m, tree in trees.items():
+        bindings = import_bindings(tree, modules)
+        reads[m] = [names_read(node, stems[m], bindings) for node in tree.body]
     out = []
-    for m, body in bodies.items():
-        for k, node in enumerate(body):
+    for m, tree in trees.items():
+        for k, node in enumerate(tree.body):
             if (m is None or not isinstance(node, (ast.FunctionDef,
                                                     ast.ClassDef))
                     or node.name in public or is_command(node)):
                 continue
-            if not any(node.name in r for n, rs in reads.items()
+            key = (stems[m], node.name)
+            if not any(key in r for n, rs in reads.items()
                        for j, r in enumerate(rs) if (n, j) != (m, k)):
                 out.append((m, node.name))
     return sorted(out)
@@ -123,9 +161,24 @@ def test_unread_definitions_are_found():
     sources = {"a.py": "def f():\n    return f()\n\nclass C:\n    pass\n"
                        "\ndef g():\n    pass\n\ndef _h():\n    return g\n",
                "b.py": "@main.command()\ndef cmd():\n    pass\n",
-               None: "x = a._h\n"}
+               None: "from spinoriality import a\nx = a._h\n"}
     assert unread_definitions(sources) == [("a.py", "C"), ("a.py", "f")]
     assert unread_definitions(sources, {"C"}) == [("a.py", "f")]
+
+
+def test_same_spelled_names_elsewhere_are_not_reads():
+    # a local, an attribute of another object or a benchmark name spelled as
+    # a.py's functions reads none of them; rl.dot and the imported dot do
+    sources = {"a.py": "def table():\n    pass\n\ndef vec():\n    pass\n"
+                       "\ndef dot():\n    pass\n",
+               "b.py": "from . import a as rl\nfrom .a import dot as d\n\n"
+                       "def f(rows):\n    table = rows.table\n"
+                       "    return table, rows.vec, rl.dot, d\n",
+               None: "vec = 1\nprint(vec)\n"}
+    assert unread_definitions(sources) == [
+        ("a.py", "table"), ("a.py", "vec"), ("b.py", "f")]
+    sources["b.py"] = "from . import a\nfrom .a import dot\nx = a.vec, dot\n"
+    assert unread_definitions(sources) == [("a.py", "table")]
 
 
 # the memos a datum keeps besides its cached properties, each with its bound

@@ -1223,6 +1223,61 @@ def test_sparse_inverse_killing_matches_the_dense_sum_on_random_data(data,
 
 
 # ----------------------------------------------------------------------
+# the invariant form B of ``_invariant_form``, read off the Cartan
+# adjugate, against its definitions
+
+def assert_invariant_form_identities(rd):
+    """B is symmetric, positive on the diagonal and invariant under each
+    s_i acting on labels, x -> x - x_i a_i; on each factor it is a positive
+    multiple of the coroot sum sum_{beta > 0} k k^T (k: beta^v in the
+    simple coroots), and 0 between factors; and B(., beta) = det e_i c_i,
+    c beta's simple-root coordinates and e the factors' ``lengths``, which
+    symmetrize the Cartan matrix: a_ij e_j = a_ji e_i, e_i > 0."""
+    form, s = rd._invariant_form
+    a, n = rd.cartan_matrix, len(rd.cartan_matrix)
+    det = rl.int_inverse(a)[1]
+    assert [list(row) for row in zip(*form)] == [list(row) for row in form]
+    assert all(form[i][i] > 0 for i in range(n))
+    for i in range(n):
+        refl = [[int(j == k) - (j == i) * a[i][k] for k in range(n)]
+                for j in range(n)]      # row j: the labels of s_i e_j
+        assert mat_mul(mat_mul(refl, form), list(zip(*refl))) == tuple(
+            map(tuple, form))
+    coroot_sum = [[sum(k[i] * k[j] for k in rd.positive_coroot_coords)
+                   for j in range(n)] for i in range(n)]
+    e = [None] * n
+    for f in rd.factors:
+        idx, first = f.indices, f.indices[0]
+        for i, x in zip(idx, f.lengths):
+            e[i] = x
+        assert min(f.lengths) > 0
+        for i in idx:
+            for j in range(n):
+                if j not in idx:
+                    assert form[i][j] == coroot_sum[i][j] == 0
+                else:
+                    assert (form[i][j] * coroot_sum[first][first]
+                            == coroot_sum[i][j] * form[first][first])
+    assert all(a[i][j] * e[j] == a[j][i] * e[i]
+               for i in range(n) for j in range(n))
+    assert list(s) == [det * x for x in e]
+    for c, labels in zip(rd.positive_root_coords, rd.positive_root_labels):
+        assert [sum(map(mul, row, labels)) for row in form] == [
+            det * x * y for x, y in zip(e, c)]
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_invariant_form_identities_on_the_catalog(name):
+    assert_invariant_form_identities(group_by_name(name).rd)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.composite(random_datum)())
+def test_invariant_form_identities_on_random_data(case):
+    assert_invariant_form_identities(case[0])
+
+
+# ----------------------------------------------------------------------
 # |W|, h^v and the central part of a cocharacter, read off the integer root
 # closure, against the per-family formulas, the Euclidean long-root loop and
 # the split of nu along the coroot span

@@ -159,6 +159,29 @@ def test_type_a_center_is_quotiented():
     assert list(fams) == [("A", 3)] and central == 0
 
 
+def test_center_directions():
+    # GL3's center is the diagonal torus; a quotient of a semisimple
+    # group has none, and the all-ones direction of type A is no torus
+    (v,) = group_by_name("GL3").rd.center_directions
+    assert v[0] != 0 and v == (v[0],) * 3
+    for name in ["SL4/mu2", "PGL3", "E6", "SO8"]:
+        assert group_by_name(name).rd.center_directions == ()
+    rd = build_root_datum([("A", 2)], central_rank=2)
+    assert len(rd.center_directions) == 2
+    # a lattice that holds a vector along the quotiented direction (1,1,1,0)
+    # as well as the torus: the simple roots kill a plane of its span, which
+    # leaves one direction modulo (1,1,1,0), off its span
+    rd = build_root_datum([("A", 2)], central_rank=1)
+    third, half = Fraction(1, 3), Fraction(1, 2)
+    rd = RootDatum(rd.simple_roots, rd.simple_coroots, rl.row_lattice_basis(
+        rd.cochar_basis + ((third, third, third, half),)), rd.central_cochars)
+    (v,) = rd.center_directions
+    assert rl.row_span_table(rl.scaled_rows(rd.central_cochars + (v,))[0],
+                             rd.dim) is not None
+    assert all(rl.dot(a, v) == 0 for a in rd.simple_roots)
+    assert rd.central_torus_rank == 1
+
+
 def test_cochar_norm_sq_values():
     # SL_n/mu_d generator (n/d, 0, ..., 0): |nu|^2 = 2 (n/d)^2 (n-1)
     for n, d in [(4, 2), (6, 3), (8, 4)]:
