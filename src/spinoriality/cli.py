@@ -253,16 +253,9 @@ def run_oracle(group, box, guard, fmt):
                 continue
             total += 1
             agree += bool(rep["ok"])
-            rows.append({
-                "coords": list(coords),
-                "generator": list(nu),
-                "L": rep["L"],
-                "q": rep["q"],
-                "parity_agrees": rep["parity_agrees"],
-                "weyl_sum": rep["weyl_sum"],
-                "weyl_agrees": rep["weyl_agrees"],
-                "ok": rep["ok"],
-            })
+            rows.append({"coords": list(coords), "generator": list(nu), **{
+                key: rep[key] for key in ("L", "q", "parity_agrees",
+                                          "weyl_sum", "weyl_agrees", "ok")}})
     if fmt == "json":
         payload = {"group": group.name, "box": box, "agree": agree,
                    "total": total, "rows": rows}

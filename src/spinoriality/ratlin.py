@@ -234,18 +234,27 @@ def frac_gcd(values):
 
 
 def row_lattice_basis(rows):
-    """A basis (independent rows) of the lattice generated by rational rows.
-
-    Scales to an integer matrix, reads its row lattice off the Smith form
-    as {d_i * row_i(v^-1)}, and scales back.
-    """
-    rows = [vec(r) for r in rows if any(r)]
-    if not rows:
-        return ()
-    a, den = scaled_rows(rows)
-    d, v_inv = smith_normal_form(a)
-    return tuple(tuple(Fraction(di * x, den) for x in row)
-                 for di, row in zip(d, v_inv) if di)
+    """A basis of the lattice generated by rational rows, its Hermite normal
+    form (small entries, where a Smith form's v^-1 can reach thousands of
+    digits): per column, Euclid's algorithm on the rows not yet taken leaves
+    one, made positive there, which reduces the basis rows before it."""
+    a, den = scaled_rows([vec(r) for r in rows if any(r)])
+    a, basis = [list(r) for r in a], []
+    for c in range(len(a[0]) if a else 0):
+        while len(live := [r for r in a if r[c]]) > 1:
+            p = min(live, key=lambda r: abs(r[c]))
+            for r in live:
+                if r is not p:
+                    q = r[c] // p[c]
+                    r[:] = [x - q * y for x, y in zip(r, p)]
+        for p in live:
+            p[:] = [-x for x in p] if p[c] < 0 else p
+            for r in basis:     # each entry above the pivot into [0, p[c])
+                q = r[c] // p[c]
+                r[:] = [x - q * y for x, y in zip(r, p)]
+            basis.append(p)
+            a.remove(p)
+    return tuple(tuple(Fraction(x, den) for x in r) for r in basis)
 
 
 def smith_normal_form(m):

@@ -17,23 +17,24 @@ alpha is in Phi_J and the alpha-string through mu is symmetric); so it is
 summed once per class, times the class size (``RootDatum.parabolic_table``):
 each class holds one J-dominant root (Chevalley's lemma for W_J) and
 |W_J| / |W_{J_alpha}| roots, J_alpha = {j in J : alpha_j = 0}, half that
-if alpha is in Phi_J, each |W_K| by Macdonald's formula.  Down a string,
-nu_k = (mu + k alpha)^+ and size B(mu + k alpha, alpha) depend on the datum
-alone, not on lam: the datum keeps them (``RootStrings``), each string
-grown one step when a row first walks past its end, at most
-``ROOT_STRING_STEPS`` steps in all, and a row reads m(nu_k) times each
-kept coefficient.  A sum over all weights, such as L_phi, runs per
+if alpha is in Phi_J, each |W_K| by Macdonald's formula.
+
+Per dominant mu, its norm |mu + delta|^2 under B, its table, the dominant
+weights just below it and its strings hold no lam; the datum keeps them
+(``RootStrings``).  A sum over all weights, such as L_phi, runs per
 dominant weight mu over the orbit of nu when that is fewer points, by
 sum_{x in W mu} f(<x, nu>) = |W mu| / |W nu| sum_{y in W nu} f(<mu, y>),
-as <w mu, nu> = <mu, w^-1 nu>; |W mu| = |W| / |W_J|; the <mu, y> of one mu
-are one update per nonzero label of mu over ``CocharTable.orbit_columns``.
+as <w mu, nu> = <mu, w^-1 nu>; |W mu| = |W| / |W_J|.  There <mu, y> = (s
+v_y + k) / den, lam giving (s, k, den) alone (``pairing_form``), and nu's
+table keeps the sorted v_y per mu (``CocharTable.orbit_values``).
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import prod
-from operator import add, itemgetter, mul
+from operator import mul
 
 from . import ratlin as rl
 from .ratlin import fmt_vec
@@ -149,32 +150,33 @@ class WeightMultiplicityTable:
         return den, [(s * sum(map(mul, nu_table.omega[0], w)) + k, m, w)
                      for w, m in self._weights.items()]
 
-    def orbit_pairings(self, nu):
-        """(den, n, [(w, ps)]): sum_x f(den <x, nu>) over the weights x with
-        multiplicity is sum w f(p) over the rows and p in ps, / n.  Per
-        dominant mu, w = m |W mu|, ps = den <mu, y> over y in W nu and n =
-        |W nu|; or, if that is more points, per x, w = m and n = 1."""
+    def orbit_values(self, nu):
+        """(s, k, den, n, rows), s > 0: sum_x f(den <x, nu>) over the weights
+        x with multiplicity is sum w f(s v + k) over the rows (w, (vs, sums,
+        sq)) and v in vs, / n.  Per dominant mu, w = m |W mu|, its values on
+        nu's table, n = |W nu| and (s, k, den) lam's ``pairing_form``; or, if
+        that is more points, per x, w = m, vs = (den <x, nu>,), s = n = 1."""
         nu_table = self._rd.cochar_table(nu)
         n = nu_table.orbit_size
         if n * len(self._orbits) > len(self):
             den, pairs = self.pairings(nu)
-            return den, 1, [(m, (p,)) for p, m, _ in pairs]
-        s, k, den = nu_table.pairing_form(self._lam)
-        cols, rows = nu_table.orbit_columns, []
-        for mu, m, size in self._orbits:
-            ps = [k] * n
-            for x, col in zip(mu, cols):
-                if x:
-                    ps = list(map(add, ps, map((s * x).__mul__, col)))
-            rows.append((m * size, ps))
-        return den, n, rows
+            return 1, 0, den, 1, [(m, ((p,), (0, p), p * p))
+                                  for p, m, _ in pairs]
+        return (*nu_table.pairing_form(self._lam), n, [
+            (m * size, nu_table.orbit_values(mu))
+            for mu, m, size in self._orbits])
 
-    def pairing_sums(self, nu, pairings=None):
+    def pairing_sums(self, nu, values=None):
         """Over all weights x with multiplicity, the sums of the positive
-        <x, nu> and of <x, nu>^2 as Fractions; pairings: orbit_pairings(nu)."""
-        den, n, rows = pairings or self.orbit_pairings(nu)
-        pos = sum(w * sum(p for p in ps if p > 0) for w, ps in rows)
-        sq = sum(w * sum(p * p for p in ps) for w, ps in rows)
+        <x, nu> and of <x, nu>^2 as Fractions; values: orbit_values(nu).
+        p = s v + k > 0 iff v > floor(-k / s), found by bisection in the
+        sorted vs, and the sum of p^2 is s^2 sq + 2 s k sum(vs) + |vs| k^2."""
+        s, k, den, n, rows = values or self.orbit_values(nu)
+        cut, pos, sq = -k // s, 0, 0
+        for w, (vs, sums, vsq) in rows:
+            i, total = bisect_right(vs, cut), sums[-1]
+            pos += w * (s * (total - sums[i]) + k * (len(vs) - i))
+            sq += w * (s * s * vsq + 2 * s * k * total + len(vs) * k * k)
         return Fraction(pos, den * n), Fraction(sq, den * den * n)
 
     @cached_property
@@ -188,39 +190,53 @@ class WeightMultiplicityTable:
         return sum(size for *_, size in self._orbits)
 
 
-# steps nu_k a datum's ``RootStrings`` may hold, so that its memory stays
-# bounded whatever rows it is asked for.  A step (two list slots, its
-# coefficient, a share of an interned tuple) takes 45-60 bytes, so one
-# datum's strings stay under 2 MB; one benchmark oracle pass (every row of
-# SO8, Spin8 and F4) stores 1 537, 3 299 and 318.  The step past the bound
-# drops the memo whole.
+# entries a datum's ``RootStrings`` may hold, under 2 MB whatever the rows:
+# a string step (45-60 bytes) counts 1, a node 1 + its successors.  One
+# benchmark oracle pass (every row of SO8, Spin8 and F4) stores 2 132, 4 564
+# and 427 (111, 231 and 21 nodes).
 ROOT_STRING_STEPS = 2 ** 15
 
 
 class RootStrings:
-    """The part of Freudenthal's recursion that does not depend on lam,
-    kept on the datum as ``_root_strings``: for a dominant mu and each class
-    (alpha, B(., alpha), size) of ``parabolic_table(mu)``, a flat list nu_1,
-    c_1, nu_2, c_2, ... with nu_k = (mu + k alpha)^+, interned, and c_k =
-    size B(mu + k alpha, alpha) = size (B(mu, alpha) + k B(alpha, alpha)).
-    A list grows by one step when a row walks past its end; ``steps``
-    counts the steps made since the last drop, those stored and those a
-    drop left to the row that made it, and the one past
-    ``ROOT_STRING_STEPS`` first drops every list."""
+    """What Freudenthal's recursion reads that holds no lam, kept on the
+    datum as ``_root_strings``.  ``graph``: per dominant mu, (|mu + delta|^2
+    under B, ``parabolic_table(mu)``, the dominant mu - beta, beta over its
+    candidates).  ``lists``: per dominant mu and class (alpha, B(., alpha),
+    size) of its table, a flat list nu_1, c_1, nu_2, c_2, ... of nu_k = (mu
+    + k alpha)^+ and c_k = size B(mu + k alpha, alpha), grown one step when
+    a row walks past its end.  ``steps`` counts the entries made since the
+    last drop, kept or not; the one past ``ROOT_STRING_STEPS`` first drops
+    the memo whole, and a node over it alone is not kept."""
 
     def __init__(self):
-        self.lists = {}         # dominant mu: one flat list per class
-        self.interned = {}
-        self.steps = 0
+        self.graph, self.lists, self.interned, self.steps = {}, {}, {}, 0
+
+    def _spend(self, cost):
+        """Count an entry of this cost; False if it alone passes the bound."""
+        if self.steps + cost > ROOT_STRING_STEPS:
+            self.__init__()     # the drop
+        kept = cost <= ROOT_STRING_STEPS
+        self.steps += cost * kept
+        return kept
+
+    def node(self, rd, mu):
+        """The graph's entry of the dominant labels mu."""
+        if (entry := self.graph.get(mu)) is None:
+            table, intern = rd.parabolic_table(mu), self.interned.setdefault
+            succ = [intern(nu, nu) for nu in (
+                tuple([a - b for a, b in zip(mu, beta)]) for beta in table[2])
+                if min(nu) >= 0]
+            shifted = [x + 1 for x in mu]
+            entry = (sum(x * sum(map(mul, row, shifted)) for x, row in
+                         zip(shifted, rd._invariant_form[0])), table, succ)
+            if self._spend(1 + len(succ)):
+                self.graph[mu] = entry
+        return entry
 
     def step(self, rd, mu, cls, flat):
         """Append the next step of the string of ``cls`` through mu to
         ``flat``; return its nu_k."""
-        if self.steps >= ROOT_STRING_STEPS:
-            self.lists.clear()
-            self.interned.clear()
-            self.steps = 0
-        self.steps += 1
+        self._spend(1)
         alpha, fa, size = cls
         k = len(flat) // 2 + 1
         nu = rd.dominant_point([a + k * b for a, b in zip(mu, alpha)])[0]
@@ -244,7 +260,7 @@ def freudenthal_multiplicities(rd, lam, guard=FREUDENTHAL_GUARD_DEFAULT,
     datum's W-invariant B (``RootDatum._invariant_form``), integers on
     labels; Freudenthal's formula holds for it as for any invariant form.
     delta has labels all 1, and each |mu + delta|^2 gives both mu's place
-    in the order and its denominator.
+    in the order and its denominator; both walks read ``RootStrings``.
 
     Refuses representations with dim > ``guard`` (this is the oracle path;
     the closed-form engine has no such limit).  ``top``: the labels of lam,
@@ -256,31 +272,21 @@ def freudenthal_multiplicities(rd, lam, guard=FREUDENTHAL_GUARD_DEFAULT,
     if guard is not None and dim > guard:
         raise GuardExceededError(
             f"dim V = {dim} exceeds the multiplicity guard {guard}")
-    form = rd._invariant_form[0]
-
-    def norm(v):    # |v + delta|^2 under B
-        shifted = [x + 1 for x in v]
-        return sum(x * sum(map(mul, row, shifted))
-                   for x, row in zip(shifted, form))
-
-    dominant = [(norm(top), top, rd.parabolic_table(top))]
-    seen = {top}
-    for _, mu, (_, _, candidates) in dominant:
-        for beta in candidates:
-            nxt = tuple([a - b for a, b in zip(mu, beta)])
-            if min(nxt) >= 0 and nxt not in seen:
-                seen.add(nxt)
-                dominant.append((norm(nxt), nxt, rd.parabolic_table(nxt)))
+    strings = rd.__dict__.setdefault("_root_strings", RootStrings())
+    dominant, seen = [(top, strings.node(rd, top))], {top}
+    for _, (_, _, succ) in dominant:
+        for nu in succ:
+            if nu not in seen:
+                seen.add(nu)
+                dominant.append((nu, strings.node(rd, nu)))
     # downward by the norm, which grows by B(nu - mu, nu + mu + 2 delta) > 0
     # from mu to a dominant nu > mu, such as (mu + k alpha)^+: known first
-    dominant.sort(key=itemgetter(0), reverse=True)
-    strings = rd.__dict__.setdefault("_root_strings", RootStrings())
-    lists = strings.lists
-    mults = {top: 1}
-    for n, mu, (_, classes, _) in dominant[1:]:
-        flats = lists.get(mu)
+    dominant.sort(key=lambda t: t[1][0], reverse=True)
+    mults, top_norm = {top: 1}, dominant[0][1][0]
+    for mu, (n, (_, classes, _), _) in dominant[1:]:
+        flats = strings.lists.get(mu)
         if flats is None:
-            flats = lists[mu] = [[] for _ in range(len(classes))]
+            flats = strings.lists[mu] = [[] for _ in range(len(classes))]
         num = 0
         for cls, flat in zip(classes, flats):
             # the string is unbroken: it ends at the first nu_k that is not
@@ -294,7 +300,7 @@ def freudenthal_multiplicities(rd, lam, guard=FREUDENTHAL_GUARD_DEFAULT,
             else:
                 while m := mults.get(strings.step(rd, mu, cls, flat)):
                     num += m * flat[-1]
-        den = dominant[0][0] - n
+        den = top_norm - n
         m, rem = divmod(2 * num, den)
         if rem != 0 or m <= 0:
             raise IntegralityError(
@@ -302,17 +308,17 @@ def freudenthal_multiplicities(rd, lam, guard=FREUDENTHAL_GUARD_DEFAULT,
                 f"labels {fmt_vec(mu)} is not a positive integer")
         mults[mu] = m
     table = WeightMultiplicityTable(rd, lam, top, [
-        (mu, mults[mu], size) for _, mu, (size, _, _) in dominant])
+        (mu, mults[mu], size) for mu, (_, (size, _, _), _) in dominant])
     if table.total_dim != dim:
         raise IntegralityError(
             f"multiplicity total {table.total_dim} != Weyl dimension {dim}")
     return table
 
 
-def L_phi(rd, mults, nu, pairings=None):
+def L_phi(rd, mults, nu, values=None):
     """L(nu) = sum over weights with <mu,nu> > 0 of m(mu) <mu,nu>, from the
-    multiplicity table ``mults``; ``pairings``: its ``orbit_pairings(nu)``."""
-    return integral_L(mults.pairing_sums(nu, pairings)[0])
+    multiplicity table ``mults``; ``values``: its ``orbit_values(nu)``."""
+    return integral_L(mults.pairing_sums(nu, values)[0])
 
 
 def integral_L(total):

@@ -33,6 +33,7 @@ pairings with the simple roots and the fundamental weights.
 
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from math import gcd, lcm, prod
 from operator import mul
 from weakref import proxy
@@ -694,12 +695,18 @@ class WeightForms:
         return None if None in perm else perm, forms, labels
 
 
+# values a ``CocharTable.orbit_values`` memo holds, about 80 bytes each: one
+# benchmark oracle pass stores 888, 5 544 and 504 (SO8, Spin8, F4).
+ORBIT_VALUES = 2 ** 14
+
+
 class CocharTable:
     """Every form of one cocharacter nu: ``pairings`` p / den = <alpha_j,
     nu>, ``omega`` c / cden = <omega_i, nu> in least terms, ``norms``, each
     factor's |nu^i|^2, and ``d_nu``, from one pass over the closure;
-    ``central``, ``q_form``, ``regular``, ``orbit_size`` and ``signed_orbit``
-    when first read; ``pairing_form`` per weight."""
+    ``central``, ``q_form``, ``regular``, ``orbit_size``, ``signed_orbit``
+    and ``paired_orbit`` when first read; ``pairing_form`` per weight, and
+    ``orbit_values`` per dominant weight, kept as it holds no lam."""
 
     def __init__(self, rd, nu, scaled):
         # the datum keeps its tables: a proxy, so that no cycle outlives it
@@ -762,10 +769,31 @@ class CocharTable:
                 for y, sign in orbit.items()]
 
     @cached_property
-    def orbit_columns(self):
-        """``signed_orbit`` by coordinate: column i holds cden <omega_i, y>
-        over the points y, in the orbit's order."""
-        return tuple(zip(*(c for c, _ in self.signed_orbit)))
+    def paired_orbit(self):
+        """(one point of each pair {y, -y}, 2) if -1, which commutes with W,
+        maps one point into the signed orbit, else (``signed_orbit``, 1).  It
+        does if -1 is in W (B, C, D_even, E7, E8, F4, G2) or -w0 fixes nu^+;
+        then -y = w w0 nu^+ for y = w nu^+, of sign (-1)^N times y's."""
+        orbit = self.signed_orbit
+        if tuple([-x for x in orbit[0][0]]) in {c for c, _ in orbit}:
+            return [(c, sign) for c, sign in orbit
+                    if c > tuple([-x for x in c])], 2
+        return orbit, 1
+
+    def orbit_values(self, mu):
+        """(vs, sums, sq) for dominant labels mu: v_y = c . mu over the points
+        (c, sign) of ``signed_orbit``, <mu, y> = (s v_y + k) / den, sorted,
+        with prefix sums from 0 and sum v_y^2; kept up to ``ORBIT_VALUES``,
+        the entry past them dropping the memo whole (or alone, not kept)."""
+        memo = self.__dict__.setdefault("_orbit_values", {})
+        if (entry := memo.get(mu)) is None:
+            vs = sorted(sum(map(mul, c, mu)) for c, _ in self.signed_orbit)
+            entry = vs, list(accumulate(vs, initial=0)), sum(v * v for v in vs)
+            if (len(memo) + 1) * len(vs) > ORBIT_VALUES:
+                memo.clear()
+            if len(vs) <= ORBIT_VALUES:
+                memo[mu] = entry
+        return entry
 
     @cached_property
     def q_form(self):

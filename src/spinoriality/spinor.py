@@ -183,6 +183,9 @@ def q_via_weyl_sum(rd, lam, nu, guard=WEYL_GUARD_DEFAULT, labels=None):
     signed orbit of nu in its ``CocharTable``, walked once per cocharacter,
     each point one integer form in the labels of lam+delta (``pairing_form``);
     the guard on |W| is checked on every call, before the orbit is read.
+    Its k = <lam, nu^z> is 0, g being simple with no torus and lam killing
+    the quotiented directions; then the terms at y and -y are equal, as
+    sgn(-y) = (-1)^N sgn(y), so a ``paired_orbit`` is summed once, twice.
     ``labels``: lam's, if the caller has checked them.
     """
     fams, central = rd.lie_type
@@ -197,9 +200,10 @@ def q_via_weyl_sum(rd, lam, nu, guard=WEYL_GUARD_DEFAULT, labels=None):
             f"Weyl group order {rd.weyl_order} exceeds guard {guard}")
     n2 = rd.num_positive_roots + 2
     s, k, den = table.pairing_form(lam)
+    points, twice = table.paired_orbit if k == 0 else (table.signed_orbit, 1)
     shifted = [x + 1 for x in labels]
-    acc = sum(sign * (s * sum(map(mul, c, shifted)) + k) ** n2
-              for c, sign in table.signed_orbit)
+    acc = twice * sum(sign * (s * sum(map(mul, c, shifted)) + k) ** n2
+                      for c, sign in points)
     main = Fraction(acc, factorial(n2) * den ** n2) / table.d_nu
     return main - Fraction(weyl_dim(rd, lam, labels), 48) * sum(table.norms)
 
@@ -254,17 +258,17 @@ def descent_check(rd, lam, nu, d, guard=FREUDENTHAL_GUARD_DEFAULT):
     subgroup generated by nu evaluated at a primitive d-th root of unity.
 
     Requires d even.  The representation descends iff every weight pairs
-    with nu divisibly by d (checked on ``orbit_pairings``, which has the
-    same values; the weights are listed only to name the least failing one);
+    with nu divisibly by d (checked on ``orbit_values``, which has the same
+    pairings; the weights are listed only to name the least failing one);
     the descended representation is then spinorial iff 2d divides L(nu),
-    which is computed exactly from the same pairings.
+    which is computed exactly from the same values.
     """
     if d % 2 != 0:
         raise SpecificationError("descent criterion requires even order d")
     nu = tuple(rl.vec(nu))
     table = freudenthal_multiplicities(rd, lam, guard=guard)
-    pairings = den, _, rows = table.orbit_pairings(nu)
-    if any(p % (d * den) for _, ps in rows for p in ps):
+    values = s, k, den, _, rows = table.orbit_values(nu)
+    if any((s * v + k) % (d * den) for _, (vs, _, _) in rows for v in vs):
         p, _, labels = min((t for t in table.pairings(nu)[1]
                             if t[0] % (d * den)),
                            key=lambda t: t[2])   # by labels
@@ -272,7 +276,7 @@ def descent_check(rd, lam, nu, d, guard=FREUDENTHAL_GUARD_DEFAULT):
             f"weight {fmt_vec(table.weight(labels))} pairs to "
             f"{Fraction(p, den)} with nu; the representation does not "
             f"descend through the order-{d} subgroup")
-    return L_phi(rd, table, nu, pairings) % (2 * d) == 0
+    return L_phi(rd, table, nu, values) % (2 * d) == 0
 
 
 # ----------------------------------------------------------------------

@@ -44,6 +44,8 @@ FILES = {
 
 NAMES = CATALOG_RANK_LE_4 + ["E6", "E6adj", "E7", "E7adj", "E8", "GL5",
                              "SO16", "PSO16"]
+ORACLE_BOXES = [("SO8", 3), ("Spin8", 3), ("F4", 3), ("PGL3", 3), ("GL3", 2),
+                ("SL6/mu3", 2), ("SO4", 2), ("Sp6", 2)]
 
 
 def commands():
@@ -55,6 +57,9 @@ def commands():
                 ["atlas", "--group", group, "--box", "2", "--k", "1"]]
     for group in CATALOG_RANK_LE_4 + list(FILES):
         out.append(["oracle", "--group", group, "--box", "1"])
+    # larger boxes, where rows share Freudenthal's graph and orbit values
+    for group, box in ORACLE_BOXES:
+        out.append(["oracle", "--group", group, "--box", str(box)])
     return [argv + ["--format", fmt] for fmt in ("json", "text")
             for argv in out]
 

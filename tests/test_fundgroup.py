@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -93,3 +94,24 @@ def test_norms_are_even_integers_on_lattice():
         for nu in g.fg.generators:
             n2 = g.rd.cochar_norm_sq(nu)
             assert n2 == int(n2) and int(n2) % 2 == 0
+
+
+def test_lattice_basis_stays_small_and_pi1_fast():
+    # the lattice of B3 x D4 x D4 plus a torus, enlarged by one rational
+    # generator: a basis read off the Smith form's v^-1 had entries up to
+    # 470, on which the Smith form of the coroots' coordinates ran for
+    # minutes; the Hermite basis has entries of at most 2
+    rd = build_root_datum([("B", 3), ("D", 4), ("D", 4)], central_rank=1)
+    gen = rl.combo([1, 0, -1, 2, 1, 2, -1, 2, -1, 0, -2],
+                   rd.fundamental_coweights, dim=rd.dim)
+    gen = gen[:-1] + (Fraction(3, 4),)
+    basis = rl.row_lattice_basis(rd.cochar_basis + (gen,))
+    assert len(basis) == rd.dim
+    assert max(abs(x) for row in basis for x in row) <= 2
+    for row in rd.cochar_basis + (gen,):
+        assert all(x.denominator == 1 for x in rl.lattice_coords(basis, row))
+    rd = RootDatum(rd.simple_roots, rd.simple_coroots, basis,
+                   rd.central_cochars)
+    t0 = time.perf_counter()
+    assert fundamental_group(rd).invariant_factors == (0,)
+    assert time.perf_counter() - t0 < 2

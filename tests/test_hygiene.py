@@ -14,7 +14,7 @@ from click.testing import CliRunner
 import spinoriality
 from spinoriality import cli
 from spinoriality.repcalc import ROOT_STRING_STEPS
-from spinoriality.rootdata import RootDatum
+from spinoriality.rootdata import ORBIT_VALUES, RootDatum
 
 PACKAGE = Path(spinoriality.__file__).resolve().parent
 # __init__ imports names only to re-export them
@@ -183,7 +183,9 @@ def test_same_spelled_names_elsewhere_are_not_reads():
 
 # the memos a datum keeps besides its cached properties, each with its bound
 BOUNDED_MEMOS = {
-    "_cochar_tables": lambda rd, m: len(m) <= 2 * len(rd.cochar_basis),
+    "_cochar_tables": lambda rd, m: len(m) <= 2 * len(rd.cochar_basis)
+    and all(sum(len(vs) for vs, _, _ in vars(t).get(
+        "_orbit_values", {}).values()) <= ORBIT_VALUES for t in m.values()),
     "_parabolic_tables": lambda rd, m: len(m) <= 2 ** len(rd.simple_roots),
     "_weight_forms": lambda rd, m: len(m) <= 2,
     "_q_forms": lambda rd, m: len(m[1]) == len(m[0].generators),

@@ -13,18 +13,19 @@ from unittest.mock import patch
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from spinoriality import ratlin as rl, repcalc
+from spinoriality import ratlin as rl, repcalc, rootdata
 from spinoriality.catalog import (CATALOG_RANK_LE_4, group_by_name,
-                                  summary_suite_specs)
+                                  highest_root, summary_suite_specs)
 from spinoriality.fundgroup import FundGroupData, fundamental_group
 from spinoriality.repcalc import (L_phi, casimir_value, classify,
                                   freudenthal_multiplicities, weyl_dim)
-from spinoriality.errors import SpecificationError
+from spinoriality.errors import IntegralityError, SpecificationError
 from spinoriality.rootdata import (RootDatum, _from_cartan, build_root_datum,
                                    cartan_checked, cartan_factors,
                                    expected_root_count)
-from spinoriality.spinor import (OrthRep, dominant_orthogonal_weights,
-                                 is_spinorial, make_regular, q_irreducible,
+from spinoriality.spinor import (OrthRep, descent_check,
+                                 dominant_orthogonal_weights, is_spinorial,
+                                 make_regular, oracle_compare, q_irreducible,
                                  q_rep, q_via_weyl_sum)
 from linalg_reference import (reference_nullspace, reference_rank,
                               reference_row_coords, reference_solve_columns)
@@ -574,6 +575,71 @@ def test_shared_root_strings_match_fresh_data_on_box_2(name):
                                            repcalc.ROOT_STRING_STEPS)
 
 
+def oracle_results(rd, lam, nu):
+    """What the oracle reads at the row (lam, nu): the dominant table,
+    ``pairing_sums``, ``L_phi``, ``descent_check`` at d = 2 and the
+    ``oracle_compare`` report, or the error each raises."""
+    out = []
+    for f in (lambda: dominant_table(rd, lam),
+              lambda: freudenthal_multiplicities(rd, lam).pairing_sums(nu),
+              lambda: L_phi(rd, freudenthal_multiplicities(rd, lam), nu),
+              lambda: descent_check(rd, lam, nu, 2),
+              lambda: oracle_compare(rd, lam, nu)):
+        try:
+            out.append(f())
+        except (SpecificationError, IntegralityError) as exc:
+            out.append(repr(exc))
+    return out
+
+
+def assert_shared_datum_matches_fresh_data(rd, rows, nu, drop_at, steps,
+                                           values):
+    """The rows at nu, in this order on one datum whose root strings are
+    held to ``steps`` entries and each cocharacter table's orbit values to
+    ``values``, both dropped before row ``drop_at``, give the
+    ``oracle_results`` of a fresh datum per row."""
+    expected = [oracle_results(same_roots(rd), lam, nu) for lam in rows]
+    shared = same_roots(rd)
+    with patch.object(repcalc, "ROOT_STRING_STEPS", steps), \
+            patch.object(rootdata, "ORBIT_VALUES", values):
+        for i, (lam, want) in enumerate(zip(rows, expected)):
+            if i == drop_at:
+                shared.__dict__.pop("_root_strings", None)
+                shared.__dict__.pop("_cochar_tables", None)
+            assert oracle_results(shared, lam, nu) == want
+            assert shared._root_strings.steps <= steps
+            for table in shared._cochar_tables.values():
+                assert sum(len(vs) for vs, _, _ in vars(table).get(
+                    "_orbit_values", {}).values()) <= values
+
+
+@settings(max_examples=25, deadline=None)
+@given(data_orthogonal_weight_and_cochar(), st.data())
+def test_shared_datum_matches_fresh_data_on_random_data(case, data):
+    # the rows are lam and the dominant weights of V_lam, which share most
+    # of their graph nodes, strings and orbit values; small bounds drop the
+    # memos inside a row
+    rd, _, lam, nu = case
+    rows = [mu for mu, _ in
+            freudenthal_multiplicities(same_roots(rd), lam).dominant_items()]
+    rows = data.draw(st.permutations(rows))[:6]
+    assert_shared_datum_matches_fresh_data(
+        rd, rows, nu, data.draw(st.integers(0, len(rows))),
+        data.draw(st.integers(1, 64)), data.draw(st.integers(1, 256)))
+
+
+@pytest.mark.parametrize("name", ["SO8", "Spin8", "F4", "G2", "SO7", "Sp6"])
+def test_shared_datum_matches_fresh_data_on_box_2(name):
+    g = group_by_name(name)
+    rows = [lam for _, lam in dominant_orthogonal_weights(
+        g.rd, 2, basis=g.weight_basis) if weyl_dim(g.rd, lam) <= 10 ** 4]
+    Random(name).shuffle(rows)
+    nu = (g.fg.generators or g.rd.simple_coroots)[0]
+    assert_shared_datum_matches_fresh_data(
+        g.rd, rows, nu, len(rows) // 2, repcalc.ROOT_STRING_STEPS,
+        rootdata.ORBIT_VALUES)
+
+
 def reference_root_classes(rd, zeros):
     """The classes of the positive roots under alpha -> +-w alpha, w in W_J
     (J = ``zeros``), by a breadth-first closure under the s_j, j in J, on
@@ -716,6 +782,68 @@ CATALOG_NAMES = sorted(set(CATALOG_RANK_LE_4 + summary_suite_specs()
                            + _benchmark_groups()
                            + ["E6", "E7", "E8", "E6adj", "E7adj", "SL20",
                               "Spin21", "PSO22", "Sp18"]))
+
+
+def full_weyl_sum_q(rd, lam, nu):
+    """q by the alternating Weyl sum over every point of the signed orbit
+    of the regular nu, as ``q_via_weyl_sum`` defines it."""
+    table, n2 = rd.cochar_table(nu), rd.num_positive_roots + 2
+    s, k, den = table.pairing_form(lam)
+    shifted = [x + 1 for x in rd.dynkin_labels(lam)]
+    acc = sum(sign * (s * sum(map(mul, c, shifted)) + k) ** n2
+              for c, sign in table.signed_orbit)
+    return (Fraction(acc, factorial(n2) * den ** n2) / table.d_nu
+            - Fraction(weyl_dim(rd, lam), 48) * sum(table.norms))
+
+
+def simple_small_weyl(name):
+    g = group_by_name(name)
+    fams, central = g.rd.lie_type
+    return len(fams) == 1 and central == 0 and g.rd.weyl_order <= 10 ** 5
+
+
+SIMPLE_SMALL_WEYL = [n for n in CATALOG_NAMES if simple_small_weyl(n)]
+
+
+@pytest.mark.parametrize("name", SIMPLE_SMALL_WEYL)
+def test_weyl_sum_over_paired_orbit_matches_the_full_sum(name):
+    # at the regular point of the first generator (or simple coroot), and
+    # on small Weyl groups also at sum_i (i + 1) omega_i^v, which -w0 does
+    # not fix where -1 is not in W: half the orbit, doubled, where it is
+    # closed under y -> -y, else all of it; the adjoint representation
+    g = group_by_name(name)
+    rd = g.rd
+    lam = highest_root(rd)
+    nus = [make_regular(rd, (g.fg.generators or rd.simple_coroots)[0])]
+    if rd.weyl_order <= 2000:
+        nus.append(rl.combo(range(1, len(rd.simple_roots) + 1),
+                            rd.fundamental_coweights, dim=rd.dim))
+    for nu in nus:
+        table = rd.cochar_table(nu)
+        points = {c for c, _ in table.signed_orbit}
+        closed = all(tuple(-x for x in c) in points for c in points)
+        half, twice = table.paired_orbit
+        assert twice == (2 if closed else 1)
+        assert len(half) * twice == len(points) == rd.weyl_order
+        assert table.pairing_form(lam)[1] == 0
+        assert q_via_weyl_sum(rd, lam, nu) == full_weyl_sum_q(rd, lam, nu) \
+            == q_irreducible(rd, lam, nu)
+
+
+def test_both_weyl_sum_branches_run():
+    # -1 is in W for B, C, D_even, E7, E8, F4, G2; A_n (n > 1), D5 and E6
+    # have regular points whose orbit is not closed under it
+    def twice(name, asymmetric=False):
+        g = group_by_name(name)
+        rd = g.rd
+        nu = (rl.combo(range(1, len(rd.simple_roots) + 1),
+                       rd.fundamental_coweights, dim=rd.dim) if asymmetric
+              else (g.fg.generators or rd.simple_coroots)[0])
+        return rd.cochar_table(make_regular(rd, nu)).paired_orbit[1]
+    assert twice("PGL3") == twice("E6") == 1
+    assert twice("SL4", True) == twice("SO10", True) == 1
+    assert twice("Spin8", True) == twice("SO10") == 2
+    assert twice("F4") == twice("G2") == twice("Sp6") == 2
 
 
 @pytest.mark.parametrize("name", CATALOG_NAMES)

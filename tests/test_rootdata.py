@@ -6,7 +6,7 @@ from operator import mul
 
 import pytest
 
-from spinoriality import ratlin as rl
+from spinoriality import ratlin as rl, rootdata
 from spinoriality.catalog import (CATALOG_RANK_LE_4, group_by_name,
                                   summary_suite_specs)
 from spinoriality.errors import SpecificationError
@@ -303,3 +303,27 @@ def test_a_datum_with_its_weight_forms_is_freed_at_once(name):
         assert rd() is None
     finally:
         gc.enable()
+
+
+def test_orbit_values_memo_stays_within_its_bound(monkeypatch):
+    # Spin8 at a simple coroot: 24 points per dominant weight; a bound of
+    # 3 weights' values keeps 3, the 4th drops the memo whole and is kept
+    # alone, and an orbit over the bound alone is never kept
+    rd = group_by_name("Spin8").rd
+    table = rd.cochar_table(rd.simple_coroots[0])
+    assert table.orbit_size == 24
+    monkeypatch.setattr(rootdata, "ORBIT_VALUES", 3 * 24)
+    mus = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 1), (2, 0, 0, 0)]
+    for i, mu in enumerate(mus):
+        vs, sums, sq = table.orbit_values(mu)
+        assert vs == sorted(sum(map(mul, c, mu)) for c, _ in
+                            table.signed_orbit)
+        assert sums == [sum(vs[:j]) for j in range(len(vs) + 1)]
+        assert sq == sum(v * v for v in vs)
+        kept = mus[:i + 1] if i < 3 else [mu]
+        assert list(vars(table)["_orbit_values"]) == kept
+        assert table.orbit_values(mu)[0] is vs
+    monkeypatch.setattr(rootdata, "ORBIT_VALUES", 23)
+    vs = table.orbit_values(mus[0])[0]
+    assert table.orbit_values(mus[0])[0] is not vs
+    assert vars(table)["_orbit_values"] == {}
