@@ -40,10 +40,83 @@ FILES = {
         "cartan": [[2, -1, 0, 0, 0], [-1, 2, -2, 0, 0], [0, -1, 2, 0, 0],
                    [0, 0, 0, 2, -1], [0, 0, 0, -3, 2]],
         "cocharGenerators": [[0, 0, 1, 0, 0]], "denominator": 2}},
+    # only checked, with weights whose results are too long to print
+    "a2_third.json": {"rootDatum": {
+        "cartan": [[2, -1], [-1, 2]], "cocharGenerators": [[1, 2]],
+        "denominator": 3}},
 }
+GROUP_FILES = ["d4_half.json", "a1xa1.json", "b3xg2.json"]
 
 NAMES = CATALOG_RANK_LE_4 + ["E6", "E6adj", "E7", "E7adj", "E8", "GL5",
                              "SO16", "PSO16"]
+# per group, weights in its weight basis: (a, b, a hyperbolic block, an
+# aspinorial weight or None), a and b dominant orthogonal; a check decides
+# a, 123 a + 45 b (coordinates in the hundreds), a + b, the block and the
+# aspinorial weight
+CHECKS = {
+    "SL2": ("2", "2", "S:1", None),
+    "SL3": ("1,1", "2,2", "S:0,1", None),
+    "SL4": ("0,1,0", "2,2,2", "S:0,0,1", None),
+    "SL5": ("0,1,1,0", "2,2,2,2", "S:0,0,0,1", None),
+    "PGL2": ("1", "2", "S:1", "1"),
+    "PGL3": ("1,1", "2,2", "S:1,1", None),
+    "PGL4": ("0,2,0", "2,2,2", "S:0,1,2", "1,0,1"),
+    "PGL5": ("0,1,1,0", "2,2,2,2", "S:0,0,2,1", None),
+    "SL4/mu2": ("0,1,0", "2,2,2", "S:0,0,2", "0,1,0"),
+    "GL2": ("1,-1", "2,-2", "S:2,1", "1,-1"),
+    "GL3": ("1,0,-1", "2,0,-2", "S:2,1,0", None),
+    "Sp4": ("0,1", "2,2", "S:0,1", None),
+    "Sp6": ("0,0,2", "2,2,2", "S:0,0,1", None),
+    "Sp8": ("0,0,0,1", "2,2,2,2", "S:0,0,0,1", None),
+    "PSp4": ("0,1", "2,2", "S:0,1", "0,1"),
+    "PSp6": ("0,0,2", "2,2,2", "S:0,0,2", "0,1,0"),
+    "PSp8": ("0,0,0,1", "2,2,2,2", "S:0,0,0,1", None),
+    "SO3": ("2", "2", "S:2", "2"),
+    "SO4": ("0,2", "2,2", "S:0,2", "0,2"),
+    "SO5": ("0,2", "2,2", "S:0,2", "0,2"),
+    "SO6": ("0,1,1", "2,2,2", "S:0,0,2", "1,0,0"),
+    "SO7": ("0,0,2", "2,2,2", "S:0,0,2", "0,1,0"),
+    "SO8": ("0,0,0,2", "2,2,2,2", "S:0,0,0,2", "0,0,1,1"),
+    "SO9": ("0,0,0,2", "2,2,2,2", "S:0,0,0,2", "0,0,0,2"),
+    "Spin5": ("0,2", "2,2", "S:0,1", None),
+    "Spin7": ("0,0,1", "2,2,2", "S:0,0,1", None),
+    "Spin8": ("0,0,0,1", "2,2,2,2", "S:0,0,0,1", None),
+    "Spin9": ("0,0,0,1", "2,2,2,2", "S:0,0,0,1", None),
+    "PSO6": ("0,1,1", "2,2,2", "S:0,1,1", "0,1,1"),
+    "PSO8": ("0,0,0,2", "2,2,2,2", "S:0,0,0,2", None),
+    "Gplus8": ("0,0,0,1", "2,2,2,2", "S:0,0,0,1", "0,0,0,1"),
+    "Gminus8": ("0,0,0,2", "2,2,2,2", "S:0,0,0,2", "0,0,1,0"),
+    "G2": ("0,1", "2,2", "S:0,1", None),
+    "F4": ("0,0,0,1", "2,2,2,2", "S:0,0,0,1", None),
+    "E6": ("0,0,0,1,0,0", "2,2,2,2,2,2", "S:0,0,0,0,0,1", None),
+    "E6adj": ("0,0,0,1,0,0", "2,2,2,2,2,2", "S:0,0,0,0,1,1", None),
+    "E7": ("0,0,0,0,0,0,2", "2,2,2,2,2,2,2", "S:0,0,0,0,0,0,1", None),
+    "E7adj": ("0,0,0,0,0,0,2", "2,2,2,2,2,2,2", "S:0,0,0,0,0,0,2",
+              "0,0,0,0,0,0,2"),
+    "E8": ("0,0,0,0,0,0,0,1", "2,2,2,2,2,2,2,2", "S:0,0,0,0,0,0,0,1", None),
+    "GL5": ("2,1,0,-1,-2", "1,1,0,-1,-1", "S:3,2,2,1,0", None),
+    "SO16": ("0,0,0,0,0,0,0,2", "2,2,2,2,2,2,2,2", "S:0,0,0,0,0,0,0,2",
+             "0,0,0,0,0,0,1,1"),
+    "PSO16": ("0,0,0,0,0,0,0,2", "2,2,2,2,2,2,2,2", "S:0,0,0,0,0,0,0,2",
+              None),
+    "d4_half.json": ("0,0,0,1", "2,2,2,2", "S:0,0,0,1", "0,0,0,1"),
+    "a1xa1.json": ("0,2", "2,2", "S:0,2", "0,2"),
+    "b3xg2.json": ("0,0,0,0,1", "2,2,2,2,2", "S:0,0,0,0,1", "0,1,0,0,0"),
+}
+# past the 4300 digits Python converts between int and str
+BIG = "1" * 5001
+# (group, weights): coordinates written as other tokens, and refusals
+CHECK_EDGES = [
+    ("SO8", ["00, 0 ,-0,4/2", "0.0,0e5,-0,1_0", "0,0,0,\u0662",
+             "0,0,0,2.e+0", "1e+5,0,0,0", "2.e+1,0,0,0+S:1e+0,0,0,0"]),
+    ("SO8", ["1e2+1e+0,0,0,0"]), ("SO8", ["+0,0,0,2"]), ("SO8", ["0,0,0"]), ("SO8", ["0,0,0,1/2"]),
+    ("SO8", ["0,0,0,x"]), ("SO8", ["0,0,0,1/0"]), ("SO8", ["-1,0,0,0"]),
+    ("SO8", ["0,0,1,0"]), ("SO8", ["S:"]), ("SO8", [","]), ("SO8", []),
+    ("SL3", ["1,0"]), ("PGL2", ["1/2"]), ("GL3", ["1/2,0,-1/2"]),
+    ("SO8", ["1e1000,0,0,0"]), ("SO8", ["1e1000000,0,0,0"]),
+    ("SO8", ["1e3000000,0,0,0"]), ("SO8", ["1e1_000_000,0,0,0"]),
+    ("SO8", [BIG + ",0,0,0"]), ("a2_third.json", ["1e1000,1e1000"]),
+]
 ORACLE_BOXES = [("SO8", 3), ("Spin8", 3), ("F4", 3), ("PGL3", 3), ("GL3", 2),
                 ("SL6/mu3", 2), ("SO4", 2), ("Sp6", 2)]
 
@@ -51,17 +124,31 @@ ORACLE_BOXES = [("SO8", 3), ("Spin8", 3), ("F4", 3), ("PGL3", 3), ("GL3", 2),
 def commands():
     """The corpus: argument lists, in a fixed order."""
     out = []
-    for group in NAMES + list(FILES):
+    for group in NAMES + GROUP_FILES:
         out += [["table", "--group", group],
                 ["summary", "--group", group, "--box", "1"],
                 ["atlas", "--group", group, "--box", "2", "--k", "1"]]
-    for group in CATALOG_RANK_LE_4 + list(FILES):
+    for group in CATALOG_RANK_LE_4 + GROUP_FILES:
         out.append(["oracle", "--group", group, "--box", "1"])
     # larger boxes, where rows share Freudenthal's graph and orbit values
     for group, box in ORACLE_BOXES:
         out.append(["oracle", "--group", group, "--box", str(box)])
+    for group, (a, b, block, aspinorial) in CHECKS.items():
+        large = ",".join(str(123 * int(x) + 45 * int(y))
+                         for x, y in zip(a.split(","), b.split(",")))
+        weights = [a, large, f"{a}+{b}", block] + [aspinorial] * bool(
+            aspinorial)
+        out.append(check_argv(group, weights))
+    out += [check_argv(group, weights) for group, weights in CHECK_EDGES]
     return [argv + ["--format", fmt] for fmt in ("json", "text")
             for argv in out]
+
+
+def check_argv(group, weights):
+    argv = ["check", "--group", group]
+    for w in weights:
+        argv += ["--weight", w]
+    return argv
 
 
 def digest(text):

@@ -29,6 +29,6 @@ def test_output_matches_the_golden_entry(entry, file_dir, monkeypatch):
 
 def test_the_corpus_covers_every_command_and_format():
     seen = {(e["args"][0], e["args"][-1]) for e in DOC["entries"]}
-    assert seen == {(cmd, fmt) for cmd in ("table", "summary", "atlas",
-                                            "oracle")
+    assert seen == {(cmd, fmt) for cmd in ("check", "table", "summary",
+                                            "atlas", "oracle")
                     for fmt in ("json", "text")}
