@@ -65,7 +65,11 @@ class Group:
 
 
 def _e(n, i):
-    return rl.unit(n, i)
+    return tuple(int(j == i) for j in range(n))
+
+
+def _identity(n):
+    return [_e(n, i) for i in range(n)]
 
 
 def _half_ones(n, last_sign=1):
@@ -111,7 +115,7 @@ def _orthogonal_generators(fam, n):
 
 def _half_lattice(n):
     """A basis of Z^n + Z (1/2)(1,...,1)."""
-    return rl.row_lattice_basis(rl.identity(n) + (_half_ones(n),))
+    return rl.row_lattice_basis(_identity(n) + [_half_ones(n)])
 
 
 def make_group(spec):
@@ -127,15 +131,15 @@ def make_group(spec):
             raise SpecificationError(f"SL_quot needs d | n, n >= 2; got {p}")
         name, m = _sl_name(n, d), n // d
         roots, coroots, central = _system("A", n - 1)
-        basis = coroots + [rl.scale(m, _e(n, n - 1))] if d > 1 else coroots
+        basis = coroots + [(0,) * (n - 1) + (m,)] if d > 1 else coroots
         rd = RootDatum(roots, coroots, basis, central, label=name)
         if d > 1:
-            gens = [rl.scale(m, _e(n, 0))]
+            gens = [(m,) + (0,) * (n - 1)]
     elif fam == "GL":
         (n,) = p
         name, gens = f"GL{n}", [_e(n, 0)]
         roots, coroots, _ = _system("A", n - 1)
-        rd = RootDatum(roots, coroots, rl.identity(n), label=name)
+        rd = RootDatum(roots, coroots, _identity(n), label=name)
     elif fam in ("Sp", "Sp_quot"):
         (n,) = p
         roots, coroots, _ = _system("C", n)
@@ -151,7 +155,7 @@ def make_group(spec):
         roots, coroots, _ = _system("D" if m % 2 == 0 else "B", n)
         if fam == "SO":
             gens = _orthogonal_generators(fam, n)
-        rd = RootDatum(roots, coroots, rl.identity(n) if gens else coroots,
+        rd = RootDatum(roots, coroots, _identity(n) if gens else coroots,
                        label=name)
     elif fam == "PSO":
         (m,) = p

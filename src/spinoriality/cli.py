@@ -104,7 +104,7 @@ def _group_from_root_datum(entry, origin):
             raise SpecificationError(
                 f"{origin}: cocharGenerators[{i}] = {g!r} must be a list of "
                 f"{width} integers, one per simple coroot")
-        rows.append(tuple(Fraction(x, den) for x in g))
+        rows.append(rl.unscaled(g, den))
     rd = RootDatum(roots, coroots, rl.row_lattice_basis(rows), label="custom")
     fg = fundamental_group(rd)
     return catalog.Group("custom", catalog.GroupSpec("rootDatum", ()),
@@ -123,12 +123,16 @@ def parse_weight_option(group, text):
         if part.upper().startswith("S:"):
             kind = "S"
             part = part[2:]
+        tokens = part.split(",")
+        blank = [tok.strip() == "" for tok in tokens]
+        if all(blank):
+            raise SpecificationError(f"empty weight in {text!r}")
+        if any(blank):
+            raise SpecificationError(f"empty coordinate in the weight {text!r}")
         try:
-            coords = [_coordinate(tok) for tok in part.split(",") if tok.strip() != ""]
+            coords = [_coordinate(tok) for tok in tokens]
         except (ValueError, ZeroDivisionError):
             raise SpecificationError(f"cannot parse weight coordinates {part!r}")
-        if not coords:
-            raise SpecificationError(f"empty weight in {text!r}")
         (hyperbolic if kind == "S" else irreducible).append(
             group.check_coords(coords))
     return spinor.orth_rep(group.rd, irreducible=irreducible,
@@ -136,14 +140,18 @@ def parse_weight_option(group, text):
 
 
 def _coordinate(tok):
-    """One weight coordinate as a Fraction, refused while still text if it
-    has over COORDINATE_DIGITS digits written out (1e<exp> builds 10^exp);
-    ValueError for an exponent Fraction would not read either."""
+    """One weight coordinate, the value Fraction(tok) reads: an int for a
+    token int() reads, else a Fraction; refused while still text if it has
+    over COORDINATE_DIGITS digits written out (1e<exp> builds 10^exp), and
+    ValueError for a token Fraction would not read."""
     head, _, exp = tok.lower().partition("e")
     if sum(map(str.isdigit, head)) + abs(int(exp or 0)) > COORDINATE_DIGITS:
         raise GuardExceededError(
             f"a weight coordinate has more than {COORDINATE_DIGITS} digits")
-    return Fraction(tok)
+    try:
+        return int(tok)
+    except ValueError:
+        return Fraction(tok)
 
 
 # ----------------------------------------------------------------------

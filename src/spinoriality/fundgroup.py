@@ -50,14 +50,16 @@ def fundamental_group(rd, generators=None):
     to generate the quotient and they are used verbatim as the lifts; the
     invariant factors always come from the Smith normal form.
     """
-    n = len(rd.cochar_basis)
-    rows = list(rd.relations)
-    d, v_inv = rl.smith_normal_form(rows) if rows else ((), rl.identity(n))
-    factors, gens = [], []
+    basis, bden = rd._cochar_rows
+    n, rows = len(basis), list(rd.relations)
+    d, v_inv = rl.smith_normal_form(rows) if rows else (
+        (), [[int(i == j) for j in range(n)] for i in range(n)])
+    factors, lifts = [], []
     for di, row in zip(list(d) + [0] * (n - len(d)), v_inv):
         if di != 1:
             factors.append(di)
-            gens.append(rl.combo(row, rd.cochar_basis))
+            lifts.append(row)
+    gens = list(rl.unscaled_rows(rl.combos(lifts, basis), bden))
 
     if generators is not None:
         gens = tuple(rl.vec(g) for g in generators)

@@ -1,11 +1,15 @@
-"""Exact linear algebra over the rationals and the integers.
+"""Exact linear algebra over the integers, with rationals at the edges.
 
-Everything here works on tuples of :class:`fractions.Fraction` (vectors) and
-tuples of such tuples (row-major matrices).  No floating point is used
-anywhere; parity questions about huge integers are the whole point of the
-package, so all arithmetic is exact.  Row reduction is one fraction-free
-elimination on integers, ``row_span_table``; independence, kernels and
-coordinates in a row span (``span_coords``) are all read off its table.
+A rational vector or matrix is held as integer rows over one common
+denominator, ``(rows, den)``: ``scaled``/``scaled_rows`` make that form
+from rationals and ``unscaled`` turns it back into a tuple of
+:class:`fractions.Fraction`.  The small helpers on Fraction tuples (``vec``,
+``add``, ``combo``, ...) serve the Euclidean vectors read or printed at the
+API.  No floating point is used anywhere; parity questions about huge
+integers are the whole point of the package, so all arithmetic is exact.
+Row reduction is one fraction-free elimination on integers,
+``row_span_table``; independence, kernels and coordinates in a row span
+(``span_coords``) are all read off its table.
 """
 
 from fractions import Fraction
@@ -38,10 +42,6 @@ def dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
 
-def zero(n):
-    return (Fraction(0),) * n
-
-
 def unit(n, i):
     return tuple(Fraction(1 if j == i else 0) for j in range(n))
 
@@ -52,10 +52,6 @@ def mat_vec(m, v):
 
 def identity(n):
     return tuple(unit(n, i) for i in range(n))
-
-
-def transpose(m):
-    return tuple(zip(*m))
 
 
 def combo(coeffs, vectors, dim=None):
@@ -71,24 +67,19 @@ def combo(coeffs, vectors, dim=None):
     return tuple(total)
 
 
-def int_combos(coeffs, vectors, den=1):
-    """The exact combinations sum_j c_j * vectors[j] / den for every integer
-    row c of ``coeffs``, generated one at a time: integer sums over the
-    vectors' common denominator, each distinct value made a Fraction once."""
-    rows, vden = scaled_rows(vectors)
-    den *= vden
+def combos(coeffs, rows):
+    """The integer rows c . rows for every integer row c of ``coeffs``,
+    generated one at a time, each row of ``rows`` read on its nonzero
+    entries."""
     width = len(rows[0]) if rows else 0
     support = [[(j, x) for j, x in enumerate(row) if x] for row in rows]
-    frac = {}
     for c in coeffs:
         total = [0] * width
         for cj, row in zip(c, support):
             if cj:
                 for j, x in row:
                     total[j] += cj * x
-        yield tuple([frac[t] if t in frac
-                     else frac.setdefault(t, Fraction(t, den))
-                     for t in total])
+        yield total
 
 
 def fmt_q(x):
@@ -117,22 +108,42 @@ def fmt_vec(v):
 
 
 def scaled(v):
-    """(numerators, d): a rational vector over its least common denominator."""
-    den = lcm(*(x.denominator for x in v))
-    return tuple(x.numerator * (den // x.denominator) for x in v), den
+    """(numerators, d): a rational vector over its least common denominator
+    (ints or Fractions)."""
+    den = lcm(*[x.denominator for x in v])
+    if den == 1:
+        return tuple(map(int, v)), 1
+    return tuple([x.numerator * (den // x.denominator) for x in v]), den
+
+
+def unscaled(nums, den):
+    """The rational vector nums / den (``scaled``'s inverse)."""
+    return tuple(Fraction(x, den) for x in nums)
+
+
+def unscaled_rows(rows, den):
+    """The rational rows of integer ``rows`` over den (``scaled_rows``'
+    inverse), generated one at a time, each distinct value made a Fraction
+    once."""
+    frac = {}
+    for row in rows:
+        yield tuple([frac[t] if t in frac
+                     else frac.setdefault(t, Fraction(t, den)) for t in row])
 
 
 def scaled_rows(rows):
     """(numerator rows, d): a rational matrix over one common denominator."""
-    den = lcm(*(x.denominator for row in rows for x in row))
-    return tuple(tuple(x.numerator * (den // x.denominator) for x in row)
+    den = lcm(*[x.denominator for row in rows for x in row])
+    if den == 1:
+        return tuple(tuple(map(int, row)) for row in rows), 1
+    return tuple(tuple([x.numerator * (den // x.denominator) for x in row])
                  for row in rows), den
 
 
 def _bareiss(rows, ncols):
     """Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22,
-    1968) on the first ``ncols`` columns of rational ``rows``, each scaled
-    to integers on entry; the columns past them ride along.  A step with
+    1968) on the first ``ncols`` columns of integer ``rows``; the columns
+    past them ride along.  A step with
     pivot p in column c of row r maps each other row i to (p r_i - r_i[c]
     r_r) / prev, exactly, prev the pivot before; rows are rescaled lazily,
     row i standing for a[i] * prev / base[i].  A column with no pivot is
@@ -143,7 +154,7 @@ def _bareiss(rows, ncols):
     is row j of the reduced echelon form for j < len(pivots), and the rows
     past those are zero in the first ``ncols`` columns; det is the minor on
     the pivot rows and columns, with the sign of the row swaps."""
-    a = [list(scaled(row)[0]) for row in rows]
+    a = [list(row) for row in rows]
     base = [1] * len(a)
     pivots, prev, sign, free = [], 1, 1, None
     for c in range(ncols):
@@ -283,13 +294,14 @@ def smith_normal_form(m):
 
     t = 0
     while t < min(nr, nc):
-        # find a nonzero pivot in the remaining block
-        piv = None
+        # the pivot: the first entry of least absolute value, none under 1
+        piv, least = None, 0
         for i in range(t, nr):
-            for j in range(t, nc):
-                if a[i][j] != 0:
-                    if piv is None or abs(a[i][j]) < abs(a[piv[0]][piv[1]]):
-                        piv = (i, j)
+            for j, x in enumerate(a[i][t:], t):
+                if x and (piv is None or abs(x) < least):
+                    piv, least = (i, j), abs(x)
+            if least == 1:
+                break
         if piv is None:
             break
         a[t], a[piv[0]] = a[piv[0]], a[t]
@@ -315,7 +327,7 @@ def smith_normal_form(m):
                 break
         # make pivot divide the rest of the block
         redo = False
-        for i in range(t + 1, nr):
+        for i in range(t + 1, nr) if abs(a[t][t]) != 1 else ():
             for j in range(t + 1, nc):
                 if a[i][j] % a[t][t] != 0:
                     add_row(i, t, 1)

@@ -112,6 +112,7 @@ class WeightMultiplicityTable:
     def __init__(self, rd, lam, top, orbits):
         self._rd = rd
         self._lam = lam
+        self._scaled = rl.scaled(lam)
         self._top = top                 # the labels of lam
         self._orbits = orbits           # (dominant labels, mult., |W mu|)
         self._dom = {mu: m for mu, m, _ in orbits}
@@ -146,7 +147,7 @@ class WeightMultiplicityTable:
         """<mu, nu> over every weight mu, as integers over one denominator:
         (den, [(p, m, labels)]) with <mu, nu> = p / den and m = mult(mu)."""
         nu_table = self._rd.cochar_table(nu)
-        s, k, den = nu_table.pairing_form(self._lam)
+        s, k, den = nu_table.pairing_form(*self._scaled)
         return den, [(s * sum(map(mul, nu_table.omega[0], w)) + k, m, w)
                      for w, m in self._weights.items()]
 
@@ -162,7 +163,7 @@ class WeightMultiplicityTable:
             den, pairs = self.pairings(nu)
             return 1, 0, den, 1, [(m, ((p,), (0, p), p * p))
                                   for p, m, _ in pairs]
-        return (*nu_table.pairing_form(self._lam), n, [
+        return (*nu_table.pairing_form(*self._scaled), n, [
             (m * size, nu_table.orbit_values(mu))
             for mu, m, size in self._orbits])
 

@@ -40,7 +40,7 @@ from weakref import proxy
 
 from .errors import SpecificationError, GuardExceededError
 from . import ratlin as rl
-from .ratlin import vec, add, sub, scale, dot
+from .ratlin import add, scale
 
 _CHAIN_CARTAN = {
     # exceptional types as adjacency lists (Bourbaki numbering, 0-based)
@@ -85,29 +85,48 @@ class RootDatum:
     cochar_basis : rows spanning X_*(T); rational entries allowed
     central_cochars : ambient directions modded out of the cocharacter side
         (type A realizations); characters must annihilate them
+
+    Each input is scaled once to integer rows over one denominator, (rows,
+    den), and those are the datum's state; every table is made from them.
+    The Euclidean tuples of Fractions of the same names (and
+    ``fundamental_weights``, ``positive_roots``, ...) are views, made when
+    first read, for output and for callers that want vectors.
     """
 
     def __init__(self, simple_roots, simple_coroots, cochar_basis,
                  central_cochars=(), label=""):
-        self.simple_roots = tuple(vec(r) for r in simple_roots)
-        self.simple_coroots = tuple(vec(c) for c in simple_coroots)
-        self.central_cochars = tuple(vec(z) for z in central_cochars)
+        roots, rden = self._root_rows = rl.scaled_rows(simple_roots)
+        coroots, cden = self._coroot_rows = rl.scaled_rows(simple_coroots)
+        self._central_rows = rl.scaled_rows(central_cochars)
         self.label = label
-        if len(self.simple_roots) != len(self.simple_coroots):
+        if len(roots) != len(coroots):
             raise SpecificationError("roots and coroots must come in pairs")
-        self.dim = len(self.simple_roots[0]) if self.simple_roots else (
+        self.dim = len(roots[0]) if roots else (
             len(cochar_basis[0]) if cochar_basis else 0)
-        for v in (*self.simple_roots, *self.simple_coroots,
-                  *self.central_cochars):
+        for v in (*roots, *coroots, *self._central_rows[0]):
             if len(v) != self.dim:
                 raise SpecificationError("inconsistent ambient dimensions")
-        roots, rden = self._root_rows = rl.scaled_rows(self.simple_roots)
-        coroots, cden = self._coroot_rows = rl.scaled_rows(self.simple_coroots)
         self.cartan_matrix = cartan_checked(
             [[sum(map(mul, r, c)) for c in coroots] for r in roots], rden * cden)
         self.factors = cartan_factors(self.cartan_matrix)
         check_root_guard([(f.family, f.rank) for f in self.factors])
         self._set_lattice(cochar_basis)
+
+    @cached_property
+    def simple_roots(self):
+        return tuple(rl.unscaled_rows(*self._root_rows))
+
+    @cached_property
+    def simple_coroots(self):
+        return tuple(rl.unscaled_rows(*self._coroot_rows))
+
+    @cached_property
+    def cochar_basis(self):
+        return tuple(rl.unscaled_rows(*self._cochar_rows))
+
+    @cached_property
+    def central_cochars(self):
+        return tuple(rl.unscaled_rows(*self._central_rows))
 
     def _set_lattice(self, cochar_basis):
         """Take X_* spanned by these rows, checked to pair integrally with
@@ -117,10 +136,9 @@ class RootDatum:
         matrix in basis coordinates, and ``central_torus_rank``: a
         quotiented direction in the span of X_* is no torus of the group,
         but trivial in it, and so is the least vector of X_* along it."""
-        self.cochar_basis = tuple(vec(b) for b in cochar_basis)
-        if any(len(b) != self.dim for b in self.cochar_basis):
+        self._cochar_rows = rows, bden = rl.scaled_rows(cochar_basis)
+        if any(len(b) != self.dim for b in rows):
             raise SpecificationError("inconsistent ambient dimensions")
-        self._cochar_rows = rows, bden = rl.scaled_rows(self.cochar_basis)
         roots, rden = self._root_rows
         supports = [[(k, x) for k, x in enumerate(b) if x] for b in rows
                     if rden * bden > 1]     # else every pairing is integral
@@ -138,8 +156,8 @@ class RootDatum:
         if any(xd is None or any(a % xd[1] for a in xd[0]) for xd in coords):
             raise SpecificationError(
                 "cocharacter lattice does not contain the coroot lattice")
-        central = [xd[0] for z in self.central_cochars
-                   if (xd := self._lattice_coords(*rl.scaled(z)))]
+        central = [xd[0] for z in self._central_rows[0]
+                   if (xd := self._lattice_coords(z, 1))]
         self.relations = tuple(tuple(a // d for a in x) for x, d in coords)
         self.relations += tuple(tuple(a // gcd(*x) for a in x)
                                 for x in central)
@@ -193,8 +211,9 @@ class RootDatum:
                             tuple([l - x * b for l, b in zip(labels, a[i])]),
                             (c, i, -y))
                 queue.append(g)
-        counts = [0] * len(self.factors)
-        for c in found:
+        counts = [len(found)] if len(self.factors) == 1 else [0] * len(
+            self.factors)
+        for c in found if len(self.factors) > 1 else ():
             counts[self._factor_of_root(c)] += 1
         for f, count in zip(self.factors, counts):
             want = expected_root_count(f.family, f.rank) // 2
@@ -231,9 +250,10 @@ class RootDatum:
     def positive_roots(self):
         """Positive roots paired with their coroots, as vectors: the integer
         combinations of the simple roots and coroots given by the closure."""
-        return tuple(zip(
-            rl.int_combos(self.positive_root_coords, self.simple_roots),
-            rl.int_combos(self.positive_coroot_coords, self.simple_coroots)))
+        (roots, rden), (coroots, cden) = self._root_rows, self._coroot_rows
+        c, k = self.positive_root_coords, self.positive_coroot_coords
+        return tuple(zip(rl.unscaled_rows(rl.combos(c, roots), rden),
+                         rl.unscaled_rows(rl.combos(k, coroots), cden)))
 
     @cached_property
     def num_positive_roots(self):
@@ -242,9 +262,10 @@ class RootDatum:
     @cached_property
     def delta(self):
         """Half-sum of the positive roots."""
-        two_delta = map(sum, zip(*self.positive_root_coords))
-        return rl.combo([Fraction(x, 2) for x in two_delta],
-                        self.simple_roots, dim=self.dim)
+        two_delta = [sum(c) for c in zip(*self.positive_root_coords)]
+        roots, rden = self._root_rows
+        return rl.unscaled([sum(map(mul, two_delta, col)) for col in (
+            zip(*roots) if roots else [()] * self.dim)], 2 * rden)
 
     @cached_property
     def _roots_by_factor(self):
@@ -284,8 +305,12 @@ class RootDatum:
 
     @cached_property
     def two_delta_coroot_coords(self):
-        """2 delta^v, the sum of the positive coroots, in those coordinates."""
-        return tuple(map(sum, zip(*self.positive_coroot_coords)))
+        """2 delta^v, the sum of the positive coroots, in those coordinates:
+        2 A^-1 (1, ..., 1), as <alpha_i, delta^v> = 1 for each simple root
+        and A = (<alpha_i, alpha_j^v>); read off the Cartan adjugate, so
+        without the root closure."""
+        adj, det = self._cartan_adj
+        return tuple(2 * sum(row) // det for row in adj)
 
     @cached_property
     def weyl_denominator(self):
@@ -344,9 +369,27 @@ class RootDatum:
 
     @cached_property
     def _root_kernel(self):
-        """Primitive integer vectors all simple roots kill: their table's."""
-        kernel = rl.row_span_table(self._root_rows[0], self.dim)[3]
-        return tuple(tuple(x // gcd(*k) for x in k) for k in kernel)
+        """Primitive integer vectors that span, with the quotiented
+        directions, the cocharacters all simple roots kill: none if the
+        roots span, else the projections e_k - sum_i <omega_i, e_k>
+        alpha_i^v along the coroot span, less zero, repeated and quotiented
+        directions, read off the fundamental weights' rows."""
+        if self.dim == len(self.cartan_matrix):
+            return ()
+        (w, wden), (coroots, cden) = self._omega_rows, self._coroot_rows
+        supports = [[(j, c) for j, c in enumerate(row) if c]
+                    for row in coroots]
+        kernel = {}
+        for k in range(self.dim):
+            z = [0] * self.dim
+            z[k] = wden * cden
+            for row, support in zip(w, supports):
+                for j, c in support if row[k] else ():
+                    z[j] -= row[k] * c
+            if any(z):
+                kernel[_primitive(z)] = None
+        central = set(map(_primitive, self._central_rows[0]))
+        return tuple(z for z in kernel if z not in central)
 
     # ------------------------------------------------------------------
     # pairings and forms
@@ -403,9 +446,9 @@ class RootDatum:
         read: room for each pi_1 generator and its regular point."""
         key = rl.scaled(nu)
         memo = self.__dict__.setdefault("_cochar_tables", {})
-        table = memo.pop(key, None) or CocharTable(self, nu, key)
+        table = memo.pop(key, None) or CocharTable(self, key)
         memo[key] = table       # the most recently read last
-        if len(memo) > 2 * len(self.cochar_basis):
+        if len(memo) > 2 * len(self._cochar_rows[0]):
             del memo[next(iter(memo))]
         return table
 
@@ -537,7 +580,7 @@ class RootDatum:
     def assert_cocharacter(self, nu):
         """nu's integer coordinates in the cocharacter basis, or a refusal
         if nu is not in the lattice."""
-        xd = self._lattice_coords(*rl.scaled(vec(nu)))
+        xd = self._lattice_coords(*rl.scaled(nu))
         if xd is None or any(a % xd[1] for a in xd[0]):
             raise SpecificationError(
                 f"{rl.fmt_vec(nu)} is not in the cocharacter lattice")
@@ -562,10 +605,18 @@ class RootDatum:
         return rl.int_inverse(self.cartan_matrix)
 
     @cached_property
+    def _omega_rows(self):
+        """The fundamental weights omega_i = sum_j adj_ij alpha_j / det as
+        integer rows over their least common denominator."""
+        (adj, det), (roots, rden) = self._cartan_adj, self._root_rows
+        rows = list(rl.combos(adj, roots))
+        g = gcd(det * rden, *(x for row in rows for x in row))
+        return [[x // g for x in row] for row in rows], det * rden // g
+
+    @cached_property
     def fundamental_weights(self):
         """Fundamental weights (in the derived group's span), per simple root."""
-        adj, det = self._cartan_adj
-        return tuple(rl.int_combos(adj, self.simple_roots, det))
+        return tuple(rl.unscaled_rows(*self._omega_rows))
 
     @cached_property
     def fundamental_coweights(self):
@@ -574,9 +625,9 @@ class RootDatum:
         <v, omega_i^v> is the i-th simple-root coordinate of any v in the
         root span.
         """
-        adj, det = self._cartan_adj
-        return tuple(rl.int_combos(rl.transpose(adj), self.simple_coroots,
-                                    det))
+        (adj, det), (coroots, cden) = self._cartan_adj, self._coroot_rows
+        return tuple(rl.unscaled_rows(rl.combos(zip(*adj), coroots),
+                                      det * cden))
 
     @cached_property
     def center_directions(self):
@@ -587,14 +638,15 @@ class RootDatum:
         on them; a basis modulo the quotiented-out ambient directions.
         """
         # combinations of the cochar basis that every simple root kills
-        system = rl.scaled_rows([[dot(a, b) for b in self.cochar_basis]
-                                 for a in self.simple_roots])[0]
-        _, _, det, kernel = rl.row_span_table(system, len(self.cochar_basis))
-        kept = self.central_cochars
-        for v in rl.int_combos(kernel, self.cochar_basis, det):
-            if rl.row_span_table(rl.scaled_rows(kept + (v,))[0], self.dim):
-                kept += (v,)
-        return kept[len(self.central_cochars):]
+        (roots, _), (rows, bden) = self._root_rows, self._cochar_rows
+        system = [[sum(map(mul, a, b)) for b in rows] for a in roots]
+        _, _, det, kernel = rl.row_span_table(system, len(rows))
+        kept, out = list(self._central_rows[0]), []
+        for v in rl.combos(kernel, rows):
+            if rl.row_span_table(kept + [v], self.dim):
+                kept.append(v)
+                out.append(rl.unscaled(v, det * bden))
+        return tuple(out)
 
 
 class WeightForms:
@@ -617,10 +669,12 @@ class WeightForms:
         if basis is None:
             self._xrows, self._xden = rd._cochar_rows
             self._arows, self._aden = rd._coroot_rows
-            self._central = [rl.scaled(z)[0] for z in rd.central_cochars]
+            self._central = rd._central_rows[0]
         else:   # the ambient tables, shared
             vars(self).update(vars(rd.weight_forms()), basis=basis)
-            self._rows, self._bden = rl.scaled_rows(basis)
+            self._rows, self._bden = (
+                rd._omega_rows if basis is rd.__dict__.get("fundamental_weights")
+                else rl.scaled_rows(basis))
             self._cols = tuple(zip(*self._rows))
 
     def lift(self, nums, den):
@@ -642,12 +696,17 @@ class WeightForms:
             return tuple(Fraction(x, d) for x in labels)
         return tuple(x // d for x in labels)
 
-    def self_dual(self, mu, labels):
-        """-w0 mu = mu for mu with these labels."""
+    def self_dual(self, nums, labels):
+        """-w0 mu = mu for the character mu with these labels and ambient
+        coordinates proportional to nums (integers or rationals)."""
         rd = self._rd
-        nums = rl.scaled(mu)[0] if rd._root_kernel else ()
         return (all(labels[i] == labels[s] for i, s in rd._sigma_pairs)
                 and not any(sum(map(mul, nums, z)) for z in rd._root_kernel))
+
+    def vectors(self, coords):
+        """The weights with these integer coordinate rows, as vectors,
+        generated one at a time."""
+        return rl.unscaled_rows(rl.combos(coords, self._rows), self._bden)
 
     def parity(self, labels):
         """<mu, 2 delta_v> for mu with these labels."""
@@ -669,7 +728,8 @@ class WeightForms:
         labels), forms (n, q) with n . c = 0 mod q (n . c = 0 for q = 0),
         the rows n . c = bden aden labels(c), and p with -w0 b_i = b_p(i),
         or None: b' = -w0 b iff labels(b') = sigma labels(b) and <b', z> =
-        -<b, z> for each z all roots kill."""
+        -<b, z> for each z all roots kill (the quotiented directions and
+        ``RootDatum._root_kernel``)."""
         rd, rows, d = self._rd, self._rows, self._bden
         if rl.row_span_table(rows, rd.dim) is None:
             raise SpecificationError("the sweep basis is not independent")
@@ -678,14 +738,13 @@ class WeightForms:
             return [sum(map(mul, b, f)) for b in rows]
 
         labels = [pull(a) for a in self._arows]
-        kernel = [pull(z) for z in rd._root_kernel]
+        kernel = [pull(z) for z in (*self._central, *rd._root_kernel)]
         two_delta = [sum(map(mul, col, rd.two_delta_coroot_coords))
                      for col in zip(*labels)]
         forms = ([(pull(x), d * self._xden) for x in self._xrows]
                  + [(two_delta, 2 * d * self._aden)]
-                 + [(pull(z), 0) for z in self._central]
                  + [(n, 0) for n in kernel]
-                 + [(rl.sub(labels[i], labels[s]), 0)
+                 + [([a - b for a, b in zip(labels[i], labels[s])], 0)
                     for i, s in rd._sigma_pairs])
         keys = [(tuple([n[j] for n in labels]), tuple([n[j] for n in kernel]))
                 for j in range(len(rows))]
@@ -701,16 +760,18 @@ ORBIT_VALUES = 2 ** 14
 
 
 class CocharTable:
-    """Every form of one cocharacter nu: ``pairings`` p / den = <alpha_j,
-    nu>, ``omega`` c / cden = <omega_i, nu> in least terms, ``norms``, each
-    factor's |nu^i|^2, and ``d_nu``, from one pass over the closure;
-    ``central``, ``q_form``, ``regular``, ``orbit_size``, ``signed_orbit``
-    and ``paired_orbit`` when first read; ``pairing_form`` per weight, and
-    ``orbit_values`` per dominant weight, kept as it holds no lam."""
+    """Every form of one cocharacter nu, given as (numerators, den):
+    ``pairings`` p / den = <alpha_j, nu>, ``omega`` c / cden = <omega_i, nu>
+    in least terms and ``norms``, each factor's |nu^i|^2, from one pass over
+    the closure; the vector ``nu``, ``d_nu``, ``central``, ``q_form``,
+    ``regular``, ``orbit_size``, ``signed_orbit`` and ``paired_orbit`` when
+    first read; ``pairing_form`` per weight, and ``orbit_values`` per
+    dominant weight, kept as it holds no lam."""
 
-    def __init__(self, rd, nu, scaled):
+    def __init__(self, rd, scaled):
         # the datum keeps its tables: a proxy, so that no cycle outlives it
-        self._rd, self.nu, (nums, nden) = proxy(rd), vec(nu), scaled
+        self._rd, self._scaled = proxy(rd), scaled
+        nums, nden = scaled
         (rows, rden), (adj, det) = rd._root_rows, rd._cartan_adj
         self.pairings = p, den = ([sum(map(mul, row, nums)) for row in rows],
                                   nden * rden)
@@ -723,14 +784,22 @@ class CocharTable:
         for c, x in zip(rd.positive_root_coords, self._values):
             norms[rd._factor_of_root(c)] += x * x
         self.norms = tuple(Fraction(2 * n, den * den) for n in norms)
-        # the product of <beta, nu> over the positive roots
-        self.d_nu = Fraction(prod(self._values), den ** len(self._values))
+
+    @cached_property
+    def nu(self):
+        return rl.unscaled(*self._scaled)
+
+    @cached_property
+    def d_nu(self):
+        """The product of <beta, nu> over the positive roots."""
+        return Fraction(prod(self._values),
+                        self.pairings[1] ** len(self._values))
 
     @cached_property
     def central(self):
         """nu^z = nu - sum_i <omega_i, nu> alpha_i^v, the part of nu that
         every root kills, as (z, zden) in least terms, z integers."""
-        (nums, nden), (rows, aden) = rl.scaled(self.nu), self._rd._coroot_rows
+        (nums, nden), (rows, aden) = self._scaled, self._rd._coroot_rows
         c, cden = self.omega
         z = [x * cden * aden - nden * sum(map(mul, c, col))
              for x, col in zip(nums, zip(*rows))]
@@ -806,13 +875,13 @@ class CocharTable:
             [nsq / (2 * rd.factor_dim(i) * den) for i, (nsq, (*_, den)) in
              enumerate(zip(self.norms, rd._inverse_killing))]))
 
-    def pairing_form(self, lam):
+    def pairing_form(self, m, d):
         """(s, k, den) in least terms: <mu, y> = (s c . mu + k) / den for
-        every mu with lam's central part (mu - lam in the root span) and y =
-        w nu, c / cden = <omega_i, y> (``omega``, ``signed_orbit``); k / den
-        = <lam, nu^z>, nu^z the W-fixed central part of nu (``central``)."""
+        every mu with lam = m / d's central part (mu - lam in the root span)
+        and y = w nu, c / cden = <omega_i, y> (``omega``, ``signed_orbit``);
+        k / den = <lam, nu^z>, nu^z the W-fixed central part of nu
+        (``central``)."""
         (z, zden), cden = self.central, self.omega[1]
-        m, d = rl.scaled(lam)
         k, d = sum(map(mul, m, z)), d * zden    # <lam, nu^z> = k / d
         den = lcm(cden, d // gcd(k, d))
         return den // cden, k * den // d, den
@@ -833,8 +902,9 @@ _ROOT_COUNTS = {"A": lambda r: r * (r + 1), "B": lambda r: 2 * r * r,
 def simple_system(family, rank):
     """Simple roots/coroots of one simple type in its standard realization.
 
-    Returns (roots, coroots, width, central) where width is the ambient
-    dimension used and central is the quotiented direction for type A.
+    Returns (roots, coroots, width, central), vectors as integer tuples,
+    where width is the ambient dimension used and central is the quotiented
+    direction for type A.
     """
     family = family.upper()
     if family in ("A", "B", "C", "D"):
@@ -842,14 +912,13 @@ def simple_system(family, rank):
         if rank < least:
             raise SpecificationError(f"{family} requires rank >= {least}")
         w = rank + 1 if family == "A" else rank
-        e = [rl.unit(w, i) for i in range(w)]
-        roots = [sub(e[i], e[i + 1]) for i in range(w - 1)]
+        roots = [(0,) * i + (1, -1) + (0,) * (w - i - 2) for i in range(w - 1)]
         if family == "A":
-            return roots, list(roots), w, (Fraction(1),) * w
+            return roots, list(roots), w, (1,) * w
         if family == "D":
-            end = add(e[-2], e[-1])
+            end = (0,) * (w - 2) + (1, 1)
             return roots + [end], roots + [end], w, None
-        short, long = e[-1], scale(2, e[-1])
+        short, long = (0,) * (w - 1) + (1,), (0,) * (w - 1) + (2,)
         if family == "B":
             return roots + [short], roots + [long], w, None
         return roots + [long], roots + [short], w, None
@@ -906,14 +975,18 @@ def cartan_factors(a):
                         e[j] = e[i] * a[j][i] // x
                         walk.append((j, i))
         comp = sorted(i for i, _ in walk)
-        q = dict.fromkeys(comp, Fraction(2))
+        # q_i = t_i / f_i, t_i the det of i's subtree and f_i the product of
+        # its children's; then q_p - a_pi a_ip / q_i = t / f for t = t_p t_i
+        # - a_pi a_ip f_i f_p and f = f_p t_i, and the root's t is the det
+        t, f = dict.fromkeys(comp, 2), dict.fromkeys(comp, 1)
         for i, p in reversed(walk):
-            if q[i] > 0 and p is not None:
-                q[p] -= a[p][i] * a[i][p] / q[i]
-        if edges != 2 * len(walk) - 2 or min(q.values()) <= 0:
+            if t[i] > 0 and p is not None:
+                t[p] = t[p] * t[i] - a[p][i] * a[i][p] * f[i] * f[p]
+                f[p] *= t[i]
+        if edges != 2 * len(walk) - 2 or min(t.values()) <= 0:
             raise SpecificationError("the Cartan matrix is not of finite type")
         bond = max((a[i][p] * a[p][i] for i, p in walk[1:]), default=0)
-        factors.append(Factor(comp, _family(comp, bond, prod(q.values()), e),
+        factors.append(Factor(comp, _family(comp, bond, t[first], e),
                               len(comp), [e[i] for i in comp]))
     return tuple(factors)
 
@@ -934,11 +1007,17 @@ def _family(comp, bond, det, e):
     return "A" if det == len(comp) + 1 else "D" if det == 4 else "E"
 
 
+def _primitive(v):
+    """The integer vector v over the gcd of its entries, its first nonzero
+    entry made positive."""
+    g = gcd(*v) * (-1 if next((x for x in v if x), 0) < 0 else 1)
+    return tuple(x // g for x in v)
+
+
 def _from_cartan(cartan):
     r = len(cartan)
-    coroots = [rl.unit(r, i) for i in range(r)]
-    roots = [vec(row) for row in cartan]
-    return roots, coroots, r, None
+    coroots = [tuple(int(i == j) for j in range(r)) for i in range(r)]
+    return [tuple(row) for row in cartan], coroots, r, None
 
 
 def build_root_datum(lie_type, central_rank=0, label=""):
@@ -955,13 +1034,14 @@ def build_root_datum(lie_type, central_rank=0, label=""):
     total = sum(w for _, _, w, _ in systems) + central_rank
     roots, coroots, centrals, offset = [], [], [], 0
     for rts, crts, w, central in systems:
-        head, tail = rl.zero(offset), rl.zero(total - offset - w)
+        head, tail = (0,) * offset, (0,) * (total - offset - w)
         roots += [head + v + tail for v in rts]
         coroots += [head + v + tail for v in crts]
         if central is not None:
             centrals.append(head + central + tail)
         offset += w
-    basis = coroots + [rl.unit(total, offset + k) for k in range(central_rank)]
+    basis = coroots + [(0,) * (offset + k) + (1,) + (0,) * (central_rank - k - 1)
+                       for k in range(central_rank)]
     return RootDatum(roots, coroots, basis, centrals, label=label)
 
 

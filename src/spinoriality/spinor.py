@@ -50,9 +50,9 @@ def orth_rep(rd, irreducible=(), hyperbolic=(), basis=None):
     irr, hyp, labels = [], [], []
     for lams, out in ((irreducible, irr), (hyperbolic, hyp)):
         for lam in lams:
-            m, d = forms.lift(*rl.scaled(rl.vec(lam)))
+            m, d = forms.lift(*rl.scaled(lam))
             ls, failed = forms.read(m, d)
-            lam = tuple(Fraction(x, d) for x in m)
+            lam = rl.unscaled(m, d)
             if failed == "character":
                 raise SpecificationError(
                     f"{fmt_vec(lam)} is not a character of this group")
@@ -199,7 +199,7 @@ def q_via_weyl_sum(rd, lam, nu, guard=WEYL_GUARD_DEFAULT, labels=None):
         raise GuardExceededError(
             f"Weyl group order {rd.weyl_order} exceeds guard {guard}")
     n2 = rd.num_positive_roots + 2
-    s, k, den = table.pairing_form(lam)
+    s, k, den = table.pairing_form(*rl.scaled(lam))
     points, twice = table.paired_orbit if k == 0 else (table.signed_orbit, 1)
     shifted = [x + 1 for x in labels]
     acc = twice * sum(sign * (s * sum(map(mul, c, shifted)) + k) ** n2
@@ -337,7 +337,7 @@ def dominant_orthogonal_weights(rd, box, basis=None):
     if width < size:
         hits = (tuple([v[k] for k in slot]) for v in hits)
     hits, again = tee(hits)
-    yield from zip(hits, rl.int_combos(again, weights.basis))
+    yield from zip(hits, weights.vectors(again))
 
 
 def scan_periodicity(rd, fg, box, k, basis=None):

@@ -430,9 +430,10 @@ def test_group_file_malformed(runner, tmp_path):
 
 def test_root_count_cross_check(runner, monkeypatch):
     # a closure that disagrees with the classification's root count is a
-    # specification error naming the factor, not a wrong answer
+    # specification error naming the factor, not a wrong answer (PGL3: a
+    # check reads the closure for its generator's q)
     monkeypatch.setitem(rootdata._ROOT_COUNTS, "A", lambda r: r * (r + 1) + 2)
-    res = runner.invoke(main, ["check", "--group", "SL3", "--weight", "1,1"])
+    res = runner.invoke(main, ["check", "--group", "PGL3", "--weight", "1,1"])
     assert res.exit_code == 2
     assert ("the reflection closure found 3 positive roots for the factor "
             "A2 on simple roots (0, 1), expected 4") in res.stderr

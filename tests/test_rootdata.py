@@ -72,7 +72,7 @@ def test_dual_coxeter_numbers(family, rank, h):
 @pytest.mark.parametrize("family,rank", ALL_SIMPLE)
 def test_two_delta_is_sum_of_positive_roots(family, rank):
     rd = build_root_datum([(family, rank)])
-    total = rl.zero(rd.dim)
+    total = (Fraction(0),) * rd.dim
     for root, _ in rd.positive_roots:
         total = rl.add(total, root)
     assert total == rl.scale(2, rd.delta)
@@ -220,7 +220,7 @@ def test_coroot_span_decomposition():
         assert rl.dot(root, central) == 0
     gamma = (Fraction(3), Fraction(1))
     table = rd.cochar_table(e1)
-    _, k, den = table.pairing_form(gamma)
+    _, k, den = table.pairing_form(*rl.scaled(gamma))
     z, zden, *_ = table.q_form
     assert Fraction(k, den) == rl.dot(gamma, central) == 2
     assert Fraction(sum(map(mul, gamma, z)), zden) == 2

@@ -247,8 +247,8 @@ def test_oracle_builds_each_generators_table_once(monkeypatch):
     # their regular points, no table is dropped before it is read again
     built = Counter()
     init = CocharTable.__init__
-    monkeypatch.setattr(CocharTable, "__init__", lambda self, rd, nu, *a: (
-        built.update([rl.vec(nu)]), init(self, rd, nu, *a))[1])
+    monkeypatch.setattr(CocharTable, "__init__", lambda self, rd, scaled: (
+        built.update([rl.unscaled(*scaled)]), init(self, rd, scaled))[1])
     g = group_by_name("PSO8")
     monkeypatch.setattr(catalog, "group_by_name", lambda name: g)
     res = CliRunner().invoke(cli.main, ["oracle", "--group", "PSO8", "--box",
@@ -355,7 +355,7 @@ def test_dependent_sweep_basis_is_refused():
     # two zero vectors: the -w0 permutation of the basis is ambiguous, and
     # the box had 2 of its 4 points dropped
     g = group_by_name("SL3")
-    zero = rl.zero(g.rd.dim)
+    zero = (Fraction(0),) * g.rd.dim
     for basis in ([zero, zero], [g.rd.fundamental_weights[0]] * 2):
         with pytest.raises(SpecificationError, match="not independent"):
             list(dominant_orthogonal_weights(g.rd, 1, basis=basis))
