@@ -5,12 +5,14 @@ import json
 import os
 import tempfile
 import time
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
-from spinoriality.cli import main
+from spinoriality.cli import COORDINATE_DIGITS, _coordinate, main
+from spinoriality.errors import GuardExceededError
 
 # catalog names with the number of coordinates their weights take
 VALID = {"SL2": 1, "SL3": 2, "PGL3": 2, "SL4/mu2": 3, "GL2": 2, "Sp4": 2,
@@ -193,6 +195,54 @@ def test_oversized_numbers_end_at_once(argv, doc, code, message, fmt,
     assert res.exit_code == code, res.exception
     assert res.stderr.startswith(message) and res.stderr.count("\n") == 1
     assert res.stdout == ""
+
+
+# a weight with an empty coordinate is refused whole, never read as a
+# shorter one: (argv, stderr)
+EMPTY_COORDINATES = [
+    (["check", "--group", "SO5", "--weight", w],
+     f"spec error: empty coordinate in the weight {w!r}\n")
+    for w in ["1,,0", "1,0,", ",1,0", "1, ,0", "0,2+S:1,,0", "S:,1,0"]]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv,stderr", EMPTY_COORDINATES)
+def test_an_empty_coordinate_is_refused(argv, stderr, fmt):
+    res = CliRunner().invoke(main, argv + ["--format", fmt])
+    assert (res.exit_code, res.stdout, res.stderr) == (2, "", stderr)
+
+
+EDGE_TOKENS = ["1_0", "\u0663", " 7 ", "+3", "-0", "007", "1e3", "1/2",
+               "0x1", "inf", "nan", "\u00bd", "1e+5", "\xa07\xa0", "0_7",
+               "1__0", "_1", "1_", "1e", "e", "1e1_0", "2.", ".5", "1/-2"]
+
+
+def reference_coordinate(tok):
+    """A coordinate read as Fraction(tok) after the digit guard on its
+    text, the reading the integer path must reproduce."""
+    head, _, exp = tok.lower().partition("e")
+    if sum(map(str.isdigit, head)) + abs(int(exp or 0)) > COORDINATE_DIGITS:
+        raise GuardExceededError("digit guard")
+    return Fraction(tok)
+
+
+def outcome(read, tok):
+    try:
+        return read(tok)
+    except Exception as exc:    # the class of the refusal is compared
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(coordinate, st.sampled_from(EDGE_TOKENS)))
+def test_a_coordinate_reads_as_its_fraction(tok):
+    # the same value as Fraction(tok), or the same refusal, guard included;
+    # an int wherever int() reads the token
+    got, want = outcome(_coordinate, tok), outcome(reference_coordinate, tok)
+    assert got == want and type(got) is type(want) or (
+        type(got) is int and type(want) is Fraction and got == want)
+    if type(outcome(int, tok)) is int and want is not GuardExceededError:
+        assert type(got) is int
 
 
 @pytest.mark.parametrize("plus,bare", [

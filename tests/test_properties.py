@@ -13,7 +13,7 @@ from unittest.mock import patch
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from spinoriality import ratlin as rl, repcalc, rootdata
+from spinoriality import cli, ratlin as rl, repcalc, rootdata
 from spinoriality.catalog import (CATALOG_RANK_LE_4, group_by_name,
                                   highest_root, summary_suite_specs)
 from spinoriality.fundgroup import FundGroupData, fundamental_group
@@ -25,11 +25,12 @@ from spinoriality.rootdata import (RootDatum, _from_cartan, build_root_datum,
                                    expected_root_count)
 from spinoriality.spinor import (OrthRep, descent_check,
                                  dominant_orthogonal_weights, is_spinorial,
-                                 make_regular, oracle_compare, q_irreducible,
-                                 q_rep, q_via_weyl_sum)
+                                 make_regular, oracle_compare, orth_rep,
+                                 q_irreducible, q_rep, q_via_weyl_sum)
 from linalg_reference import (reference_nullspace, reference_rank,
                               reference_row_coords, reference_solve_columns)
 from test_ratlin import assert_smith_contract, mat_mul
+from test_realizations import LARGE, NAMES as REALIZATIONS, cartan_document
 
 GROUPS = ["PGL2", "PGL4", "SO8", "PSp6", "PSO8", "Gplus8", "E7adj"]
 
@@ -1635,3 +1636,108 @@ def test_lattice_table_matches_the_fraction_solves(case):
     ([[12]], 1, (12,))])
 def test_reference_invariant_factors(rows, n, want):
     assert reference_invariant_factors(rows, n) == want
+
+
+# ----------------------------------------------------------------------
+# a datum's integer rows against the Euclidean views made from them
+
+def recorded_inputs(build):
+    """(build(), the vectors given to the last RootDatum it made)."""
+    seen, init = [], RootDatum.__init__
+
+    def record(self, roots, coroots, basis, central=(), label=""):
+        seen.append((roots, coroots, basis, central))
+        init(self, roots, coroots, basis, central, label)
+    with patch.object(RootDatum, "__init__", record):
+        out = build()
+    return out, [[tuple(rl.vec(v)) for v in vs] for vs in seen[-1]]
+
+
+def euclidean_views(rd, roots, coroots, basis, central):
+    """Every Euclidean view of the datum built from these vectors, by its
+    definition on Fractions: the vectors given; omega_i = sum_j (A^-1)_ij
+    alpha_j and omega_i^v = sum_j (A^-1)_ji alpha_j^v, A_ij = <alpha_i,
+    alpha_j^v>; the closure's combinations of the simple roots and
+    coroots; the kernel of the roots on the lattice's span, kept while
+    independent of the quotiented directions; -w0 = -1 + sum_i (omega_i +
+    omega_sigma(i)) alpha_i^v."""
+    r, dim = len(roots), rd.dim
+    a = [[rl.dot(x, c) for c in coroots] for x in roots]
+    cols = reference_solve_columns(a, [[int(i == j) for j in range(r)]
+                                       for i in range(r)])[1] if r else []
+    omega = [rl.combo([col[i] for col in cols], roots, dim) for i in range(r)]
+    coweights = [rl.combo(cols[i], coroots, dim) for i in range(r)]
+    positive = tuple((rl.combo(c, roots, dim), rl.combo(k, coroots, dim))
+                     for c, k in zip(rd.positive_root_coords,
+                                     rd.positive_coroot_coords))
+    system = [[rl.dot(x, b) for b in basis] for x in roots]
+    kept, center = list(central), []
+    for k in reference_nullspace(system, len(basis)) if basis else ():
+        v = rl.combo(k, basis)
+        if reference_rank(kept + [v]) > len(kept):
+            kept.append(v)
+            center.append(v)
+    sums = [rl.add(omega[i], omega[s]) for i, s in enumerate(rd.minus_w0_perm)]
+    minus_w0 = [[sum((s[x] * c[y] for s, c in zip(sums, coroots)),
+                     Fraction(0)) - (x == y) for y in range(dim)]
+                for x in range(dim)]
+    return {"simple_roots": roots, "simple_coroots": coroots,
+            "cochar_basis": basis, "central_cochars": central,
+            "fundamental_weights": omega, "fundamental_coweights": coweights,
+            "center_directions": center, "minus_w0_matrix": minus_w0,
+            "positive_roots": positive}
+
+
+def assert_views_are_their_definitions(rd, inputs):
+    for name, want in euclidean_views(rd, *inputs).items():
+        got = getattr(rd, name)
+        if name == "positive_roots":
+            assert got == want
+            got = [v for pair in got for v in pair]
+        else:
+            assert got == tuple(map(tuple, want)), name
+        if name != "minus_w0_matrix":
+            assert all(type(x) is Fraction for v in got for x in v), name
+
+
+def assert_weights_read_alike(rd, fg, basis):
+    """orth_rep and is_spinorial give one answer for a weight given as a
+    vector of Fractions, as ambient integers (if it has integer entries)
+    and as integer coordinates in ``basis``: a few box-1 weights."""
+    points = list(dominant_orthogonal_weights(rd, 1, basis=basis))
+    for coords, lam in points[::max(1, len(points) // 4)]:
+        reps = [orth_rep(rd, irreducible=[lam], hyperbolic=[lam]),
+                orth_rep(rd, irreducible=[coords], hyperbolic=[coords],
+                         basis=basis)]
+        if all(x.denominator == 1 for x in lam):
+            ints = [int(x) for x in lam]
+            reps.append(orth_rep(rd, irreducible=[ints], hyperbolic=[ints]))
+        for rep in reps:
+            assert rep == reps[0] and rep.labels == reps[0].labels
+            assert all(type(x) is Fraction for x in rep.irreducible[0])
+        assert len({is_spinorial(rd, fg, rep) for rep in reps}) == 1
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_integer_state_matches_the_euclidean_views_on_the_catalog(name):
+    g, inputs = recorded_inputs(lambda: group_by_name(name))
+    assert_views_are_their_definitions(g.rd, inputs)
+    assert_weights_read_alike(g.rd, g.fg, g.weight_basis)
+
+
+@pytest.mark.parametrize("name", [n for n in REALIZATIONS if n not in LARGE])
+def test_integer_state_matches_the_euclidean_views_on_realizations(name):
+    doc = cartan_document(group_by_name(name).rd)
+    g, inputs = recorded_inputs(
+        lambda: cli._group_from_document(doc, "realization"))
+    assert_views_are_their_definitions(g.rd, inputs)
+    assert_weights_read_alike(g.rd, g.fg, g.weight_basis)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_integer_state_matches_the_euclidean_views_on_random_data(data):
+    (rd, _), inputs = recorded_inputs(lambda: random_datum(data.draw))
+    assert_views_are_their_definitions(rd, inputs)
+    assert_weights_read_alike(rd, fundamental_group(rd),
+                              rd.fundamental_weights)
