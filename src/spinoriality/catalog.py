@@ -188,7 +188,7 @@ def make_group(spec):
     else:
         raise SpecificationError(f"unknown catalog family {fam!r}")
     fg = fundamental_group(rd, generators=gens)
-    wb = (rl.identity(n) if fam == "GL"
+    wb = (tuple(rl.unscaled_rows(_identity(n), 1)) if fam == "GL"
           else (rd.simple_roots[0],) if name == "PGL2"
           else rd.fundamental_weights)
     return Group(name, spec, rd, fg, wb)
@@ -205,7 +205,9 @@ def _sl_name(n, d):
 def highest_root(rd):
     """The highest root (as a character vector); the adjoint highest weight:
     the positive root of greatest height, the sum of its coordinates."""
-    return rl.combo(max(rd.positive_root_coords, key=sum), rd.simple_roots)
+    top = max(rd.positive_root_coords, key=sum)
+    return tuple(sum(c * a[k] for c, a in zip(top, rd.simple_roots))
+                 for k in range(rd.dim))
 
 
 # ----------------------------------------------------------------------

@@ -3,9 +3,9 @@
 A rational vector or matrix is held as integer rows over one common
 denominator, ``(rows, den)``: ``scaled``/``scaled_rows`` make that form
 from rationals and ``unscaled`` turns it back into a tuple of
-:class:`fractions.Fraction`.  The small helpers on Fraction tuples (``vec``,
-``add``, ``combo``, ...) serve the Euclidean vectors read or printed at the
-API.  No floating point is used anywhere; parity questions about huge
+:class:`fractions.Fraction`.  The few helpers on Fraction tuples (``vec``,
+``add``, ``scale``, ``mat_vec``) serve the Euclidean vectors read or
+printed at the API.  No floating point is used anywhere; parity questions about huge
 integers are the whole point of the package, so all arithmetic is exact.
 Row reduction is one fraction-free elimination on integers,
 ``row_span_table``; independence, kernels and coordinates in a row span
@@ -29,42 +29,13 @@ def add(u, v):
     return tuple(a + b for a, b in zip(u, v))
 
 
-def sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
-
-
 def scale(c, u):
     c = Fraction(c)
     return tuple(c * a for a in u)
 
 
-def dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
-
-
-def unit(n, i):
-    return tuple(Fraction(1 if j == i else 0) for j in range(n))
-
-
 def mat_vec(m, v):
-    return tuple(dot(row, v) for row in m)
-
-
-def identity(n):
-    return tuple(unit(n, i) for i in range(n))
-
-
-def combo(coeffs, vectors, dim=None):
-    """The exact linear combination sum_i coeffs[i] * vectors[i].
-
-    Entries are Fractions; ``dim`` gives the length of the (zero) result
-    when ``vectors`` is empty.
-    """
-    total = [Fraction(0)] * (len(vectors[0]) if vectors else dim or 0)
-    for c, v in zip(coeffs, vectors):
-        if c:
-            total = [t + c * x for t, x in zip(total, v)]
-    return tuple(total)
+    return tuple(sum(a * b for a, b in zip(row, v)) for row in m)
 
 
 def combos(coeffs, rows):

@@ -124,10 +124,10 @@ class WeightMultiplicityTable:
 
     def weight(self, labels):
         """The weight of lam + Q with these labels, as exact rationals."""
-        rd = self._rd
         diff = [a - b for a, b in zip(self._top, labels)]
-        return rl.sub(self._lam,
-                      rl.combo(diff, rd.fundamental_weights, dim=rd.dim))
+        omega = self._rd.fundamental_weights
+        return tuple(x - sum(c * w[k] for c, w in zip(diff, omega))
+                     for k, x in enumerate(self._lam))
 
     def multiplicity(self, mu):
         mu = tuple(rl.vec(mu))

@@ -88,3 +88,30 @@ def reference_row_coords(basis_rows, v):
     if not basis_rows:
         return () if not any(v) else None
     return reference_solve_columns(tuple(zip(*basis_rows)), [v])[1][0]
+
+
+# Fraction vector helpers for the tests' Euclidean definitions
+def dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def sub(u, v):
+    return tuple(a - b for a, b in zip(u, v))
+
+
+def unit(n, i):
+    return tuple(Fraction(1 if j == i else 0) for j in range(n))
+
+
+def identity(n):
+    return tuple(unit(n, i) for i in range(n))
+
+
+def combo(coeffs, vectors, dim=None):
+    """sum_i coeffs[i] * vectors[i] in Fractions, of length ``dim`` when
+    ``vectors`` is empty."""
+    total = [Fraction(0)] * (len(vectors[0]) if vectors else dim or 0)
+    for c, v in zip(coeffs, vectors):
+        if c:
+            total = [t + c * x for t, x in zip(total, v)]
+    return tuple(total)

@@ -21,6 +21,7 @@ from spinoriality.spinor import (OrthRep, adjoint_spinorial, descent_check,
                                  dominant_orthogonal_weights, is_spinorial,
                                  oracle_compare, orth_rep, q_rep,
                                  scan_periodicity)
+from linalg_reference import combo
 from test_properties import reference_dominant_orthogonal
 
 
@@ -194,13 +195,13 @@ def _adjoint_rep(rd):
 def _random_orth_weight(g, rng):
     while True:
         coords = [rng.randint(0, 3) for _ in g.weight_basis]
-        lam = rl.combo(coords, g.weight_basis)
+        lam = combo(coords, g.weight_basis)
         if reference_dominant_orthogonal(g.rd, lam):
             return lam
 
 
 def _random_cochar(rd, rng):
-    return rl.combo([rng.randint(-4, 4) for _ in rd.cochar_basis],
+    return combo([rng.randint(-4, 4) for _ in rd.cochar_basis],
                     rd.cochar_basis)
 
 
@@ -229,7 +230,7 @@ def test_criterion_9_structural():
             g = rng.choice(groups)
             rep = OrthRep(irreducible=(tuple(_random_orth_weight(g, rng)),))
             nu = _random_cochar(g.rd, rng)
-            shift = rl.combo([rng.randint(-2, 2) for _ in g.rd.simple_coroots],
+            shift = combo([rng.randint(-2, 2) for _ in g.rd.simple_coroots],
                              g.rd.simple_coroots)
             q0 = q_rep(g.rd, rep, nu)
             assert (q_rep(g.rd, rep, rl.add(nu, shift)) - q0) % 2 == 0

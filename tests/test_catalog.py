@@ -11,6 +11,7 @@ from spinoriality.catalog import (CATALOG_RANK_LE_4, GroupSpec, group_by_name,
                                   type_d_table, type_d_weight)
 from spinoriality.errors import SpecificationError
 from spinoriality import spinor
+from linalg_reference import combo
 
 
 def test_parse_group_names():
@@ -146,7 +147,7 @@ def test_weight_from_coords_is_the_exact_combination(name):
     for coords in ([0] * r, [1] * r, [Fraction(j - 2, 3) for j in range(r)],
                    [(-1) ** j * j for j in range(r)]):
         lam = g.weight_from_coords(coords)
-        assert lam == rl.combo(coords, g.weight_basis, dim=g.rd.dim)
+        assert lam == combo(coords, g.weight_basis, dim=g.rd.dim)
         assert all(type(x) is Fraction for x in lam)
     with pytest.raises(SpecificationError,
                        match=f"expects {r} weight coordinates, got {r + 1}"):

@@ -8,6 +8,7 @@ from spinoriality.errors import SpecificationError
 from spinoriality.fundgroup import fundamental_group, p_value
 from spinoriality import ratlin as rl
 from spinoriality.rootdata import RootDatum, build_root_datum, simple_system
+from linalg_reference import combo, unit
 
 
 @pytest.mark.parametrize("name,factors", [
@@ -74,7 +75,7 @@ def test_a_quotiented_direction_in_the_lattice_span_is_trivial():
     # 2(1,1,1) is, and is trivial in the group, whose cocharacter lattice
     # is the image of X_* in Q^3 / Q(1,1,1): pi_1 = (2Z)/(6Z), as for PGL3
     roots, coroots, _, central = simple_system("A", 2)
-    rd = RootDatum(roots, coroots, coroots + [rl.scale(2, rl.unit(3, 2))],
+    rd = RootDatum(roots, coroots, coroots + [rl.scale(2, unit(3, 2))],
                    [central])
     assert rd.central_torus_rank == 0
     assert fundamental_group(rd).invariant_factors == (3,)
@@ -102,7 +103,7 @@ def test_lattice_basis_stays_small_and_pi1_fast():
     # 470, on which the Smith form of the coroots' coordinates ran for
     # minutes; the Hermite basis has entries of at most 2
     rd = build_root_datum([("B", 3), ("D", 4), ("D", 4)], central_rank=1)
-    gen = rl.combo([1, 0, -1, 2, 1, 2, -1, 2, -1, 0, -2],
+    gen = combo([1, 0, -1, 2, 1, 2, -1, 2, -1, 0, -2],
                    rd.fundamental_coweights, dim=rd.dim)
     gen = gen[:-1] + (Fraction(3, 4),)
     basis = rl.row_lattice_basis(rd.cochar_basis + (gen,))

@@ -27,8 +27,9 @@ from spinoriality.spinor import (OrthRep, descent_check,
                                  dominant_orthogonal_weights, is_spinorial,
                                  make_regular, oracle_compare, orth_rep,
                                  q_irreducible, q_rep, q_via_weyl_sum)
-from linalg_reference import (reference_nullspace, reference_rank,
-                              reference_row_coords, reference_solve_columns)
+from linalg_reference import (combo, dot, identity, reference_nullspace,
+                              reference_rank, reference_row_coords,
+                              reference_solve_columns, sub, unit)
 from test_ratlin import assert_smith_contract, mat_mul
 from test_realizations import LARGE, NAMES as REALIZATIONS, cartan_document
 
@@ -36,12 +37,12 @@ GROUPS = ["PGL2", "PGL4", "SO8", "PSp6", "PSO8", "Gplus8", "E7adj"]
 
 
 def lattice_cochar(rd, coeffs):
-    return rl.combo(coeffs, rd.cochar_basis)
+    return combo(coeffs, rd.cochar_basis)
 
 
 def orth_weight(g, coeffs):
     """A dominant orthogonal character built from box coordinates, or None."""
-    lam = rl.combo(coeffs, g.weight_basis)
+    lam = combo(coeffs, g.weight_basis)
     return lam if reference_dominant_orthogonal(g.rd, lam) else None
 
 
@@ -80,7 +81,7 @@ def test_coroot_translation_invariance(name, wc, c1, c2):
     rep = OrthRep(irreducible=(tuple(lam),))
     n = len(g.rd.cochar_basis)
     nu = lattice_cochar(g.rd, c1[:n])
-    shift = rl.combo(c2, g.rd.simple_coroots)
+    shift = combo(c2, g.rd.simple_coroots)
     q0 = q_rep(g.rd, rep, nu)
     q1 = q_rep(g.rd, rep, rl.add(nu, shift))
     assert (q1 - q0) % 2 == 0
@@ -109,9 +110,9 @@ def euclidean_dominant_conjugate(rd, mu):
     cur, sign = tuple(rl.vec(mu)), 1
     while True:
         for alpha, alpha_v in zip(rd.simple_roots, rd.simple_coroots):
-            k = rl.dot(cur, alpha_v)
+            k = dot(cur, alpha_v)
             if k < 0:
-                cur, sign = rl.sub(cur, rl.scale(k, alpha)), -sign
+                cur, sign = sub(cur, rl.scale(k, alpha)), -sign
                 break
         else:
             return cur, sign
@@ -163,7 +164,7 @@ def random_datum(draw, simple=False):
     central = 0 if simple else draw(st.integers(0, 1))
     rd = build_root_datum(types, central_rank=central)
     r = len(rd.simple_roots)
-    gen = rl.combo(draw(st.lists(st.integers(-2, 2), min_size=r, max_size=r)),
+    gen = combo(draw(st.lists(st.integers(-2, 2), min_size=r, max_size=r)),
                    rd.fundamental_coweights, dim=rd.dim)
     if central:
         gen = gen[:-1] + (Fraction(draw(st.integers(0, 3)), 4),)
@@ -175,7 +176,7 @@ def random_datum(draw, simple=False):
 
 def least_character_multiple(rd, lam):
     """The least multiple of lam that pairs integrally with the lattice."""
-    m = lcm(*(rl.dot(lam, b).denominator for b in rd.cochar_basis))
+    m = lcm(*(dot(lam, b).denominator for b in rd.cochar_basis))
     return rl.scale(m, lam)
 
 
@@ -185,7 +186,7 @@ def data_and_weight(draw):
     on the central torus)."""
     rd, central = random_datum(draw)
     r = len(rd.simple_roots)
-    lam = rl.combo(draw(st.lists(st.integers(0, 3), min_size=r, max_size=r)),
+    lam = combo(draw(st.lists(st.integers(0, 3), min_size=r, max_size=r)),
                    rd.fundamental_weights, dim=rd.dim)
     if central:
         lam = lam[:-1] + (Fraction(draw(st.integers(-2, 2))),)
@@ -196,12 +197,12 @@ def euclidean_inner(rd, mu1, mu2):
     """(mu1, mu2) from the Killing form sum over all roots of a(x) a(y) on
     the coroot span, inverted there."""
     coroots = rd.simple_coroots
-    pairs = [[rl.dot(a, c) for c in coroots] for a, _ in rd.positive_roots]
+    pairs = [[dot(a, c) for c in coroots] for a, _ in rd.positive_roots]
     gram = [[2 * sum(p[i] * p[j] for p in pairs) for j in range(len(coroots))]
             for i in range(len(coroots))]
     x = reference_solve_columns(
-        gram, [[rl.dot(mu1, c) for c in coroots]])[1][0]
-    return sum(xi * rl.dot(mu2, c) for xi, c in zip(x, coroots))
+        gram, [[dot(mu1, c) for c in coroots]])[1][0]
+    return sum(xi * dot(mu2, c) for xi, c in zip(x, coroots))
 
 
 @settings(max_examples=40, deadline=None)
@@ -212,7 +213,7 @@ def test_labels_match_euclidean_definitions(case):
     delta = rd.delta
     dim = Fraction(1)
     for _, co in rd.positive_roots:
-        dim *= rl.dot(rl.add(lam, delta), co) / rl.dot(delta, co)
+        dim *= dot(rl.add(lam, delta), co) / dot(delta, co)
     assert weyl_dim(rd, lam) == dim
     assert casimir_value(rd, lam) == euclidean_inner(
         rd, lam, rl.add(lam, rl.scale(2, delta)))
@@ -221,13 +222,13 @@ def test_labels_match_euclidean_definitions(case):
     forms, labels = rd.weight_forms(), rd.dynkin_labels(lam)
     assert cls.self_dual == self_dual == forms.self_dual(
         rl.scaled(lam)[0], labels)
-    parity = sum(rl.dot(lam, co) for _, co in rd.positive_roots)
+    parity = sum(dot(lam, co) for _, co in rd.positive_roots)
     assert forms.parity(labels) == parity
     assert cls.fs_parity == parity % 2
     assert cls.orthogonal == (self_dual and parity % 2 == 0)
     # -w0 is an involution permuting the simple roots
     m = rd.minus_w0_matrix
-    assert mat_mul(m, m) == rl.identity(rd.dim)
+    assert mat_mul(m, m) == identity(rd.dim)
     assert [rl.mat_vec(m, a) for a in rd.simple_roots] == [
         rd.simple_roots[s] for s in rd.minus_w0_perm]
 
@@ -248,15 +249,15 @@ def test_gl2_weight_off_the_root_span_is_not_self_dual():
 def reference_is_character(rd, mu):
     """mu kills the quotiented directions and pairs integrally with the
     cocharacter basis, by Euclidean dot products."""
-    return (all(rl.dot(mu, z) == 0 for z in rd.central_cochars)
-            and all(rl.dot(mu, b).denominator == 1 for b in rd.cochar_basis))
+    return (all(dot(mu, z) == 0 for z in rd.central_cochars)
+            and all(dot(mu, b).denominator == 1 for b in rd.cochar_basis))
 
 
 def reference_fixed_by_minus_w0(rd, mu, labels):
     """-w0 mu = mu for mu with these labels: -w0 permutes the labels by
     sigma, and is -1 on the cocharacters all simple roots kill."""
     return (all(x == labels[s] for x, s in zip(labels, rd.minus_w0_perm))
-            and all(rl.dot(mu, z) == 0
+            and all(dot(mu, z) == 0
                     for z in reference_nullspace(rd.simple_roots, rd.dim)))
 
 
@@ -316,7 +317,7 @@ def data_basis_and_coords(draw):
     coords = [scale * x for x in c]
     if draw(st.booleans()):
         return rd, rd.fundamental_weights, coords
-    lam = rl.combo(coords, rd.fundamental_weights, dim=rd.dim)
+    lam = combo(coords, rd.fundamental_weights, dim=rd.dim)
     zs = reference_nullspace(rd.simple_coroots, rd.dim)
     if zs and draw(st.booleans()):
         lam = rl.add(lam, rl.scale(Fraction(draw(st.integers(-2, 2)),
@@ -333,7 +334,7 @@ def test_weight_forms_match_the_reference_predicate(case):
     m, d = forms.lift(*rl.scaled(rl.vec(coords)))
     lam = tuple(Fraction(x, d) for x in m)
     assert lam == (tuple(rl.vec(coords)) if basis is None
-                   else rl.combo(coords, basis, dim=rd.dim))
+                   else combo(coords, basis, dim=rd.dim))
     labels, failed = forms_rejection(rd, basis, coords)
     assert failed == reference_rejection(rd, lam)
     assert labels == (None if failed == "character" else rd.dynkin_labels(lam))
@@ -374,12 +375,12 @@ def data_orthogonal_weight_and_cochar(draw, simple=False):
     c = draw(st.lists(st.sampled_from([0, 0, 1, 2]), min_size=r, max_size=r))
     c = [c[min(i, s)] for i, s in enumerate(rd.minus_w0_perm)]
     lam = least_character_multiple(
-        rd, rl.combo(c, rd.fundamental_weights, dim=rd.dim))
+        rd, combo(c, rd.fundamental_weights, dim=rd.dim))
     if reference_two_delta_pairing(rd, lam) % 2:
         lam = rl.scale(2, lam)
     assume(weyl_dim(rd, lam) <= 2000)
     n = len(rd.cochar_basis)
-    nu = rl.combo(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)),
+    nu = combo(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)),
                   rd.cochar_basis, dim=rd.dim)
     return rd, central, lam, nu
 
@@ -397,7 +398,7 @@ def test_multiplicities_exactly_on_random_data(case):
     # summed per dominant weight over the orbit of nu, L and the second
     # moment are the sums over every weight; the moment is the trace form,
     # 2 q exactly
-    pairs = [(rl.dot(mu, nu), m) for mu, m in items]
+    pairs = [(dot(mu, nu), m) for mu, m in items]
     assert L_phi(rd, table, nu) == sum(m * p for p, m in pairs if p > 0)
     assert table.pairing_sums(nu)[1] == sum(
         m * p * p for p, m in pairs) == 2 * q
@@ -405,7 +406,7 @@ def test_multiplicities_exactly_on_random_data(case):
     for mu, m in items:
         assert table.multiplicity(mu) == m and mu in table
         for a, a_v in zip(rd.simple_roots, rd.simple_coroots):
-            image = rl.sub(mu, rl.scale(rl.dot(mu, a_v), a))
+            image = sub(mu, rl.scale(dot(mu, a_v), a))
             assert table.multiplicity(image) == m
     # points off lam + Q: half a root, or a vector every coroot kills
     half = rl.add(lam, rl.scale(Fraction(1, 2), rd.simple_roots[0]))
@@ -414,11 +415,11 @@ def test_multiplicities_exactly_on_random_data(case):
         assert table.multiplicity(rl.add(lam, z)) == 0
     if central:
         # a central part moves every weight and enters <mu, nu>
-        shift = rl.scale(4, rl.unit(rd.dim, rd.dim - 1))
+        shift = rl.scale(4, unit(rd.dim, rd.dim - 1))
         moved = freudenthal_multiplicities(rd, rl.add(lam, shift))
         assert sorted(moved.items()) == sorted(
             (rl.add(mu, shift), m) for mu, m in items)
-        pairs = [(rl.dot(mu, nu), m) for mu, m in moved.items()]
+        pairs = [(dot(mu, nu), m) for mu, m in moved.items()]
         assert L_phi(rd, moved, nu) == sum(m * p for p, m in pairs if p > 0)
     fams, simple_central = rd.lie_type
     if len(fams) == 1 and simple_central == 0:
@@ -445,8 +446,8 @@ def test_cochar_table_weyl_sum_matches_the_closed_form(case):
     s, k, den = table.pairing_form(*rl.scaled(lam))
     c = [s * x for x in table.omega[0]]
     assert den == s * cden and [Fraction(x, den) for x in c] == [
-        rl.dot(w, reg) for w in rd.fundamental_weights]
-    assert Fraction(k, den) == rl.dot(
+        dot(w, reg) for w in rd.fundamental_weights]
+    assert Fraction(k, den) == dot(
         lam, reference_coroot_span_decomposition(rd, reg)[1])
     assert sum(sign * (s * sum(map(mul, y, shifted)) + k) ** n2
                for y, sign in points) == sum(
@@ -702,7 +703,7 @@ def reference_positive_roots(rd):
     traversal as the package."""
     def span_coords(v):
         coords = rl.mat_vec(rd.fundamental_coweights, v)
-        if rl.combo(coords, rd.simple_roots) == tuple(v):
+        if combo(coords, rd.simple_roots) == tuple(v):
             return coords
         return None
 
@@ -713,13 +714,13 @@ def reference_positive_roots(rd):
     while queue:
         beta, beta_v = queue.pop()
         for alpha, alpha_v in zip(rd.simple_roots, rd.simple_coroots):
-            gamma = rl.sub(beta, rl.scale(rl.dot(beta, alpha_v), alpha))
+            gamma = sub(beta, rl.scale(dot(beta, alpha_v), alpha))
             if gamma in found:
                 continue
             coords = span_coords(gamma)
             if coords is None or not all(c >= 0 for c in coords):
                 continue
-            gamma_v = rl.sub(beta_v, rl.scale(rl.dot(alpha, beta_v), alpha_v))
+            gamma_v = sub(beta_v, rl.scale(dot(alpha, beta_v), alpha_v))
             found[gamma] = gamma_v
             queue.append((gamma, gamma_v))
     return tuple(found.items()), span_coords
@@ -732,8 +733,8 @@ def assert_closure_matches_definition(rd):
     for (root, coroot), c, k, labels in zip(
             want, rd.positive_root_coords, rd.positive_coroot_coords,
             rd.positive_root_labels):
-        assert rl.combo(c, rd.simple_roots) == root
-        assert rl.combo(k, rd.simple_coroots) == coroot
+        assert combo(c, rd.simple_roots) == root
+        assert combo(k, rd.simple_coroots) == coroot
         assert labels == rd.dynkin_labels(root)
     for fi, f in enumerate(rd.factors):
         support = [{i for i, x in enumerate(span_coords(r)) if x}
@@ -817,7 +818,7 @@ def test_weyl_sum_over_paired_orbit_matches_the_full_sum(name):
     lam = highest_root(rd)
     nus = [make_regular(rd, (g.fg.generators or rd.simple_coroots)[0])]
     if rd.weyl_order <= 2000:
-        nus.append(rl.combo(range(1, len(rd.simple_roots) + 1),
+        nus.append(combo(range(1, len(rd.simple_roots) + 1),
                             rd.fundamental_coweights, dim=rd.dim))
     for nu in nus:
         table = rd.cochar_table(nu)
@@ -837,7 +838,7 @@ def test_both_weyl_sum_branches_run():
     def twice(name, asymmetric=False):
         g = group_by_name(name)
         rd = g.rd
-        nu = (rl.combo(range(1, len(rd.simple_roots) + 1),
+        nu = (combo(range(1, len(rd.simple_roots) + 1),
                        rd.fundamental_coweights, dim=rd.dim) if asymmetric
               else (g.fg.generators or rd.simple_coroots)[0])
         return rd.cochar_table(make_regular(rd, nu)).paired_orbit[1]
@@ -957,10 +958,10 @@ def euclidean_orthogonal(rd, lam):
     """lam is a dominant character with -w0 lam = lam and <lam, 2 delta_v>
     even, each read off the Euclidean definition."""
     return (reference_is_character(rd, lam)
-            and all(rl.dot(lam, co) >= 0 for co in rd.simple_coroots)
+            and all(dot(lam, co) >= 0 for co in rd.simple_coroots)
             and euclidean_dominant_conjugate(rd, rl.scale(-1, lam))[0]
             == tuple(lam)
-            and sum(rl.dot(lam, co) for _, co in rd.positive_roots) % 2 == 0)
+            and sum(dot(lam, co) for _, co in rd.positive_roots) % 2 == 0)
 
 
 @st.composite
@@ -1018,7 +1019,7 @@ def data_basis_and_box(draw):
     den = draw(st.sampled_from([1, 2]))
     basis = []
     for _ in range(r):
-        v = rl.combo(draw(entries), w, dim=rd.dim)
+        v = combo(draw(entries), w, dim=rd.dim)
         if draw(st.booleans()):
             extra = draw(st.lists(st.integers(-1, 1), min_size=rd.dim,
                                   max_size=rd.dim))
@@ -1033,7 +1034,7 @@ def data_basis_and_box(draw):
 def test_sweep_matches_the_euclidean_brute_force(case):
     rd, basis, box = case
     want = [(c, lam) for c in product(range(box + 1), repeat=len(basis))
-            if euclidean_orthogonal(rd, lam := rl.combo(c, basis,
+            if euclidean_orthogonal(rd, lam := combo(c, basis,
                                                          dim=rd.dim))]
     assert list(dominant_orthogonal_weights(rd, box, basis=basis)) == want
     # the sweep reads -w0 off labels and central pairings
@@ -1054,7 +1055,7 @@ def assert_verdict_is_the_term_by_term_q(rd, fg, rep):
     for nu, q in v.certificate:
         _, nu_z = reference_coroot_span_decomposition(rd, nu)
         want = sum(q_irreducible(rd, lam, nu) for lam in rep.irreducible)
-        want += sum(rl.dot(g, nu_z) * weyl_dim(rd, g) for g in rep.hyperbolic)
+        want += sum(dot(g, nu_z) * weyl_dim(rd, g) for g in rep.hyperbolic)
         assert type(q) is int and q == want == q_rep(rd, rep, nu)
     assert v.spinorial == all(q % 2 == 0 for q in v.q_values())
 
@@ -1070,7 +1071,7 @@ def data_group_and_rep(draw):
     hyp = []
     if draw(st.booleans()):
         r = len(rd.simple_roots)
-        gamma = rl.combo(draw(st.lists(st.integers(0, 2), min_size=r,
+        gamma = combo(draw(st.lists(st.integers(0, 2), min_size=r,
                                        max_size=r)),
                          rd.fundamental_weights, dim=rd.dim)
         if central:
@@ -1212,15 +1213,15 @@ def test_orbit_sizes_and_the_orbit_of_nu(case):
     size = len(rd.label_orbit(labels))
     assert rd.orbit_size(labels) == rd.orbit_size(start) == size
     # nu with labels <alpha_j, nu> = start: often singular, rarely dominant
-    lam = rl.combo(labels, rd.fundamental_weights, dim=rd.dim)
-    nu = rl.combo(start, rd.fundamental_coweights, dim=rd.dim)
+    lam = combo(labels, rd.fundamental_weights, dim=rd.dim)
+    nu = combo(start, rd.fundamental_coweights, dim=rd.dim)
     table = rd.cochar_table(nu)
     s, k, den = table.pairing_form(*rl.scaled(lam))
     c = [s * x for x in table.omega[0]]
     cs = [[s * x for x in y] for y, _ in table.signed_orbit]
     assert [Fraction(x, den) for x in c] == [
-        rl.dot(w, nu) for w in rd.fundamental_weights]
-    assert Fraction(k, den) == rl.dot(
+        dot(w, nu) for w in rd.fundamental_weights]
+    assert Fraction(k, den) == dot(
         lam, reference_coroot_span_decomposition(rd, nu)[1])
     assert sorted(map(tuple, cs)) == sorted(reference_pairing_orbit(rd, c))
     assert table.orbit_size == len(cs)
@@ -1241,11 +1242,11 @@ def test_orbit_sizes_and_the_orbit_of_nu(case):
 def reference_make_regular(rd, nu):
     """nu + t rho_v for the least t >= 0 where no positive root vanishes,
     each <alpha, nu + t rho_v> a Euclidean Fraction dot product."""
-    rho_v = rl.combo((1,) * len(rd.simple_roots), rd.fundamental_coweights,
+    rho_v = combo((1,) * len(rd.simple_roots), rd.fundamental_coweights,
                      dim=rd.dim)
     for t in range(rd.num_positive_roots + 1):
         cand = rl.add(nu, rl.scale(t, rho_v))
-        if all(rl.dot(root, cand) for root, _ in rd.positive_roots):
+        if all(dot(root, cand) for root, _ in rd.positive_roots):
             return cand
 
 
@@ -1258,10 +1259,10 @@ def data_weight_and_cochar(draw):
     rd, central = random_datum(draw)
     r = len(rd.simple_roots)
     small = st.fractions(-2, 2, max_denominator=3)
-    lam = rl.combo(draw(st.lists(st.sampled_from([0, 1, Fraction(1, 2), 3]),
+    lam = combo(draw(st.lists(st.sampled_from([0, 1, Fraction(1, 2), 3]),
                                  min_size=r, max_size=r)),
                    rd.fundamental_weights, dim=rd.dim)
-    nu = rl.combo(draw(st.lists(st.sampled_from([0, 0, 1, -1, Fraction(1, 3)]),
+    nu = combo(draw(st.lists(st.sampled_from([0, 0, 1, -1, Fraction(1, 3)]),
                                 min_size=r, max_size=r)),
                   rd.fundamental_coweights, dim=rd.dim)
     if central:
@@ -1276,26 +1277,26 @@ def test_integer_pairings_match_the_euclidean_definitions(case):
     rd, lam, nu = case
     reg = make_regular(rd, nu)
     assert reg == reference_make_regular(rd, nu)
-    assert all(rl.dot(root, reg) for root, _ in rd.positive_roots)
-    assert rd.cochar_table(nu).d_nu == prod((rl.dot(root, nu) for root, _ in
+    assert all(dot(root, reg) for root, _ in rd.positive_roots)
+    assert rd.cochar_table(nu).d_nu == prod((dot(root, nu) for root, _ in
                                  rd.positive_roots), start=Fraction(1))
     table = rd.cochar_table(nu)
     assert rd.cochar_norm_sq(nu) == 2 * sum(
-        rl.dot(root, nu) ** 2 for root, _ in rd.positive_roots)
+        dot(root, nu) ** 2 for root, _ in rd.positive_roots)
     assert len(table.norms) == len(rd.factors)
     for norm, roots in zip(table.norms, rd._roots_by_factor):
-        assert norm == 2 * sum(rl.dot(root, nu) ** 2 for root, _ in roots)
+        assert norm == 2 * sum(dot(root, nu) ** 2 for root, _ in roots)
     s, k, den = table.pairing_form(*rl.scaled(lam))
     c = [s * x for x in table.omega[0]]
     assert den > 0 and gcd(*c, k, den) == 1
     assert [Fraction(x, den) for x in c] == [
-        rl.dot(w, nu) for w in rd.fundamental_weights]
+        dot(w, nu) for w in rd.fundamental_weights]
     # every weight lam - sum of simple roots pairs by the integer form
     for steps in ([], [0], list(range(len(c))) * 2):
-        mu = rl.sub(lam, rl.combo([steps.count(i) for i in range(len(c))],
+        mu = sub(lam, combo([steps.count(i) for i in range(len(c))],
                                   rd.simple_roots, dim=rd.dim))
         assert Fraction(sum(map(mul, c, rd.dynkin_labels(mu))) + k,
-                        den) == rl.dot(mu, nu)
+                        den) == dot(mu, nu)
 
 
 def reference_inverse_killing(rd):
@@ -1327,7 +1328,7 @@ def assert_inverse_killing_matches_the_dense_inverse(rd, pairs):
     for i, f in enumerate(rd.factors):
         theta = max((c for c in rd.positive_root_coords
                      if any(c[j] for j in f.indices)), key=sum)
-        lam = rl.combo(theta, rd.simple_roots, dim=rd.dim)
+        lam = combo(theta, rd.simple_roots, dim=rd.dim)
         assert casimir_value(rd, lam, factor=i) == 1
 
 
@@ -1437,10 +1438,10 @@ def reference_dual_coxeter_number(rd, factor):
     Euclidean inverse Killing norm over its roots (``euclidean_inner``, with
     the Gram matrix eliminated once for all of them)."""
     coroots = rd.simple_coroots
-    pairs = [[rl.dot(a, c) for c in coroots] for a, _ in rd.positive_roots]
+    pairs = [[dot(a, c) for c in coroots] for a, _ in rd.positive_roots]
     gram = [[2 * sum(p[i] * p[j] for p in pairs) for j in range(len(coroots))]
             for i in range(len(coroots))]
-    labels = [[rl.dot(r, c) for c in coroots]
+    labels = [[dot(r, c) for c in coroots]
               for r, _ in rd._roots_by_factor[factor]]
     long_sq = max(sum(map(mul, x, ls)) for x, ls in
                   zip(reference_solve_columns(gram, labels)[1], labels))
@@ -1453,9 +1454,9 @@ def reference_coroot_span_decomposition(rd, nu):
     """nu = nu' + nu^z, nu' = sum_j <alpha_j, nu> omega_j^v in the coroot
     span and nu^z killed by every root, by Euclidean dot products."""
     nu = tuple(rl.vec(nu))
-    prime = rl.combo([rl.dot(a, nu) for a in rd.simple_roots],
+    prime = combo([dot(a, nu) for a in rd.simple_roots],
                      rd.fundamental_coweights, dim=rd.dim)
-    return prime, rl.sub(nu, prime)
+    return prime, sub(nu, prime)
 
 
 def assert_closure_reads_match_the_references(rd):
@@ -1490,7 +1491,7 @@ def test_central_pairing_matches_the_coroot_span_split(case):
     # the verdict's q form and the pairing form read nu^z off the table
     rd, lam, nu = case
     prime, nu_z = reference_coroot_span_decomposition(rd, nu)
-    assert all(rl.dot(a, nu_z) == 0 for a in rd.simple_roots)
+    assert all(dot(a, nu_z) == 0 for a in rd.simple_roots)
     assert rl.lattice_coords(rd.simple_coroots, prime) is not None
     table = rd.cochar_table(nu)
     z, zden, *_ = table.q_form
@@ -1498,9 +1499,9 @@ def test_central_pairing_matches_the_coroot_span_split(case):
     assert gcd(*z, zden) == 1
     assert tuple(Fraction(x, zden) for x in z) == nu_z
     assert Fraction(sum(map(mul, rl.scaled(lam)[0], z)),
-                    rl.scaled(lam)[1] * zden) == rl.dot(lam, nu_z)
+                    rl.scaled(lam)[1] * zden) == dot(lam, nu_z)
     _, k, den = table.pairing_form(*rl.scaled(lam))
-    assert Fraction(k, den) == rl.dot(lam, nu_z)
+    assert Fraction(k, den) == dot(lam, nu_z)
 
 
 # ----------------------------------------------------------------------
@@ -1557,7 +1558,7 @@ def quotient_lattice_and_cochars(draw):
     rd, _ = random_datum(draw)
     if draw(st.booleans()):
         e = rl.scale(draw(st.integers(1, 3)),
-                     rl.unit(rd.dim, draw(st.integers(0, rd.dim - 1))))
+                     unit(rd.dim, draw(st.integers(0, rd.dim - 1))))
         rd = RootDatum(rd.simple_roots, rd.simple_coroots,
                        rl.row_lattice_basis(rd.cochar_basis + (e,)),
                        rd.central_cochars)
@@ -1565,7 +1566,7 @@ def quotient_lattice_and_cochars(draw):
     kernel = reference_nullspace(basis, rd.dim)
     cochars = list(rd.central_cochars) + list(rd.simple_coroots)
     for _ in range(draw(st.integers(1, 4))):
-        v = rl.combo(draw(st.lists(st.integers(-2, 2), min_size=n,
+        v = combo(draw(st.lists(st.integers(-2, 2), min_size=n,
                                    max_size=n)), basis, dim=rd.dim)
         kind = draw(st.sampled_from(["member", "span", "off"]))
         if kind == "span":
@@ -1662,18 +1663,18 @@ def euclidean_views(rd, roots, coroots, basis, central):
     independent of the quotiented directions; -w0 = -1 + sum_i (omega_i +
     omega_sigma(i)) alpha_i^v."""
     r, dim = len(roots), rd.dim
-    a = [[rl.dot(x, c) for c in coroots] for x in roots]
+    a = [[dot(x, c) for c in coroots] for x in roots]
     cols = reference_solve_columns(a, [[int(i == j) for j in range(r)]
                                        for i in range(r)])[1] if r else []
-    omega = [rl.combo([col[i] for col in cols], roots, dim) for i in range(r)]
-    coweights = [rl.combo(cols[i], coroots, dim) for i in range(r)]
-    positive = tuple((rl.combo(c, roots, dim), rl.combo(k, coroots, dim))
+    omega = [combo([col[i] for col in cols], roots, dim) for i in range(r)]
+    coweights = [combo(cols[i], coroots, dim) for i in range(r)]
+    positive = tuple((combo(c, roots, dim), combo(k, coroots, dim))
                      for c, k in zip(rd.positive_root_coords,
                                      rd.positive_coroot_coords))
-    system = [[rl.dot(x, b) for b in basis] for x in roots]
+    system = [[dot(x, b) for b in basis] for x in roots]
     kept, center = list(central), []
     for k in reference_nullspace(system, len(basis)) if basis else ():
-        v = rl.combo(k, basis)
+        v = combo(k, basis)
         if reference_rank(kept + [v]) > len(kept):
             kept.append(v)
             center.append(v)

@@ -20,6 +20,7 @@ from spinoriality.catalog import (CATALOG_RANK_LE_4, group_by_name,
                                   parse_group_name, summary_suite_specs)
 from spinoriality.cli import load_group, main
 from spinoriality.spinor import dominant_orthogonal_weights
+from linalg_reference import dot
 
 
 # semisimple names of rank 13 to 20 run the lattice path of the file form
@@ -37,7 +38,7 @@ def cartan_document(rd):
     """The rootDatum form of a semisimple datum: each cocharacter basis
     vector b as its coordinates <omega_i, b> in the simple coroots, over
     one denominator."""
-    coords = [[rl.dot(w, b) for w in rd.fundamental_weights]
+    coords = [[dot(w, b) for w in rd.fundamental_weights]
               for b in rd.cochar_basis]
     den = lcm(*(x.denominator for row in coords for x in row))
     return {"rootDatum": {

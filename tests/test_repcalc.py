@@ -13,10 +13,11 @@ from spinoriality.repcalc import (FREUDENTHAL_GUARD_DEFAULT,
                                   freudenthal_multiplicities, weyl_dim)
 from spinoriality.rootdata import RootDatum, build_root_datum
 from spinoriality.spinor import dominant_orthogonal_weights
+from linalg_reference import combo
 
 
 def fw(rd, coeffs):
-    return rl.combo(coeffs, rd.fundamental_weights)
+    return combo(coeffs, rd.fundamental_weights)
 
 
 def test_weyl_dim_type_a():

@@ -20,6 +20,7 @@ from spinoriality.spinor import (OrthRep, adjoint_spinorial, descent_check,
                                  make_regular, oracle_compare, orth_rep,
                                  q_irreducible, q_rep, q_tensor,
                                  q_via_weyl_sum, scan_periodicity)
+from linalg_reference import combo, dot
 from test_properties import reference_dominant_orthogonal
 
 
@@ -199,11 +200,11 @@ def test_regular_nu_on_a_large_weyl_group_sums_over_the_weights(
     # cocharacter table never walks the orbit of nu
     g = group_by_name(name)
     rd, lam = g.rd, highest_root(g.rd)
-    nu = rl.combo(rd.two_delta_coroot_coords, rd.simple_coroots, dim=rd.dim)
+    nu = combo(rd.two_delta_coroot_coords, rd.simple_coroots, dim=rd.dim)
     monkeypatch.setattr(CocharTable, "signed_orbit", property(
         lambda self: pytest.fail("walked the orbit of nu")))
     table = freudenthal_multiplicities(rd, lam)
-    pairs = [(rl.dot(mu, nu), m) for mu, m in table.items()]
+    pairs = [(dot(mu, nu), m) for mu, m in table.items()]
     L = sum(m * p for p, m in pairs if p > 0)
     assert L_phi(rd, table, nu) == L
     assert table.pairing_sums(nu)[1] == sum(m * p * p for p, m in pairs)
@@ -332,12 +333,12 @@ def test_descent_names_the_least_failing_weight():
         lam = g.weight_from_coords(coords)
         table = freudenthal_multiplicities(g.rd, lam)
         bad = min((g.rd.dynkin_labels(mu), mu) for mu, _ in table.items()
-                  if rl.dot(mu, nu) % 2)
+                  if dot(mu, nu) % 2)
         with pytest.raises(SpecificationError) as err:
             descent_check(g.rd, lam, nu, 2)
         assert str(err.value).startswith(
             f"weight {rl.fmt_vec(bad[1])} pairs to "
-            f"{rl.fmt_q(rl.dot(bad[1], nu))} with nu")
+            f"{rl.fmt_q(dot(bad[1], nu))} with nu")
 
 
 def test_descent_walks_the_orbit_of_nu_once(monkeypatch):
@@ -385,7 +386,7 @@ def test_highest_root_is_adjoint_weight():
 
 def brute_force_sweep(rd, box, basis):
     for c in product(range(box + 1), repeat=len(basis)):
-        lam = rl.combo(c, basis, dim=rd.dim)
+        lam = combo(c, basis, dim=rd.dim)
         if reference_dominant_orthogonal(rd, lam):
             yield c, lam
 
