@@ -255,9 +255,6 @@ def smith_normal_form(m):
             row[i], row[j] = row[j], row[i]
         v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
 
-    def add_row(src, dst, f):
-        a[dst] = [x + f * y for x, y in zip(a[dst], a[src])]
-
     def add_col(src, dst, f):
         for row in a:
             row[dst] += f * row[src]
@@ -277,38 +274,31 @@ def smith_normal_form(m):
             break
         a[t], a[piv[0]] = a[piv[0]], a[t]
         swap_cols(t, piv[1])
-        while True:
-            # clear column t
+        done = False
+        while not done:     # clear column t, then row t
             done = True
             for i in range(t + 1, nr):
-                if a[i][t] != 0:
+                if a[i][t]:
                     q = a[i][t] // a[t][t]
-                    add_row(t, i, -q)
-                    if a[i][t] != 0:
+                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+                    if a[i][t]:
                         a[t], a[i] = a[i], a[t]
                         done = False
             for j in range(t + 1, nc):
-                if a[t][j] != 0:
-                    q = a[t][j] // a[t][t]
-                    add_col(t, j, -q)
-                    if a[t][j] != 0:
+                if a[t][j]:
+                    add_col(t, j, -(a[t][j] // a[t][t]))
+                    if a[t][j]:
                         swap_cols(t, j)
                         done = False
-            if done:
-                break
-        # make pivot divide the rest of the block
-        redo = False
-        for i in range(t + 1, nr) if abs(a[t][t]) != 1 else ():
-            for j in range(t + 1, nc):
-                if a[i][j] % a[t][t] != 0:
-                    add_row(i, t, 1)
-                    redo = True
-                    break
-            if redo:
-                break
-        if redo:
+        # the pivot must divide the rest of the block: else add a row
+        # holding an entry it does not divide, and start again
+        p = a[t][t]
+        bad = next((i for i in range(t + 1, nr) if abs(p) != 1 and any(
+            a[i][j] % p for j in range(t + 1, nc))), None)
+        if bad is not None:
+            a[t] = [x + y for x, y in zip(a[t], a[bad])]
             continue
-        if a[t][t] < 0:
+        if p < 0:
             a[t] = [-x for x in a[t]]
         t += 1
     return (tuple(a[i][i] for i in range(min(nr, nc))),

@@ -75,6 +75,13 @@ class Factor:
         return f"{self.family}{self.rank}"
 
 
+def _view(rows):
+    """The Euclidean vectors of the integer rows a datum keeps as ``rows``,
+    made when first read."""
+    return cached_property(lambda rd: tuple(rl.unscaled_rows(*getattr(
+        rd, rows))))
+
+
 class RootDatum:
     """A root datum (X^*, R, X_*, R_v) with an explicit cocharacter lattice.
 
@@ -112,21 +119,10 @@ class RootDatum:
         check_root_guard([(f.family, f.rank) for f in self.factors])
         self._set_lattice(cochar_basis)
 
-    @cached_property
-    def simple_roots(self):
-        return tuple(rl.unscaled_rows(*self._root_rows))
-
-    @cached_property
-    def simple_coroots(self):
-        return tuple(rl.unscaled_rows(*self._coroot_rows))
-
-    @cached_property
-    def cochar_basis(self):
-        return tuple(rl.unscaled_rows(*self._cochar_rows))
-
-    @cached_property
-    def central_cochars(self):
-        return tuple(rl.unscaled_rows(*self._central_rows))
+    simple_roots = _view("_root_rows")
+    simple_coroots = _view("_coroot_rows")
+    cochar_basis = _view("_cochar_rows")
+    central_cochars = _view("_central_rows")
 
     def _set_lattice(self, cochar_basis):
         """Take X_* spanned by these rows, checked to pair integrally with
@@ -613,10 +609,8 @@ class RootDatum:
         g = gcd(det * rden, *(x for row in rows for x in row))
         return [[x // g for x in row] for row in rows], det * rden // g
 
-    @cached_property
-    def fundamental_weights(self):
-        """Fundamental weights (in the derived group's span), per simple root."""
-        return tuple(rl.unscaled_rows(*self._omega_rows))
+    # the fundamental weights (in the derived group's span)
+    fundamental_weights = _view("_omega_rows")
 
     @cached_property
     def fundamental_coweights(self):
