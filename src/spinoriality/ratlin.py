@@ -54,9 +54,9 @@ def combos(coeffs, rows):
 
 
 def fmt_q(x):
-    """A rational as ``a`` or ``a/b``; GuardExceededError if a part has more
-    digits than Python writes out (``sys.get_int_max_str_digits()``)."""
-    x = Fraction(x)
+    """A rational (int or Fraction) as ``a`` or ``a/b``; GuardExceededError
+    if a part has more digits than Python writes out
+    (``sys.get_int_max_str_digits()``)."""
     try:
         return (str(x.numerator) if x.denominator == 1
                 else f"{x.numerator}/{x.denominator}")
