@@ -114,8 +114,9 @@ def _orthogonal_generators(fam, n):
 
 
 def _half_lattice(n):
-    """A basis of Z^n + Z (1/2)(1,...,1)."""
-    return rl.row_lattice_basis(_identity(n) + [_half_ones(n)])
+    """A basis of Z^n + Z (1/2)(1,...,1), its Hermite normal form: e_1 is
+    twice the half-ones vector less the other e_i."""
+    return [_half_ones(n)] + _identity(n)[1:]
 
 
 def make_group(spec):

@@ -153,15 +153,6 @@ def _bareiss(rows, ncols):
     return a, base, pivots, sign * prev
 
 
-def int_inverse(m):
-    """(adj, det) for a square integer matrix: adj . m = det . I, by
-    ``row_span_table``.  Raises ZeroDivisionError when m is singular."""
-    table = row_span_table(m, len(m))
-    if table is None:
-        raise ZeroDivisionError("matrix is singular")
-    return table[1], table[2]
-
-
 def row_span_table(rows, width):
     """Coordinates in the row span of independent integer rows B of length
     ``width``, from one elimination of [B | 1]: (pivots, adj, det, kernel),

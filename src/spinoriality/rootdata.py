@@ -1,9 +1,11 @@
 """Root data for reductive groups in exact rational coordinates.
 
 Characters and cocharacters live in dual copies of Q^m with the standard dot
-pairing.  Classical families use their Euclidean realizations (so lattice
-generators like (1,0,...,0) or 1/2(1,...,1) are literal vectors); exceptional
-types use the basis of simple coroots, so character coordinates there are
+pairing; a datum keeps its vectors as integer rows over one denominator
+each, and makes ``Fraction`` tuples of them only when read.  Classical
+families use their Euclidean realizations (so lattice generators like
+(1,0,...,0) or 1/2(1,...,1) are literal vectors); exceptional types use
+the basis of simple coroots, so character coordinates there are
 fundamental-weight coordinates.
 
 Central quotients are realized by enlarging the cocharacter lattice with
@@ -62,17 +64,40 @@ _G2_CARTAN = [
 ]
 
 class Factor:
-    """One simple factor: its simple roots' indices and lengths, its type."""
+    """One simple factor: its simple roots' indices and lengths, its type,
+    and its leaf elimination (``cartan_factors``): ``walk``, each vertex
+    with its parent, parents first, and per vertex t, the det of its
+    subtree, and f, the product of its children's t; ``det`` is the root's
+    t."""
 
-    def __init__(self, indices, family, rank, lengths):
+    def __init__(self, indices, family, rank, lengths, walk, t, f):
         self.indices = tuple(indices)
         self.family = family
         self.rank = rank
         self.lengths = tuple(lengths)
+        self.walk, self.t, self.f = walk, t, f
+        self.det = t[walk[0][0]]
 
     @property
     def label(self):
         return f"{self.family}{self.rank}"
+
+    def adjugate_columns(self, a):
+        """(j, det x) for A x = e_j, per index j of the factor, by its leaf
+        elimination: leaves first, the right side becomes B_i / f_i, B_i =
+        f_i [i = j] - sum_c a_ic B_c f_i / t_c over the children c of i, 0
+        off the path from j up; then from the root, det x_i = (det B_i -
+        a_ip f_i det x_p) / t_i."""
+        t, f, det, parent = self.t, self.f, self.det, dict(self.walk)
+        down = [(i, p, a[i][p] * f[i], t[i]) for i, p in self.walk[1:]]
+        for j in self.indices:
+            b, i = {j: f[j]}, j
+            while (p := parent[i]) is not None:
+                b[p], i = -a[p][i] * b[i] * (f[p] // t[i]), p
+            x = {i: b[i]}
+            for i, p, c, ti in down:
+                x[i] = (b.get(i, 0) * det - c * x[p]) // ti
+            yield j, x
 
 
 def _view(rows):
@@ -597,8 +622,16 @@ class RootDatum:
 
     @cached_property
     def _cartan_adj(self):
-        """(adj, det) of the Cartan matrix, in integers: adj . A = det . I."""
-        return rl.int_inverse(self.cartan_matrix)
+        """(adj, det) of the Cartan matrix, in integers: adj . A = det . I;
+        per simple factor det_f A^-1 off its leaf elimination
+        (``Factor.adjugate_columns``), times the other factors' dets."""
+        a, det = self.cartan_matrix, prod(f.det for f in self.factors)
+        adj = [[0] * len(a) for _ in a]
+        for factor in self.factors:
+            for j, x in factor.adjugate_columns(a):
+                for i, v in x.items():
+                    adj[i][j] = v * (det // factor.det)
+        return tuple(map(tuple, adj)), det
 
     @cached_property
     def _omega_rows(self):
@@ -646,6 +679,9 @@ class RootDatum:
 class WeightForms:
     """The one dominant orthogonal character predicate, as integer forms
     on coordinates in one basis; the sweep reads ``coordinate_forms``.
+    Integer rows are its state: the datum's own for ambient coordinates and
+    for its fundamental weights, a basis of other vectors scaled once; a
+    weight becomes a vector only at output (``vectors``, ``orth_rep``).
 
     Coordinates nums / den in the basis rows B_j / bden (ambient: B = 1)
     give mu = m / d, m = nums B, d = den bden.  mu is a character iff m . z
@@ -653,7 +689,8 @@ class WeightForms:
     row x / xden of the cocharacter basis; then its labels m . a_i / (d
     aden), a_i / aden the simple coroots, are integers.  It is fixed by -w0
     iff its labels agree on each pair (i, sigma(i)) and m . z = 0 for each
-    z all simple roots kill (-w0 is -1 there), and orthogonal iff also
+    z all simple roots kill (-w0 is -1 there; the quotiented directions
+    and ``RootDatum._root_kernel``), and orthogonal iff also
     <mu, 2 delta_v> = sum_i k_i labels_i is even, k = 2 delta_v in the
     simple coroots."""
 
@@ -988,7 +1025,7 @@ def cartan_factors(a):
             raise SpecificationError("the Cartan matrix is not of finite type")
         bond = max((a[i][p] * a[p][i] for i, p in walk[1:]), default=0)
         factors.append(Factor(comp, _family(comp, bond, t[first], e),
-                              len(comp), [e[i] for i in comp]))
+                              len(comp), [e[i] for i in comp], walk, t, f))
     return tuple(factors)
 
 

@@ -475,7 +475,7 @@ def reference_dominant_multiplicities(rd, lam):
     # the heights of the fundamental weights times det^2, and B(x, y) =
     # sum_{beta > 0} <x, beta^v><y, beta^v>, built here rather than read
     # off the datum's tables
-    adj, det = rl.int_inverse(rd.cartan_matrix)
+    adj, det = rl.row_span_table(rd.cartan_matrix, len(rd.cartan_matrix))[1:3]
     heights = [sum(row) * det for row in adj]
     coroots = rd.positive_coroot_coords
     form = [[sum(k[i] * k[j] for k in coroots) for j in range(len(adj))]
@@ -947,8 +947,11 @@ def test_cartan_factors_match_the_dense_minors(a):
     assert [dets[f.family](f.rank) for f in got] == [det for _, det in want]
     # the reflection closure finds the classified root count per factor
     roots, coroots, _, _ = _from_cartan(a)
-    assert RootDatum(roots, coroots, coroots).num_positive_roots == sum(
+    rd = RootDatum(roots, coroots, coroots)
+    assert rd.num_positive_roots == sum(
         expected_root_count(f.family, f.rank) for f in got) // 2
+    # the adjugate off each factor's leaf elimination is the eliminated one
+    assert rd._cartan_adj == tuple(rl.row_span_table(a, len(a))[1:3])
 
 
 # ----------------------------------------------------------------------
@@ -1308,7 +1311,7 @@ def reference_inverse_killing(rd):
     for f in rd.factors:
         gram = [[2 * sum(l[a] * l[b] for l in roots) for b in f.indices]
                 for a in f.indices]
-        adj, det = rl.int_inverse(gram)
+        adj, det = rl.row_span_table(gram, len(gram))[1:3]
         out.append((f.indices, [[Fraction(x, det) for x in row]
                                 for row in adj]))
     return out
@@ -1365,7 +1368,7 @@ def assert_invariant_form_identities(rd):
     symmetrize the Cartan matrix: a_ij e_j = a_ji e_i, e_i > 0."""
     form, s = rd._invariant_form
     a, n = rd.cartan_matrix, len(rd.cartan_matrix)
-    det = rl.int_inverse(a)[1]
+    det = rl.row_span_table(a, n)[2]
     assert [list(row) for row in zip(*form)] == [list(row) for row in form]
     assert all(form[i][i] > 0 for i in range(n))
     for i in range(n):
