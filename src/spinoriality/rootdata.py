@@ -847,15 +847,8 @@ class CocharTable:
                  for x, c in zip(self._values, rd.positive_root_coords)]
         t = next(t for t in range(len(lines) + 1)
                  if all(a + t * h for a, h in lines))
-        if t == 0:
-            return self.nu
-        # + t delta^v, the sum of the fundamental coweights, as 2 delta^v
-        # in the simple coroots over 2
-        (nums, nden), (coroots, cden) = self._scaled, rd._coroot_rows
-        two = [sum(map(mul, rd.two_delta_coroot_coords, col))
-               for col in zip(*coroots)]
-        return rl.unscaled([2 * cden * x + t * nden * y
-                            for x, y in zip(nums, two)], 2 * cden * nden)
+        return self.nu if t == 0 else add(self.nu, [
+            t * sum(col) for col in zip(*rd.fundamental_coweights)])
 
     @cached_property
     def orbit_size(self):
