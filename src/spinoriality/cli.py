@@ -140,9 +140,9 @@ def parse_weight_option(group, text):
 
 
 def _coordinate(tok):
-    """One weight coordinate, the rational the token writes: an int where
-    int() reads it, as for most tokens, refused while still text if it has
-    over COORDINATE_DIGITS digits written out (1e<exp> builds 10^exp), and
+    """One weight coordinate: the rational its token writes, an int where
+    int() reads the token; refused while still text if it has over
+    COORDINATE_DIGITS digits written out (1e<exp> builds 10^exp), and
     ValueError for a token that writes no rational."""
     head, _, exp = tok.lower().partition("e")
     if sum(map(str.isdigit, head)) + abs(int(exp or 0)) > COORDINATE_DIGITS:

@@ -59,9 +59,10 @@ def fundamental_group(rd, generators=None):
         if di != 1:
             factors.append(di)
             lifts.append(row)
-    gens = list(rl.unscaled_rows(rl.combos(lifts, basis), bden))
 
-    if generators is not None:
+    if generators is None:
+        gens = tuple(rl.unscaled_rows(rl.combos(lifts, basis), bden))
+    else:
         gens = tuple(rl.vec(g) for g in generators)
         # each generator's basis coordinates, read off the datum's table
         d, _ = rl.smith_normal_form(rows + [rd.assert_cocharacter(g)
