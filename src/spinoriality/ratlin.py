@@ -96,10 +96,20 @@ def unscaled_rows(rows, den):
     """The rational rows of integer ``rows`` over den (``scaled_rows``'
     inverse), generated one at a time, each distinct value made a Fraction
     once."""
-    frac = {}
-    for row in rows:
-        yield tuple([frac[t] if t in frac
-                     else frac.setdefault(t, Fraction(t, den)) for t in row])
+    frac = _Fractions(den)
+    return (tuple(map(frac.__getitem__, row)) for row in rows)
+
+
+class _Fractions(dict):
+    """x -> Fraction(x, den), each made when first asked for."""
+
+    def __init__(self, den):
+        super().__init__()
+        self.den = den
+
+    def __missing__(self, x):
+        self[x] = Fraction(x, self.den)
+        return self[x]
 
 
 def scaled_rows(rows):
