@@ -128,7 +128,8 @@ def parse_weight_option(group, text):
         if all(blank):
             raise SpecificationError(f"empty weight in {text!r}")
         if any(blank):
-            raise SpecificationError(f"empty coordinate in the weight {text!r}")
+            raise SpecificationError(
+                f"empty coordinate in the weight {text!r}")
         try:
             coords = [_coordinate(tok) for tok in tokens]
         except (ValueError, ZeroDivisionError):

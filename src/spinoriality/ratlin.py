@@ -5,9 +5,9 @@ denominator, ``(rows, den)``: ``scaled``/``scaled_rows`` make that form
 from rationals and ``unscaled`` turns it back into a tuple of
 :class:`fractions.Fraction`.  The few helpers on Fraction tuples (``vec``,
 ``add``, ``scale``, ``mat_vec``) serve the Euclidean vectors read or
-printed at the API.  No floating point is used anywhere; parity questions about huge
-integers are the whole point of the package, so all arithmetic is exact.
-Row reduction is one fraction-free elimination on integers,
+printed at the API.  No floating point is used anywhere; parity questions
+about huge integers are the whole point of the package, so all arithmetic
+is exact.  Row reduction is one fraction-free elimination on integers,
 ``row_span_table``; independence, kernels and coordinates in a row span
 (``span_coords``) are all read off its table.
 """

@@ -703,9 +703,9 @@ class WeightForms:
             self._central = rd._central_rows[0]
         else:   # the ambient tables, shared
             vars(self).update(vars(rd.weight_forms()), basis=basis)
+            own = basis is rd.__dict__.get("fundamental_weights")
             self._rows, self._bden = (
-                rd._omega_rows if basis is rd.__dict__.get("fundamental_weights")
-                else rl.scaled_rows(basis))
+                rd._omega_rows if own else rl.scaled_rows(basis))
             self._cols = tuple(zip(*self._rows))
 
     def lift(self, nums, den):
@@ -1071,7 +1071,7 @@ def build_root_datum(lie_type, central_rank=0, label=""):
         if central is not None:
             centrals.append(head + central + tail)
         offset += w
-    basis = coroots + [(0,) * (offset + k) + (1,) + (0,) * (central_rank - k - 1)
+    basis = coroots + [tuple(int(j == offset + k) for j in range(total))
                        for k in range(central_rank)]
     return RootDatum(roots, coroots, basis, centrals, label=label)
 
