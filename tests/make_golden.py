@@ -119,6 +119,9 @@ CHECK_EDGES = [
 ]
 ORACLE_BOXES = [("SO8", 3), ("Spin8", 3), ("F4", 3), ("PGL3", 3), ("GL3", 2),
                 ("SL6/mu3", 2), ("SO4", 2), ("Sp6", 2)]
+# past rank 4: Weyl groups without -1 (E6, D5, A5) and the 51 840-point
+# orbit of a regular point of E6
+ORACLE_LARGE = ["E6", "SO10", "PSO10", "SL6/mu2"]
 
 
 def commands():
@@ -133,6 +136,8 @@ def commands():
     # larger boxes, where rows share Freudenthal's graph and orbit values
     for group, box in ORACLE_BOXES:
         out.append(["oracle", "--group", group, "--box", str(box)])
+    out += [["oracle", "--group", group, "--box", "1"]
+            for group in ORACLE_LARGE]
     for group, (a, b, block, aspinorial) in CHECKS.items():
         large = ",".join(str(123 * int(x) + 45 * int(y))
                          for x, y in zip(a.split(","), b.split(",")))
