@@ -28,9 +28,9 @@ its highest root, as the adjoint Casimir is 1.  ``WeightForms`` decides on
 labels, in integers, whether a weight is a dominant orthogonal character, in
 any basis.  No table per family: |W| and |W_K| come from Macdonald's product,
 h^v from the highest root, Killing norms from the pairings with the simple
-roots, all on the integer root closure.  Weyl orbits are walked on labels, s_i
-subtracting v_i times the labels of alpha_i, and that of a cocharacter on its
-pairings with the simple roots and the fundamental weights.
+roots, all on the integer root closure.  One walk makes each Weyl orbit, on
+labels, s_i subtracting v_i times the labels of alpha_i; a cocharacter's
+pairings with the fundamental weights ride along its labels.
 """
 
 from fractions import Fraction
@@ -250,11 +250,7 @@ class RootDatum:
     @cached_property
     def _factor_index(self):
         """The index of the simple factor of each simple root."""
-        out = [None] * len(self.simple_roots)
-        for fi, f in enumerate(self.factors):
-            for i in f.indices:
-                out[i] = fi
-        return tuple(out)
+        return {i: fi for fi, f in enumerate(self.factors) for i in f.indices}
 
     def _factor_of_root(self, c):
         """The simple factor of the root with simple-root coordinates c: that
@@ -310,8 +306,9 @@ class RootDatum:
     # Dynkin labels and their integer tables
 
     def dynkin_labels(self, mu):
-        """The labels <mu, alpha_i^v> (``WeightForms.labels``)."""
-        return self.weight_forms().labels(*rl.scaled(mu))
+        """The labels <mu, alpha_i^v> (``WeightForms.lift``, ``labels``)."""
+        forms = self.weight_forms()
+        return forms.labels(*forms.lift(*rl.scaled(mu)))
 
     @cached_property
     def positive_coroot_coords(self):
@@ -466,6 +463,9 @@ class RootDatum:
         """The ``CocharTable`` of nu, kept by value for the last 2 rank(X_*)
         read: room for each pi_1 generator and its regular point."""
         key = rl.scaled(nu)
+        if len(key[0]) != self.dim:
+            raise SpecificationError(f"a cocharacter needs {self.dim} "
+                                     f"coordinates here, got {len(key[0])}")
         memo = self.__dict__.setdefault("_cochar_tables", {})
         table = memo.pop(key, None) or CocharTable(self, key)
         memo[key] = table       # the most recently read last
@@ -503,43 +503,42 @@ class RootDatum:
         """|W|, ``_parabolic_order`` with every node in K."""
         return self._parabolic_order([0] * len(self.cartan_matrix))
 
-    def label_orbit(self, labels):
-        """``_orbit`` of the weight with these labels."""
-        return self._orbit(labels, self.cartan_matrix)
-
-    def _orbit(self, labels, rows):
-        """The Weyl orbit of the point with these labels, as a dict from
-        label tuples to det(w) for the w that reaches each (well defined for
-        a regular point), where s_i subtracts x_i ``rows[i]``: the rows of
-        the Cartan matrix, or of its transpose for a cocharacter's labels
-        <alpha_i, y>, as a^T is the dual root system's.  Each point is built
-        once, on the tree rooted at the dominant point where a point's
-        parent is its reflection at its first negative label: a point made
-        by s_f (the root: f = r) has the child s_i(cur), cur_i > 0, for
-        i < f, and for i > f when rows[i][f] != 0 and s_i(cur) has no
-        negative label before i.  The sign is the parity of the depth."""
+    def label_orbit(self, labels, rows=None):
+        """The Weyl orbit of the point with these labels x, s_i subtracting
+        x_i ``rows[i]`` (the Cartan matrix's, or for a cocharacter's labels
+        <alpha_i, y> the dual root system's, its transpose) from the whole
+        point: entries past len(rows) ride along, as in ``rl._bareiss``.  A
+        dict from each point's riders (its labels if it has none) to det(w)
+        for the w that reaches it (well defined for a regular point), the
+        dominant point first.  Each point is built once, on the tree rooted
+        there where a point's parent is its reflection at its first negative
+        label: a point made by s_f (the root: f = r) has the child s_i(cur),
+        cur_i > 0, for i < f, and for i > f when rows[i][f] != 0 and s_i(cur)
+        has no negative label before i; the sign is the depth's parity."""
+        rows = self.cartan_matrix if rows is None else rows
         r = len(rows)
         top, sign = self.dominant_point(labels, rows)
-        orbit = {top: sign}
+        riders = len(top) > r
+        orbit = {top[r:] if riders else top: sign}
         stack = [(top, r, -sign)]
         while stack:
             cur, f, sign = stack.pop()
-            for i, x in enumerate(cur):
+            for i, x in zip(range(r), cur):
                 if x > 0 and (i < f or rows[i][f]):
                     nxt = tuple([a - x * b for a, b in zip(cur, rows[i])])
                     if i < f or min(nxt[f:i]) >= 0:
-                        orbit[nxt] = sign
+                        orbit[nxt[r:] if riders else nxt] = sign
                         stack.append((nxt, i, -sign))
         return orbit
 
     def dominant_point(self, labels, rows=None):
-        """The dominant point of the Weyl orbit of the weight with these
-        labels, as labels, and det(w) for the w that reaches it: reflect at
-        the first negative label until none is left (``rows`` as in
-        ``_orbit``, by default the Cartan matrix)."""
+        """The dominant point of the Weyl orbit of the point with these
+        labels, and det(w) for the w that reaches it: reflect at the first
+        negative label until none is left (``rows`` and riders as in
+        ``label_orbit``)."""
         rows = self.cartan_matrix if rows is None else rows
         top, sign, r = list(labels), 1, len(rows)
-        while (i := next((j for j, x in enumerate(top) if x < 0), r)) < r:
+        while (i := next((j for j, x in zip(range(r), top) if x < 0), r)) < r:
             top, sign = [a - top[i] * b for a, b in zip(top, rows[i])], -sign
         return tuple(top), sign
 
@@ -552,7 +551,8 @@ class RootDatum:
 
     def orbit_size(self, labels, rows=None):
         """|W x| = |W| / |W_x| for the point with these labels (``rows`` as
-        in ``_orbit``); W_x is W_K, K the zero labels of its dominant point."""
+        in ``label_orbit``); W_x is W_K, K the zero labels of its dominant
+        point."""
         top = self.dominant_point(labels, rows)[0]
         return self.weyl_order // self._parabolic_order(top)
 
@@ -578,15 +578,9 @@ class RootDatum:
         return tables[key]
 
     def weyl_orbit_signed(self, v, guard=None):
-        """The Weyl orbit of a regular v as a dict from the Dynkin labels of
-        each point w(v) to det(w).
-
-        The points differ from v by root-span vectors, on which the labels
-        are faithful, so the label tuples tell them apart.  Only regular v
-        (no zero label anywhere in the orbit, so trivial stabilizer) is
-        accepted, which is all the alternating Weyl-sum oracle needs; v is
-        regular iff its dominant point has no zero label.
-        """
+        """``label_orbit`` of a regular v, one whose dominant point has no
+        zero label: its points differ by vectors of the root span, on which
+        labels are faithful, and each w(v) has a sign det(w)."""
         if guard is not None and self.weyl_order > guard:
             raise GuardExceededError(
                 f"Weyl group order {self.weyl_order} exceeds guard {guard}")
@@ -609,7 +603,8 @@ class RootDatum:
 
     def is_character(self, mu):
         """mu kills the quotiented directions, pairs integrally with X_*."""
-        return self.weight_forms().read(*rl.scaled(mu))[1] != "character"
+        forms = self.weight_forms()
+        return forms.read(*forms.lift(*rl.scaled(mu)))[1] != "character"
 
     def weight_forms(self, basis=None):
         """The ``WeightForms`` of ``basis`` (None: ambient coordinates), kept
@@ -701,8 +696,11 @@ class WeightForms:
             self._xrows, self._xden = rd._cochar_rows
             self._arows, self._aden = rd._coroot_rows
             self._central = rd._central_rows[0]
-        else:   # the ambient tables, shared
-            vars(self).update(vars(rd.weight_forms()), basis=basis)
+        else:   # the ambient tables, shared, and each weight's width checked
+            ambient = rd.weight_forms()
+            for b in basis:
+                ambient.lift(b, 1)
+            vars(self).update(vars(ambient), basis=basis)
             own = basis is rd.__dict__.get("fundamental_weights")
             self._rows, self._bden = (
                 rd._omega_rows if own else rl.scaled_rows(basis))
@@ -795,9 +793,9 @@ class CocharTable:
     ``pairings`` p / den = <alpha_j, nu>, ``omega`` c / cden = <omega_i, nu>
     in least terms and ``norms``, each factor's |nu^i|^2, from one pass over
     the closure; the vector ``nu``, ``d_nu``, ``central``, ``q_form``,
-    ``regular``, ``orbit_size``, ``signed_orbit`` and ``paired_orbit`` when
-    first read; ``pairing_form`` per weight, and ``orbit_values`` per
-    dominant weight, kept as it holds no lam."""
+    ``regular``, ``orbit_size``, ``signed_orbit`` (c riding along p's walk)
+    and ``paired_orbit`` when first read; ``pairing_form`` per weight, and
+    ``orbit_values`` per dominant weight, kept as it holds no lam."""
 
     def __init__(self, rd, scaled):
         # the datum keeps its tables: a proxy, so that no cycle outlives it
@@ -857,25 +855,27 @@ class CocharTable:
 
     @cached_property
     def signed_orbit(self):
-        """The Weyl orbit of nu, walked once by ``_orbit`` on p (a^T is the
-        dual root system's Cartan matrix), the point y = w nu as (c, det(w)),
-        c / cden = <omega_i, y>, cden that of ``omega``: s_j lowers cden
-        <omega_j, y> by cden <alpha_j, y>, an integer combination of them."""
-        rd, (p, den) = self._rd, self.pairings
-        adj, det = rd._cartan_adj
-        g, orbit = det * den // self.omega[1], rd._orbit(
-            p, tuple(zip(*rd.cartan_matrix)))
-        return [(tuple([sum(map(mul, row, y)) // g for row in adj]), sign)
-                for y, sign in orbit.items()]
+        """The Weyl orbit of nu as (c, det(w)) per point y = w nu, c / cden =
+        <omega_i, y> (cden that of ``omega``), the dominant point first: one
+        ``label_orbit`` of (a c || c), a the Cartan matrix, on the rows (row
+        j of a^T || e_j); a c = cden <alpha_j, y>, and s_j lowers c_j by it."""
+        a, (c, _) = self._rd.cartan_matrix, self.omega
+        rows = [(*col, *(int(i == j) for i in range(len(c))))
+                for j, col in enumerate(zip(*a))]
+        return list(self._rd.label_orbit(
+            [*(sum(map(mul, row, c)) for row in a), *c], rows).items())
 
     @cached_property
     def paired_orbit(self):
         """(one point of each pair {y, -y}, 2) if -1, which commutes with W,
         maps one point into the signed orbit, else (``signed_orbit``, 1).  It
-        does if -1 is in W (B, C, D_even, E7, E8, F4, G2) or -w0 fixes nu^+;
+        does iff -w0 fixes nu^+, the dominant point, as each orbit meets the
+        dominant chamber once: iff nu^+'s coordinates c, and so its labels a
+        c, agree on each pair (i, sigma(i)), as -w0 omega_i = omega_sigma(i);
         then -y = w w0 nu^+ for y = w nu^+, of sign (-1)^N times y's."""
         orbit = self.signed_orbit
-        if tuple([-x for x in orbit[0][0]]) in {c for c, _ in orbit}:
+        top = orbit[0][0]
+        if all(top[i] == top[s] for i, s in self._rd._sigma_pairs):
             return [(c, sign) for c, sign in orbit
                     if c > tuple([-x for x in c])], 2
         return orbit, 1

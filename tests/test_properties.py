@@ -1240,6 +1240,17 @@ def test_orbit_sizes_and_the_orbit_of_nu(case):
     direct = sorted(sum(map(mul, c, x)) + k for x in rd.label_orbit(labels))
     assert [v for v in values for _ in range(size)] == [
         v for v in direct for _ in range(len(cs))]
+    # -1 maps the orbit of nu into itself iff it maps its dominant point in;
+    # at a regular point the half then holds one point of each pair {y, -y}
+    points = [y for y, _ in table.signed_orbit]
+    half, twice = table.paired_orbit
+    assert (twice == 2) == (tuple(-x for x in top) in set(map(tuple, cs)))
+    if twice == 1:
+        assert half == table.signed_orbit
+    elif table.d_nu:
+        ys = [y for y, _ in half]
+        assert 2 * len(ys) == len(points)
+        assert set(ys) | {tuple(-x for x in y) for y in ys} == set(points)
 
 
 def reference_make_regular(rd, nu):

@@ -10,9 +10,12 @@ from spinoriality import ratlin as rl, rootdata
 from spinoriality.catalog import (CATALOG_RANK_LE_4, group_by_name,
                                   summary_suite_specs)
 from spinoriality.errors import SpecificationError
+from spinoriality.fundgroup import p_value
+from spinoriality.repcalc import casimir_value, weyl_dim
 from spinoriality.rootdata import (RootDatum, build_root_datum,
                                    expected_root_count, simple_system)
-from spinoriality.spinor import dominant_orthogonal_weights, orth_rep
+from spinoriality.spinor import (dominant_orthogonal_weights, oracle_compare,
+                                 orth_rep)
 from linalg_reference import dot, identity, sub, unit
 from test_properties import reference_coroot_span_decomposition
 
@@ -243,6 +246,23 @@ def test_quotient_lattice_must_contain_coroots():
     with pytest.raises(SpecificationError,
                        match="^cocharacter basis is not independent$"):
         RootDatum(roots, coroots, coroots + [unit(2, 0)])
+
+
+@pytest.mark.parametrize("v", [(1,), (1, 0, 5)])
+def test_a_vector_of_the_wrong_length_is_refused(v):
+    # SO5 has 2 coordinates: a weight, a cocharacter or a basis weight one
+    # short or one long is refused, with the count, never truncated
+    g = group_by_name("SO5")
+    rd, lam, nu = g.rd, g.weight_from_coords([0, 2]), g.fg.generators[0]
+    calls = [rd.dynkin_labels, rd.is_character, rd.cochar_table,
+             lambda v: weyl_dim(rd, v), lambda v: casimir_value(rd, v),
+             lambda v: p_value(rd, [v]), lambda v: oracle_compare(rd, v, nu),
+             lambda v: oracle_compare(rd, lam, v),
+             lambda v: list(dominant_orthogonal_weights(rd, 1, basis=[v, v]))]
+    for call in calls:
+        with pytest.raises(SpecificationError,
+                           match=f" needs 2 coordinates here, got {len(v)}$"):
+            call(v)
 
 
 def _tables(rd):
