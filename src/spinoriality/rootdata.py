@@ -523,7 +523,7 @@ class RootDatum:
         stack = [(top, r, -sign)]
         while stack:
             cur, f, sign = stack.pop()
-            for i, x in zip(range(r), cur):
+            for i, x in enumerate(cur[:r] if riders else cur):
                 if x > 0 and (i < f or rows[i][f]):
                     nxt = tuple([a - x * b for a, b in zip(cur, rows[i])])
                     if i < f or min(nxt[f:i]) >= 0:
@@ -534,11 +534,11 @@ class RootDatum:
     def dominant_point(self, labels, rows=None):
         """The dominant point of the Weyl orbit of the point with these
         labels, and det(w) for the w that reaches it: reflect at the first
-        negative label until none is left (``rows`` and riders as in
+        negative entry while it is a label (``rows`` and riders as in
         ``label_orbit``)."""
         rows = self.cartan_matrix if rows is None else rows
         top, sign, r = list(labels), 1, len(rows)
-        while (i := next((j for j, x in zip(range(r), top) if x < 0), r)) < r:
+        while (i := next((j for j, x in enumerate(top) if x < 0), r)) < r:
             top, sign = [a - top[i] * b for a, b in zip(top, rows[i])], -sign
         return tuple(top), sign
 
